@@ -26,8 +26,11 @@ Vector = tuple[Fraction, ...]
 
 
 def to_vector(coords) -> Vector:
-    """Coerce an iterable of numbers into a tuple of exact Fractions."""
-    return tuple(Fraction(c) for c in coords)
+    """Coerce an iterable of numbers into a tuple of exact Fractions. A tuple
+    that already holds only Fractions is returned as it is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def integer_determinant(matrix) -> int:

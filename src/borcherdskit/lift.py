@@ -38,7 +38,16 @@ from .errors import (
     UnboundedExpansion,
 )
 from .lattice import EvenLattice, Vector, to_vector
-from .series import WEAK_JACOBI, JacobiSeries, VectorValuedForm
+from .series import (
+    WEAK_JACOBI,
+    JacobiSeries,
+    VectorValuedForm,
+    _Fractions,
+    _grade_limit,
+    _label_den,
+    _mul_into,
+    _scaled,
+)
 
 
 # -- principal parts ----------------------------------------------------------
@@ -198,10 +207,10 @@ class OrthogonalExpansion:
     holomorphic: str = field(default="unknown")
 
 
-def _factor_powers(c: int, grade: int, total_prec: Fraction):
+def _factor_powers(c: int, grade: int, top: int):
     """Exponents and coefficients of (1 - X)^c as a list of (k, coef) with
-    k * grade < total_prec; grade-0 factors must have c >= 0 and expand to the
-    full binomial polynomial."""
+    k * grade < top; grade-0 factors must have c >= 0 and expand to the full
+    binomial polynomial."""
     if grade == 0:
         if c < 0:
             raise UnboundedExpansion(
@@ -209,22 +218,13 @@ def _factor_powers(c: int, grade: int, total_prec: Fraction):
         return [(k, (-1) ** k * comb(c, k)) for k in range(c + 1)]
     terms = []
     k = 0
-    while Fraction(k * grade) < total_prec and (c < 0 or k <= c):
+    while k * grade < top and (c < 0 or k <= c):
         if c >= 0:
             terms.append((k, (-1) ** k * comb(c, k)))
         else:
             terms.append((k, comb(k - c - 1, k)))
         k += 1
     return terms
-
-
-def _positive_indices(total_prec: Fraction):
-    """Integer pairs (n, m) != (0, 0) with n, m >= 0 and n + m < total_prec."""
-    top = int(total_prec) if total_prec == int(total_prec) else int(total_prec) + 1
-    for m in range(0, top):
-        for n in range(0, top - m):
-            if (n, m) != (0, 0) and Fraction(n + m) < total_prec:
-                yield n, m
 
 
 def _expansion_preamble(phi: JacobiSeries, total_prec, w0):
@@ -244,11 +244,59 @@ def _expansion_preamble(phi: JacobiSeries, total_prec, w0):
     return total_prec, weyl
 
 
-def _zero_grade_factors(phi: JacobiSeries, weyl: WeylData):
+def _factors(phi: JacobiSeries, weyl: WeylData, top: int, den: int):
+    """Every factor (1 - q^n r^l s^m)^c that can touch total degrees below
+    top, as (n, l * den, m, c): the degree-zero factors on the negative side
+    of the chamber, then (n, m) != (0, 0) with n, m >= 0, n + m < top and
+    c = c(nm, l)."""
     lat = phi.lattice
-    for l, c in sorted(phi.q_row(0).items()):
+    # the rows at integer exponents; the preamble puts n * m below phi.prec
+    rows: dict[int, list] = {}
+    for (e, l), c in phi.coeffs.items():
+        if e.denominator == 1:
+            rows.setdefault(e.numerator, []).append((l, c))
+    for l, c in sorted(rows.get(0, ())):
         if lat.bilinear_value(l, weyl.chamber_vector) < 0:
-            yield l, c
+            yield 0, [_scaled(x, den) for x in l], 0, c
+    for m in range(top):
+        for n in range(top - m):
+            if n or m:
+                for l, c in rows.get(n * m, ()):
+                    yield n, [_scaled(x, den) for x in l], m, c
+
+
+def _apply_factor(layers, n, l, m, c):
+    """Multiply in place by (1 - q^n r^l s^m)^c, with l scaled to integers.
+
+    layers[t] holds the kernel terms ((t, (n, *l)), coef) of total degree
+    t = n + m, up to the truncation len(layers). The factor is 1 + R with R_k
+    of degree kg, so layer t + kg gains layer t times R_k; a factor of degree
+    g only reads the layers below len(layers) - g. Layers are visited from
+    the top down, so every layer is read before it gains anything; it is
+    copied first because a degree-zero factor writes back into it.
+    """
+    top = len(layers)
+    g = n + m
+    rest = [((k * g, (k * n, *[k * x for x in l])), w)
+            for k, w in _factor_powers(c, g, top) if k and w]
+    for t in reversed(range(top - g)):
+        source = list(layers[t].items())
+        for term in rest:
+            target = t + term[0][0]
+            if target >= top:
+                break
+            _mul_into(layers[target], [term], source, top)
+
+
+def _expansion(phi, weyl, layers, den, total_prec) -> OrthogonalExpansion:
+    """The OrthogonalExpansion of maps of kernel terms ((n + m, (n, *l)), c)
+    with integer coefficients and labels l scaled by den."""
+    labels = _Fractions(den).__getitem__
+    coeffs = {(vec[0], tuple(map(labels, vec[1:])), t - vec[0]): c
+              for layer in layers for (t, vec), c in layer.items()}
+    zero = (Fraction(0),) * phi.lattice.rank
+    weight = Fraction(phi.q_row(0).get(zero, 0), 2)
+    return OrthogonalExpansion(phi.lattice, weyl, weight, coeffs, total_prec)
 
 
 def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:
@@ -260,103 +308,60 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     exact and all output coefficients are integers by construction.
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
-    lat = phi.lattice
-    zero = (Fraction(0),) * lat.rank
-    acc: dict[tuple[int, Vector, int], int] = {(0, zero, 0): 1}
-
-    def multiply(n, l, m, c):
-        nonlocal acc
-        grade = n + m
-        powers = _factor_powers(c, grade, total_prec)
-        out: dict[tuple[int, Vector, int], int] = {}
-        for (an, al, am), v in acc.items():
-            for k, w in powers:
-                if w == 0:
-                    continue
-                bn, bm = an + k * n, am + k * m
-                if Fraction(bn + bm) >= total_prec:
-                    continue
-                key = (bn, tuple(x + k * y for x, y in zip(al, l)), bm)
-                new = out.get(key, 0) + v * w
-                if new:
-                    out[key] = new
-                elif key in out:
-                    del out[key]
-        acc = out
-
-    for l, c in _zero_grade_factors(phi, weyl):
-        multiply(0, l, 0, c)
-    for n, m in _positive_indices(total_prec):
-        for l, c in phi.q_row(Fraction(n * m)).items():
-            multiply(n, l, m, c)
-    if acc.get((0, zero, 0)) != 1:
+    top = _grade_limit(total_prec, 1)
+    den = _label_den(phi.coeffs)
+    one = (0, (0,) * (phi.lattice.rank + 1))
+    layers = [{one: 1}] + [{} for _ in range(1, top)]
+    for n, l, m, c in _factors(phi, weyl, top, den):
+        _apply_factor(layers, n, l, m, c)
+    if layers[0].get(one) != 1:
         raise ArithmeticError("constant coefficient of the product is not 1")
-    weight = Fraction(phi.q_row(0).get(zero, 0), 2)
-    return OrthogonalExpansion(lat, weyl, weight, acc, total_prec)
+    return _expansion(phi, weyl, layers, den, total_prec)
 
 
 def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:
     """Second route to the same expansion: exponentiate
     - sum_{(n,l,m)>0, n+m>0} c(nm, l) sum_k (1/k) q^{kn} r^{kl} s^{km}
-    grade by grade over exact rationals, then multiply in the finitely many
+    grade by grade over exact rationals with the recurrence
+    g E_g = sum_h h L_h E_(g-h), then multiply in the finitely many
     degree-zero binomial factors. The result must come out integral."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
-    lat = phi.lattice
-    zero = (Fraction(0),) * lat.rank
-    top = int(total_prec) if total_prec == int(total_prec) else int(total_prec) + 1
+    top = _grade_limit(total_prec, 1)
+    den = _label_den(phi.coeffs)
 
-    log_by_grade: dict[int, dict[tuple[int, Vector, int], Fraction]] = {}
-    for n, m in _positive_indices(total_prec):
-        row = phi.q_row(Fraction(n * m))
-        grade = n + m
-        k = 1
-        while Fraction(k * grade) < total_prec:
-            bucket = log_by_grade.setdefault(k * grade, {})
-            for l, c in row.items():
-                key = (k * n, tuple(k * x for x in l), k * m)
-                bucket[key] = bucket.get(key, Fraction(0)) - Fraction(c, k)
-            k += 1
+    # h * L_h: the log terms of total degree h, times h. The factor
+    # (n, l, m) contributes -c/k at k(n, l, m), so the weighted term is
+    # -c * (n + m), an integer.
+    weighted_log: dict[int, dict] = {}
+    zero_grade = []
+    for n, l, m, c in _factors(phi, weyl, top, den):
+        g = n + m
+        if g == 0:
+            zero_grade.append((n, l, m, c))
+            continue
+        for k in range(1, -(-top // g)):
+            key = (k * g, (k * n, *[k * x for x in l]))
+            bucket = weighted_log.setdefault(k * g, {})
+            bucket[key] = bucket.get(key, 0) - c * g
 
-    exp_by_grade: dict[int, dict[tuple[int, Vector, int], Fraction]] = {
-        0: {(0, zero, 0): Fraction(1)}}
+    layers = [{(0, (0,) * (phi.lattice.rank + 1)): Fraction(1)}]
     for g in range(1, top):
-        if Fraction(g) >= total_prec:
-            break
-        bucket: dict[tuple[int, Vector, int], Fraction] = {}
+        bucket = {}
         for h in range(1, g + 1):
-            for (sn, sl, sm), sv in log_by_grade.get(h, {}).items():
-                weighted = h * sv
-                for (en, el, em), ev in exp_by_grade[g - h].items():
-                    key = (sn + en, tuple(x + y for x, y in zip(sl, el)), sm + em)
-                    bucket[key] = bucket.get(key, Fraction(0)) + weighted * ev
-        exp_by_grade[g] = {k: v / g for k, v in bucket.items() if v}
+            if h in weighted_log:
+                _mul_into(bucket, weighted_log[h].items(), layers[g - h].items(), top)
+        layers.append({key: v / g for key, v in bucket.items()})
+    for n, l, m, c in zero_grade:
+        _apply_factor(layers, n, l, m, c)
 
-    series: dict[tuple[int, Vector, int], Fraction] = {}
-    for bucket in exp_by_grade.values():
-        series.update(bucket)
-
-    for l, c in _zero_grade_factors(phi, weyl):
-        powers = _factor_powers(c, 0, total_prec)
-        out: dict[tuple[int, Vector, int], Fraction] = {}
-        for (an, al, am), v in series.items():
-            for k, w in powers:
-                if w == 0:
-                    continue
-                key = (an, tuple(x + k * y for x, y in zip(al, l)), am)
-                new = out.get(key, Fraction(0)) + v * w
-                if new:
-                    out[key] = new
-                elif key in out:
-                    del out[key]
-        series = out
-
-    coeffs: dict[tuple[int, Vector, int], int] = {}
-    for key, v in series.items():
-        if v.denominator != 1:
-            raise ArithmeticError(f"non-integral coefficient {v} at {key}")
-        coeffs[key] = int(v)
-    weight = Fraction(phi.q_row(0).get(zero, 0), 2)
-    return OrthogonalExpansion(lat, weyl, weight, coeffs, total_prec)
+    coeffs = {}
+    for layer in layers:
+        for (t, vec), v in layer.items():
+            if v.denominator != 1:
+                raise ArithmeticError(
+                    f"non-integral coefficient {v} at n={vec[0]}, m={t - vec[0]}")
+            coeffs[(t, vec)] = v.numerator
+    return _expansion(phi, weyl, [coeffs], den, total_prec)
 
 
 # -- diagnostics for principal parts -------------------------------------------------

@@ -16,12 +16,20 @@ Every series carries a truncation bound prec: coefficients are stored, and
 trusted, exactly for q-exponents strictly below prec. Binary operations
 return the minimum of the input precisions (adjusted downward when a factor
 has negative exponents). Comparison looks only at the common window.
+
+Every product of terms in the package, here and in the lift, runs through one
+kernel, _mul_into, on integer keys: a q-exponent becomes an integer grade over
+a common q denominator and a label an integer tuple over a common label
+denominator. Callers convert on entry and back on exit, so stored
+coefficients stay keyed by Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import add
 
 from .errors import (
     DimensionMismatch,
@@ -40,8 +48,88 @@ WEAK_JACOBI = "weak_jacobi"
 _THETA_LATTICE_GRAM = ((8,),)
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+# -- the exact product kernel ---------------------------------------------------
+
+
+def _mul_into(dst, a, b, limit, max_terms=None):
+    """dst += a * b over integer-keyed terms, keeping grades below limit.
+
+    A term is ((t, vec), c): an integer truncation grade t, an integer tuple
+    vec and a coefficient c. Two terms multiply to grade t_a + t_b, vector
+    vec_a + vec_b and coefficient c_a * c_b. b must be sorted by grade, so the
+    inner loop stops at the first term whose product would reach limit.
+    Coefficients that cancel to zero leave dst, and ResourceLimit is raised
+    as soon as dst holds more than max_terms terms. This is the only place
+    where products of terms are formed.
+    """
+    for (ta, va), ca in a:
+        stop = limit - ta
+        for (tb, vb), cb in b:
+            if tb >= stop:
+                break
+            key = (ta + tb, tuple(map(add, va, vb)))
+            c = dst.get(key, 0) + ca * cb
+            if c:
+                dst[key] = c
+                if max_terms is not None and len(dst) > max_terms:
+                    raise ResourceLimit(
+                        f"product exceeded the {max_terms}-coefficient budget")
+            else:
+                dst.pop(key, None)
+
+
+def _grade_limit(prec: Fraction, q_den: int) -> int:
+    """Smallest integer t with t / q_den >= prec: the kernel limit that keeps
+    exactly the q-exponents below prec."""
+    return -(-prec.numerator * q_den // prec.denominator)
+
+
+def _label_den(*coeff_maps) -> int:
+    """Least common denominator of every label entry of the given
+    {(n, l): c} maps."""
+    return lcm(*{x.denominator for coeffs in coeff_maps for (_, l) in coeffs for x in l})
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    """x * den for a Fraction x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
+
+
+def _int_terms(coeffs, q_den: int, den: int, before: int = 0, after: int = 0):
+    """Kernel terms ((n * q_den, l * den), c) of a {(n, l): c} map, sorted by
+    grade; before and after zeros pad every label vector."""
+    pre, post = (0,) * before, (0,) * after
+    terms = [((_scaled(n, q_den), (*pre, *[_scaled(x, den) for x in l], *post)), c)
+             for (n, l), c in coeffs.items()]
+    terms.sort(key=lambda term: term[0][0])
+    return terms
+
+
+def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
+    """Window of a product: a factor with terms below q^0 lowers the window
+    of the other one. a and b are the factors' kernel terms, sorted by
+    grade."""
+    low_a = min(a[0][0][0], 0) if a else 0
+    low_b = min(b[0][0][0], 0) if b else 0
+    return min(prec_a + Fraction(low_b, q_den), prec_b + Fraction(low_a, q_den))
+
+
+class _Fractions(dict):
+    """Fraction(k, den) for integers k, each built once."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, k):
+        value = self[k] = Fraction(k, self.den)
+        return value
+
+
+def _fraction_terms(terms, q_den: int, den: int) -> dict:
+    """The {(n, l): c} map of kernel terms ((t, vec), c)."""
+    exps, labels = _Fractions(q_den), _Fractions(den).__getitem__
+    return {(exps[t], tuple(map(labels, vec))): c for (t, vec), c in terms.items()}
 
 
 class JacobiSeries:
@@ -56,29 +144,41 @@ class JacobiSeries:
         self.weight = Fraction(weight)
         if self.weight.denominator > 2:
             raise ValueError(f"weight {self.weight} does not have denominator <= 2")
-        self.prec = Fraction(prec)
-        clean = {}
-        den = 1
-        for (n, l), c in coeffs.items():
-            c = int(c)
-            if c == 0:
-                continue
-            n = Fraction(n)
-            if n >= self.prec:
+        self.prec = prec = Fraction(prec)
+        # Copying a dict keeps the hashes of its keys; only keys that are
+        # dropped or normalised below are hashed again.
+        clean = dict(coeffs)
+        dens = set()
+        for key, c in coeffs.items():
+            n, l = key
+            value = c if type(c) is int else int(c)
+            if type(n) is not Fraction:
+                n = Fraction(n)
+            den = n.denominator
+            # n >= prec, compared without building Fractions
+            if not value or n.numerator * prec.denominator >= prec.numerator * den:
+                del clean[key]
                 continue
             l = to_vector(l)
             if len(l) != lattice.rank:
                 raise DimensionMismatch(
                     f"label {l} has length {len(l)}, lattice rank is {lattice.rank}")
-            den = _lcm(den, n.denominator)
-            clean[(n, l)] = c
+            if n is not key[0] or l is not key[1]:
+                del clean[key]
+                clean[(n, l)] = value
+            elif value is not c:
+                clean[key] = value
+            dens.add(den)
+        if len(clean) < len(coeffs):
+            # a dict keeps its table size when keys are deleted
+            clean = dict(clean)
         if q_den is None:
-            q_den = den
+            q_den = lcm(*dens)
         else:
             q_den = int(q_den)
             if q_den < 1:
                 raise ValueError(f"q_den must be a positive integer, got {q_den}")
-            if any((n * q_den).denominator != 1 for (n, _) in clean):
+            if any(q_den % d for d in dens):
                 raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
         self.q_den = q_den
         self.form_class = form_class
@@ -144,7 +244,7 @@ class JacobiSeries:
             out[key] = out.get(key, 0) + c
         cls = WEAK_JACOBI if self.form_class == other.form_class == WEAK_JACOBI else RAW
         return JacobiSeries(self.lattice, self.weight, min(self.prec, other.prec),
-                            out, q_den=_lcm(self.q_den, other.q_den), form_class=cls)
+                            out, q_den=lcm(self.q_den, other.q_den), form_class=cls)
 
     def __neg__(self):
         return JacobiSeries(self.lattice, self.weight, self.prec,
@@ -162,19 +262,16 @@ class JacobiSeries:
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         self._require_same_lattice(other)
-        prec = min(self.prec + min(other.min_exp, 0),
-                   other.prec + min(self.min_exp, 0))
+        q_den = lcm(self.q_den, other.q_den)
+        den = _label_den(self.coeffs, other.coeffs)
+        a = _int_terms(self.coeffs, q_den, den)
+        b = _int_terms(other.coeffs, q_den, den)
+        prec = _product_prec(self.prec, a, other.prec, b, q_den)
         out = {}
-        for (a, l1), c1 in self.coeffs.items():
-            for (b, l2), c2 in other.coeffs.items():
-                n = a + b
-                if n >= prec:
-                    continue
-                key = (n, tuple(x + y for x, y in zip(l1, l2)))
-                out[key] = out.get(key, 0) + c1 * c2
+        _mul_into(out, a, b, _grade_limit(prec, q_den))
         cls = WEAK_JACOBI if self.form_class == other.form_class == WEAK_JACOBI else RAW
-        return JacobiSeries(self.lattice, self.weight + other.weight, prec, out,
-                            q_den=_lcm(self.q_den, other.q_den), form_class=cls)
+        return JacobiSeries(self.lattice, self.weight + other.weight, prec,
+                            _fraction_terms(out, q_den, den), q_den=q_den, form_class=cls)
 
     __rmul__ = __mul__
 
@@ -219,21 +316,16 @@ def theta_triple_product(prec) -> JacobiSeries:
     product is finite and the truncation exact.
     """
     prec = Fraction(prec)
-    lat = theta_lattice()
-    acc = JacobiSeries(lat, Fraction(1, 2), prec,
-                       {(Fraction(1, 8), (Fraction(1, 16),)): 1,
-                        (Fraction(1, 8), (Fraction(-1, 16),)): -1},
-                       q_den=8, form_class=RAW)
-    zero = (Fraction(0),)
+    # kernel terms: grades are 8 * q-exponents, labels are scaled by 16
+    limit = _grade_limit(prec, 8)
+    acc = {(1, (1,)): 1, (1, (-1,)): -1}
     n = 1
-    while n + Fraction(1, 8) < prec:
-        for label in (Fraction(1, 8), Fraction(-1, 8), Fraction(0)):
-            factor = JacobiSeries(lat, 0, prec,
-                                  {(Fraction(0), zero): 1, (Fraction(n), (label,)): -1},
-                                  q_den=1, form_class=RAW)
-            acc = acc * factor
+    while 8 * n + 1 < limit:
+        for label in (2, -2, 0):
+            _mul_into(acc, list(acc.items()), [((8 * n, (label,)), -1)], limit)
         n += 1
-    return acc
+    return JacobiSeries(theta_lattice(), Fraction(1, 2), prec, _fraction_terms(acc, 8, 16),
+                        q_den=8, form_class=RAW)
 
 
 def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
@@ -263,27 +355,18 @@ def phi04(prec) -> JacobiSeries:
     prec = Fraction(prec)
     if prec < 1:
         raise PrecisionTooSmall(f"phi04 needs precision >= 1, got {prec}")
-    lat = theta_lattice()
-    zero = (Fraction(0),)
-    acc = JacobiSeries(lat, 0, prec,
-                       {(Fraction(0), (Fraction(1, 8),)): 1,
-                        (Fraction(0), zero): 1,
-                        (Fraction(0), (Fraction(-1, 8),)): 1},
-                       q_den=1, form_class=RAW)
-    n = 1
-    while n < prec:
-        # (1 - q^n zeta^3)(1 - q^n zeta^-3), already multiplied out
-        numer = {(Fraction(0), zero): 1,
-                 (Fraction(n), (Fraction(3, 8),)): -1,
-                 (Fraction(n), (Fraction(-3, 8),)): -1,
-                 (Fraction(2 * n), zero): 1}
-        acc = acc * JacobiSeries(lat, 0, prec, numer, form_class=RAW)
+    # kernel terms: q-exponents are integers, labels are scaled by 8
+    limit = _grade_limit(prec, 1)
+    acc = {(0, (1,)): 1, (0, (0,)): 1, (0, (-1,)): 1}
+    for n in range(1, limit):
+        # (1 - q^n zeta^3)(1 - q^n zeta^-3) - 1, already multiplied out
+        numer = [((n, (3,)), -1), ((n, (-3,)), -1), ((2 * n, (0,)), 1)]
+        _mul_into(acc, list(acc.items()), numer, limit)
         for sign in (1, -1):
-            geom = {(Fraction(k * n), (Fraction(sign * k, 8),)): 1
-                    for k in range(0, int(-(-prec // n)) + 1) if k * n < prec}
-            acc = acc * JacobiSeries(lat, 0, prec, geom, form_class=RAW)
-        n += 1
-    result = JacobiSeries(lat, 0, prec, acc.coeffs, q_den=1, form_class=WEAK_JACOBI)
+            geom = [((k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
+            _mul_into(acc, list(acc.items()), geom, limit)
+    result = JacobiSeries(theta_lattice(), 0, prec, _fraction_terms(acc, 1, 8), q_den=1,
+                          form_class=WEAK_JACOBI)
     theta = theta_sum(prec)
     if result * theta != rescale_elliptic(theta, 3):
         raise ArithmeticError("theta quotient failed its defining identity")
@@ -300,24 +383,20 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
     for phi in (phi1, phi2):
         if phi.q_den != 1:
             raise FormClassError("direct products need integer q-exponents")
-    prec = min(phi1.prec + min(phi2.min_exp, 0), phi2.prec + min(phi1.min_exp, 0))
+    # zero padding turns the sum of label vectors into their concatenation
+    den = _label_den(phi1.coeffs, phi2.coeffs)
+    a = _int_terms(phi1.coeffs, 1, den, after=phi2.lattice.rank)
+    b = _int_terms(phi2.coeffs, 1, den, before=phi1.lattice.rank)
+    prec = _product_prec(phi1.prec, a, phi2.prec, b, 1)
     if prec <= 0:
         raise IncompatiblePrecision(
             f"truncations {phi1.prec} and {phi2.prec} leave no usable window")
     out = {}
-    for (a, l1), c1 in phi1.coeffs.items():
-        for (b, l2), c2 in phi2.coeffs.items():
-            n = a + b
-            if n >= prec:
-                continue
-            key = (n, l1 + l2)
-            out[key] = out.get(key, 0) + c1 * c2
-            if max_terms is not None and len(out) > max_terms:
-                raise ResourceLimit(
-                    f"direct product exceeded the {max_terms}-coefficient budget")
+    _mul_into(out, a, b, _grade_limit(prec, 1), max_terms)
     cls = WEAK_JACOBI if phi1.form_class == phi2.form_class == WEAK_JACOBI else RAW
     return JacobiSeries(direct_sum(phi1.lattice, phi2.lattice),
-                        phi1.weight + phi2.weight, prec, out, q_den=1, form_class=cls)
+                        phi1.weight + phi2.weight, prec, _fraction_terms(out, 1, den),
+                        q_den=1, form_class=cls)
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -427,9 +506,10 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     components = {g: {} for g in disc.representatives}
     for gamma, entries in by_gamma.items():
         max_bound = phi.prec - min(e for e, _, _ in entries)
-        norms = [lat.quadratic_value(l) for l in lat.enumerate_coset(gamma, max_bound)]
+        norms = sorted(lat.quadratic_value(l) for l in lat.enumerate_coset(gamma, max_bound))
         for e, value, count in entries:
-            expected = sum(1 for q in norms if e + q < phi.prec)
+            # translates l with e + Q(l) < prec
+            expected = bisect_left(norms, phi.prec - e)
             if expected != count:
                 raise ShiftInvarianceViolated(
                     f"class gamma={gamma}, exponent {e} has {count} stored "
@@ -451,19 +531,23 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     out_prec = Fraction(prec)
     for gamma, p in form.precisions.items():
         out_prec = min(out_prec, p + minima[lat.reduce_mod1(gamma)])
-    coeffs: dict[tuple[Fraction, Vector], int] = {}
+    zero = (Fraction(0),) * lat.rank
+    # (f_gamma, Theta_gamma) as {(n, l): c} maps
+    blocks = []
     for gamma, fg in form.components.items():
         if not fg:
             continue
         bound = out_prec - min(fg)
-        pairs = [(l, lat.quadratic_value(l)) for l in lat.enumerate_coset(gamma, bound)]
-        for e, c in fg.items():
-            if c == 0:
-                continue
-            for l, q in pairs:
-                n = e + q
-                if n < out_prec:
-                    coeffs[(n, l)] = coeffs.get((n, l), 0) + c
+        theta = {(lat.quadratic_value(l), l): 1 for l in lat.enumerate_coset(gamma, bound)}
+        blocks.append(({(e, zero): c for e, c in fg.items() if c}, theta))
+    maps = [m for block in blocks for m in block]
+    q_den = lcm(*{n.denominator for m in maps for (n, _) in m})
+    den = _label_den(*maps)
+    out = {}
+    for fg, theta in blocks:
+        _mul_into(out, _int_terms(fg, q_den, den), _int_terms(theta, q_den, den),
+                  _grade_limit(out_prec, q_den))
+    coeffs = _fraction_terms(out, q_den, den)
     weight = form.weight + Fraction(lat.rank, 2)
     series = JacobiSeries(lat, weight, out_prec, coeffs, form_class=RAW)
     if series.q_den == 1 and weight.denominator == 1:

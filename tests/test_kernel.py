@@ -1,0 +1,153 @@
+"""Property tests of the exact product kernel behind JacobiSeries.__mul__ and
+direct_product.
+
+The oracle below is the plain double loop over Fraction-keyed terms that
+both products used before they moved onto integer keys. Random sparse series
+on [[8]] and on a rank-2 lattice cover label denominators 8 and 16, q_den 1
+and 8, negative exponents, and windows that end between two multiples of
+1/q_den, which puts the truncation boundary inside the support.
+"""
+
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from borcherdskit.errors import IncompatiblePrecision, ResourceLimit
+from borcherdskit.lattice import EvenLattice, direct_sum
+from borcherdskit.series import RAW, JacobiSeries, _grade_limit, _mul_into, direct_product
+
+LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]))
+
+
+def oracle_product(a, b, combine):
+    """Window and nonzero coefficients of a * b by the Fraction-keyed double
+    loop; combine joins two labels."""
+    prec = min(a.prec + min(b.min_exp, 0), b.prec + min(a.min_exp, 0))
+    out = {}
+    for (x, l1), c1 in a.coeffs.items():
+        for (y, l2), c2 in b.coeffs.items():
+            n = x + y
+            if n >= prec:
+                continue
+            key = (n, combine(l1, l2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return prec, {k: c for k, c in out.items() if c}
+
+
+def add_labels(l1, l2):
+    return tuple(x + y for x, y in zip(l1, l2))
+
+
+def concat_labels(l1, l2):
+    return l1 + l2
+
+
+def assert_fraction_keys(phi):
+    for n, l in phi.coeffs:
+        assert type(n) is F
+        assert all(type(x) is F for x in l)
+
+
+@st.composite
+def sparse_series(draw, lattice=None, q_den=None):
+    if lattice is None:
+        lattice = draw(st.sampled_from(LATTICES))
+    if q_den is None:
+        q_den = draw(st.sampled_from((1, 8)))
+    label_den = draw(st.sampled_from((8, 16)))
+    # a multiple of 1/(3 q_den): mostly not a multiple of 1/q_den
+    prec = F(draw(st.integers(1, 12 * q_den)), 3 * q_den)
+    exponent = st.integers(-2 * q_den, 4 * q_den).map(lambda k: F(k, q_den))
+    entry = st.integers(-6, 6).map(lambda k: F(k, label_den))
+    label = st.tuples(*[entry] * lattice.rank)
+    coeffs = draw(st.dictionaries(st.tuples(exponent, label), st.integers(-5, 5),
+                                  max_size=12))
+    return JacobiSeries(lattice, 0, prec, coeffs, q_den=q_den, form_class=RAW)
+
+
+@st.composite
+def series_pairs(draw):
+    lattice = draw(st.sampled_from(LATTICES))
+    return draw(sparse_series(lattice)), draw(sparse_series(lattice))
+
+
+# JacobiSeries drops terms outside its window on construction, so the
+# kernel's own truncation and budget are checked on raw integer terms.
+kernel_terms = st.lists(st.tuples(
+    st.tuples(st.integers(-4, 8), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+    st.integers(-3, 3)), max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-8, 16), st.tuples(st.integers(-6, 6),
+                                                                  st.integers(-6, 6))),
+                       st.integers(1, 3), max_size=5),
+       kernel_terms, kernel_terms, st.integers(-4, 12), st.integers(0, 12))
+def test_kernel_matches_double_loop(start, a, b, limit, max_terms):
+    b.sort(key=lambda term: term[0][0])
+    expected = dict(start)
+    for (ta, va), ca in a:
+        for (tb, vb), cb in b:
+            if ta + tb < limit:
+                key = (ta + tb, (va[0] + vb[0], va[1] + vb[1]))
+                expected[key] = expected.get(key, 0) + ca * cb
+    expected = {k: c for k, c in expected.items() if c}
+    dst = dict(start)
+    _mul_into(dst, a, b, limit)
+    assert dst == expected
+    dst = dict(start)
+    try:
+        _mul_into(dst, a, b, limit, max_terms)
+    except ResourceLimit:
+        assert len(dst) > max_terms
+    else:
+        assert dst == expected and len(dst) <= max(max_terms, len(start))
+
+
+@given(st.fractions(min_value=-5, max_value=5), st.sampled_from((1, 3, 8)))
+def test_grade_limit_is_the_first_grade_outside_the_window(prec, q_den):
+    limit = _grade_limit(prec, q_den)
+    assert F(limit, q_den) >= prec > F(limit - 1, q_den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs())
+def test_mul_matches_oracle(pair):
+    a, b = pair
+    prec, expected = oracle_product(a, b, add_labels)
+    product = a * b
+    assert product.prec == prec
+    assert product.q_den == lcm(a.q_den, b.q_den)
+    assert product.coeffs == expected
+    assert_fraction_keys(product)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_series(q_den=1), sparse_series(q_den=1))
+def test_direct_product_matches_oracle(a, b):
+    prec, expected = oracle_product(a, b, concat_labels)
+    if prec <= 0:
+        with pytest.raises(IncompatiblePrecision):
+            direct_product(a, b)
+        return
+    product = direct_product(a, b)
+    assert product.lattice == direct_sum(a.lattice, b.lattice)
+    assert product.prec == prec
+    assert product.coeffs == expected
+    assert_fraction_keys(product)
+
+
+def test_mul_truncates_between_grid_points():
+    lat = LATTICES[0]
+    a = JacobiSeries(lat, 0, F(7, 6), {(F(0), (F(1, 8),)): 1, (F(1), (F(0),)): 2},
+                     q_den=1, form_class=RAW)
+    b = JacobiSeries(lat, 0, F(5, 4), {(F(1, 8), (F(1, 16),)): 3, (F(9, 8), (F(0),)): 1},
+                     q_den=8, form_class=RAW)
+    product = a * b
+    # 1 + 1/8 = 9/8 is below 7/6; 1 + 9/8 is not
+    assert product.prec == F(7, 6)
+    assert product.coeffs == {(F(1, 8), (F(3, 16),)): 3, (F(9, 8), (F(1, 8),)): 1,
+                              (F(9, 8), (F(1, 16),)): 6}

@@ -277,6 +277,22 @@ def test_lift_expansion_matches_log_exp_route():
     assert a.holomorphic == "unknown"
 
 
+@pytest.mark.parametrize("build, degree", [
+    (lambda: phi_n(2, 9), 6),
+    (lambda: phi04(36), 12),
+], ids=["phi_2-degree-6", "phi04-degree-12"])
+def test_lift_routes_agree_at_larger_degrees(build, degree):
+    phi = build()
+    direct = lift_expansion(phi, degree)
+    log_exp = lift_expansion_log_exp(phi, degree)
+    assert direct.coeffs
+    assert direct.coeffs == log_exp.coeffs
+    assert direct.weyl == log_exp.weyl
+    for expansion in (direct, log_exp):
+        assert all(type(c) is int for c in expansion.coeffs.values())
+        assert all(type(x) is F for (_, l, _) in expansion.coeffs for x in l)
+
+
 def test_lift_expansion_singular_weight_support():
     # weight 1/2 equals the singular weight for rank 1, so every monomial
     # must be isotropic after the Weyl shift: (n+A)(m+C) = Q(l+B)

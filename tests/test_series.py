@@ -196,6 +196,14 @@ def test_phi_n_budget():
         phi_n(3, 2, budget=10)
 
 
+def test_phi_n_budget_stops_mid_product():
+    # the budget is enforced by the product kernel as terms appear, not
+    # after the product is complete
+    with pytest.raises(ResourceLimit) as excinfo:
+        phi_n(4, 5, budget=1000)
+    assert [entry.name for entry in excinfo.traceback[-2:]] == ["direct_product", "_mul_into"]
+
+
 # -- coset theta series -----------------------------------------------------------
 
 
