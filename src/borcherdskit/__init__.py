@@ -24,6 +24,7 @@ from .errors import (
     PrecisionTooSmall,
     ResourceLimit,
     SchemaViolation,
+    SelfCheckFailed,
     ShiftInvarianceViolated,
     UnboundedExpansion,
 )
@@ -32,7 +33,6 @@ from .lattice import (
     EvenLattice,
     direct_sum,
     smith_normal_form,
-    validate_gram,
 )
 from .lift import (
     CongruenceReport,
@@ -74,9 +74,8 @@ __all__ = [
     "FormClassError", "IncompatiblePrecision", "InsufficientInputPrecision",
     "NonGenericChamber", "NotEven", "NotInDualLattice", "NotPositiveDefinite",
     "NotSymmetric", "PrecisionTooSmall", "ResourceLimit", "SchemaViolation",
-    "ShiftInvarianceViolated", "UnboundedExpansion",
+    "SelfCheckFailed", "ShiftInvarianceViolated", "UnboundedExpansion",
     "DiscriminantGroup", "EvenLattice", "direct_sum", "smith_normal_form",
-    "validate_gram",
     "CongruenceReport", "OrthogonalExpansion", "PrincipalPart",
     "PrincipalPartReport", "WeylData", "admits_half_integral_weight",
     "congruence_check", "default_chamber_vector", "is_half_integral",

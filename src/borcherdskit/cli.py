@@ -9,8 +9,9 @@ to stdout; without it, the summary accompanying JSON output goes to stderr
 so pipes stay clean.
 
 Exit codes: 0 success, 1 domain error or failed validation, 2 I/O or parse
-error. Nothing is randomized and no floating point is used, so identical
-invocations produce byte-identical output.
+error, 3 failed internal self-check (a defect in the package, reported as one
+line naming the check). Nothing is randomized and no floating point is used,
+so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import io as kit_io
-from .errors import BorcherdsKitError, SchemaViolation
+from .errors import BorcherdsKitError, SchemaViolation, SelfCheckFailed
 from .lift import (
     admits_half_integral_weight,
     congruence_check,
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
     except (SchemaViolation, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
+    except SelfCheckFailed as exc:
+        print(f"error ({args.command}): {exc}", file=sys.stderr)
+        return 3
     except BorcherdsKitError as exc:
         print(f"error ({args.command}): {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -69,3 +69,12 @@ class UnboundedExpansion(BorcherdsKitError):
 class SchemaViolation(BorcherdsKitError):
     """A JSON document does not match the expected schema; the message
     carries the JSON path of the offending field."""
+
+
+class SelfCheckFailed(BorcherdsKitError):
+    """An internal consistency check failed. This is a defect in the package,
+    not in its input; check names the identity that did not hold."""
+
+    def __init__(self, check: str, detail: str):
+        super().__init__(f"self-check '{check}' failed: {detail}")
+        self.check = check

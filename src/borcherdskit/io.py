@@ -148,7 +148,7 @@ def parse_series(doc, path="$") -> JacobiSeries:
 
 def emit_series(series: JacobiSeries) -> dict:
     return {
-        "gram": [list(row) for row in series.lattice.gram],
+        **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
         "q_den": series.q_den,
         "prec": frac_str(series.prec),
@@ -199,7 +199,7 @@ def emit_vvform(form: VectorValuedForm) -> dict:
             "terms": [{"e": frac_str(e), "c": str(fg[e])} for e in sorted(fg) if fg[e]],
         })
     return {
-        "gram": [list(row) for row in form.lattice.gram],
+        **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),
         "components": components,
     }
@@ -232,7 +232,7 @@ def parse_principal_part(doc, path="$") -> PrincipalPart:
 def emit_principal_part(pp: PrincipalPart) -> dict:
     ordered = sorted(pp.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     return {
-        "gram": [list(row) for row in pp.lattice.gram],
+        **emit_lattice(pp.lattice),
         "constant_term": pp.constant_term,
         "terms": [{"gamma": emit_vector(gamma), "exp": frac_str(e), "c": c}
                   for (gamma, e), c in ordered],
@@ -285,7 +285,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
     ordered = sorted(exp.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1]))
     return {
-        "gram": [list(row) for row in exp.lattice.gram],
+        **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),
         "holomorphic": exp.holomorphic,
         "total_prec": frac_str(exp.total_prec),

@@ -9,8 +9,8 @@ rational Cholesky decomposition with branch and bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
@@ -20,6 +20,7 @@ from .errors import (
     NotInDualLattice,
     NotPositiveDefinite,
     NotSymmetric,
+    SelfCheckFailed,
 )
 
 Vector = tuple[Fraction, ...]
@@ -31,31 +32,6 @@ def to_vector(coords) -> Vector:
     if type(coords) is tuple and all(type(c) is Fraction for c in coords):
         return coords
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-
-
-def integer_determinant(matrix) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _identity(n):
@@ -145,23 +121,6 @@ def smith_normal_form(matrix):
     return diag, u, v
 
 
-def _invert(matrix):
-    """Exact inverse of a nonsingular square matrix, as rows of Fractions."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def _ldl(matrix):
     """Decompose a symmetric matrix as R^T D R with R unit upper triangular.
 
@@ -224,22 +183,36 @@ def _enumerate_affine(d, r, offset, bound):
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """The finite quotient L'/L with its invariant factors.
+    """The finite quotient L'/L with its invariant factors; order equals the
+    Gram determinant.
 
-    representatives are all cosets, reduced componentwise into [0, 1) and
-    sorted lexicographically; order equals the Gram determinant.
+    generators[j] is a dual vector of order elementary_divisors[j], reduced
+    into [0, 1). representatives are all cosets, reduced componentwise into
+    [0, 1) and sorted lexicographically; there are order of them, so they are
+    listed only on first access.
     """
 
     elementary_divisors: tuple[int, ...]
-    representatives: tuple[Vector, ...]
     order: int
+    generators: tuple[Vector, ...]
+    rank: int
+
+    @cached_property
+    def representatives(self) -> tuple[Vector, ...]:
+        reps = {(Fraction(0),) * self.rank}
+        for d, g in zip(self.elementary_divisors, self.generators):
+            reps = {tuple((c + k * x) % 1 for c, x in zip(r, g)) for r in reps for k in range(d)}
+        if len(reps) != self.order:
+            raise SelfCheckFailed("distinct representatives",
+                                  f"{len(reps)} distinct cosets listed, expected {self.order}")
+        return tuple(sorted(reps))
 
 
 class EvenLattice:
     """Even positive-definite lattice presented by an integer Gram matrix.
 
-    Instances are immutable; derived data (dual basis, discriminant group,
-    short-vector enumerations) are computed on demand and cached.
+    Instances are immutable; derived data (discriminant group, coset minima)
+    are computed on demand and cached.
     """
 
     def __init__(self, gram):
@@ -269,8 +242,6 @@ class EvenLattice:
         for piv in self._gram_ldl[0]:
             det *= piv
         self.det: int = int(det)
-        self._dual_basis = None
-        self._dual_ldl = None
         self._disc = None
         self._minima = None
 
@@ -305,13 +276,6 @@ class EvenLattice:
     def quadratic_value(self, v) -> Fraction:
         """Q(v) = <v, v> / 2, exactly."""
         return self.bilinear_value(v, v) / 2
-
-    def dual_basis(self):
-        """Inverse Gram matrix; its columns are the dual basis vectors
-        written in lattice coordinates."""
-        if self._dual_basis is None:
-            self._dual_basis = _invert(self.gram)
-        return self._dual_basis
 
     def is_dual_vector(self, v) -> bool:
         """Whether v pairs integrally with every lattice vector."""
@@ -354,47 +318,22 @@ class EvenLattice:
         xs = _enumerate_affine(d, r, gamma, 2 * bound)
         return sorted(tuple(g + xi for g, xi in zip(gamma, x)) for x in xs)
 
-    def enumerate_dual_vectors(self, bound) -> list[Vector]:
-        """All dual vectors with Q <= bound, each exactly once, sorted
-        lexicographically by coordinates."""
-        bound = Fraction(bound)
-        if bound < 0:
-            return []
-        if self._dual_ldl is None:
-            self._dual_ldl = _ldl(self.dual_basis())
-        d, r = self._dual_ldl
-        zero = (Fraction(0),) * self.rank
-        inv = self.dual_basis()
-        vecs = []
-        for m in _enumerate_affine(d, r, zero, 2 * bound):
-            vecs.append(tuple(
-                sum((inv[i][j] * m[j] for j in range(self.rank)), Fraction(0))
-                for i in range(self.rank)))
-        return sorted(vecs)
-
     def coset_minima(self) -> dict[Vector, Fraction]:
         """Minimal Q value on every coset of the dual quotient, keyed by the
-        reduced representative. Computed by one enumeration up to the
-        componentwise covering bound sum|gram| / 8."""
+        reduced representative in sorted order. Each coset is searched up to
+        Q of its representative centred into [-1/2, 1/2), a vector of the
+        coset, so the search cannot come back empty."""
         if self._minima is None:
-            mu = Fraction(sum(abs(x) for row in self.gram for x in row), 8)
             minima: dict[Vector, Fraction] = {}
-            for v in self.enumerate_dual_vectors(mu):
-                key = self.reduce_mod1(v)
-                q = self.quadratic_value(v)
-                if key not in minima or q < minima[key]:
-                    minima[key] = q
-            if len(minima) != self.det:
-                raise AssertionError("covering bound missed a coset")
+            half = Fraction(1, 2)
+            for gamma in self.discriminant_group().representatives:
+                centred = tuple(c - 1 if c >= half else c for c in gamma)
+                found = self.enumerate_coset(centred, self.quadratic_value(centred))
+                if not found:
+                    raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
+                minima[gamma] = min(self.quadratic_value(v) for v in found)
             self._minima = minima
         return self._minima
-
-    def min_coset_value(self, gamma) -> Fraction:
-        """Minimal Q over the coset gamma + Z^rank."""
-        gamma = self._vec(gamma)
-        if not self.is_dual_vector(gamma):
-            raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
-        return self.coset_minima()[self.reduce_mod1(gamma)]
 
     # -- discriminant group ------------------------------------------------
 
@@ -405,26 +344,17 @@ class EvenLattice:
             for x in diag:
                 order *= x
             if order != self.det:
-                raise AssertionError("Smith form does not multiply to the determinant")
-            reps = set()
-            for ks in itertools.product(*(range(di) for di in diag)):
-                vec = tuple(
-                    sum(Fraction(v[i][j] * ks[j], diag[j]) for j in range(self.rank)) % 1
-                    for i in range(self.rank))
-                reps.add(vec)
-            if len(reps) != order:
-                raise AssertionError("coset representatives are not distinct")
+                raise SelfCheckFailed(
+                    "Smith product", f"Smith form multiplies to {order}, det is {self.det}")
+            nontrivial = [j for j, d in enumerate(diag) if d != 1]
             self._disc = DiscriminantGroup(
-                elementary_divisors=tuple(x for x in diag if x != 1),
-                representatives=tuple(sorted(reps)),
-                order=order)
+                elementary_divisors=tuple(diag[j] for j in nontrivial),
+                order=order,
+                generators=tuple(
+                    tuple(Fraction(v[i][j], diag[j]) % 1 for i in range(self.rank))
+                    for j in nontrivial),
+                rank=self.rank)
         return self._disc
-
-
-def validate_gram(matrix) -> EvenLattice:
-    """Build an EvenLattice, raising NotSymmetric / NotEven /
-    NotPositiveDefinite with the first offending index."""
-    return EvenLattice(matrix)
 
 
 def direct_sum(k1: EvenLattice, k2: EvenLattice) -> EvenLattice:

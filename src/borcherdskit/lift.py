@@ -35,6 +35,7 @@ from .errors import (
     InsufficientInputPrecision,
     NonGenericChamber,
     PrecisionTooSmall,
+    SelfCheckFailed,
     UnboundedExpansion,
 )
 from .lattice import EvenLattice, Vector, to_vector
@@ -315,7 +316,8 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     for n, l, m, c in _factors(phi, weyl, top, den):
         _apply_factor(layers, n, l, m, c)
     if layers[0].get(one) != 1:
-        raise ArithmeticError("constant coefficient of the product is not 1")
+        raise SelfCheckFailed("lift constant term",
+                              "constant coefficient of the product is not 1")
     return _expansion(phi, weyl, layers, den, total_prec)
 
 
@@ -358,8 +360,8 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
     for layer in layers:
         for (t, vec), v in layer.items():
             if v.denominator != 1:
-                raise ArithmeticError(
-                    f"non-integral coefficient {v} at n={vec[0]}, m={t - vec[0]}")
+                raise SelfCheckFailed("lift integrality", f"non-integral coefficient {v} "
+                                      f"at n={vec[0]}, m={t - vec[0]}")
             coeffs[(t, vec)] = v.numerator
     return _expansion(phi, weyl, [coeffs], den, total_prec)
 

@@ -38,6 +38,7 @@ from .errors import (
     NotInDualLattice,
     PrecisionTooSmall,
     ResourceLimit,
+    SelfCheckFailed,
     ShiftInvarianceViolated,
 )
 from .lattice import EvenLattice, Vector, direct_sum, to_vector
@@ -369,7 +370,7 @@ def phi04(prec) -> JacobiSeries:
                           form_class=WEAK_JACOBI)
     theta = theta_sum(prec)
     if result * theta != rescale_elliptic(theta, 3):
-        raise ArithmeticError("theta quotient failed its defining identity")
+        raise SelfCheckFailed("phi04 identity", "phi04 * theta(z) differs from theta(3z)")
     return result
 
 
@@ -488,7 +489,6 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     if phi.q_den != 1:
         raise FormClassError("theta decomposition expects integer q-exponents")
     lat = phi.lattice
-    disc = lat.discriminant_group()
     groups: dict[tuple[Vector, Fraction], tuple[int, int]] = {}
     for (n, l), c in phi.coeffs.items():
         if not lat.is_dual_vector(l):
@@ -503,7 +503,8 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     by_gamma: dict[Vector, list[tuple[Fraction, int, int]]] = {}
     for (gamma, e), (value, count) in groups.items():
         by_gamma.setdefault(gamma, []).append((e, value, count))
-    components = {g: {} for g in disc.representatives}
+    minima = lat.coset_minima()
+    components = {g: {} for g in minima}
     for gamma, entries in by_gamma.items():
         max_bound = phi.prec - min(e for e, _, _ in entries)
         norms = sorted(lat.quadratic_value(l) for l in lat.enumerate_coset(gamma, max_bound))
@@ -515,8 +516,7 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
                     f"class gamma={gamma}, exponent {e} has {count} stored "
                     f"witnesses but {expected} lattice translates in the window")
             components[gamma][e] = value
-    minima = lat.coset_minima()
-    precisions = {g: phi.prec - minima[g] for g in disc.representatives}
+    precisions = {g: phi.prec - q for g, q in minima.items()}
     return VectorValuedForm(lat, Fraction(-lat.rank, 2), components, precisions)
 
 

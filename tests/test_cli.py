@@ -149,6 +149,30 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "NotEven" in err
 
 
+def test_lattice_info_large_determinant(capsys, tmp_path):
+    # the 2 * 10^9 cosets are never listed
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[2000000000]]}))
+    code, out, _ = run_cli(capsys, ["lattice-info", str(path), "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["elementary_divisors"] == [2000000000]
+    assert doc["discriminant_order"] == 2000000000
+
+
+def test_failed_self_check_exit_code(capsys, monkeypatch):
+    def wrong_smith_form(matrix):
+        return [1] * len(matrix), None, None
+
+    monkeypatch.setattr("borcherdskit.lattice.smith_normal_form", wrong_smith_form)
+    code, out, err = run_cli(capsys, ["lattice-info", str(FIXTURES / "gram_ex1.json")])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error (lattice-info): self-check 'Smith product' failed" in err
+    assert "Traceback" not in err
+
+
 def test_insufficient_precision_is_domain_error(capsys, monkeypatch):
     _, series_json, _ = run_cli(capsys, ["phi", "--n", "1", "--prec", "2"])
     code, _, err = run_cli(capsys, ["lift", "--prec", "8"],

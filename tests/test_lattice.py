@@ -1,16 +1,17 @@
 """Unit and property tests for the lattice module.
 
 Derived expectations are frozen from independent oracles: brute-force box
-scans for enumeration, sympy's Smith normal form for the discriminant group,
-and hand-checked 2x2 matrix inverses.
+scans for enumeration and coset minima, sympy's Smith normal form for the
+discriminant group, and sympy's exact inverse and adjugate for the scan boxes.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -21,21 +22,45 @@ from borcherdskit.errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from borcherdskit.lattice import (
-    EvenLattice,
-    direct_sum,
-    integer_determinant,
-    smith_normal_form,
-    validate_gram,
-)
+from borcherdskit.lattice import EvenLattice, direct_sum, smith_normal_form
 
 GRAM_A = [[16, 8], [8, 16]]
 GRAM_B = [[8, 0], [0, 8]]
 
 
+def integer_determinant(matrix) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def sympy_inverse(gram):
+    """Exact inverse Gram matrix, computed by sympy, as rows of Fractions."""
+    return [[F(int(x.p), int(x.q)) for x in row] for row in Matrix(gram).inv().tolist()]
+
+
 def brute_dual_vectors(lattice, bound, box=64):
     """Oracle: scan gram^-1 * m over an integer box and keep Q <= bound."""
-    inv = lattice.dual_basis()
+    inv = sympy_inverse(lattice.gram)
     n = lattice.rank
     found = []
 
@@ -63,40 +88,55 @@ def random_even_lattice(rng, rank):
             return EvenLattice(gram)
 
 
+@st.composite
+def small_even_grams(draw):
+    """Even positive-definite Gram matrices of rank 1-3 with diagonal entries
+    up to 8 and off-diagonal entries in [-3, 3]."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(st.integers(min_value=1, max_value=4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    assume(all(integer_determinant([row[:k] for row in gram[:k]]) > 0
+               for k in range(1, rank + 1)))
+    return gram
+
+
 # -- validation ---------------------------------------------------------
 
 
 def test_validate_gram_accepts_rank2_example():
-    k = validate_gram(GRAM_A)
+    k = EvenLattice(GRAM_A)
     assert k.rank == 2
     assert k.det == 192
 
 
 def test_validate_gram_rejects_odd_diagonal():
     with pytest.raises(NotEven, match=r"\(0, 0\)"):
-        validate_gram([[1]])
+        EvenLattice([[1]])
 
 
 def test_validate_gram_rejects_asymmetric():
     with pytest.raises(NotSymmetric, match=r"\(0, 1\)"):
-        validate_gram([[2, 3], [2, 3]])
+        EvenLattice([[2, 3], [2, 3]])
 
 
 def test_validate_gram_rejects_nonpositive():
     with pytest.raises(NotPositiveDefinite, match="minor 1"):
-        validate_gram([[0]])
+        EvenLattice([[0]])
     with pytest.raises(NotPositiveDefinite, match="minor 2"):
-        validate_gram([[2, 4], [4, 2]])
+        EvenLattice([[2, 4], [4, 2]])
 
 
 def test_validate_gram_rejects_nonsquare():
     with pytest.raises(NotSymmetric):
-        validate_gram([[2, 0]])
+        EvenLattice([[2, 0]])
 
 
 def test_validate_gram_rejects_noninteger():
     with pytest.raises(TypeError):
-        validate_gram([[2.0]])
+        EvenLattice([[2.0]])
 
 
 # -- quadratic and bilinear values --------------------------------------
@@ -127,27 +167,6 @@ def test_bilinear_polarization():
         rhs = k.quadratic_value(tuple(a + b for a, b in zip(v, w))) \
             - k.quadratic_value(v) - k.quadratic_value(w)
         assert lhs == rhs
-
-
-# -- dual basis ----------------------------------------------------------
-
-
-def test_dual_basis_values():
-    assert EvenLattice([[8]]).dual_basis() == ((F(1, 8),),)
-    assert EvenLattice(GRAM_A).dual_basis() == (
-        (F(1, 12), F(-1, 24)), (F(-1, 24), F(1, 12)))
-    assert EvenLattice(GRAM_B).dual_basis() == ((F(1, 8), 0), (0, F(1, 8)))
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
-def test_dual_basis_times_gram_is_identity(seed, rank):
-    k = random_even_lattice(random.Random(seed), rank)
-    inv = k.dual_basis()
-    for i in range(rank):
-        for j in range(rank):
-            entry = sum(inv[i][l] * k.gram[l][j] for l in range(rank))
-            assert entry == (1 if i == j else 0)
 
 
 # -- discriminant group ---------------------------------------------------
@@ -255,35 +274,65 @@ def test_gcd_divides_twice_any_norm():
 # -- enumeration -----------------------------------------------------------
 
 
+def dual_vectors(lattice, bound):
+    """All dual vectors with Q <= bound, gathered one coset at a time."""
+    return sorted(v for gamma in lattice.discriminant_group().representatives
+                  for v in lattice.enumerate_coset(gamma, bound))
+
+
 def test_enumerate_dual_vectors_rank1():
     k = EvenLattice([[8]])
-    assert k.enumerate_dual_vectors(F(1, 16)) == [(F(-1, 8),), (F(0),), (F(1, 8),)]
-    assert k.enumerate_dual_vectors(0) == [(F(0),)]
-    assert k.enumerate_dual_vectors(-1) == []
+    assert dual_vectors(k, F(1, 16)) == [(F(-1, 8),), (F(0),), (F(1, 8),)]
+    assert dual_vectors(k, 0) == [(F(0),)]
+    assert dual_vectors(k, -1) == []
 
 
 def test_enumerate_dual_vectors_rank2():
     k = EvenLattice(GRAM_B)
-    got = k.enumerate_dual_vectors(F(1, 16))
+    got = dual_vectors(k, F(1, 16))
     assert len(got) == 5
     assert got == brute_dual_vectors(k, F(1, 16), box=8)
 
 
-def test_enumerate_matches_brute_force():
-    rng = random.Random(19)
-    for _ in range(5):
-        k = random_even_lattice(rng, 2)
-        for bound in (F(1, 2), 1, 2):
-            assert k.enumerate_dual_vectors(bound) == brute_dual_vectors(k, bound, box=24)
+def test_enumerate_coset_small_lattices():
+    k = EvenLattice([[8]])
+    assert k.enumerate_coset((F(1, 8),), F(1, 16)) == [(F(1, 8),)]
+    assert k.enumerate_coset((F(7, 8),), F(1, 16)) == [(F(-1, 8),)]
+    assert k.enumerate_coset((0,), 0) == [(F(0),)]
+    assert k.enumerate_coset((0,), -1) == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_even_grams(), st.data())
+def test_enumerate_matches_brute_force(gram, data):
+    # oracle: scan gamma + x over an integer box; Cauchy-Schwarz against the
+    # dual basis gives v_i^2 <= 2 Q(v) (gram^-1)_ii, so the box holds every
+    # vector of the coset with Q <= bound
+    k = EvenLattice(gram)
+    gamma = tuple(F(data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 6)))
+                  for _ in range(k.rank))
+    bound = F(data.draw(st.integers(0, 12)), 4)
+    inv = sympy_inverse(gram)
+    ranges = []
+    for i in range(k.rank):
+        radius = isqrt(int(2 * bound * inv[i][i])) + 1
+        ranges.append(range(int(-radius - gamma[i]) - 1, int(radius - gamma[i]) + 2))
+    expected = []
+    for x in itertools.product(*ranges):
+        v = tuple(g + xi for g, xi in zip(gamma, x))
+        if k.quadratic_value(v) <= bound:
+            expected.append(v)
+    assert k.enumerate_coset(gamma, bound) == sorted(expected)
 
 
 def test_enumeration_monotone_and_symmetric():
     k = EvenLattice(GRAM_A)
-    small = set(k.enumerate_dual_vectors(F(1, 8)))
-    large = set(k.enumerate_dual_vectors(F(3, 8)))
-    assert small <= large
-    for v in large:
-        assert tuple(-c for c in v) in large
+    gamma = (F(5, 24), F(7, 12))
+    small = set(k.enumerate_coset(gamma, 2))
+    large = set(k.enumerate_coset(gamma, 10))
+    assert small and small < large
+    negated = set(k.enumerate_coset(tuple(-c for c in gamma), 10))
+    assert negated == {tuple(-c for c in v) for v in large}
 
 
 def test_enumerate_coset_contains_only_coset():
@@ -295,10 +344,44 @@ def test_enumerate_coset_contains_only_coset():
 
 
 def test_min_coset_value():
-    k = EvenLattice([[8]])
-    assert k.min_coset_value((F(7, 8),)) == F(1, 16)
-    assert k.min_coset_value((F(1, 2),)) == 1
-    assert k.min_coset_value((0,)) == 0
+    minima = EvenLattice([[8]]).coset_minima()
+    assert minima[(F(7, 8),)] == F(1, 16)
+    assert minima[(F(1, 2),)] == 1
+    assert minima[(F(0),)] == 0
+
+
+def box_scan_coset_minima(gram):
+    """Oracle: minimal Q on every coset of L'/L from a scan of m = gram * v
+    over integer boxes, in integer arithmetic.
+
+    m_i = <e_i, v>, so Cauchy-Schwarz puts every dual vector v with Q(v) <= mu
+    in the box |m_i| <= sqrt(2 mu gram_ii). The level mu doubles until each of
+    the det cosets holds a vector with Q <= mu, which is then its minimum.
+    """
+    n = len(gram)
+    matrix = Matrix(gram)
+    det = int(matrix.det())
+    adj = [[int(x) for x in row] for row in matrix.adjugate().tolist()]
+    mu = 1
+    while True:
+        minima = {}
+        radii = [isqrt(2 * mu * gram[i][i]) + 1 for i in range(n)]
+        for m in itertools.product(*(range(-r, r + 1) for r in radii)):
+            w = [sum(adj[i][j] * m[j] for j in range(n)) for i in range(n)]  # det * v
+            twice_q_det = sum(mi * wi for mi, wi in zip(m, w))
+            if twice_q_det <= 2 * mu * det:
+                key = tuple(x % det for x in w)
+                minima[key] = min(minima.get(key, twice_q_det), twice_q_det)
+        if len(minima) == det:
+            return {tuple(F(x, det) for x in key): F(value, 2 * det)
+                    for key, value in minima.items()}
+        mu *= 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_even_grams())
+def test_coset_minima_matches_box_scan(gram):
+    assert EvenLattice(gram).coset_minima() == box_scan_coset_minima(gram)
 
 
 # -- direct sum ------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_principal_part_of_phi_2():
             gamma = (a, b)
             if gamma == (F(0), F(0)):
                 continue
-            q = lat.min_coset_value(gamma)
+            q = lat.coset_minima()[gamma]
             assert pp.terms[(gamma, -q)] == 1
     # every exponent sits in the -Q(gamma) + Z class
     for (gamma, e), _ in pp.terms.items():
