@@ -92,6 +92,15 @@ def parse_vector(value, path) -> Vector:
     return tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(value, path)))
 
 
+def _parse_lattice_vector(value, path, lattice: EvenLattice) -> Vector:
+    """A vector with one entry per basis vector of lattice."""
+    vec = parse_vector(value, path)
+    if len(vec) != lattice.rank:
+        raise SchemaViolation(
+            f"{path}: vector has length {len(vec)}, lattice rank is {lattice.rank}")
+    return vec
+
+
 def emit_vector(vec) -> list[str]:
     return [frac_str(x) for x in vec]
 
@@ -135,7 +144,7 @@ def parse_series(doc, path="$") -> JacobiSeries:
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("n", "l", "c"))
         n = parse_frac(term["n"], f"{tpath}.n")
-        l = parse_vector(term["l"], f"{tpath}.l")
+        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice)
         if (n, l) in coeffs:
             raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(n)}")
         coeffs[(n, l)] = parse_int(term["c"], f"{tpath}.c")
@@ -170,7 +179,7 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
         cpath = f"{path}.components[{i}]"
         _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        gamma = parse_vector(comp["gamma"], f"{cpath}.gamma")
+        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
         gamma = lattice.reduce_mod1(gamma)
@@ -216,7 +225,7 @@ def parse_principal_part(doc, path="$") -> PrincipalPart:
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("gamma", "exp", "c"))
-        gamma = parse_vector(term["gamma"], f"{tpath}.gamma")
+        gamma = _parse_lattice_vector(term["gamma"], f"{tpath}.gamma", lattice)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{tpath}.gamma: not in the dual lattice")
         gamma = lattice.reduce_mod1(gamma)
@@ -274,7 +283,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         _expect_object(term, tpath, required=("n", "l", "m", "c"))
         n = parse_int(term["n"], f"{tpath}.n")
         m = parse_int(term["m"], f"{tpath}.m")
-        l = parse_vector(term["l"], f"{tpath}.l")
+        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice)
         if (n, l, m) in coeffs:
             raise SchemaViolation(f"{tpath}: duplicate monomial")
         coeffs[(n, l, m)] = parse_int(term["c"], f"{tpath}.c")

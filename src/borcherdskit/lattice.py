@@ -3,8 +3,11 @@
 Everything here runs over Python integers and fractions.Fraction; no floating
 point is used anywhere. Vectors are tuples of Fractions holding coordinates
 with respect to the lattice basis, so the Gram matrix is the single source of
-truth for all inner products. Enumeration of short vectors uses an exact
-rational Cholesky decomposition with branch and bound.
+truth for all inner products. Inner products scale both vectors to integers
+over a common denominator and build one Fraction at the end. Enumeration of
+short vectors uses an exact rational Cholesky decomposition with branch and
+bound. Coset minima are searched once per orthogonal block of the Gram matrix
+and added across blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from itertools import chain, product
+from math import ceil, floor, gcd, inf, isqrt, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -32,6 +37,35 @@ def to_vector(coords) -> Vector:
     if type(coords) is tuple and all(type(c) is Fraction for c in coords):
         return coords
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+
+
+def _as_integers(v: Vector) -> tuple[int, list[int]]:
+    """(den, ints) with v = ints / den, den the least common denominator."""
+    den = lcm(*[c.denominator for c in v])
+    return den, [c.numerator * (den // c.denominator) for c in v]
+
+
+def _blocks(gram) -> list[list[int]]:
+    """Index lists of the orthogonal blocks of a Gram matrix: the connected
+    components of its nonzero off-diagonal entries, ordered by smallest
+    index."""
+    n = len(gram)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in range(n):
+                if gram[i][j] and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
 
 
 def _identity(n):
@@ -150,9 +184,14 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
 
 
-def _enumerate_affine(d, r, offset, bound):
+class _Full(Exception):
+    """Raised inside _enumerate_affine once more than limit vectors are found."""
+
+
+def _enumerate_affine(d, r, offset, bound, limit=inf):
     """All integer x with sum_i d[i]*(y_i + sum_{j>i} r[i][j] y_j)^2 <= bound,
-    where y = x + offset. Branch and bound over exact rationals."""
+    where y = x + offset, or the first limit + 1 of them found when there are
+    more than limit. Branch and bound over exact rationals."""
     n = len(d)
     out = []
     if bound < 0:
@@ -163,6 +202,8 @@ def _enumerate_affine(d, r, offset, bound):
     def rec(i, remaining):
         if i < 0:
             out.append(tuple(x))
+            if len(out) > limit:
+                raise _Full
             return
         c = sum((r[i][j] * y[j] for j in range(i + 1, n)), Fraction(0))
         center = -offset[i] - c
@@ -177,7 +218,10 @@ def _enumerate_affine(d, r, offset, bound):
                 y[i] = yi
                 rec(i - 1, remaining - term)
 
-    rec(n - 1, Fraction(bound))
+    try:
+        rec(n - 1, Fraction(bound))
+    except _Full:
+        pass
     return out
 
 
@@ -265,28 +309,32 @@ class EvenLattice:
 
     def bilinear_value(self, v, w) -> Fraction:
         """<v, w> = v^T * gram * w, exactly."""
-        v = self._vec(v)
-        w = self._vec(w)
-        total = Fraction(0)
-        for i in range(self.rank):
-            if v[i]:
-                total += v[i] * sum(self.gram[i][j] * w[j] for j in range(self.rank))
-        return total
+        dv, a = _as_integers(self._vec(v))
+        dw, b = _as_integers(self._vec(w))
+        return Fraction(self._pair(a, b), dv * dw)
 
     def quadratic_value(self, v) -> Fraction:
         """Q(v) = <v, v> / 2, exactly."""
-        return self.bilinear_value(v, v) / 2
+        den, a = _as_integers(self._vec(v))
+        return Fraction(self._pair(a, a), 2 * den * den)
+
+    def _pair(self, a, b) -> int:
+        """a^T * gram * b for integer vectors a and b."""
+        return sum(x * sum(map(mul, row, b)) for x, row in zip(a, self.gram) if x)
 
     def is_dual_vector(self, v) -> bool:
-        """Whether v pairs integrally with every lattice vector."""
-        v = self._vec(v)
-        return all(
-            sum(self.gram[i][j] * v[j] for j in range(self.rank)).denominator == 1
-            for i in range(self.rank))
+        """Whether v pairs integrally with every lattice vector, that is
+        gram * v is integral."""
+        den, a = _as_integers(self._vec(v))
+        return all(sum(map(mul, row, a)) % den == 0 for row in self.gram)
 
     def reduce_mod1(self, v) -> Vector:
-        """Reduce coordinates componentwise into [0, 1)."""
-        return tuple(c - floor(c) for c in self._vec(v))
+        """Reduce coordinates componentwise into [0, 1); a vector already
+        reduced is returned as it is."""
+        w = self._vec(v)
+        if all(0 <= c.numerator < c.denominator for c in w):
+            return w
+        return tuple(c - floor(c) for c in w)
 
     def q_mod1(self, gamma) -> Fraction:
         """Q(gamma) mod 1; well defined on cosets of the lattice."""
@@ -307,33 +355,68 @@ class EvenLattice:
 
     # -- enumeration ------------------------------------------------------
 
-    def enumerate_coset(self, gamma, bound) -> list[Vector]:
+    def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted
-        lexicographically by coordinates."""
+        lexicographically by coordinates. When there are more than limit of
+        them, the search stops after limit + 1 and returns those."""
         bound = Fraction(bound)
         if bound < 0:
             return []
         gamma = self._vec(gamma)
         d, r = self._gram_ldl
-        xs = _enumerate_affine(d, r, gamma, 2 * bound)
+        xs = _enumerate_affine(d, r, gamma, 2 * bound, limit)
         return sorted(tuple(g + xi for g, xi in zip(gamma, x)) for x in xs)
 
     def coset_minima(self) -> dict[Vector, Fraction]:
         """Minimal Q value on every coset of the dual quotient, keyed by the
-        reduced representative in sorted order. Each coset is searched up to
-        Q of its representative centred into [-1/2, 1/2), a vector of the
-        coset, so the search cannot come back empty."""
+        reduced representative in sorted order.
+
+        L'/L is the product of the groups of the orthogonal blocks of the
+        Gram matrix, and Q adds across blocks, so each distinct block Gram is
+        searched once and a coset's minimum is the sum of its blocks' minima.
+        """
         if self._minima is None:
+            blocks = _blocks(self.gram)
+            searched: dict[tuple, list] = {}
+            parts = []
+            for block in blocks:
+                gram = tuple(tuple(self.gram[i][j] for j in block) for i in block)
+                if gram not in searched:
+                    lat = self if len(block) == self.rank else EvenLattice(gram)
+                    searched[gram] = list(lat._search_minima().items())
+                parts.append(searched[gram])
+            # positions[k] is the coordinate that the k-th entry of a key
+            # concatenated block by block belongs at
+            positions = [i for block in blocks for i in block]
+            interleaved = positions != list(range(self.rank))
+            where = sorted(range(self.rank), key=positions.__getitem__)
             minima: dict[Vector, Fraction] = {}
-            half = Fraction(1, 2)
-            for gamma in self.discriminant_group().representatives:
-                centred = tuple(c - 1 if c >= half else c for c in gamma)
-                found = self.enumerate_coset(centred, self.quadratic_value(centred))
-                if not found:
-                    raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
-                minima[gamma] = min(self.quadratic_value(v) for v in found)
+            for combo in product(*parts):
+                key = tuple(chain.from_iterable(gamma for gamma, _ in combo))
+                if interleaved:
+                    key = tuple(key[k] for k in where)
+                minima[key] = sum(q for _, q in combo)
+            if interleaved:
+                minima = dict(sorted(minima.items()))
+            if len(minima) != self.det:
+                raise SelfCheckFailed("coset count",
+                                      f"{len(minima)} coset minima, expected {self.det}")
             self._minima = minima
         return self._minima
+
+    def _search_minima(self) -> dict[Vector, Fraction]:
+        """Coset minima by one search per coset, up to Q of its representative
+        centred into [-1/2, 1/2). That vector lies in the coset, so the search
+        cannot come back empty."""
+        minima: dict[Vector, Fraction] = {}
+        half = Fraction(1, 2)
+        for gamma in self.discriminant_group().representatives:
+            centred = tuple(c - 1 if c >= half else c for c in gamma)
+            found = self.enumerate_coset(centred, self.quadratic_value(centred))
+            if not found:
+                raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
+            minima[gamma] = min(self.quadratic_value(v) for v in found)
+        return minima
 
     # -- discriminant group ------------------------------------------------
 

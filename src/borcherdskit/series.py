@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from operator import add
 
 from .errors import (
@@ -506,8 +506,19 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     minima = lat.coset_minima()
     components = {g: {} for g in minima}
     for gamma, entries in by_gamma.items():
-        max_bound = phi.prec - min(e for e, _, _ in entries)
-        norms = sorted(lat.quadratic_value(l) for l in lat.enumerate_coset(gamma, max_bound))
+        e_min, _, count_min = min(entries)
+        # Q is constant mod 1 on a coset of an even lattice, so the translates
+        # with Q < prec - e_min are those with Q <= bound
+        q0 = lat.quadratic_value(gamma)
+        bound = q0 + ceil(phi.prec - e_min - q0) - 1
+        # the search stops once it proves class (gamma, e_min) short of
+        # witnesses, so a prec far beyond the stored terms cannot run it long
+        found = lat.enumerate_coset(gamma, bound, limit=count_min)
+        if len(found) > count_min:
+            raise ShiftInvarianceViolated(
+                f"class gamma={gamma}, exponent {e_min} has {count_min} stored "
+                f"witnesses but more than {count_min} lattice translates in the window")
+        norms = sorted(lat.quadratic_value(l) for l in found)
         for e, value, count in entries:
             # translates l with e + Q(l) < prec
             expected = bisect_left(norms, phi.prec - e)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from borcherdskit.cli import main
@@ -171,6 +172,48 @@ def test_failed_self_check_exit_code(capsys, monkeypatch):
     assert err.count("\n") == 1
     assert "error (lattice-info): self-check 'Smith product' failed" in err
     assert "Traceback" not in err
+
+
+def test_block_count_mismatch_exit_code(capsys, tmp_path, monkeypatch):
+    # [[16, 8], [8, 16]] is one block; split in two it yields 16 * 16 cosets
+    # against a determinant of 192
+    monkeypatch.setattr("borcherdskit.lattice._blocks", lambda gram: [[0], [1]])
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({
+        "gram": [[16, 8], [8, 16]], "weight": "0", "q_den": 1, "prec": "1",
+        "form_class": "weak_jacobi", "terms": [{"n": "0", "l": ["0", "0"], "c": "1"}]}))
+    code, out, err = run_cli(capsys, ["decompose", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "self-check 'coset count' failed: 256 coset minima, expected 192" in err
+
+
+def test_prec_beyond_terms_fails_fast(capsys, tmp_path):
+    # the window claims every coefficient below q^(10^6), but the terms stop
+    # at q^2; the witness search stops at the first missing witness
+    _, series_json, _ = run_cli(capsys, ["phi", "--n", "2", "--prec", "2"])
+    doc = json.loads(series_json)
+    doc["prec"] = "1000000"
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    for command in ("decompose", "principal-part"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "ShiftInvarianceViolated" in err
+
+
+def test_wrong_length_gamma_is_schema_error(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "example1.json").read_text())
+    doc["terms"][0]["gamma"].append("0")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["validate-pp", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "$.terms[0].gamma: vector has length 3, lattice rank is 2" in err
 
 
 def test_insufficient_precision_is_domain_error(capsys, monkeypatch):

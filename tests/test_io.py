@@ -153,6 +153,36 @@ def test_expansion_round_trip():
     assert emit_expansion(back) == doc
 
 
+def _series_doc():
+    return emit_series(phi04(2))
+
+
+def _vvform_doc():
+    return emit_vvform(theta_decompose(phi04(2)))
+
+
+def _principal_part_doc():
+    return json.loads((FIXTURES / "example1.json").read_text())
+
+
+def _expansion_doc():
+    return emit_expansion(lift_expansion(phi04(4), 4, (1,)))
+
+
+@pytest.mark.parametrize("make_doc, parse, field, path", [
+    (_series_doc, parse_series, ("terms", "l"), r"\$\.terms\[0\]\.l:"),
+    (_vvform_doc, parse_vvform, ("components", "gamma"), r"\$\.components\[0\]\.gamma:"),
+    (_principal_part_doc, parse_principal_part, ("terms", "gamma"), r"\$\.terms\[0\]\.gamma:"),
+    (_expansion_doc, parse_expansion, ("terms", "l"), r"\$\.terms\[0\]\.l:"),
+], ids=["series", "vvform", "principal_part", "expansion"])
+def test_wrong_length_vector_names_its_path(make_doc, parse, field, path):
+    doc = make_doc()
+    entries, key = field
+    doc[entries][0][key] = doc[entries][0][key] + ["0"]
+    with pytest.raises(SchemaViolation, match=path + " vector has length"):
+        parse(doc)
+
+
 def test_load_json_reports_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

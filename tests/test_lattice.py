@@ -2,13 +2,14 @@
 
 Derived expectations are frozen from independent oracles: brute-force box
 scans for enumeration and coset minima, sympy's Smith normal form for the
-discriminant group, and sympy's exact inverse and adjugate for the scan boxes.
+discriminant group, sympy's exact inverse and adjugate for the scan boxes, and
+term-by-term Fraction loops for the integer inner products.
 """
 
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -89,10 +90,10 @@ def random_even_lattice(rng, rank):
 
 
 @st.composite
-def small_even_grams(draw):
-    """Even positive-definite Gram matrices of rank 1-3 with diagonal entries
-    up to 8 and off-diagonal entries in [-3, 3]."""
-    rank = draw(st.integers(min_value=1, max_value=3))
+def small_even_grams(draw, max_rank=3):
+    """Even positive-definite Gram matrices of rank 1 to max_rank with
+    diagonal entries up to 8 and off-diagonal entries in [-3, 3]."""
+    rank = draw(st.integers(min_value=1, max_value=max_rank))
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         gram[i][i] = 2 * draw(st.integers(min_value=1, max_value=4))
@@ -101,6 +102,41 @@ def small_even_grams(draw):
     assume(all(integer_determinant([row[:k] for row in gram[:k]]) > 0
                for k in range(1, rank + 1)))
     return gram
+
+
+@st.composite
+def block_diagonal_grams(draw):
+    """Orthogonal sums of small_even_grams blocks of total rank at most 4,
+    with the indices permuted at random, so that blocks may interleave."""
+    blocks = [draw(small_even_grams())]
+    while sum(map(len, blocks)) < 4 and draw(st.booleans()):
+        blocks.append(draw(small_even_grams(max_rank=4 - sum(map(len, blocks)))))
+    rank = sum(map(len, blocks))
+    gram = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            gram[offset + i][offset:offset + len(block)] = row
+        offset += len(block)
+    perm = draw(st.permutations(range(rank)))
+    return [[gram[perm[i]][perm[j]] for j in range(rank)] for i in range(rank)]
+
+
+def fraction_bilinear_value(gram, v, w):
+    """Oracle: v^T * gram * w summed term by term over Fractions."""
+    n = len(gram)
+    total = F(0)
+    for i in range(n):
+        if v[i]:
+            total += v[i] * sum(gram[i][j] * w[j] for j in range(n))
+    return total
+
+
+def fraction_is_dual_vector(gram, v):
+    """Oracle: every entry of gram * v, summed over Fractions, is an integer."""
+    n = len(gram)
+    return all(F(sum(gram[i][j] * v[j] for j in range(n))).denominator == 1
+               for i in range(n))
 
 
 # -- validation ---------------------------------------------------------
@@ -167,6 +203,44 @@ def test_bilinear_polarization():
         rhs = k.quadratic_value(tuple(a + b for a, b in zip(v, w))) \
             - k.quadratic_value(v) - k.quadratic_value(w)
         assert lhs == rhs
+
+
+# integers, and Fractions with negative numerators, entries outside [0, 1)
+# and denominators up to 12
+RATIONALS = st.one_of(st.integers(-20, 20),
+                      st.builds(F, st.integers(-40, 40), st.integers(1, 12)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_even_grams(), st.data())
+def test_integer_arithmetic_matches_fraction_loops(gram, data):
+    k = EvenLattice(gram)
+    vectors = st.lists(RATIONALS, min_size=k.rank, max_size=k.rank).map(tuple)
+    v, w = data.draw(vectors), data.draw(vectors)
+    # a dual vector outside [0, 1)^rank, so that is_dual_vector also says yes
+    gamma = data.draw(st.sampled_from(k.discriminant_group().representatives))
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=k.rank, max_size=k.rank))
+    dual = tuple(g + x for g, x in zip(gamma, shift))
+    for a, b in ((v, w), (w, v), (v, v), (dual, v), (dual, dual)):
+        value = k.bilinear_value(a, b)
+        assert type(value) is F
+        assert value == fraction_bilinear_value(gram, a, b)
+    assert k.quadratic_value(v) == fraction_bilinear_value(gram, v, v) / 2
+    assert k.quadratic_value(dual) == fraction_bilinear_value(gram, dual, dual) / 2
+    for a in (v, w, dual):
+        assert k.is_dual_vector(a) == fraction_is_dual_vector(gram, a)
+        assert k.reduce_mod1(a) == tuple(F(x) - floor(x) for x in a)
+    assert k.is_dual_vector(dual)
+    assert k.reduce_mod1(dual) == gamma
+    assert k.reduce_mod1(gamma) is gamma
+
+
+def test_integer_arithmetic_dimension_mismatch():
+    k = EvenLattice(GRAM_A)
+    for call in (lambda: k.bilinear_value((1, 0), (1,)), lambda: k.is_dual_vector((1,)),
+                 lambda: k.reduce_mod1((0, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 # -- discriminant group ---------------------------------------------------
@@ -382,6 +456,14 @@ def box_scan_coset_minima(gram):
 @given(small_even_grams())
 def test_coset_minima_matches_box_scan(gram):
     assert EvenLattice(gram).coset_minima() == box_scan_coset_minima(gram)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(block_diagonal_grams())
+def test_coset_minima_block_diagonal_matches_box_scan(gram):
+    minima = EvenLattice(gram).coset_minima()
+    assert minima == box_scan_coset_minima(gram)
+    assert list(minima) == sorted(minima)
 
 
 # -- direct sum ------------------------------------------------------------
