@@ -45,13 +45,16 @@ def _parse_prec(text):
     return value
 
 
-def _parse_w0(text):
+def _parse_w0(text, rank):
     if text is None:
         return None
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        w0 = tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise SchemaViolation(f"--w0: {text!r} is not a comma-separated rational vector") from None
+    if len(w0) != rank:
+        raise SchemaViolation(f"--w0: {text!r} has {len(w0)} entries, lattice rank is {rank}")
+    return w0
 
 
 def _read_input_doc(path):
@@ -163,7 +166,7 @@ def _cmd_criterion(args):
 
 def _cmd_weyl(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
-    weyl = weyl_vector(series, _parse_w0(args.w0))
+    weyl = weyl_vector(series, _parse_w0(args.w0, series.lattice.rank))
     doc = kit_io.emit_weyl(weyl)
     b = ", ".join(kit_io.frac_str(x) for x in weyl.b)
     lines = [f"A = {kit_io.frac_str(weyl.a)}, B = ({b}), C = {kit_io.frac_str(weyl.c)}"]
@@ -173,7 +176,8 @@ def _cmd_weyl(args):
 
 def _cmd_lift(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
-    expansion = lift_expansion(series, _parse_prec(args.prec), _parse_w0(args.w0))
+    expansion = lift_expansion(series, _parse_prec(args.prec),
+                               _parse_w0(args.w0, series.lattice.rank))
     lines = [f"product expansion to total degree {args.prec}: "
              f"{len(expansion.coeffs)} monomials, weight "
              f"{kit_io.frac_str(expansion.weight)}, holomorphic: {expansion.holomorphic}"]

@@ -6,6 +6,13 @@ terms are sorted, rationals are written as "p/q" in lowest terms with q > 0
 bits are written as strings. emit(parse(x)) is byte-identical for canonical
 inputs, which the golden tests rely on.
 
+Emission sorts integer keys: each q-exponent, label, gamma or exponent is
+scaled by a positive common denominator, which keeps the order of the
+Fractions, and each distinct rational string is built once per document.
+Parsing turns each distinct rational string of a document into a Fraction
+once and hashes each key once. Neither changes the format: the bytes emitted
+and the messages raised are those of the Fraction-sorting code they replace.
+
 Formats:
   lattice     {"gram": [[int, ...], ...]}
   series      {"gram": ..., "weight": "k/2", "q_den": D, "prec": "p/q",
@@ -29,11 +36,20 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import SchemaViolation
 from .lattice import EvenLattice, Vector
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
-from .series import RAW, WEAK_JACOBI, JacobiSeries, VectorValuedForm
+from .series import (
+    RAW,
+    WEAK_JACOBI,
+    JacobiSeries,
+    VectorValuedForm,
+    _canonical_terms,
+    _Fractions,
+    _scaled,
+)
 
 
 # -- scalars -------------------------------------------------------------------
@@ -88,21 +104,75 @@ def _expect_list(value, path):
     return value
 
 
+class _Rationals(dict):
+    """parse_frac over one document, each distinct rational string parsed
+    once. Values that are not strings go to parse_frac every time, so the
+    results and the messages are those of parse_frac."""
+
+    def frac(self, value, path) -> Fraction:
+        if type(value) is str:
+            x = self.get(value)
+            if x is None:
+                x = self[value] = parse_frac(value, path)
+            return x
+        return parse_frac(value, path)
+
+    def vector(self, value, path) -> Vector:
+        if type(value) is list:
+            try:
+                return tuple([self[x] for x in value])
+            except (KeyError, TypeError):
+                pass  # a string not seen yet, or not a string
+        return tuple(self.frac(x, f"{path}[{i}]")
+                     for i, x in enumerate(_expect_list(value, path)))
+
+
 def parse_vector(value, path) -> Vector:
-    return tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(value, path)))
+    return _Rationals().vector(value, path)
 
 
-def _parse_lattice_vector(value, path, lattice: EvenLattice) -> Vector:
+def _parse_lattice_vector(value, path, lattice: EvenLattice, fracs: _Rationals) -> Vector:
     """A vector with one entry per basis vector of lattice."""
-    vec = parse_vector(value, path)
+    vec = fracs.vector(value, path)
     if len(vec) != lattice.rank:
         raise SchemaViolation(
             f"{path}: vector has length {len(vec)}, lattice rank is {lattice.rank}")
     return vec
 
 
+def _add_term(table, key, raw, path) -> bool:
+    """Store parse_int(raw, path) under key, hashing key once; False when key
+    was already there. A duplicate key is reported before a malformed raw,
+    as a lookup ahead of the parse would report it."""
+    size = len(table)
+    try:
+        table[key] = parse_int(raw, path)
+    except SchemaViolation:
+        if key in table:
+            return False
+        raise
+    return len(table) > size
+
+
 def emit_vector(vec) -> list[str]:
     return [frac_str(x) for x in vec]
+
+
+class _Strings(_Fractions):
+    """frac_str(Fraction(k, den)) for integers k, each built once."""
+
+    def __missing__(self, k):
+        value = self[k] = frac_str(Fraction(k, self.den))
+        return value
+
+
+def _den(values) -> int:
+    """Least common denominator of the given Fractions."""
+    return lcm(*{x.denominator for x in values})
+
+
+def _scaled_vector(vec, den: int) -> tuple[int, ...]:
+    return tuple([_scaled(x, den) for x in vec])
 
 
 def canonical_dumps(doc) -> str:
@@ -133,9 +203,10 @@ def parse_series(doc, path="$") -> JacobiSeries:
     _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
                                         "form_class", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    weight = parse_frac(doc["weight"], f"{path}.weight")
+    fracs = _Rationals()
+    weight = fracs.frac(doc["weight"], f"{path}.weight")
     q_den = parse_int(doc["q_den"], f"{path}.q_den")
-    prec = parse_frac(doc["prec"], f"{path}.prec")
+    prec = fracs.frac(doc["prec"], f"{path}.prec")
     form_class = doc["form_class"]
     if form_class not in (RAW, WEAK_JACOBI):
         raise SchemaViolation(f"{path}.form_class: {form_class!r} is not a form class")
@@ -143,11 +214,10 @@ def parse_series(doc, path="$") -> JacobiSeries:
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("n", "l", "c"))
-        n = parse_frac(term["n"], f"{tpath}.n")
-        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice)
-        if (n, l) in coeffs:
+        n = fracs.frac(term["n"], f"{tpath}.n")
+        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
+        if not _add_term(coeffs, (n, l), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(n)}")
-        coeffs[(n, l)] = parse_int(term["c"], f"{tpath}.c")
     try:
         return JacobiSeries(lattice, weight, prec, coeffs, q_den=q_den,
                             form_class=form_class)
@@ -156,14 +226,16 @@ def parse_series(doc, path="$") -> JacobiSeries:
 
 
 def emit_series(series: JacobiSeries) -> dict:
+    terms, den = _canonical_terms(series.coeffs, series.q_den)
+    exps, coords = _Strings(series.q_den), _Strings(den)
     return {
         **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
         "q_den": series.q_den,
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
-        "terms": [{"n": frac_str(n), "l": emit_vector(l), "c": str(c)}
-                  for (n, l), c in series.support()],
+        "terms": [{"n": exps[t], "l": [coords[x] for x in vec], "c": str(c)}
+                  for (t, vec), c in terms],
     }
 
 
@@ -173,39 +245,47 @@ def emit_series(series: JacobiSeries) -> dict:
 def parse_vvform(doc, path="$") -> VectorValuedForm:
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    weight = parse_frac(doc["weight"], f"{path}.weight")
+    fracs = _Rationals()
+    weight = fracs.frac(doc["weight"], f"{path}.weight")
     components = {}
     precisions = {}
     for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
         cpath = f"{path}.components[{i}]"
         _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice)
+        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
         gamma = lattice.reduce_mod1(gamma)
-        if gamma in components:
+        size = len(components)
+        components[gamma] = fg = {}
+        if len(components) == size:
             raise SchemaViolation(f"{cpath}.gamma: duplicate component")
-        fg = {}
         for j, term in enumerate(_expect_list(comp["terms"], f"{cpath}.terms")):
             tpath = f"{cpath}.terms[{j}]"
             _expect_object(term, tpath, required=("e", "c"))
-            e = parse_frac(term["e"], f"{tpath}.e")
-            if e in fg:
+            e = fracs.frac(term["e"], f"{tpath}.e")
+            if not _add_term(fg, e, term["c"], f"{tpath}.c"):
                 raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
-            fg[e] = parse_int(term["c"], f"{tpath}.c")
-        components[gamma] = fg
-        precisions[gamma] = parse_frac(comp["prec"], f"{cpath}.prec")
+        precisions[gamma] = fracs.frac(comp["prec"], f"{cpath}.prec")
     return VectorValuedForm(lattice, weight, components, precisions)
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
+    gden = _den(x for gammas in (form.components, form.precisions)
+                for gamma in gammas for x in gamma)
+    eden = lcm(_den(e for fg in form.components.values() for e in fg),
+               _den(form.precisions.values()))
+    coords, exps = _Strings(gden), _Strings(eden)
+    precs = {_scaled_vector(gamma, gden): exps[_scaled(p, eden)]
+             for gamma, p in form.precisions.items()}
     components = []
-    for gamma in sorted(form.components):
-        fg = form.components[gamma]
+    for key, fg in sorted((_scaled_vector(gamma, gden), fg)
+                          for gamma, fg in form.components.items()):
+        terms = sorted((_scaled(e, eden), c) for e, c in fg.items() if c)
         components.append({
-            "gamma": emit_vector(gamma),
-            "prec": frac_str(form.precisions[gamma]),
-            "terms": [{"e": frac_str(e), "c": str(fg[e])} for e in sorted(fg) if fg[e]],
+            "gamma": [coords[x] for x in key],
+            "prec": precs[key],
+            "terms": [{"e": exps[e], "c": str(c)} for e, c in terms],
         })
     return {
         **emit_lattice(form.lattice),
@@ -221,30 +301,34 @@ def parse_principal_part(doc, path="$") -> PrincipalPart:
     _expect_object(doc, path, required=("gram", "constant_term", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     constant = parse_int(doc["constant_term"], f"{path}.constant_term")
+    fracs = _Rationals()
     terms = {}
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("gamma", "exp", "c"))
-        gamma = _parse_lattice_vector(term["gamma"], f"{tpath}.gamma", lattice)
+        gamma = _parse_lattice_vector(term["gamma"], f"{tpath}.gamma", lattice, fracs)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{tpath}.gamma: not in the dual lattice")
         gamma = lattice.reduce_mod1(gamma)
-        e = parse_frac(term["exp"], f"{tpath}.exp")
+        e = fracs.frac(term["exp"], f"{tpath}.exp")
         if e >= 0:
             raise SchemaViolation(f"{tpath}.exp: {frac_str(e)} is not negative")
-        if (gamma, e) in terms:
+        if not _add_term(terms, (gamma, e), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate term for this coset and exponent")
-        terms[(gamma, e)] = parse_int(term["c"], f"{tpath}.c")
     return PrincipalPart(lattice, constant, terms)
 
 
 def emit_principal_part(pp: PrincipalPart) -> dict:
-    ordered = sorted(pp.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    gden = _den(x for gamma, _ in pp.terms for x in gamma)
+    eden = _den(e for _, e in pp.terms)
+    coords, exps = _Strings(gden), _Strings(eden)
+    ordered = sorted(((_scaled(e, eden), _scaled_vector(gamma, gden)), c)
+                     for (gamma, e), c in pp.terms.items())
     return {
         **emit_lattice(pp.lattice),
         "constant_term": pp.constant_term,
-        "terms": [{"gamma": emit_vector(gamma), "exp": frac_str(e), "c": c}
-                  for (gamma, e), c in ordered],
+        "terms": [{"gamma": [coords[x] for x in key], "exp": exps[e], "c": c}
+                  for (e, key), c in ordered],
     }
 
 
@@ -274,8 +358,9 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     _expect_object(doc, path, required=("gram", "weight", "holomorphic",
                                         "total_prec", "weyl", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    weight = parse_frac(doc["weight"], f"{path}.weight")
-    total_prec = parse_frac(doc["total_prec"], f"{path}.total_prec")
+    fracs = _Rationals()
+    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    total_prec = fracs.frac(doc["total_prec"], f"{path}.total_prec")
     weyl = parse_weyl(doc["weyl"], f"{path}.weyl")
     coeffs = {}
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
@@ -283,24 +368,26 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         _expect_object(term, tpath, required=("n", "l", "m", "c"))
         n = parse_int(term["n"], f"{tpath}.n")
         m = parse_int(term["m"], f"{tpath}.m")
-        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice)
-        if (n, l, m) in coeffs:
+        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
+        if not _add_term(coeffs, (n, l, m), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
-        coeffs[(n, l, m)] = parse_int(term["c"], f"{tpath}.c")
     return OrthogonalExpansion(lattice, weyl, weight, coeffs, total_prec,
                                holomorphic=str(doc["holomorphic"]))
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
-    ordered = sorted(exp.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1]))
+    den = _den(x for _, l, _ in exp.coeffs for x in l)
+    coords = _Strings(den)
+    ordered = sorted(((n, m, _scaled_vector(l, den)), c)
+                     for (n, l, m), c in exp.coeffs.items())
     return {
         **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),
         "holomorphic": exp.holomorphic,
         "total_prec": frac_str(exp.total_prec),
         "weyl": emit_weyl(exp.weyl),
-        "terms": [{"n": str(n), "l": emit_vector(l), "m": str(m), "c": str(c)}
-                  for (n, l, m), c in ordered],
+        "terms": [{"n": str(n), "l": [coords[x] for x in vec], "m": str(m), "c": str(c)}
+                  for (n, m, vec), c in ordered],
     }
 
 

@@ -106,6 +106,17 @@ def _int_terms(coeffs, q_den: int, den: int, before: int = 0, after: int = 0):
     return terms
 
 
+def _canonical_terms(coeffs, q_den: int):
+    """(terms, den): the kernel terms ((n * q_den, l * den), c) of a
+    {(n, l): c} map in canonical (n, lex l) order, den being the common label
+    denominator. Both scales are positive, so the integer order is the order
+    of the Fractions."""
+    den = _label_den(coeffs)
+    terms = _int_terms(coeffs, q_den, den)
+    terms.sort()
+    return terms, den
+
+
 def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     """Window of a product: a factor with terms below q^0 lowers the window
     of the other one. a and b are the factors' kernel terms, sorted by
@@ -210,7 +221,8 @@ class JacobiSeries:
 
     def support(self):
         """Stored terms in canonical (n, lex l) order."""
-        return sorted(self.coeffs.items(), key=lambda item: item[0])
+        terms, den = _canonical_terms(self.coeffs, self.q_den)
+        return list(_fraction_terms(dict(terms), self.q_den, den).items())
 
     def __repr__(self):
         return (f"JacobiSeries(weight={self.weight}, rank={self.lattice.rank}, "
@@ -341,7 +353,7 @@ def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
                         q_den=phi.q_den, form_class=phi.form_class)
 
 
-def phi04(prec) -> JacobiSeries:
+def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
     """The weight-0 weak Jacobi form on the [[8]] lattice whose q^0 part is
     zeta + 1 + zeta^-1, built as a theta quotient without any series
     division.
@@ -351,7 +363,8 @@ def phi04(prec) -> JacobiSeries:
     = zeta + 1 + zeta^-1, the (1 - q^n) factors cancel completely, and each
     remaining factor (1 - q^n zeta^(+-1))^-1 is 1 + O(q^n), so its geometric
     expansion truncates exactly. The defining identity
-    phi04 * theta(z) = theta(3z) is re-checked on every call.
+    phi04 * theta(z) = theta(3z) is re-checked on every call. ResourceLimit
+    is raised as soon as the expansion holds more than max_terms terms.
     """
     prec = Fraction(prec)
     if prec < 1:
@@ -362,10 +375,10 @@ def phi04(prec) -> JacobiSeries:
     for n in range(1, limit):
         # (1 - q^n zeta^3)(1 - q^n zeta^-3) - 1, already multiplied out
         numer = [((n, (3,)), -1), ((n, (-3,)), -1), ((2 * n, (0,)), 1)]
-        _mul_into(acc, list(acc.items()), numer, limit)
+        _mul_into(acc, list(acc.items()), numer, limit, max_terms)
         for sign in (1, -1):
             geom = [((k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
-            _mul_into(acc, list(acc.items()), geom, limit)
+            _mul_into(acc, list(acc.items()), geom, limit, max_terms)
     result = JacobiSeries(theta_lattice(), 0, prec, _fraction_terms(acc, 1, 8), q_den=1,
                           form_class=WEAK_JACOBI)
     theta = theta_sum(prec)
@@ -409,7 +422,7 @@ def phi_n(n: int, prec, budget: int = DEFAULT_BUDGET) -> JacobiSeries:
     n = int(n)
     if n < 1:
         raise ValueError("the number of factors must be a positive integer")
-    base = phi04(prec)
+    base = phi04(prec, max_terms=budget)
     acc = base
     for _ in range(n - 1):
         acc = direct_product(acc, base, max_terms=budget)

@@ -231,6 +231,16 @@ def test_bad_prec_flag_is_schema_error(capsys):
     assert code == 2
 
 
+def test_w0_of_wrong_length_is_schema_error(capsys, monkeypatch):
+    _, series_json, _ = run_cli(capsys, ["phi", "--n", "1", "--prec", "16"])
+    for argv in (["weyl", "--w0", "1,2"], ["lift", "--prec", "8", "--w0", "1,2"]):
+        code, out, err = run_cli(capsys, argv, stdin_text=series_json,
+                                 monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert f"error ({argv[0]}): --w0: '1,2' has 2 entries, lattice rank is 1" in err
+
+
 def test_bad_n_budget_weight_flags(capsys):
     assert run_cli(capsys, ["phi", "--n", "0", "--prec", "2"])[0] == 2
     assert run_cli(capsys, ["phi", "--n", "1", "--prec", "2", "--budget", "0"])[0] == 2

@@ -1,0 +1,50 @@
+"""Byte-identical CLI output on a fixed corpus.
+
+Each file under tests/golden/ is the stdout of one command, recorded before
+the emitters and parsers moved onto integer keys. The commands run in-process
+through cli.main; a command that reads a series gets another corpus file on
+stdin, so the corpus also pins parse -> compute -> emit.
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from borcherdskit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+EXAMPLE1 = str(ROOT / "fixtures" / "example1.json")
+
+# (file, argv, file piped to stdin or None)
+CORPUS = [
+    ("phi_n1_prec16.json", ["phi", "--n", "1", "--prec", "16"], None),
+    ("phi_n2_prec4.json", ["phi", "--n", "2", "--prec", "4"], None),
+    ("phi_n3_prec3.json", ["phi", "--n", "3", "--prec", "3"], None),
+    ("decompose_phi_n2_prec4.json", ["decompose"], "phi_n2_prec4.json"),
+    ("decompose_phi_n3_prec3.json", ["decompose"], "phi_n3_prec3.json"),
+    ("principal_part_phi_n2_prec4.json", ["principal-part"], "phi_n2_prec4.json"),
+    ("weyl_phi_n2_prec4.json", ["weyl"], "phi_n2_prec4.json"),
+    ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
+    ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
+    ("validate_pp_example1.json", ["validate-pp", EXAMPLE1, "--format", "json"], None),
+]
+
+
+def read(name):
+    with open(GOLDEN / name, encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name, argv, stdin", CORPUS, ids=[c[0] for c in CORPUS])
+def test_cli_output_is_byte_identical(name, argv, stdin, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(read(stdin)))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == read(name)
+
+
+def test_corpus_lists_every_file():
+    assert sorted(name for name, _, _ in CORPUS) == sorted(p.name for p in GOLDEN.iterdir())

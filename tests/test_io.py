@@ -1,10 +1,19 @@
-"""Round-trip and schema tests for the canonical JSON formats."""
+"""Round-trip and schema tests for the canonical JSON formats.
+
+The emitters sort integer-scaled keys and the parsers memoise rationals per
+document. The oracles below are the emitters they replaced, which sorted
+Fraction keys; random series, vector-valued forms, principal parts and
+expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
+and mixed label denominators, must emit byte for byte as the oracles do.
+"""
 
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from borcherdskit.errors import SchemaViolation
 from borcherdskit.io import (
@@ -13,7 +22,9 @@ from borcherdskit.io import (
     emit_lattice,
     emit_principal_part,
     emit_series,
+    emit_vector,
     emit_vvform,
+    emit_weyl,
     frac_str,
     load_json,
     parse_expansion,
@@ -23,8 +34,16 @@ from borcherdskit.io import (
     parse_series,
     parse_vvform,
 )
-from borcherdskit.lift import lift_expansion
-from borcherdskit.series import phi04, theta_decompose, theta_sum
+from borcherdskit.lattice import EvenLattice
+from borcherdskit.lift import OrthogonalExpansion, PrincipalPart, WeylData, lift_expansion
+from borcherdskit.series import (
+    RAW,
+    JacobiSeries,
+    VectorValuedForm,
+    phi04,
+    theta_decompose,
+    theta_sum,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -188,3 +207,254 @@ def test_load_json_reports_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaViolation, match="not valid JSON"):
         load_json(bad)
+
+
+# -- the Fraction-sorting emitters, kept as oracles ------------------------------------
+
+
+def oracle_emit_series(series):
+    return {
+        **emit_lattice(series.lattice),
+        "weight": frac_str(series.weight),
+        "q_den": series.q_den,
+        "prec": frac_str(series.prec),
+        "form_class": series.form_class,
+        "terms": [{"n": frac_str(n), "l": emit_vector(l), "c": str(c)}
+                  for (n, l), c in sorted(series.coeffs.items(), key=lambda item: item[0])],
+    }
+
+
+def oracle_emit_vvform(form):
+    components = []
+    for gamma in sorted(form.components):
+        fg = form.components[gamma]
+        components.append({
+            "gamma": emit_vector(gamma),
+            "prec": frac_str(form.precisions[gamma]),
+            "terms": [{"e": frac_str(e), "c": str(fg[e])} for e in sorted(fg) if fg[e]],
+        })
+    return {
+        **emit_lattice(form.lattice),
+        "weight": frac_str(form.weight),
+        "components": components,
+    }
+
+
+def oracle_emit_principal_part(pp):
+    ordered = sorted(pp.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    return {
+        **emit_lattice(pp.lattice),
+        "constant_term": pp.constant_term,
+        "terms": [{"gamma": emit_vector(gamma), "exp": frac_str(e), "c": c}
+                  for (gamma, e), c in ordered],
+    }
+
+
+def oracle_emit_expansion(exp):
+    ordered = sorted(exp.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1]))
+    return {
+        **emit_lattice(exp.lattice),
+        "weight": frac_str(exp.weight),
+        "holomorphic": exp.holomorphic,
+        "total_prec": frac_str(exp.total_prec),
+        "weyl": emit_weyl(exp.weyl),
+        "terms": [{"n": str(n), "l": emit_vector(l), "m": str(m), "c": str(c)}
+                  for (n, l, m), c in ordered],
+    }
+
+
+# -- random objects ---------------------------------------------------------------------
+
+LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]),
+            EvenLattice([[8, 0], [0, 8]]))
+# reduced coset representatives: entries with denominators dividing 8 on
+# [[8]] and diag(8, 8), and dividing 24 on [[16, 8], [8, 16]]
+COSETS = {id(lat): sorted(lat.coset_minima()) for lat in LATTICES}
+
+lattices = st.sampled_from(LATTICES)
+# numerators around zero over mixed denominators
+rationals = st.builds(F, st.integers(-40, 40), st.sampled_from((1, 2, 3, 8, 16, 24)))
+coefficients = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
+
+
+def vectors(lattice):
+    return st.tuples(*[rationals] * lattice.rank)
+
+
+@st.composite
+def jacobi_series(draw):
+    lattice = draw(lattices)
+    q_den = draw(st.sampled_from((1, 8)))
+    exponent = st.integers(-3 * q_den, 6 * q_den).map(lambda k: F(k, q_den))
+    coeffs = draw(st.dictionaries(st.tuples(exponent, vectors(lattice)), coefficients,
+                                  max_size=20))
+    weight = draw(st.sampled_from((F(0), F(1, 2), F(-3, 2))))
+    prec = F(draw(st.integers(1, 7 * q_den)), q_den)
+    return JacobiSeries(lattice, weight, prec, coeffs, q_den=q_den, form_class=RAW)
+
+
+@st.composite
+def vvforms(draw, canonical=False):
+    """Forms on random cosets. Unless canonical, coefficients may be zero and
+    precisions may name cosets that have no component; emission drops both."""
+    lattice = draw(lattices)
+    coset = st.sampled_from(COSETS[id(lattice)])
+    gammas = draw(st.lists(coset, unique=True, max_size=8))
+    value = coefficients.filter(bool) if canonical else coefficients
+    components = {g: draw(st.dictionaries(rationals, value, max_size=5)) for g in gammas}
+    extra = [] if canonical else draw(st.lists(coset, max_size=3))
+    precisions = {g: draw(rationals) for g in gammas + extra}
+    return VectorValuedForm(lattice, F(-lattice.rank, 2), components, precisions)
+
+
+@st.composite
+def principal_parts(draw):
+    lattice = draw(lattices)
+    gamma = st.sampled_from(COSETS[id(lattice)])
+    exp = st.builds(F, st.integers(-40, -1), st.sampled_from((1, 2, 8, 24)))
+    terms = draw(st.dictionaries(st.tuples(gamma, exp), st.integers(-5, 5), max_size=12))
+    return PrincipalPart(lattice, draw(st.integers(-5, 5)), terms)
+
+
+@st.composite
+def expansions(draw):
+    lattice = draw(lattices)
+    degree = st.integers(0, 4)
+    coeffs = draw(st.dictionaries(st.tuples(degree, vectors(lattice), degree),
+                                  coefficients, max_size=20))
+    weyl = WeylData(draw(rationals), draw(vectors(lattice)), draw(rationals),
+                    draw(vectors(lattice)))
+    return OrthogonalExpansion(lattice, weyl, draw(rationals), coeffs, F(5))
+
+
+def shuffled(data, doc, entries):
+    doc = dict(doc)
+    doc[entries] = data.draw(st.permutations(doc[entries]))
+    return doc
+
+
+# -- emitters against the oracles, parsers against the emitters ------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(jacobi_series(), st.data())
+def test_series_emit_matches_oracle_and_round_trips(series, data):
+    doc = emit_series(series)
+    assert canonical_dumps(doc) == canonical_dumps(oracle_emit_series(series))
+    back = parse_series(json.loads(canonical_dumps(shuffled(data, doc, "terms"))))
+    assert back == series
+    assert (back.prec, back.q_den, back.form_class) == (series.prec, series.q_den, RAW)
+    assert back.support() == series.support() == sorted(series.coeffs.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(vvforms())
+# a precision on a coset with a finer denominator than every component
+@example(VectorValuedForm(LATTICES[0], F(-1, 2), {(F(0),): {F(0): 1}},
+                          {(F(0),): F(1), (F(1, 8),): F(7, 8)}))
+def test_vvform_emit_matches_oracle(form):
+    assert canonical_dumps(emit_vvform(form)) == canonical_dumps(oracle_emit_vvform(form))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vvforms(canonical=True), st.data())
+def test_vvform_round_trips_shuffled(form, data):
+    doc = emit_vvform(form)
+    doc = shuffled(data, doc, "components")
+    doc["components"] = [shuffled(data, comp, "terms") for comp in doc["components"]]
+    assert parse_vvform(json.loads(canonical_dumps(doc))) == form
+
+
+@settings(max_examples=100, deadline=None)
+@given(principal_parts(), st.data())
+def test_principal_part_emit_matches_oracle_and_round_trips(pp, data):
+    doc = emit_principal_part(pp)
+    assert canonical_dumps(doc) == canonical_dumps(oracle_emit_principal_part(pp))
+    assert parse_principal_part(shuffled(data, doc, "terms")) == pp
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.data())
+def test_expansion_emit_matches_oracle_and_round_trips(exp, data):
+    doc = emit_expansion(exp)
+    assert canonical_dumps(doc) == canonical_dumps(oracle_emit_expansion(exp))
+    back = parse_expansion(shuffled(data, doc, "terms"))
+    assert back.coeffs == exp.coeffs
+    assert emit_expansion(back) == doc
+
+
+def test_empty_objects_emit_as_oracles():
+    for lattice in LATTICES:
+        series = JacobiSeries(lattice, 0, 1, {}, q_den=1, form_class=RAW)
+        form = VectorValuedForm(lattice, -1, {}, {})
+        pp = PrincipalPart(lattice, 0, {})
+        zero = (F(0),) * lattice.rank
+        exp = OrthogonalExpansion(lattice, WeylData(F(0), zero, F(0), zero), F(0), {}, F(1))
+        for new, oracle, obj in ((emit_series, oracle_emit_series, series),
+                                 (emit_vvform, oracle_emit_vvform, form),
+                                 (emit_principal_part, oracle_emit_principal_part, pp),
+                                 (emit_expansion, oracle_emit_expansion, exp)):
+            assert canonical_dumps(new(obj)) == canonical_dumps(oracle(obj))
+
+
+# -- duplicates spelled differently, and parse_frac's messages ---------------------------
+
+
+def _series(terms):
+    return {"gram": [[8]], "weight": "0", "q_den": 1, "prec": "5",
+            "form_class": "raw", "terms": terms}
+
+
+def _vvform(components):
+    return {"gram": [[8]], "weight": "-1/2", "components": components}
+
+
+def _expansion(terms):
+    zero = ["0"]
+    return {"gram": [[8]], "weight": "0", "holomorphic": "unknown", "total_prec": "4",
+            "weyl": {"A": "0", "B": zero, "C": "0", "w0": ["1"]}, "terms": terms}
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (parse_series, _series([{"n": "1", "l": ["1/2"], "c": "1"},
+                            {"n": "1", "l": ["2/4"], "c": "1"}]),
+     "$.terms[1]: duplicate term at n=1"),
+    (parse_series, _series([{"n": "3", "l": ["0"], "c": "1"},
+                            {"n": 3, "l": ["0"], "c": "2"}]),
+     "$.terms[1]: duplicate term at n=3"),
+    (parse_series, _series([{"n": "3", "l": [3], "c": "1"},
+                            {"n": 3, "l": ["3"], "c": "x"}]),
+     "$.terms[1]: duplicate term at n=3"),
+    (parse_vvform, _vvform([{"gamma": ["1/8"], "prec": "1", "terms": []},
+                            {"gamma": ["2/16"], "prec": "1", "terms": []}]),
+     "$.components[1].gamma: duplicate component"),
+    (parse_vvform, _vvform([{"gamma": ["1/8"], "prec": "1", "terms": [
+        {"e": "-1/2", "c": "1"}, {"e": "-2/4", "c": "1"}]}]),
+     "$.components[0].terms[1]: duplicate exponent -1/2"),
+    (parse_principal_part, {"gram": [[8]], "constant_term": 0, "terms": [
+        {"gamma": ["1/8"], "exp": "-1/16", "c": 1},
+        {"gamma": ["9/8"], "exp": "-2/32", "c": "x"}]},
+     "$.terms[1]: duplicate term for this coset and exponent"),
+    (parse_expansion, _expansion([{"n": "1", "l": ["1/2"], "m": "0", "c": "1"},
+                                  {"n": 1, "l": ["2/4"], "m": "0", "c": "1"}]),
+     "$.terms[1]: duplicate monomial"),
+], ids=["series-label", "series-int", "series-bad-c", "vvform-gamma",
+        "vvform-exponent", "principal-part", "expansion"])
+def test_duplicate_spelled_differently(parse, doc, message):
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse(doc)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "$.terms[1].l[0]: expected a rational, got a boolean"),
+    ("1/0", "$.terms[1].l[0]: '1/0' is not a rational p/q"),
+    (0.5, "$.terms[1].l[0]: expected a rational string, got float"),
+    ([1], "$.terms[1].l[0]: expected a rational string, got list"),
+])
+def test_memoised_rationals_keep_parse_frac_messages(entry, message):
+    # "1" is in the memo when the second term is read, and True == 1
+    doc = _series([{"n": "1", "l": ["1"], "c": "1"}, {"n": 1, "l": [entry], "c": "1"}])
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_series(doc)
+    assert str(excinfo.value) == message

@@ -204,6 +204,14 @@ def test_phi_n_budget_stops_mid_product():
     assert [entry.name for entry in excinfo.traceback[-2:]] == ["direct_product", "_mul_into"]
 
 
+def test_phi_n_budget_applies_inside_phi04():
+    # phi04(50) alone has far more than 10 terms; the kernel refuses while
+    # phi04 builds it
+    with pytest.raises(ResourceLimit) as excinfo:
+        phi_n(1, 50, budget=10)
+    assert [entry.name for entry in excinfo.traceback[-2:]] == ["phi04", "_mul_into"]
+
+
 # -- coset theta series -----------------------------------------------------------
 
 
