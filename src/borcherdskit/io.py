@@ -46,7 +46,6 @@ from .series import (
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
-    _canonical_terms,
     _Fractions,
     _scaled,
 )
@@ -226,8 +225,7 @@ def parse_series(doc, path="$") -> JacobiSeries:
 
 
 def emit_series(series: JacobiSeries) -> dict:
-    terms, den = _canonical_terms(series.coeffs, series.q_den)
-    exps, coords = _Strings(series.q_den), _Strings(den)
+    exps, coords = _Strings(series.q_den), _Strings(series.den)
     return {
         **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
@@ -235,7 +233,7 @@ def emit_series(series: JacobiSeries) -> dict:
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
         "terms": [{"n": exps[t], "l": [coords[x] for x in vec], "c": str(c)}
-                  for (t, vec), c in terms],
+                  for (t, vec), c in sorted(series.terms.items())],
     }
 
 

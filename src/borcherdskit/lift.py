@@ -35,19 +35,19 @@ from .errors import (
     InsufficientInputPrecision,
     NonGenericChamber,
     PrecisionTooSmall,
+    ResourceLimit,
     SelfCheckFailed,
     UnboundedExpansion,
 )
 from .lattice import EvenLattice, Vector, to_vector
 from .series import (
+    DEFAULT_BUDGET,
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
     _Fractions,
     _grade_limit,
-    _label_den,
     _mul_into,
-    _scaled,
 )
 
 
@@ -216,6 +216,9 @@ def _factor_powers(c: int, grade: int, top: int):
         if c < 0:
             raise UnboundedExpansion(
                 "a factor of degree zero in q and s has negative exponent")
+        if c + 1 > DEFAULT_BUDGET:
+            raise ResourceLimit(f"a factor of degree zero in q and s has exponent {c}, "
+                                f"its {c + 1} terms exceed the {DEFAULT_BUDGET}-term budget")
         return [(k, (-1) ** k * comb(c, k)) for k in range(c + 1)]
     terms = []
     k = 0
@@ -245,25 +248,26 @@ def _expansion_preamble(phi: JacobiSeries, total_prec, w0):
     return total_prec, weyl
 
 
-def _factors(phi: JacobiSeries, weyl: WeylData, top: int, den: int):
+def _factors(phi: JacobiSeries, weyl: WeylData, top: int):
     """Every factor (1 - q^n r^l s^m)^c that can touch total degrees below
-    top, as (n, l * den, m, c): the degree-zero factors on the negative side
-    of the chamber, then (n, m) != (0, 0) with n, m >= 0, n + m < top and
-    c = c(nm, l)."""
+    top, as (n, l * phi.den, m, c): the degree-zero factors on the negative
+    side of the chamber, then (n, m) != (0, 0) with n, m >= 0, n + m < top
+    and c = c(nm, l)."""
     lat = phi.lattice
     # the rows at integer exponents; the preamble puts n * m below phi.prec
     rows: dict[int, list] = {}
-    for (e, l), c in phi.coeffs.items():
-        if e.denominator == 1:
-            rows.setdefault(e.numerator, []).append((l, c))
-    for l, c in sorted(rows.get(0, ())):
-        if lat.bilinear_value(l, weyl.chamber_vector) < 0:
-            yield 0, [_scaled(x, den) for x in l], 0, c
+    for (t, vec), c in phi.terms.items():
+        if t % phi.q_den == 0:
+            rows.setdefault(t // phi.q_den, []).append((vec, c))
+    # den > 0, so the scaled label pairs with the sign of the label
+    for vec, c in sorted(rows.get(0, ())):
+        if lat.bilinear_value(vec, weyl.chamber_vector) < 0:
+            yield 0, vec, 0, c
     for m in range(top):
         for n in range(top - m):
             if n or m:
-                for l, c in rows.get(n * m, ()):
-                    yield n, [_scaled(x, den) for x in l], m, c
+                for vec, c in rows.get(n * m, ()):
+                    yield n, vec, m, c
 
 
 def _apply_factor(layers, n, l, m, c):
@@ -289,14 +293,13 @@ def _apply_factor(layers, n, l, m, c):
             _mul_into(layers[target], [term], source, top)
 
 
-def _expansion(phi, weyl, layers, den, total_prec) -> OrthogonalExpansion:
+def _expansion(phi, weyl, layers, total_prec) -> OrthogonalExpansion:
     """The OrthogonalExpansion of maps of kernel terms ((n + m, (n, *l)), c)
-    with integer coefficients and labels l scaled by den."""
-    labels = _Fractions(den).__getitem__
+    with integer coefficients and labels l scaled by phi.den."""
+    labels = _Fractions(phi.den).__getitem__
     coeffs = {(vec[0], tuple(map(labels, vec[1:])), t - vec[0]): c
               for layer in layers for (t, vec), c in layer.items()}
-    zero = (Fraction(0),) * phi.lattice.rank
-    weight = Fraction(phi.q_row(0).get(zero, 0), 2)
+    weight = Fraction(phi.terms.get((0, (0,) * phi.lattice.rank), 0), 2)
     return OrthogonalExpansion(phi.lattice, weyl, weight, coeffs, total_prec)
 
 
@@ -310,15 +313,14 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
-    den = _label_den(phi.coeffs)
     one = (0, (0,) * (phi.lattice.rank + 1))
     layers = [{one: 1}] + [{} for _ in range(1, top)]
-    for n, l, m, c in _factors(phi, weyl, top, den):
+    for n, l, m, c in _factors(phi, weyl, top):
         _apply_factor(layers, n, l, m, c)
     if layers[0].get(one) != 1:
         raise SelfCheckFailed("lift constant term",
                               "constant coefficient of the product is not 1")
-    return _expansion(phi, weyl, layers, den, total_prec)
+    return _expansion(phi, weyl, layers, total_prec)
 
 
 def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:
@@ -329,14 +331,13 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
     degree-zero binomial factors. The result must come out integral."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
-    den = _label_den(phi.coeffs)
 
     # h * L_h: the log terms of total degree h, times h. The factor
     # (n, l, m) contributes -c/k at k(n, l, m), so the weighted term is
     # -c * (n + m), an integer.
     weighted_log: dict[int, dict] = {}
     zero_grade = []
-    for n, l, m, c in _factors(phi, weyl, top, den):
+    for n, l, m, c in _factors(phi, weyl, top):
         g = n + m
         if g == 0:
             zero_grade.append((n, l, m, c))
@@ -363,7 +364,7 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
                 raise SelfCheckFailed("lift integrality", f"non-integral coefficient {v} "
                                       f"at n={vec[0]}, m={t - vec[0]}")
             coeffs[(t, vec)] = v.numerator
-    return _expansion(phi, weyl, [coeffs], den, total_prec)
+    return _expansion(phi, weyl, [coeffs], total_prec)
 
 
 # -- diagnostics for principal parts -------------------------------------------------

@@ -17,19 +17,20 @@ trusted, exactly for q-exponents strictly below prec. Binary operations
 return the minimum of the input precisions (adjusted downward when a factor
 has negative exponents). Comparison looks only at the common window.
 
+A series stores its terms on integer keys: q-exponent n as the grade n * q_den
+and label l as the tuple l * den, den being a label denominator of the series.
 Every product of terms in the package, here and in the lift, runs through one
-kernel, _mul_into, on integer keys: a q-exponent becomes an integer grade over
-a common q denominator and a label an integer tuple over a common label
-denominator. Callers convert on entry and back on exit, so stored
-coefficients stay keyed by Fractions.
+kernel, _mul_into, on such keys. Fraction keys appear only at the boundary:
+the constructor reads them, and coeffs, a read-only view, gives them back.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import (
     DimensionMismatch,
@@ -85,36 +86,9 @@ def _grade_limit(prec: Fraction, q_den: int) -> int:
     return -(-prec.numerator * q_den // prec.denominator)
 
 
-def _label_den(*coeff_maps) -> int:
-    """Least common denominator of every label entry of the given
-    {(n, l): c} maps."""
-    return lcm(*{x.denominator for coeffs in coeff_maps for (_, l) in coeffs for x in l})
-
-
 def _scaled(x: Fraction, den: int) -> int:
     """x * den for a Fraction x whose denominator divides den."""
     return x.numerator * (den // x.denominator)
-
-
-def _int_terms(coeffs, q_den: int, den: int, before: int = 0, after: int = 0):
-    """Kernel terms ((n * q_den, l * den), c) of a {(n, l): c} map, sorted by
-    grade; before and after zeros pad every label vector."""
-    pre, post = (0,) * before, (0,) * after
-    terms = [((_scaled(n, q_den), (*pre, *[_scaled(x, den) for x in l], *post)), c)
-             for (n, l), c in coeffs.items()]
-    terms.sort(key=lambda term: term[0][0])
-    return terms
-
-
-def _canonical_terms(coeffs, q_den: int):
-    """(terms, den): the kernel terms ((n * q_den, l * den), c) of a
-    {(n, l): c} map in canonical (n, lex l) order, den being the common label
-    denominator. Both scales are positive, so the integer order is the order
-    of the Fractions."""
-    den = _label_den(coeffs)
-    terms = _int_terms(coeffs, q_den, den)
-    terms.sort()
-    return terms, den
 
 
 def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
@@ -138,52 +112,39 @@ class _Fractions(dict):
         return value
 
 
-def _fraction_terms(terms, q_den: int, den: int) -> dict:
-    """The {(n, l): c} map of kernel terms ((t, vec), c)."""
-    exps, labels = _Fractions(q_den), _Fractions(den).__getitem__
-    return {(exps[t], tuple(map(labels, vec))): c for (t, vec), c in terms.items()}
-
-
 class JacobiSeries:
-    """Truncated Fourier expansion sum c(n, l) q^n zeta^l with exact data."""
+    """Truncated Fourier expansion sum c(n, l) q^n zeta^l with exact data.
 
-    __slots__ = ("lattice", "weight", "prec", "q_den", "form_class", "coeffs")
+    terms maps integer keys (t, vec) to the coefficient of q^(t / q_den)
+    zeta^(vec / den), den being a common denominator of the labels, not always
+    the least one. Series may share terms, and none modifies it. coeffs is
+    the read-only {(n, l): c} view with Fraction keys, built on first access.
+    """
+
+    __slots__ = ("lattice", "weight", "prec", "q_den", "den", "form_class", "terms",
+                 "_coeffs")
 
     def __init__(self, lattice, weight, prec, coeffs, q_den=None, form_class=RAW):
         if form_class not in (RAW, WEAK_JACOBI):
             raise FormClassError(f"unknown form class {form_class!r}")
-        self.lattice = lattice
-        self.weight = Fraction(weight)
-        if self.weight.denominator > 2:
-            raise ValueError(f"weight {self.weight} does not have denominator <= 2")
-        self.prec = prec = Fraction(prec)
-        # Copying a dict keeps the hashes of its keys; only keys that are
-        # dropped or normalised below are hashed again.
-        clean = dict(coeffs)
-        dens = set()
-        for key, c in coeffs.items():
-            n, l = key
-            value = c if type(c) is int else int(c)
+        weight = Fraction(weight)
+        if weight.denominator > 2:
+            raise ValueError(f"weight {weight} does not have denominator <= 2")
+        prec = Fraction(prec)
+        kept = []
+        for (n, l), c in coeffs.items():
+            c = c if type(c) is int else int(c)
             if type(n) is not Fraction:
                 n = Fraction(n)
-            den = n.denominator
             # n >= prec, compared without building Fractions
-            if not value or n.numerator * prec.denominator >= prec.numerator * den:
-                del clean[key]
+            if not c or n.numerator * prec.denominator >= prec.numerator * n.denominator:
                 continue
             l = to_vector(l)
             if len(l) != lattice.rank:
                 raise DimensionMismatch(
                     f"label {l} has length {len(l)}, lattice rank is {lattice.rank}")
-            if n is not key[0] or l is not key[1]:
-                del clean[key]
-                clean[(n, l)] = value
-            elif value is not c:
-                clean[key] = value
-            dens.add(den)
-        if len(clean) < len(coeffs):
-            # a dict keeps its table size when keys are deleted
-            clean = dict(clean)
+            kept.append((n, l, c))
+        dens = {n.denominator for n, _, _ in kept}
         if q_den is None:
             q_den = lcm(*dens)
         else:
@@ -192,19 +153,62 @@ class JacobiSeries:
                 raise ValueError(f"q_den must be a positive integer, got {q_den}")
             if any(q_den % d for d in dens):
                 raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
-        self.q_den = q_den
-        self.form_class = form_class
-        self.coeffs = clean
+        den = lcm(*{x.denominator for _, l, _ in kept for x in l})
+        terms = {(_scaled(n, q_den), tuple([_scaled(x, den) for x in l])): c
+                 for n, l, c in kept}
+        self._store(lattice, weight, prec, terms, q_den, den, form_class)
+
+    def _store(self, lattice, weight, prec, terms, q_den, den, form_class):
+        self.lattice, self.weight, self.prec = lattice, weight, prec
+        self.q_den, self.den, self.form_class = q_den, den, form_class
+        self.terms = terms
+        self._coeffs = None
+        return self
+
+    @classmethod
+    def _of(cls, lattice, weight, prec, terms, q_den, den, form_class):
+        """The series of integer terms as the kernel leaves them: the dict
+        itself, or a copy without zero coefficients and grades >= prec."""
+        limit = _grade_limit(prec, q_den)
+        if not all(c and key[0] < limit for key, c in terms.items()):
+            terms = {key: c for key, c in terms.items() if c and key[0] < limit}
+        return cls.__new__(cls)._store(lattice, weight, prec, terms, q_den, den, form_class)
+
+    def _over(self, q_den: int, den: int) -> dict:
+        """The terms with grades over q_den and labels over den, multiples of
+        the stored denominators; the stored dict itself when they are equal."""
+        if q_den == self.q_den and den == self.den:
+            return self.terms
+        a, b = q_den // self.q_den, den // self.den
+        return {(t * a, tuple([b * x for x in vec])): c for (t, vec), c in self.terms.items()}
+
+    def _kernel(self, q_den: int, den: int, before: int = 0, after: int = 0) -> list:
+        """The terms over q_den and den as kernel input, sorted by grade;
+        before and after zeros pad every label vector."""
+        terms = self._over(q_den, den).items()
+        if before or after:
+            pre, post = (0,) * before, (0,) * after
+            terms = [((t, (*pre, *vec, *post)), c) for (t, vec), c in terms]
+        return sorted(terms, key=lambda term: term[0][0])
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def coeffs(self) -> MappingProxyType:
+        """The terms as a read-only {(n, l): c} map with Fraction keys."""
+        if self._coeffs is None:
+            exps, labels = _Fractions(self.q_den), _Fractions(self.den).__getitem__
+            self._coeffs = {(exps[t], tuple(map(labels, vec))): c
+                            for (t, vec), c in self.terms.items()}
+        return MappingProxyType(self._coeffs)
+
+    @property
     def min_exp(self) -> Fraction:
         """Smallest stored q-exponent (0 for the zero series)."""
-        return min((n for (n, _) in self.coeffs), default=Fraction(0))
+        return Fraction(min((t for t, _ in self.terms), default=0), self.q_den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def coefficient(self, n, l) -> int:
         """Stored coefficient; exponents below prec that are absent are 0."""
@@ -217,25 +221,28 @@ class JacobiSeries:
         if n >= self.prec:
             raise PrecisionTooSmall(
                 f"q-exponent {n} is not below the stored precision {self.prec}")
-        return {l: c for (m, l), c in self.coeffs.items() if m == n}
+        grade, rest = divmod(n * self.q_den, 1)
+        labels = _Fractions(self.den).__getitem__
+        return {} if rest else {tuple(map(labels, vec)): c
+                                for (t, vec), c in self.terms.items() if t == grade}
 
     def support(self):
         """Stored terms in canonical (n, lex l) order."""
-        terms, den = _canonical_terms(self.coeffs, self.q_den)
-        return list(_fraction_terms(dict(terms), self.q_den, den).items())
+        return sorted(self.coeffs.items())
 
     def __repr__(self):
         return (f"JacobiSeries(weight={self.weight}, rank={self.lattice.rank}, "
-                f"terms={len(self.coeffs)}, prec={self.prec}, {self.form_class})")
+                f"terms={len(self.terms)}, prec={self.prec}, {self.form_class})")
 
     def __eq__(self, other):
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         if self.lattice != other.lattice or self.weight != other.weight:
             return False
-        window = min(self.prec, other.prec)
-        mine = {k: c for k, c in self.coeffs.items() if k[0] < window}
-        theirs = {k: c for k, c in other.coeffs.items() if k[0] < window}
+        q_den, den = lcm(self.q_den, other.q_den), lcm(self.den, other.den)
+        limit = _grade_limit(min(self.prec, other.prec), q_den)
+        mine, theirs = ({key: c for key, c in phi._over(q_den, den).items() if key[0] < limit}
+                        for phi in (self, other))
         return mine == theirs
 
     __hash__ = None
@@ -252,39 +259,36 @@ class JacobiSeries:
         self._require_same_lattice(other)
         if self.weight != other.weight:
             raise ValueError("cannot add series of different weights")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
+        q_den, den = lcm(self.q_den, other.q_den), lcm(self.den, other.den)
+        out = dict(self._over(q_den, den))
+        for key, c in other._over(q_den, den).items():
             out[key] = out.get(key, 0) + c
         cls = WEAK_JACOBI if self.form_class == other.form_class == WEAK_JACOBI else RAW
-        return JacobiSeries(self.lattice, self.weight, min(self.prec, other.prec),
-                            out, q_den=lcm(self.q_den, other.q_den), form_class=cls)
+        return JacobiSeries._of(self.lattice, self.weight, min(self.prec, other.prec),
+                                out, q_den, den, cls)
 
     def __neg__(self):
-        return JacobiSeries(self.lattice, self.weight, self.prec,
-                            {k: -c for k, c in self.coeffs.items()},
-                            q_den=self.q_den, form_class=self.form_class)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return JacobiSeries(self.lattice, self.weight, self.prec,
-                                {k: other * c for k, c in self.coeffs.items()},
-                                q_den=self.q_den, form_class=self.form_class)
+            return JacobiSeries._of(self.lattice, self.weight, self.prec,
+                                    {key: other * c for key, c in self.terms.items()},
+                                    self.q_den, self.den, self.form_class)
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         self._require_same_lattice(other)
-        q_den = lcm(self.q_den, other.q_den)
-        den = _label_den(self.coeffs, other.coeffs)
-        a = _int_terms(self.coeffs, q_den, den)
-        b = _int_terms(other.coeffs, q_den, den)
+        q_den, den = lcm(self.q_den, other.q_den), lcm(self.den, other.den)
+        a, b = self._kernel(q_den, den), other._kernel(q_den, den)
         prec = _product_prec(self.prec, a, other.prec, b, q_den)
         out = {}
         _mul_into(out, a, b, _grade_limit(prec, q_den))
         cls = WEAK_JACOBI if self.form_class == other.form_class == WEAK_JACOBI else RAW
-        return JacobiSeries(self.lattice, self.weight + other.weight, prec,
-                            _fraction_terms(out, q_den, den), q_den=q_den, form_class=cls)
+        return JacobiSeries._of(self.lattice, self.weight + other.weight, prec,
+                                out, q_den, den, cls)
 
     __rmul__ = __mul__
 
@@ -293,8 +297,8 @@ class JacobiSeries:
         if prec > self.prec:
             raise PrecisionTooSmall(
                 f"cannot extend precision {self.prec} to {prec} by truncation")
-        return JacobiSeries(self.lattice, self.weight, prec, self.coeffs,
-                            q_den=self.q_den, form_class=self.form_class)
+        return JacobiSeries._of(self.lattice, self.weight, prec, self.terms,
+                                self.q_den, self.den, self.form_class)
 
 
 # -- theta building blocks ---------------------------------------------------
@@ -311,14 +315,11 @@ def theta_sum(prec) -> JacobiSeries:
     at q^(n^2/8) with label n/16 and coefficient +1 for n = 1 mod 4, -1 for
     n = 3 mod 4."""
     prec = Fraction(prec)
-    coeffs = {}
-    n = 1
-    while Fraction(n * n, 8) < prec:
-        for s in (n, -n):
-            coeffs[(Fraction(s * s, 8), (Fraction(s, 16),))] = 1 if s % 4 == 1 else -1
-        n += 2
-    return JacobiSeries(theta_lattice(), Fraction(1, 2), prec, coeffs,
-                        q_den=8, form_class=RAW)
+    # kernel terms: grades are 8 * q-exponents, labels are scaled by 16
+    limit = _grade_limit(prec, 8)
+    terms = {(s * s, (s,)): 1 if s % 4 == 1 else -1
+             for n in range(1, limit, 2) if n * n < limit for s in (n, -n)}
+    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, terms, 8, 16, RAW)
 
 
 def theta_triple_product(prec) -> JacobiSeries:
@@ -337,8 +338,7 @@ def theta_triple_product(prec) -> JacobiSeries:
         for label in (2, -2, 0):
             _mul_into(acc, list(acc.items()), [((8 * n, (label,)), -1)], limit)
         n += 1
-    return JacobiSeries(theta_lattice(), Fraction(1, 2), prec, _fraction_terms(acc, 8, 16),
-                        q_den=8, form_class=RAW)
+    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, acc, 8, 16, RAW)
 
 
 def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
@@ -348,9 +348,9 @@ def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
         raise ValueError("rescaling factor must be a positive integer")
     if a == 1:
         return phi
-    coeffs = {(n, tuple(a * x for x in l)): c for (n, l), c in phi.coeffs.items()}
-    return JacobiSeries(phi.lattice, phi.weight, phi.prec, coeffs,
-                        q_den=phi.q_den, form_class=phi.form_class)
+    terms = {(t, tuple([a * x for x in vec])): c for (t, vec), c in phi.terms.items()}
+    return JacobiSeries._of(phi.lattice, phi.weight, phi.prec, terms, phi.q_den, phi.den,
+                            phi.form_class)
 
 
 def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
@@ -379,8 +379,7 @@ def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
         for sign in (1, -1):
             geom = [((k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
             _mul_into(acc, list(acc.items()), geom, limit, max_terms)
-    result = JacobiSeries(theta_lattice(), 0, prec, _fraction_terms(acc, 1, 8), q_den=1,
-                          form_class=WEAK_JACOBI)
+    result = JacobiSeries._of(theta_lattice(), Fraction(0), prec, acc, 1, 8, WEAK_JACOBI)
     theta = theta_sum(prec)
     if result * theta != rescale_elliptic(theta, 3):
         raise SelfCheckFailed("phi04 identity", "phi04 * theta(z) differs from theta(3z)")
@@ -398,9 +397,9 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
         if phi.q_den != 1:
             raise FormClassError("direct products need integer q-exponents")
     # zero padding turns the sum of label vectors into their concatenation
-    den = _label_den(phi1.coeffs, phi2.coeffs)
-    a = _int_terms(phi1.coeffs, 1, den, after=phi2.lattice.rank)
-    b = _int_terms(phi2.coeffs, 1, den, before=phi1.lattice.rank)
+    den = lcm(phi1.den, phi2.den)
+    a = phi1._kernel(1, den, after=phi2.lattice.rank)
+    b = phi2._kernel(1, den, before=phi1.lattice.rank)
     prec = _product_prec(phi1.prec, a, phi2.prec, b, 1)
     if prec <= 0:
         raise IncompatiblePrecision(
@@ -408,9 +407,8 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
     out = {}
     _mul_into(out, a, b, _grade_limit(prec, 1), max_terms)
     cls = WEAK_JACOBI if phi1.form_class == phi2.form_class == WEAK_JACOBI else RAW
-    return JacobiSeries(direct_sum(phi1.lattice, phi2.lattice),
-                        phi1.weight + phi2.weight, prec, _fraction_terms(out, 1, den),
-                        q_den=1, form_class=cls)
+    return JacobiSeries._of(direct_sum(phi1.lattice, phi2.lattice),
+                            phi1.weight + phi2.weight, prec, out, 1, den, cls)
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -426,7 +424,7 @@ def phi_n(n: int, prec, budget: int = DEFAULT_BUDGET) -> JacobiSeries:
     acc = base
     for _ in range(n - 1):
         acc = direct_product(acc, base, max_terms=budget)
-    if len(acc.coeffs) > budget:
+    if len(acc.terms) > budget:
         raise ResourceLimit(f"series exceeded the {budget}-coefficient budget")
     return acc
 
@@ -440,14 +438,9 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
     gamma = to_vector(gamma)
     if not lattice.is_dual_vector(gamma):
         raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
-    prec = Fraction(prec)
-    coeffs = {}
-    for l in lattice.enumerate_coset(gamma, prec):
-        q = lattice.quadratic_value(l)
-        if q < prec:
-            coeffs[(q, l)] = 1
-    return JacobiSeries(lattice, Fraction(lattice.rank, 2), prec, coeffs,
-                        form_class=RAW)
+    # the constructor drops the translates with Q(l) = prec
+    coeffs = {(lattice.quadratic_value(l), l): 1 for l in lattice.enumerate_coset(gamma, prec)}
+    return JacobiSeries(lattice, Fraction(lattice.rank, 2), prec, coeffs, form_class=RAW)
 
 
 class VectorValuedForm:
@@ -503,7 +496,10 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         raise FormClassError("theta decomposition expects integer q-exponents")
     lat = phi.lattice
     groups: dict[tuple[Vector, Fraction], tuple[int, int]] = {}
-    for (n, l), c in phi.coeffs.items():
+    labels = _Fractions(phi.den).__getitem__
+    # q_den is 1, so the grade n is the q-exponent
+    for (n, vec), c in phi.terms.items():
+        l = tuple(map(labels, vec))
         if not lat.is_dual_vector(l):
             raise NotInDualLattice(f"label {l} is not in the dual lattice")
         key = (lat.reduce_mod1(l), n - lat.quadratic_value(l))
@@ -516,6 +512,8 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     by_gamma: dict[Vector, list[tuple[Fraction, int, int]]] = {}
     for (gamma, e), (value, count) in groups.items():
         by_gamma.setdefault(gamma, []).append((e, value, count))
+    if lat.det > DEFAULT_BUDGET:
+        raise ResourceLimit(f"determinant {lat.det} exceeds the {DEFAULT_BUDGET}-coset budget")
     minima = lat.coset_minima()
     components = {g: {} for g in minima}
     for gamma, entries in by_gamma.items():
@@ -555,26 +553,25 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     out_prec = Fraction(prec)
     for gamma, p in form.precisions.items():
         out_prec = min(out_prec, p + minima[lat.reduce_mod1(gamma)])
-    zero = (Fraction(0),) * lat.rank
-    # (f_gamma, Theta_gamma) as {(n, l): c} maps
+    # (f_gamma, Theta_gamma) pairs, Theta_gamma as a list of (Q(l), l)
     blocks = []
     for gamma, fg in form.components.items():
-        if not fg:
-            continue
-        bound = out_prec - min(fg)
-        theta = {(lat.quadratic_value(l), l): 1 for l in lat.enumerate_coset(gamma, bound)}
-        blocks.append(({(e, zero): c for e, c in fg.items() if c}, theta))
-    maps = [m for block in blocks for m in block]
-    q_den = lcm(*{n.denominator for m in maps for (n, _) in m})
-    den = _label_den(*maps)
+        if fg:
+            coset = lat.enumerate_coset(gamma, out_prec - min(fg))
+            blocks.append((fg, [(lat.quadratic_value(l), l) for l in coset]))
+    q_den = lcm(*{e.denominator for fg, _ in blocks for e in fg},
+                *{q.denominator for _, theta in blocks for q, _ in theta})
+    den = lcm(*{x.denominator for _, theta in blocks for _, l in theta for x in l})
+    zero = (0,) * lat.rank
     out = {}
     for fg, theta in blocks:
-        _mul_into(out, _int_terms(fg, q_den, den), _int_terms(theta, q_den, den),
-                  _grade_limit(out_prec, q_den))
-    coeffs = _fraction_terms(out, q_den, den)
+        a = [((_scaled(e, q_den), zero), c) for e, c in fg.items() if c]
+        b = [((_scaled(q, q_den), tuple([_scaled(x, den) for x in l])), 1) for q, l in theta]
+        b.sort()
+        _mul_into(out, a, b, _grade_limit(out_prec, q_den))
+    # the least q denominator of the result, as the public constructor infers it
+    g = gcd(q_den, *(t for t, _ in out))
     weight = form.weight + Fraction(lat.rank, 2)
-    series = JacobiSeries(lat, weight, out_prec, coeffs, form_class=RAW)
-    if series.q_den == 1 and weight.denominator == 1:
-        series = JacobiSeries(lat, weight, out_prec, coeffs, q_den=1,
-                              form_class=WEAK_JACOBI)
-    return series
+    cls = WEAK_JACOBI if g == q_den and weight.denominator == 1 else RAW
+    terms = {(t // g, vec): c for (t, vec), c in out.items()}
+    return JacobiSeries._of(lat, weight, out_prec, terms, q_den // g, den, cls)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from borcherdskit.cli import main
 from borcherdskit.io import parse_expansion, parse_principal_part, parse_series
+from borcherdskit.series import DEFAULT_BUDGET
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -203,6 +204,44 @@ def test_prec_beyond_terms_fails_fast(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert "ShiftInvarianceViolated" in err
+
+
+def _phi_2_doc(capsys):
+    _, series_json, _ = run_cli(capsys, ["phi", "--n", "2", "--prec", "4"])
+    return json.loads(series_json)
+
+
+def test_huge_degree_zero_exponent_fails_fast(capsys, tmp_path):
+    # 2^70 - 1 is a multiple of 3, so 8 * sum_l c(0, l) stays 0 mod 24 and
+    # the input reaches the binomial expansion of the degree-zero factor
+    doc = _phi_2_doc(capsys)
+    [term] = [t for t in doc["terms"] if t["n"] == "0" and t["l"] == ["-1/8", "-1/8"]]
+    term["c"] = str(2 ** 70)
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["lift", "--prec", "4", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "ResourceLimit" in err
+    assert f"exceed the {DEFAULT_BUDGET}-term budget" in err
+
+
+def test_huge_determinant_fails_fast(capsys, tmp_path):
+    # the dense decomposition would hold one component per coset, 8 * 2^70
+    doc = _phi_2_doc(capsys)
+    doc["gram"][1][1] = 2 ** 70
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    for command in ("decompose", "principal-part"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "ResourceLimit" in err
+        assert f"exceeds the {DEFAULT_BUDGET}-coset budget" in err
 
 
 def test_wrong_length_gamma_is_schema_error(capsys, tmp_path):

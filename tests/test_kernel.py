@@ -6,8 +6,13 @@ both products used before they moved onto integer keys. Random sparse series
 on [[8]] and on a rank-2 lattice cover label denominators 8 and 16, q_den 1
 and 8, negative exponents, and windows that end between two multiples of
 1/q_den, which puts the truncation boundary inside the support.
+
+A series stores its terms on integer keys. The second oracle below is the
+normalisation the constructor applied when it stored Fraction keys; the
+Fraction-keyed view, q_den, support() and q_row() must agree with it.
 """
 
+import pickle
 from fractions import Fraction as F
 from math import lcm
 
@@ -151,3 +156,83 @@ def test_mul_truncates_between_grid_points():
     assert product.prec == F(7, 6)
     assert product.coeffs == {(F(1, 8), (F(3, 16),)): 3, (F(9, 8), (F(1, 8),)): 1,
                               (F(9, 8), (F(1, 16),)): 6}
+
+
+# -- integer keys against the Fraction-keyed normalisation ----------------------------
+
+
+def oracle_normalise(prec, coeffs, q_den):
+    """(coeffs, q_den) as the constructor stored them on Fraction keys: zero
+    coefficients and exponents at or above prec dropped, keys coerced to
+    Fractions, q_den inferred when it is None."""
+    clean = {}
+    for (n, l), c in coeffs.items():
+        if c and n < prec:
+            clean[(F(n), tuple(F(x) for x in l))] = c
+    if q_den is None:
+        q_den = lcm(*{n.denominator for n, _ in clean})
+    return clean, q_den
+
+
+def plain(x):
+    """x as an int when it is integral, so keys mix ints and Fractions."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@st.composite
+def fraction_maps(draw):
+    lattice = draw(st.sampled_from(LATTICES))
+    q_den = draw(st.sampled_from((None, 1, 8)))
+    step = q_den or draw(st.sampled_from((1, 2, 8)))
+    exponent = st.integers(-2 * step, 4 * step).map(lambda k: plain(F(k, step)))
+    entry = st.builds(F, st.integers(-20, 20), st.sampled_from((1, 2, 8, 16))).map(plain)
+    label = st.tuples(*[entry] * lattice.rank)
+    coeffs = draw(st.dictionaries(st.tuples(exponent, label), st.integers(-3, 3),
+                                  max_size=12))
+    prec = F(draw(st.integers(1, 12 * step)), 3 * step)
+    return lattice, prec, coeffs, q_den
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_maps())
+def test_integer_keys_match_the_fraction_normalisation(case):
+    lattice, prec, coeffs, q_den = case
+    phi = JacobiSeries(lattice, 0, prec, coeffs, q_den=q_den, form_class=RAW)
+    expected, expected_q_den = oracle_normalise(prec, coeffs, q_den)
+    assert phi.coeffs == expected
+    assert_fraction_keys(phi)
+    assert phi.q_den == expected_q_den
+    assert phi.support() == sorted(expected.items())
+    assert phi.q_row(0) == {l: c for (n, l), c in expected.items() if n == 0}
+    assert phi.min_exp == min((n for n, _ in expected), default=0)
+    half = prec / 2
+    assert phi.truncate(half).coeffs == {k: c for k, c in expected.items() if k[0] < half}
+
+
+def test_equality_across_representations():
+    lat = LATTICES[0]
+    coeffs = {(F(0), (F(1, 8),)): 1, (F(1), (F(-1, 16),)): 2, (F(2), (F(0),)): -1}
+    over_8 = JacobiSeries(lat, 0, 3, coeffs, q_den=8, form_class=RAW)
+    over_1 = JacobiSeries(lat, 0, 3, coeffs, q_den=1, form_class=RAW)
+    assert (over_8.q_den, over_1.q_den) == (8, 1)
+    assert over_8 == over_1 == JacobiSeries(lat, 0, 3, coeffs, form_class=RAW)
+    # the labels of the product reduce to eighths, its stored den stays 16
+    a = JacobiSeries(lat, 0, 3, {(F(0), (F(1, 16),)): 1}, q_den=1, form_class=RAW)
+    b = JacobiSeries(lat, 0, 3, {(F(0), (F(1, 16),)): 1, (F(1), (F(-1, 16),)): 1},
+                     q_den=1, form_class=RAW)
+    product = a * b
+    reference = JacobiSeries(lat, 0, 3, {(F(0), (F(1, 8),)): 1, (F(1), (F(0),)): 1},
+                             q_den=1, form_class=RAW)
+    assert (product.den, reference.den) == (16, 8)
+    assert product == reference and reference == product
+    assert product.coeffs == reference.coeffs
+    assert product + reference == 2 * reference
+    assert (product - reference).is_zero() and (0 * product).is_zero()
+
+
+def test_coeffs_view_is_read_only_and_pickles():
+    phi = JacobiSeries(LATTICES[0], 0, 2, {(F(0), (F(0),)): 1}, form_class=RAW)
+    with pytest.raises(TypeError):
+        phi.coeffs[(F(1), (F(0),))] = 1
+    assert phi.coeffs == {(F(0), (F(0),)): 1}
+    assert pickle.loads(pickle.dumps(phi)) == phi

@@ -9,8 +9,11 @@ against the norm-zero support forced at singular weight.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from borcherdskit.errors import (
     CongruenceFailed,
@@ -291,6 +294,30 @@ def test_lift_routes_agree_at_larger_degrees(build, degree):
     for expansion in (direct, log_exp):
         assert all(type(c) is int for c in expansion.coeffs.values())
         assert all(type(x) is F for (_, l, _) in expansion.coeffs for x in l)
+
+
+@lru_cache(maxsize=None)
+def cached_phi_n(factors, prec):
+    return phi_n(factors, prec)
+
+
+@pytest.mark.parametrize("factors, prec, degree", [(1, 16, 8), (2, 4, 4)],
+                         ids=["phi_1-degree-8", "phi_2-degree-4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lift_is_symmetric_in_n_and_m(factors, prec, degree, data):
+    # c(nm, l) and the truncation by n + m are symmetric, and so is the
+    # positivity condition away from n = m = 0
+    phi = cached_phi_n(factors, prec)
+    w0 = data.draw(st.tuples(*[st.fractions(-10, 10, max_denominator=30)] * factors))
+    try:
+        expansions = (lift_expansion(phi, degree, w0), lift_expansion_log_exp(phi, degree, w0))
+    except NonGenericChamber:
+        assume(False)
+    for expansion in expansions:
+        assert expansion.coeffs
+        for (n, l, m), c in expansion.coeffs.items():
+            assert expansion.coeffs.get((m, l, n), 0) == c
 
 
 def test_lift_expansion_singular_weight_support():

@@ -300,6 +300,14 @@ def test_recompose_round_trip_phi04():
     assert back.coeffs == p.coeffs
 
 
+def test_recompose_keeps_q_den_and_form_class():
+    phi = phi_n(2, 4)
+    back = recompose(theta_decompose(phi), 4)
+    assert back.q_den == 1
+    assert back.form_class == WEAK_JACOBI
+    assert back == phi
+
+
 def test_recompose_zero_form():
     from borcherdskit.series import VectorValuedForm
     lat = L8
