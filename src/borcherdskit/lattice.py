@@ -12,7 +12,7 @@ and added across blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product
@@ -225,21 +225,20 @@ def _enumerate_affine(d, r, offset, bound, limit=inf):
     return out
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(namedtuple("DiscriminantGroup",
+                                    "elementary_divisors order generators rank")):
     """The finite quotient L'/L with its invariant factors; order equals the
     Gram determinant.
+
+    elementary_divisors: tuple[int, ...]; order: int; generators:
+    tuple[Vector, ...]; rank: int.
 
     generators[j] is a dual vector of order elementary_divisors[j], reduced
     into [0, 1). representatives are all cosets, reduced componentwise into
     [0, 1) and sorted lexicographically; there are order of them, so they are
-    listed only on first access.
+    listed only on first access (kept in the instance dict, so this class has
+    no __slots__).
     """
-
-    elementary_divisors: tuple[int, ...]
-    order: int
-    generators: tuple[Vector, ...]
-    rank: int
 
     @cached_property
     def representatives(self) -> tuple[Vector, ...]:

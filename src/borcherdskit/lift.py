@@ -25,7 +25,7 @@ before anything else relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -54,22 +54,21 @@ from .series import (
 # -- principal parts ----------------------------------------------------------
 
 
-@dataclass
-class PrincipalPart:
+class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms")):
     """Negative-exponent tail of a vector-valued form plus its c(0,0).
 
-    terms maps (reduced coset representative, negative exponent) to the
-    integer coefficient.
+    lattice: EvenLattice; constant_term: int; terms: dict[tuple[Vector,
+    Fraction], int] mapping (reduced coset representative, negative exponent)
+    to the integer coefficient.
     """
 
-    lattice: EvenLattice
-    constant_term: int
-    terms: dict[tuple[Vector, Fraction], int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for (gamma, e), c in self.terms.items():
+    def __new__(cls, lattice, constant_term, terms):
+        for (gamma, e), c in terms.items():
             if e >= 0:
                 raise ValueError(f"principal part exponent {e} at {gamma} is not negative")
+        return super().__new__(cls, lattice, constant_term, terms)
 
 
 def principal_part(form: VectorValuedForm) -> PrincipalPart:
@@ -110,15 +109,15 @@ def is_singular_weight(pp: PrincipalPart) -> bool:
 # -- arithmetic obstructions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(namedtuple("CongruenceReport",
+                                   "gcd_inner_products q0_sum residue passes")):
     """Outcome of the mod-24 check N * sum_l c(0, l) = 0 (mod 24), where N
-    is the gcd of all inner products of the index lattice."""
+    is the gcd of all inner products of the index lattice.
 
-    gcd_inner_products: int
-    q0_sum: int
-    residue: int
-    passes: bool
+    gcd_inner_products: int (N); q0_sum: int; residue: int; passes: bool.
+    """
+
+    __slots__ = ()
 
 
 def congruence_check(phi: JacobiSeries) -> CongruenceReport:
@@ -142,15 +141,14 @@ def admits_half_integral_weight(lattice: EvenLattice) -> bool:
 # -- Weyl data -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylData:
+class WeylData(namedtuple("WeylData", "a b c chamber_vector")):
     """Prefactor exponents (A, B, C) of q^A r^B s^C together with the
-    chamber vector that fixed the positivity condition."""
+    chamber vector that fixed the positivity condition.
 
-    a: Fraction
-    b: Vector
-    c: Fraction
-    chamber_vector: Vector
+    a: Fraction; b: Vector; c: Fraction; chamber_vector: Vector.
+    """
+
+    __slots__ = ()
 
 
 def default_chamber_vector(rank: int) -> Vector:
@@ -190,9 +188,14 @@ def weyl_vector(phi: JacobiSeries, w0=None) -> WeylData:
 # -- truncated product expansion ---------------------------------------------------
 
 
-@dataclass
-class OrthogonalExpansion:
+class OrthogonalExpansion(namedtuple(
+        "OrthogonalExpansion", "lattice weyl weight coeffs total_prec holomorphic",
+        defaults=("unknown",))):
     """Truncated coefficients of the product expansion, graded by n + m.
+
+    lattice: EvenLattice; weyl: WeylData; weight: Fraction; coeffs:
+    dict[tuple[int, Vector, int], int]; total_prec: Fraction; holomorphic:
+    str, "unknown" by default.
 
     coeffs maps monomials (n, l, m) with integer n, m >= 0 to integer
     coefficients of the product itself; the Weyl prefactor q^A r^B s^C is
@@ -200,12 +203,7 @@ class OrthogonalExpansion:
     decided by this package.
     """
 
-    lattice: EvenLattice
-    weyl: WeylData
-    weight: Fraction
-    coeffs: dict[tuple[int, Vector, int], int]
-    total_prec: Fraction
-    holomorphic: str = field(default="unknown")
+    __slots__ = ()
 
 
 def _factor_powers(c: int, grade: int, top: int):
@@ -315,7 +313,12 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     top = _grade_limit(total_prec, 1)
     one = (0, (0,) * (phi.lattice.rank + 1))
     layers = [{one: 1}] + [{} for _ in range(1, top)]
-    for n, l, m, c in _factors(phi, weyl, top):
+    # Descending degree: while every factor applied so far has degree at
+    # least g, the layers strictly between 0 and g are empty, so a factor of
+    # degree g > top/2 reads only layer 0. The degree-zero factors keep every
+    # grade and widen each layer they touch, so they come last.
+    for n, l, m, c in sorted(_factors(phi, weyl, top),
+                             key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2])):
         _apply_factor(layers, n, l, m, c)
     if layers[0].get(one) != 1:
         raise SelfCheckFailed("lift constant term",
@@ -326,9 +329,14 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
 def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:
     """Second route to the same expansion: exponentiate
     - sum_{(n,l,m)>0, n+m>0} c(nm, l) sum_k (1/k) q^{kn} r^{kl} s^{km}
-    grade by grade over exact rationals with the recurrence
-    g E_g = sum_h h L_h E_(g-h), then multiply in the finitely many
-    degree-zero binomial factors. The result must come out integral."""
+    grade by grade with the recurrence g E_g = sum_h h L_h E_(g-h), then
+    multiply in the finitely many degree-zero binomial factors.
+
+    Everything stays on integers: h L_h has integer coefficients, and E is
+    the product of the factors (1 - X)^c of positive degree, each with
+    integer coefficients, so E_g is integral and g divides every g E_g the
+    recurrence forms. The division is exact, and a remainder raises
+    SelfCheckFailed at the grade where it appears."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
 
@@ -347,43 +355,40 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
             bucket = weighted_log.setdefault(k * g, {})
             bucket[key] = bucket.get(key, 0) - c * g
 
-    layers = [{(0, (0,) * (phi.lattice.rank + 1)): Fraction(1)}]
+    layers = [{(0, (0,) * (phi.lattice.rank + 1)): 1}]
     for g in range(1, top):
         bucket = {}
         for h in range(1, g + 1):
             if h in weighted_log:
                 _mul_into(bucket, weighted_log[h].items(), layers[g - h].items(), top)
-        layers.append({key: v / g for key, v in bucket.items()})
+        layer = {}
+        for (t, vec), v in bucket.items():
+            layer[t, vec], r = divmod(v, g)
+            if r:
+                raise SelfCheckFailed("lift integrality", f"non-integral coefficient "
+                                      f"{Fraction(v, g)} at n={vec[0]}, m={t - vec[0]}")
+        layers.append(layer)
     for n, l, m, c in zero_grade:
         _apply_factor(layers, n, l, m, c)
-
-    coeffs = {}
-    for layer in layers:
-        for (t, vec), v in layer.items():
-            if v.denominator != 1:
-                raise SelfCheckFailed("lift integrality", f"non-integral coefficient {v} "
-                                      f"at n={vec[0]}, m={t - vec[0]}")
-            coeffs[(t, vec)] = v.numerator
-    return _expansion(phi, weyl, [coeffs], total_prec)
+    return _expansion(phi, weyl, layers, total_prec)
 
 
 # -- diagnostics for principal parts -------------------------------------------------
 
 
-@dataclass
-class PrincipalPartReport:
+class PrincipalPartReport(namedtuple("PrincipalPartReport", [
+        "exponent_class_ok", "exponent_class_offenders", "symmetry_ok",
+        "symmetry_offenders", "weight_ok", "weight", "half_integral",
+        "singular_weight", "is_singular"])):
     """Per-check outcome of validate_principal_part; offender lists hold the
-    (gamma, exponent) keys that failed."""
+    (gamma, exponent) keys that failed.
 
-    exponent_class_ok: bool
-    exponent_class_offenders: list
-    symmetry_ok: bool
-    symmetry_offenders: list
-    weight_ok: bool
-    weight: Fraction
-    half_integral: bool
-    singular_weight: Fraction
-    is_singular: bool
+    exponent_class_ok: bool; exponent_class_offenders: list; symmetry_ok:
+    bool; symmetry_offenders: list; weight_ok: bool; weight: Fraction;
+    half_integral: bool; singular_weight: Fraction; is_singular: bool.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

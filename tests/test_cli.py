@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -89,6 +90,16 @@ def test_shell_pipe_end_to_end():
         shell=True, capture_output=True, text=True, cwd=str(FIXTURES.parent))
     assert result.returncode == 0
     assert "N=8, sum=3, residue 0" in result.stdout
+
+
+def test_package_import_skips_dataclasses_and_inspect():
+    # every CLI process pays for the package import; -S keeps the modules
+    # that site loads out of sys.modules
+    code = "import sys, borcherdskit; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_cli_output_is_deterministic(capsys):

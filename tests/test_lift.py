@@ -20,8 +20,10 @@ from borcherdskit.errors import (
     InsufficientInputPrecision,
     NonGenericChamber,
     PrecisionTooSmall,
+    SelfCheckFailed,
     UnboundedExpansion,
 )
+from borcherdskit import lift
 from borcherdskit.lattice import EvenLattice
 from borcherdskit.lift import (
     PrincipalPart,
@@ -283,7 +285,8 @@ def test_lift_expansion_matches_log_exp_route():
 @pytest.mark.parametrize("build, degree", [
     (lambda: phi_n(2, 9), 6),
     (lambda: phi04(36), 12),
-], ids=["phi_2-degree-6", "phi04-degree-12"])
+    (lambda: phi_n(3, 4), 4),
+], ids=["phi_2-degree-6", "phi04-degree-12", "phi_3-degree-4"])
 def test_lift_routes_agree_at_larger_degrees(build, degree):
     phi = build()
     direct = lift_expansion(phi, degree)
@@ -307,17 +310,34 @@ def cached_phi_n(factors, prec):
 @given(data=st.data())
 def test_lift_is_symmetric_in_n_and_m(factors, prec, degree, data):
     # c(nm, l) and the truncation by n + m are symmetric, and so is the
-    # positivity condition away from n = m = 0
+    # positivity condition away from n = m = 0; the two routes agree in
+    # every generic chamber
     phi = cached_phi_n(factors, prec)
     w0 = data.draw(st.tuples(*[st.fractions(-10, 10, max_denominator=30)] * factors))
     try:
         expansions = (lift_expansion(phi, degree, w0), lift_expansion_log_exp(phi, degree, w0))
     except NonGenericChamber:
         assume(False)
+    assert expansions[0].coeffs == expansions[1].coeffs
+    assert expansions[0].weyl == expansions[1].weyl
     for expansion in expansions:
         assert expansion.coeffs
         for (n, l, m), c in expansion.coeffs.items():
             assert expansion.coeffs.get((m, l, n), 0) == c
+
+
+def test_log_exp_route_checks_integrality(monkeypatch):
+    # an exponent of 1/2 on a factor of degree 1 makes E_1 non-integral
+    factors = lift._factors
+
+    def with_half_power(phi, weyl, top):
+        yield from factors(phi, weyl, top)
+        yield 1, (0,), 0, F(1, 2)
+
+    monkeypatch.setattr(lift, "_factors", with_half_power)
+    with pytest.raises(SelfCheckFailed) as info:
+        lift_expansion_log_exp(phi04(4), 4, (1,))
+    assert info.value.check == "lift integrality"
 
 
 def test_lift_expansion_singular_weight_support():
