@@ -123,8 +123,7 @@ def _cmd_phi(args):
 def _cmd_decompose(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
     form = theta_decompose(series)
-    nonzero = sum(1 for fg in form.components.values() if fg)
-    lines = [f"theta decomposition: {len(form.components)} components, {nonzero} nonzero"]
+    lines = [f"theta decomposition: {form.lattice.det} components, {len(form.components)} nonzero"]
     _write(args, kit_io.emit_vvform(form), lines)
     return 0
 

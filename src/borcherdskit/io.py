@@ -22,7 +22,8 @@ Formats:
   vvform      {"gram": ..., "weight": "k/2", "components": [
                {"gamma": [...], "prec": "p/q",
                 "terms": [{"e": "a/b", "c": "int"}, ...]}, ...]}
-              components sorted by lex gamma, terms by e
+              every coset once, sorted by lex gamma, terms by e; prec is
+              P - min Q(gamma) for one P, and other documents are rejected
   principal   {"gram": ..., "constant_term": int, "terms": [
                {"gamma": [...], "exp": "-a/b", "c": int}, ...]}
               terms sorted by (exp, lex gamma)
@@ -38,10 +39,11 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .errors import SchemaViolation
+from .errors import ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
 from .series import (
+    DEFAULT_BUDGET,
     RAW,
     WEAK_JACOBI,
     JacobiSeries,
@@ -124,10 +126,6 @@ class _Rationals(dict):
                 pass  # a string not seen yet, or not a string
         return tuple(self.frac(x, f"{path}[{i}]")
                      for i, x in enumerate(_expect_list(value, path)))
-
-
-def parse_vector(value, path) -> Vector:
-    return _Rationals().vector(value, path)
 
 
 def _parse_lattice_vector(value, path, lattice: EvenLattice, fracs: _Rationals) -> Vector:
@@ -246,7 +244,7 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     fracs = _Rationals()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
     components = {}
-    precisions = {}
+    precisions = []
     for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
         cpath = f"{path}.components[{i}]"
         _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
@@ -264,25 +262,37 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
             e = fracs.frac(term["e"], f"{tpath}.e")
             if not _add_term(fg, e, term["c"], f"{tpath}.c"):
                 raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
-        precisions[gamma] = fracs.frac(comp["prec"], f"{cpath}.prec")
-    return VectorValuedForm(lattice, weight, components, precisions)
+        precisions.append((gamma, fracs.frac(comp["prec"], f"{cpath}.prec")))
+    # det distinct cosets are all of them, and listing the minima costs no more than the doc
+    if len(components) != lattice.det:
+        raise SchemaViolation(f"{path}.components: has {len(components)} of {lattice.det} cosets")
+    minima = lattice.coset_minima()
+    tops = [p + minima[gamma] for gamma, p in precisions]
+    if any(top != tops[0] for top in tops):
+        raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
+    return VectorValuedForm(lattice, weight, components, tops[0])
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
-    gden = _den(x for gammas in (form.components, form.precisions)
-                for gamma in gammas for x in gamma)
-    eden = lcm(_den(e for fg in form.components.values() for e in fg),
-               _den(form.precisions.values()))
+    if form.lattice.det > DEFAULT_BUDGET:
+        raise ResourceLimit(
+            f"determinant {form.lattice.det} exceeds the {DEFAULT_BUDGET}-coset budget")
+    minima = form.lattice.coset_minima()  # in canonical order
+    if not minima.keys() >= form.components.keys():
+        raise ValueError("a component key is not a reduced coset representative")
+    gden = _den(x for gamma in minima for x in gamma)
+    eden = lcm(form.prec.denominator, _den(minima.values()),
+               _den(e for fg in form.components.values() for e in fg))
     coords, exps = _Strings(gden), _Strings(eden)
-    precs = {_scaled_vector(gamma, gden): exps[_scaled(p, eden)]
-             for gamma, p in form.precisions.items()}
+    scaled = {_scaled_vector(gamma, gden): fg for gamma, fg in form.components.items()}
+    top = _scaled(form.prec, eden)
     components = []
-    for key, fg in sorted((_scaled_vector(gamma, gden), fg)
-                          for gamma, fg in form.components.items()):
-        terms = sorted((_scaled(e, eden), c) for e, c in fg.items() if c)
+    for gamma, q in minima.items():
+        key = _scaled_vector(gamma, gden)
+        terms = sorted((_scaled(e, eden), c) for e, c in scaled.get(key, {}).items())
         components.append({
             "gamma": [coords[x] for x in key],
-            "prec": precs[key],
+            "prec": exps[top - _scaled(q, eden)],
             "terms": [{"e": exps[e], "c": str(c)} for e, c in terms],
         })
     return {
@@ -342,13 +352,13 @@ def emit_weyl(weyl: WeylData) -> dict:
     }
 
 
-def parse_weyl(doc, path) -> WeylData:
+def parse_weyl(doc, path, lattice: EvenLattice) -> WeylData:
     _expect_object(doc, path, required=("A", "B", "C", "w0"))
     return WeylData(
         a=parse_frac(doc["A"], f"{path}.A"),
-        b=parse_vector(doc["B"], f"{path}.B"),
+        b=_parse_lattice_vector(doc["B"], f"{path}.B", lattice, _Rationals()),
         c=parse_frac(doc["C"], f"{path}.C"),
-        chamber_vector=parse_vector(doc["w0"], f"{path}.w0"),
+        chamber_vector=_parse_lattice_vector(doc["w0"], f"{path}.w0", lattice, _Rationals()),
     )
 
 
@@ -359,7 +369,9 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     fracs = _Rationals()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
     total_prec = fracs.frac(doc["total_prec"], f"{path}.total_prec")
-    weyl = parse_weyl(doc["weyl"], f"{path}.weyl")
+    weyl = parse_weyl(doc["weyl"], f"{path}.weyl", lattice)
+    if not isinstance(doc["holomorphic"], str):
+        raise SchemaViolation(f"{path}.holomorphic: {doc['holomorphic']!r} is not a string")
     coeffs = {}
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
@@ -370,7 +382,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         if not _add_term(coeffs, (n, l, m), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
     return OrthogonalExpansion(lattice, weyl, weight, coeffs, total_prec,
-                               holomorphic=str(doc["holomorphic"]))
+                               holomorphic=doc["holomorphic"])
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:

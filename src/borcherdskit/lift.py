@@ -74,17 +74,12 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms")):
 def principal_part(form: VectorValuedForm) -> PrincipalPart:
     """Extract all (gamma, exponent < 0) coefficients and the constant term
     of the zero component."""
-    lat = form.lattice
-    zero = (Fraction(0),) * lat.rank
-    if form.precisions.get(zero, Fraction(0)) <= 0:
+    if form.prec <= 0:
         raise PrecisionTooSmall("the zero component does not reach exponent 0")
-    constant = form.components.get(zero, {}).get(Fraction(0), 0)
-    terms = {}
-    for gamma, fg in form.components.items():
-        for e, c in fg.items():
-            if e < 0 and c:
-                terms[(gamma, e)] = c
-    return PrincipalPart(lat, constant, terms)
+    constant = form.component((0,) * form.lattice.rank).get(0, 0)
+    terms = {(gamma, e): c for gamma, fg in form.components.items()
+             for e, c in fg.items() if e < 0}
+    return PrincipalPart(form.lattice, constant, terms)
 
 
 def lift_weight(pp: PrincipalPart) -> Fraction:
@@ -206,17 +201,17 @@ class OrthogonalExpansion(namedtuple(
     __slots__ = ()
 
 
-def _factor_powers(c: int, grade: int, top: int):
+def _factor_powers(c: int, grade: int, top: int, size: int):
     """Exponents and coefficients of (1 - X)^c as a list of (k, coef) with
     k * grade < top; grade-0 factors must have c >= 0 and expand to the full
-    binomial polynomial."""
+    binomial polynomial, c + 1 terms of up to c bits for each of size terms."""
     if grade == 0:
         if c < 0:
             raise UnboundedExpansion(
                 "a factor of degree zero in q and s has negative exponent")
-        if c + 1 > DEFAULT_BUDGET:
-            raise ResourceLimit(f"a factor of degree zero in q and s has exponent {c}, "
-                                f"its {c + 1} terms exceed the {DEFAULT_BUDGET}-term budget")
+        if size * (c + 1) * (1 + c // 64) > DEFAULT_BUDGET:
+            raise ResourceLimit(f"degree-zero factor with exponent {c}: {c + 1} binomials "
+                                f"on {size} terms exceed the {DEFAULT_BUDGET}-term budget")
         return [(k, (-1) ** k * comb(c, k)) for k in range(c + 1)]
     terms = []
     k = 0
@@ -281,7 +276,7 @@ def _apply_factor(layers, n, l, m, c):
     top = len(layers)
     g = n + m
     rest = [((k * g, (k * n, *[k * x for x in l])), w)
-            for k, w in _factor_powers(c, g, top) if k and w]
+            for k, w in _factor_powers(c, g, top, sum(map(len, layers))) if k and w]
     for t in reversed(range(top - g)):
         source = list(layers[t].items())
         for term in rest:

@@ -447,34 +447,34 @@ class VectorValuedForm:
     """Components f_gamma of the theta decomposition, one sparse q-series per
     coset of the discriminant group.
 
-    components maps each reduced representative to {exponent: coefficient};
-    precisions records how far each component is determined. Exponents of
-    f_gamma lie in -Q(gamma) + Z.
+    components maps reduced representatives to {exponent: coefficient}; the
+    constructor drops zero coefficients, then empty components, so an absent
+    coset has f_gamma = 0. Exponents of f_gamma lie in -Q(gamma) + Z, and
+    f_gamma is known below precision(gamma) = prec - min Q on the coset.
     """
 
-    def __init__(self, lattice, weight, components, precisions):
+    def __init__(self, lattice, weight, components, prec):
         self.lattice = lattice
         self.weight = Fraction(weight)
-        self.components = components
-        self.precisions = precisions
+        self.components = {g: nonzero for g, fg in components.items()
+                           if (nonzero := {e: c for e, c in fg.items() if c})}
+        self.prec = Fraction(prec)
 
     def component(self, gamma) -> dict[Fraction, int]:
-        return self.components[self.lattice.reduce_mod1(gamma)]
+        return self.components.get(self.lattice.reduce_mod1(gamma), {})
 
     def precision(self, gamma) -> Fraction:
-        return self.precisions[self.lattice.reduce_mod1(gamma)]
+        return self.prec - self.lattice.coset_minima()[self.lattice.reduce_mod1(gamma)]
 
     def __repr__(self):
-        nonzero = sum(1 for c in self.components.values() if c)
-        return (f"VectorValuedForm(weight={self.weight}, components="
-                f"{len(self.components)}, nonzero={nonzero})")
+        return (f"VectorValuedForm(weight={self.weight}, prec={self.prec}, "
+                f"components={self.lattice.det}, nonzero={len(self.components)})")
 
     def __eq__(self, other):
         if not isinstance(other, VectorValuedForm):
             return NotImplemented
         return (self.lattice == other.lattice and self.weight == other.weight
-                and self.components == other.components
-                and self.precisions == other.precisions)
+                and self.components == other.components and self.prec == other.prec)
 
     __hash__ = None
 
@@ -514,8 +514,6 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         by_gamma.setdefault(gamma, []).append((e, value, count))
     if lat.det > DEFAULT_BUDGET:
         raise ResourceLimit(f"determinant {lat.det} exceeds the {DEFAULT_BUDGET}-coset budget")
-    minima = lat.coset_minima()
-    components = {g: {} for g in minima}
     for gamma, entries in by_gamma.items():
         e_min, _, count_min = min(entries)
         # Q is constant mod 1 on a coset of an even lattice, so the translates
@@ -537,35 +535,30 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
                 raise ShiftInvarianceViolated(
                     f"class gamma={gamma}, exponent {e} has {count} stored "
                     f"witnesses but {expected} lattice translates in the window")
-            components[gamma][e] = value
-    precisions = {g: phi.prec - q for g, q in minima.items()}
-    return VectorValuedForm(lat, Fraction(-lat.rank, 2), components, precisions)
+    components = {g: {e: value for e, value, _ in entries} for g, entries in by_gamma.items()}
+    return VectorValuedForm(lat, Fraction(-lat.rank, 2), components, phi.prec)
 
 
 def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     """Expand sum f_gamma * Theta_gamma back into a Jacobi series.
 
-    The output window is capped at the precision the components support:
-    min over gamma of precision(gamma) + min Q on the coset.
+    The output window is capped at form.prec: f_gamma * Theta_gamma is known
+    below precision(gamma) + min Q on the coset, which is form.prec.
     """
     lat = form.lattice
-    minima = lat.coset_minima()
-    out_prec = Fraction(prec)
-    for gamma, p in form.precisions.items():
-        out_prec = min(out_prec, p + minima[lat.reduce_mod1(gamma)])
+    out_prec = min(Fraction(prec), form.prec)
     # (f_gamma, Theta_gamma) pairs, Theta_gamma as a list of (Q(l), l)
     blocks = []
     for gamma, fg in form.components.items():
-        if fg:
-            coset = lat.enumerate_coset(gamma, out_prec - min(fg))
-            blocks.append((fg, [(lat.quadratic_value(l), l) for l in coset]))
+        coset = lat.enumerate_coset(gamma, out_prec - min(fg))
+        blocks.append((fg, [(lat.quadratic_value(l), l) for l in coset]))
     q_den = lcm(*{e.denominator for fg, _ in blocks for e in fg},
                 *{q.denominator for _, theta in blocks for q, _ in theta})
     den = lcm(*{x.denominator for _, theta in blocks for _, l in theta for x in l})
     zero = (0,) * lat.rank
     out = {}
     for fg, theta in blocks:
-        a = [((_scaled(e, q_den), zero), c) for e, c in fg.items() if c]
+        a = [((_scaled(e, q_den), zero), c) for e, c in fg.items()]
         b = [((_scaled(q, q_den), tuple([_scaled(x, den) for x in l])), 1) for q, l in theta]
         b.sort()
         _mul_into(out, a, b, _grade_limit(out_prec, q_den))

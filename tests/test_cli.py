@@ -239,6 +239,24 @@ def test_huge_degree_zero_exponent_fails_fast(capsys, tmp_path):
     assert f"exceed the {DEFAULT_BUDGET}-term budget" in err
 
 
+def test_degree_zero_product_is_predicted_before_work(capsys, tmp_path):
+    # 1502 binomials are far under the term budget, but each of the 358 terms
+    # of the product meets all of them, at up to 1501 bits each; with 10^6 in
+    # place of 1501 the work grows about 400 000-fold
+    doc = _phi_2_doc(capsys)
+    [term] = [t for t in doc["terms"] if t["n"] == "0" and t["l"] == ["-1/8", "-1/8"]]
+    term["c"] = "1501"
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["lift", "--prec", "4", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "ResourceLimit" in err
+    assert f"on 358 terms exceed the {DEFAULT_BUDGET}-term budget" in err
+
+
 def test_huge_determinant_fails_fast(capsys, tmp_path):
     # the dense decomposition would hold one component per coset, 8 * 2^70
     doc = _phi_2_doc(capsys)

@@ -8,6 +8,7 @@ and mixed label denominators, must emit byte for byte as the oracles do.
 """
 
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borcherdskit.errors import SchemaViolation
+from borcherdskit.errors import ResourceLimit, SchemaViolation
 from borcherdskit.io import (
     canonical_dumps,
     emit_expansion,
@@ -121,7 +122,7 @@ def test_vvform_round_trip():
     doc = emit_vvform(vv)
     back = parse_vvform(doc)
     assert back.components == vv.components
-    assert back.precisions == vv.precisions
+    assert back.prec == vv.prec
     assert back.weight == vv.weight
     assert emit_vvform(back) == doc
 
@@ -189,17 +190,63 @@ def _expansion_doc():
 
 
 @pytest.mark.parametrize("make_doc, parse, field, path", [
-    (_series_doc, parse_series, ("terms", "l"), r"\$\.terms\[0\]\.l:"),
-    (_vvform_doc, parse_vvform, ("components", "gamma"), r"\$\.components\[0\]\.gamma:"),
-    (_principal_part_doc, parse_principal_part, ("terms", "gamma"), r"\$\.terms\[0\]\.gamma:"),
-    (_expansion_doc, parse_expansion, ("terms", "l"), r"\$\.terms\[0\]\.l:"),
-], ids=["series", "vvform", "principal_part", "expansion"])
+    (_series_doc, parse_series, ("terms", 0, "l"), r"\$\.terms\[0\]\.l:"),
+    (_vvform_doc, parse_vvform, ("components", 0, "gamma"), r"\$\.components\[0\]\.gamma:"),
+    (_principal_part_doc, parse_principal_part, ("terms", 0, "gamma"),
+     r"\$\.terms\[0\]\.gamma:"),
+    (_expansion_doc, parse_expansion, ("terms", 0, "l"), r"\$\.terms\[0\]\.l:"),
+    (_expansion_doc, parse_expansion, ("weyl", "B"), r"\$\.weyl\.B:"),
+    (_expansion_doc, parse_expansion, ("weyl", "w0"), r"\$\.weyl\.w0:"),
+], ids=["series", "vvform", "principal_part", "expansion", "weyl-B", "weyl-w0"])
 def test_wrong_length_vector_names_its_path(make_doc, parse, field, path):
     doc = make_doc()
-    entries, key = field
-    doc[entries][0][key] = doc[entries][0][key] + ["0"]
+    *parents, key = field
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = node[key] + ["0"]
     with pytest.raises(SchemaViolation, match=path + " vector has length"):
         parse(doc)
+
+
+def test_expansion_holomorphic_must_be_a_string():
+    doc = _expansion_doc()
+    doc["holomorphic"] = 5
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_expansion(doc)
+    assert str(excinfo.value) == "$.holomorphic: 5 is not a string"
+
+
+def test_vvform_must_list_every_coset_once():
+    doc = _vvform_doc()
+    del doc["components"][3]
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_vvform(doc)
+    assert str(excinfo.value) == "$.components: has 7 of 8 cosets"
+
+
+def test_vvform_precisions_come_from_one_prec():
+    doc = _vvform_doc()
+    assert doc["components"][0]["gamma"] == ["0"]
+    assert doc["components"][1]["prec"] == "31/16"
+    doc["components"][1]["prec"] = "2"
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_vvform(doc)
+    assert str(excinfo.value) == "$.components: the precisions are not P - min Q(gamma)"
+
+
+def test_emit_vvform_refuses_huge_determinant_before_listing():
+    form = VectorValuedForm(EvenLattice([[2 ** 70]]), F(-1, 2), {}, F(1))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="coset budget"):
+        emit_vvform(form)
+    assert time.perf_counter() - start < 1
+
+
+def test_emit_vvform_refuses_unreduced_key():
+    form = VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(9, 8),): {F(0): 1}}, F(1))
+    with pytest.raises(ValueError, match="not a reduced coset representative"):
+        emit_vvform(form)
 
 
 def test_load_json_reports_parse_errors(tmp_path):
@@ -225,12 +272,14 @@ def oracle_emit_series(series):
 
 
 def oracle_emit_vvform(form):
+    """One entry per coset, with precision prec - min Q(gamma)."""
+    lattice = form.lattice
     components = []
-    for gamma in sorted(form.components):
-        fg = form.components[gamma]
+    for gamma in sorted(lattice.discriminant_group().representatives):
+        fg = form.components.get(gamma, {})
         components.append({
             "gamma": emit_vector(gamma),
-            "prec": frac_str(form.precisions[gamma]),
+            "prec": frac_str(form.prec - lattice.coset_minima()[gamma]),
             "terms": [{"e": frac_str(e), "c": str(fg[e])} for e in sorted(fg) if fg[e]],
         })
     return {
@@ -294,17 +343,14 @@ def jacobi_series(draw):
 
 
 @st.composite
-def vvforms(draw, canonical=False):
-    """Forms on random cosets. Unless canonical, coefficients may be zero and
-    precisions may name cosets that have no component; emission drops both."""
+def vvforms(draw):
+    """Forms on random cosets with one random precision. Coefficients may be
+    zero and components empty; the constructor drops both."""
     lattice = draw(lattices)
     coset = st.sampled_from(COSETS[id(lattice)])
     gammas = draw(st.lists(coset, unique=True, max_size=8))
-    value = coefficients.filter(bool) if canonical else coefficients
-    components = {g: draw(st.dictionaries(rationals, value, max_size=5)) for g in gammas}
-    extra = [] if canonical else draw(st.lists(coset, max_size=3))
-    precisions = {g: draw(rationals) for g in gammas + extra}
-    return VectorValuedForm(lattice, F(-lattice.rank, 2), components, precisions)
+    components = {g: draw(st.dictionaries(rationals, coefficients, max_size=5)) for g in gammas}
+    return VectorValuedForm(lattice, F(-lattice.rank, 2), components, draw(rationals))
 
 
 @st.composite
@@ -349,15 +395,14 @@ def test_series_emit_matches_oracle_and_round_trips(series, data):
 
 @settings(max_examples=100, deadline=None)
 @given(vvforms())
-# a precision on a coset with a finer denominator than every component
-@example(VectorValuedForm(LATTICES[0], F(-1, 2), {(F(0),): {F(0): 1}},
-                          {(F(0),): F(1), (F(1, 8),): F(7, 8)}))
+# precisions on cosets with finer denominators than prec and every component
+@example(VectorValuedForm(LATTICES[0], F(-1, 2), {(F(0),): {F(0): 1}}, F(1)))
 def test_vvform_emit_matches_oracle(form):
     assert canonical_dumps(emit_vvform(form)) == canonical_dumps(oracle_emit_vvform(form))
 
 
 @settings(max_examples=100, deadline=None)
-@given(vvforms(canonical=True), st.data())
+@given(vvforms(), st.data())
 def test_vvform_round_trips_shuffled(form, data):
     doc = emit_vvform(form)
     doc = shuffled(data, doc, "components")
@@ -386,7 +431,7 @@ def test_expansion_emit_matches_oracle_and_round_trips(exp, data):
 def test_empty_objects_emit_as_oracles():
     for lattice in LATTICES:
         series = JacobiSeries(lattice, 0, 1, {}, q_den=1, form_class=RAW)
-        form = VectorValuedForm(lattice, -1, {}, {})
+        form = VectorValuedForm(lattice, -1, {}, F(1))
         pp = PrincipalPart(lattice, 0, {})
         zero = (F(0),) * lattice.rank
         exp = OrthogonalExpansion(lattice, WeylData(F(0), zero, F(0), zero), F(0), {}, F(1))

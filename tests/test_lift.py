@@ -86,7 +86,7 @@ def test_principal_part_of_holomorphic_form_is_empty():
     reps = lat.discriminant_group().representatives
     comps = {g: {} for g in reps}
     comps[(F(0),)] = {F(0): 5, F(1): 7}
-    vv = VectorValuedForm(lat, F(-1, 2), comps, {g: F(4) for g in reps})
+    vv = VectorValuedForm(lat, F(-1, 2), comps, F(4))
     pp = principal_part(vv)
     assert pp.terms == {}
     assert pp.constant_term == 5

@@ -20,7 +20,9 @@ from borcherdskit.errors import (
     ResourceLimit,
     ShiftInvarianceViolated,
 )
+from borcherdskit.io import emit_vvform
 from borcherdskit.lattice import EvenLattice
+from borcherdskit.lift import principal_part
 from borcherdskit.series import (
     RAW,
     WEAK_JACOBI,
@@ -245,7 +247,8 @@ def test_theta_component_rejects_non_dual():
 def test_decompose_phi04_leading_data():
     vv = theta_decompose(phi04(4))
     assert vv.weight == F(-1, 2)
-    assert len(vv.components) == 8
+    assert vv.lattice.det == 8
+    assert len(emit_vvform(vv)["components"]) == 8
     assert vv.component((0,))[F(0)] == 1
     g1 = vv.component((F(1, 8),))
     assert min(g1) == F(-1, 16)
@@ -312,8 +315,10 @@ def test_recompose_zero_form():
     from borcherdskit.series import VectorValuedForm
     lat = L8
     reps = lat.discriminant_group().representatives
-    zero = VectorValuedForm(lat, F(-1, 2), {g: {} for g in reps},
-                            {g: F(10) for g in reps})
+    zero = VectorValuedForm(lat, F(-1, 2), {g: {} for g in reps}, F(10))
+    assert zero.components == {}
+    assert zero.component((F(9, 8),)) == {}
+    assert zero.precision((F(9, 8),)) == 10 - F(1, 16)
     assert recompose(zero, 5).is_zero()
 
 
@@ -321,6 +326,40 @@ def test_recompose_window_capped_by_components():
     vv = theta_decompose(phi04(4))
     back = recompose(vv, 100)
     assert back.prec == 4
+
+
+@pytest.fixture
+def no_coset_listing(monkeypatch):
+    """Fail the test if a lattice is asked for the minima of all its cosets."""
+    def refuse(lattice):
+        raise AssertionError("the dense coset listing was asked for")
+
+    monkeypatch.setattr(EvenLattice, "coset_minima", refuse)
+
+
+def test_decomposition_lists_no_cosets(no_coset_listing):
+    phi = phi_n(3, 3)
+    form = theta_decompose(phi)
+    assert form.prec == 3
+    back = recompose(form, 3)
+    assert back.prec == 3
+    assert back == phi
+    pp = principal_part(form)
+    assert pp.constant_term == 1
+    # each q^0 label l other than 0 lands at exponent -Q(l) on its coset
+    lat = phi.lattice
+    for l, c in phi.q_row(0).items():
+        if any(l):
+            assert pp.terms[(lat.reduce_mod1(l), -lat.quadratic_value(l))] == c
+
+
+def test_rank_6_decomposition_round_trip(no_coset_listing):
+    # diag(8)^6 has 262 144 cosets, and 729 of them carry a component
+    phi = phi_n(6, 1)
+    form = theta_decompose(phi)
+    assert len(form.components) == 729
+    assert recompose(form, 1) == phi
+    assert len(principal_part(form).terms) == 728
 
 
 # -- shift invariance as a property --------------------------------------------------
