@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ResourceLimit, SchemaViolation
-from .lattice import EvenLattice, Vector
+from .lattice import EvenLattice, Vector, _Fractions
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
 from .series import (
     DEFAULT_BUDGET,
@@ -48,7 +48,6 @@ from .series import (
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
-    _Fractions,
     _scaled,
 )
 

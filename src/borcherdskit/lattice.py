@@ -4,10 +4,12 @@ Everything here runs over Python integers and fractions.Fraction; no floating
 point is used anywhere. Vectors are tuples of Fractions holding coordinates
 with respect to the lattice basis, so the Gram matrix is the single source of
 truth for all inner products. Inner products scale both vectors to integers
-over a common denominator and build one Fraction at the end. Enumeration of
-short vectors uses an exact rational Cholesky decomposition with branch and
-bound. Coset minima are searched once per orthogonal block of the Gram matrix
-and added across blocks.
+over a common denominator and build one Fraction at the end. Short vectors of
+a coset come from the branch and bound of Fincke and Pohst on integers: the
+LDL decomposition of the Gram matrix is scaled once per lattice to integer
+weights, each coset to its common denominator, and every vector found carries
+its norm as an exact integer. Coset minima are searched once per orthogonal
+block of the Gram matrix and added across blocks as integers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product
-from math import ceil, floor, gcd, inf, isqrt, lcm
+from math import floor, gcd, inf, isqrt, lcm
 from operator import mul
 
 from .errors import (
@@ -179,50 +181,60 @@ def _ldl(matrix):
     return d, r
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    # sqrt(p/q) = sqrt(p*q)/q <= (isqrt(p*q) + 1)/q
-    return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
-
-
 class _Full(Exception):
     """Raised inside _enumerate_affine once more than limit vectors are found."""
 
 
-def _enumerate_affine(d, r, offset, bound, limit=inf):
-    """All integer x with sum_i d[i]*(y_i + sum_{j>i} r[i][j] y_j)^2 <= bound,
-    where y = x + offset, or the first limit + 1 of them found when there are
-    more than limit. Branch and bound over exact rationals."""
-    n = len(d)
-    out = []
-    if bound < 0:
-        return out
-    y = [Fraction(0)] * n
-    x = [0] * n
+def _enumerate_affine(levels, offset, den, budget, limit=inf):
+    """All integer vectors y = offset + den * x, x integral, whose norm
+    sum_i w_i * (m_i * y_i + sum_j a_ij * y_j)^2 is at most budget, as pairs
+    (y, norm) in search order, or the first limit + 1 of them found when there
+    are more than limit. levels are as EvenLattice._levels returns them and
+    den is positive.
 
-    def rec(i, remaining):
-        if i < 0:
-            out.append(tuple(x))
-            if len(out) > limit:
-                raise _Full
-            return
-        c = sum((r[i][j] * y[j] for j in range(i + 1, n)), Fraction(0))
-        center = -offset[i] - c
-        s = _sqrt_upper(remaining / d[i])
-        lo = ceil(center - s)
-        hi = floor(center + s)
-        for xi in range(lo, hi + 1):
-            yi = xi + offset[i]
-            term = d[i] * (yi + c) ** 2
-            if term <= remaining:
-                x[i] = xi
-                y[i] = yi
-                rec(i - 1, remaining - term)
+    Branch and bound over integers (Fincke and Pohst): with the coordinates
+    above level i fixed, the level's term is w_i * (m_i * den * x_i + b)^2, so
+    the x_i within what is left of the budget are exactly those with
+    |m_i * den * x_i + b| <= isqrt(left // w_i).
+    """
+    out = []
+    if budget < 0:
+        return out
+    y = list(offset)
+
+    def rec(i, left):
+        w, m, row = levels[i]
+        b = m * offset[i] + sum([a * y[j] for j, a in row])
+        step = m * den
+        s = isqrt(left // w)
+        for x in range(-((s + b) // step), (s - b) // step + 1):
+            t = step * x + b
+            y[i] = offset[i] + den * x
+            rest = left - w * t * t
+            if i:
+                rec(i - 1, rest)
+            else:
+                out.append((tuple(y), budget - rest))
+                if len(out) > limit:
+                    raise _Full
 
     try:
-        rec(n - 1, Fraction(bound))
+        rec(len(levels) - 1, budget)
     except _Full:
         pass
     return out
+
+
+class _Fractions(dict):
+    """Fraction(k, den) for integers k, each built once."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, k):
+        value = self[k] = Fraction(k, self.den)
+        return value
 
 
 class DiscriminantGroup(namedtuple("DiscriminantGroup",
@@ -354,6 +366,43 @@ class EvenLattice:
 
     # -- enumeration ------------------------------------------------------
 
+    @cached_property
+    def _levels(self) -> tuple[int, list]:
+        """The LDL decomposition (d, r) of the Gram matrix scaled to integers.
+
+        Returns (k, levels) with levels[i] = (w, m, row), row listing the
+        pairs (j, a) for j > i with a != 0, such that for every vector y
+        k * y^T gram y = sum_i w_i * (m_i * y_i + sum_j a_ij * y_j)^2.
+        m_i is the least common denominator of row i of r, a_ij = m_i * r[i][j],
+        and k is the least positive integer making every w_i = k * d[i] / m_i^2
+        an integer.
+        """
+        d, r = self._gram_ldl
+        n = self.rank
+        rows, weights = [], []
+        for i in range(n):
+            m = lcm(*(r[i][j].denominator for j in range(i + 1, n)))
+            rows.append((m, [(j, r[i][j].numerator * (m // r[i][j].denominator))
+                             for j in range(i + 1, n) if r[i][j]]))
+            weights.append(d[i] / (m * m))
+        k = lcm(*(w.denominator for w in weights))
+        return k, [(w.numerator * (k // w.denominator), m, row)
+                   for w, (m, row) in zip(weights, rows)]
+
+    def _points(self, gamma: Vector, bound, limit=inf) -> tuple[int, int, list]:
+        """(den, scale, points) for the vectors v in gamma + Z^rank with
+        Q(v) <= bound: den is the least common denominator of gamma, and
+        points lists the integer pairs (den * v, scale * Q(v)) in search
+        order. When there are more than limit vectors, the search stops after
+        limit + 1."""
+        bound = Fraction(bound)
+        den, offset = _as_integers(gamma)
+        k, levels = self._levels
+        # k * y^T gram y = 2 k den^2 Q(v) for y = den * v
+        scale = 2 * k * den * den
+        budget = scale * bound.numerator // bound.denominator
+        return den, scale, _enumerate_affine(levels, offset, den, budget, limit)
+
     def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted
         lexicographically by coordinates. When there are more than limit of
@@ -361,10 +410,23 @@ class EvenLattice:
         bound = Fraction(bound)
         if bound < 0:
             return []
+        den, _, points = self._points(self._vec(gamma), bound, limit)
+        coords = _Fractions(den).__getitem__
+        return [tuple(map(coords, y)) for y, _ in sorted(points)]
+
+    def coset_minimum(self, gamma) -> Fraction:
+        """Minimal Q on the coset gamma + Z^rank of a dual vector gamma, by one
+        search up to Q of gamma centred into [-1/2, 1/2)^rank. That vector
+        lies in the coset, so the search cannot come back empty."""
         gamma = self._vec(gamma)
-        d, r = self._gram_ldl
-        xs = _enumerate_affine(d, r, gamma, 2 * bound, limit)
-        return sorted(tuple(g + xi for g, xi in zip(gamma, x)) for x in xs)
+        if not self.is_dual_vector(gamma):
+            raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
+        half = Fraction(1, 2)
+        centred = tuple(c - floor(c + half) for c in gamma)
+        found = self.enumerate_coset(centred, self.quadratic_value(centred))
+        if not found:
+            raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
+        return min(map(self.quadratic_value, found))
 
     def coset_minima(self) -> dict[Vector, Fraction]:
         """Minimal Q value on every coset of the dual quotient, keyed by the
@@ -372,29 +434,35 @@ class EvenLattice:
 
         L'/L is the product of the groups of the orthogonal blocks of the
         Gram matrix, and Q adds across blocks, so each distinct block Gram is
-        searched once and a coset's minimum is the sum of its blocks' minima.
+        searched once and a coset's minimum is the sum of its blocks' minima,
+        added as integers over one common denominator.
         """
         if self._minima is None:
             blocks = _blocks(self.gram)
-            searched: dict[tuple, list] = {}
-            parts = []
+            searched: dict[tuple, dict] = {}
+            grams = []
             for block in blocks:
                 gram = tuple(tuple(self.gram[i][j] for j in block) for i in block)
                 if gram not in searched:
                     lat = self if len(block) == self.rank else EvenLattice(gram)
-                    searched[gram] = list(lat._search_minima().items())
-                parts.append(searched[gram])
+                    searched[gram] = lat._search_minima()
+                grams.append(gram)
+            den = lcm(*(q.denominator for part in searched.values() for q in part.values()))
+            scaled = {gram: [(gamma, q.numerator * (den // q.denominator))
+                             for gamma, q in part.items()]
+                      for gram, part in searched.items()}
+            sums = _Fractions(den)
             # positions[k] is the coordinate that the k-th entry of a key
             # concatenated block by block belongs at
             positions = [i for block in blocks for i in block]
             interleaved = positions != list(range(self.rank))
             where = sorted(range(self.rank), key=positions.__getitem__)
             minima: dict[Vector, Fraction] = {}
-            for combo in product(*parts):
+            for combo in product(*map(scaled.__getitem__, grams)):
                 key = tuple(chain.from_iterable(gamma for gamma, _ in combo))
                 if interleaved:
                     key = tuple(key[k] for k in where)
-                minima[key] = sum(q for _, q in combo)
+                minima[key] = sums[sum([q for _, q in combo])]
             if interleaved:
                 minima = dict(sorted(minima.items()))
             if len(minima) != self.det:
@@ -404,18 +472,9 @@ class EvenLattice:
         return self._minima
 
     def _search_minima(self) -> dict[Vector, Fraction]:
-        """Coset minima by one search per coset, up to Q of its representative
-        centred into [-1/2, 1/2). That vector lies in the coset, so the search
-        cannot come back empty."""
-        minima: dict[Vector, Fraction] = {}
-        half = Fraction(1, 2)
-        for gamma in self.discriminant_group().representatives:
-            centred = tuple(c - 1 if c >= half else c for c in gamma)
-            found = self.enumerate_coset(centred, self.quadratic_value(centred))
-            if not found:
-                raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
-            minima[gamma] = min(self.quadratic_value(v) for v in found)
-        return minima
+        """Coset minima by one search per coset."""
+        return {gamma: self.coset_minimum(gamma)
+                for gamma in self.discriminant_group().representatives}
 
     # -- discriminant group ------------------------------------------------
 

@@ -39,13 +39,12 @@ from .errors import (
     SelfCheckFailed,
     UnboundedExpansion,
 )
-from .lattice import EvenLattice, Vector, to_vector
+from .lattice import EvenLattice, Vector, _Fractions, to_vector
 from .series import (
     DEFAULT_BUDGET,
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
-    _Fractions,
     _grade_limit,
     _mul_into,
 )

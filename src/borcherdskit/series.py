@@ -42,7 +42,7 @@ from .errors import (
     SelfCheckFailed,
     ShiftInvarianceViolated,
 )
-from .lattice import EvenLattice, Vector, direct_sum, to_vector
+from .lattice import EvenLattice, Vector, _Fractions, direct_sum, to_vector
 
 RAW = "raw"
 WEAK_JACOBI = "weak_jacobi"
@@ -98,18 +98,6 @@ def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     low_a = min(a[0][0][0], 0) if a else 0
     low_b = min(b[0][0][0], 0) if b else 0
     return min(prec_a + Fraction(low_b, q_den), prec_b + Fraction(low_a, q_den))
-
-
-class _Fractions(dict):
-    """Fraction(k, den) for integers k, each built once."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, k):
-        value = self[k] = Fraction(k, self.den)
-        return value
 
 
 class JacobiSeries:
@@ -438,9 +426,14 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
     gamma = to_vector(gamma)
     if not lattice.is_dual_vector(gamma):
         raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
-    # the constructor drops the translates with Q(l) = prec
-    coeffs = {(lattice.quadratic_value(l), l): 1 for l in lattice.enumerate_coset(gamma, prec)}
-    return JacobiSeries(lattice, Fraction(lattice.rank, 2), prec, coeffs, form_class=RAW)
+    prec = Fraction(prec)
+    den, scale, points = lattice._points(gamma, prec)
+    limit = _grade_limit(prec, scale)
+    points = [(l, q) for l, q in points if q < limit]
+    # the least q denominator, as the public constructor infers it
+    g = gcd(scale, *(q for _, q in points))
+    return JacobiSeries._of(lattice, Fraction(lattice.rank, 2), prec,
+                            {(q // g, l): 1 for l, q in points}, scale // g, den, RAW)
 
 
 class VectorValuedForm:
@@ -464,7 +457,7 @@ class VectorValuedForm:
         return self.components.get(self.lattice.reduce_mod1(gamma), {})
 
     def precision(self, gamma) -> Fraction:
-        return self.prec - self.lattice.coset_minima()[self.lattice.reduce_mod1(gamma)]
+        return self.prec - self.lattice.coset_minimum(gamma)
 
     def __repr__(self):
         return (f"VectorValuedForm(weight={self.weight}, prec={self.prec}, "
@@ -522,15 +515,16 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         bound = q0 + ceil(phi.prec - e_min - q0) - 1
         # the search stops once it proves class (gamma, e_min) short of
         # witnesses, so a prec far beyond the stored terms cannot run it long
-        found = lat.enumerate_coset(gamma, bound, limit=count_min)
+        _, scale, found = lat._points(gamma, bound, limit=count_min)
         if len(found) > count_min:
             raise ShiftInvarianceViolated(
                 f"class gamma={gamma}, exponent {e_min} has {count_min} stored "
                 f"witnesses but more than {count_min} lattice translates in the window")
-        norms = sorted(lat.quadratic_value(l) for l in found)
+        norms = sorted(q for _, q in found)
         for e, value, count in entries:
-            # translates l with e + Q(l) < prec
-            expected = bisect_left(norms, phi.prec - e)
+            # translates l with e + Q(l) < prec, that is scale * Q(l) below
+            # the ceiling of scale * (prec - e)
+            expected = bisect_left(norms, ceil(scale * (phi.prec - e)))
             if expected != count:
                 raise ShiftInvarianceViolated(
                     f"class gamma={gamma}, exponent {e} has {count} stored "
@@ -547,21 +541,21 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     """
     lat = form.lattice
     out_prec = min(Fraction(prec), form.prec)
-    # (f_gamma, Theta_gamma) pairs, Theta_gamma as a list of (Q(l), l)
-    blocks = []
-    for gamma, fg in form.components.items():
-        coset = lat.enumerate_coset(gamma, out_prec - min(fg))
-        blocks.append((fg, [(lat.quadratic_value(l), l) for l in coset]))
-    q_den = lcm(*{e.denominator for fg, _ in blocks for e in fg},
-                *{q.denominator for _, theta in blocks for q, _ in theta})
-    den = lcm(*{x.denominator for _, theta in blocks for _, l in theta for x in l})
+    # (f_gamma, den, scale, points): Theta_gamma as integer pairs
+    # (den * l, scale * Q(l))
+    blocks = [(fg, *lat._points(gamma, out_prec - min(fg)))
+              for gamma, fg in form.components.items()]
+    q_den = lcm(*{e.denominator for fg, *_ in blocks for e in fg},
+                *{scale for _, _, scale, _ in blocks})
+    den = lcm(*{d for _, d, _, points in blocks if points})
+    limit = _grade_limit(out_prec, q_den)
     zero = (0,) * lat.rank
     out = {}
-    for fg, theta in blocks:
+    for fg, d, scale, points in blocks:
         a = [((_scaled(e, q_den), zero), c) for e, c in fg.items()]
-        b = [((_scaled(q, q_den), tuple([_scaled(x, den) for x in l])), 1) for q, l in theta]
-        b.sort()
-        _mul_into(out, a, b, _grade_limit(out_prec, q_den))
+        qs, ls = q_den // scale, den // d
+        b = sorted(((q * qs, tuple([ls * x for x in l])), 1) for l, q in points)
+        _mul_into(out, a, b, limit)
     # the least q denominator of the result, as the public constructor infers it
     g = gcd(q_den, *(t for t, _ in out))
     weight = form.weight + Fraction(lat.rank, 2)

@@ -1,15 +1,16 @@
 """Unit and property tests for the lattice module.
 
 Derived expectations are frozen from independent oracles: brute-force box
-scans for enumeration and coset minima, sympy's Smith normal form for the
-discriminant group, sympy's exact inverse and adjugate for the scan boxes, and
-term-by-term Fraction loops for the integer inner products.
+scans for enumeration and coset minima, a Fraction branch and bound for the
+integer enumerator, sympy's Smith normal form for the discriminant group,
+sympy's exact inverse and adjugate for the scan boxes, and term-by-term
+Fraction loops for the integer inner products.
 """
 
 import itertools
 import random
 from fractions import Fraction as F
-from math import floor, gcd, isqrt
+from math import ceil, floor, gcd, inf, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -52,6 +53,41 @@ def integer_determinant(matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def fraction_enumerate_affine(d, r, offset, bound, limit=inf):
+    """Oracle: all integer x with sum_i d[i]*(y_i + sum_{j>i} r[i][j] y_j)^2
+    <= bound, where y = x + offset, or the first limit + 1 of them found when
+    there are more than limit; a branch and bound over Fractions that tests
+    every candidate of a rational square-root box."""
+    n = len(d)
+    out = []
+    if bound < 0:
+        return out
+    y = [F(0)] * n
+    x = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            out.append(tuple(x))
+            return len(out) > limit
+        c = sum((r[i][j] * y[j] for j in range(i + 1, n)), F(0))
+        center = -offset[i] - c
+        ratio = remaining / d[i]
+        # sqrt(p/q) = sqrt(p*q)/q <= (isqrt(p*q) + 1)/q
+        s = F(isqrt(ratio.numerator * ratio.denominator) + 1, ratio.denominator)
+        for xi in range(ceil(center - s), floor(center + s) + 1):
+            yi = xi + offset[i]
+            term = d[i] * (yi + c) ** 2
+            if term <= remaining:
+                x[i] = xi
+                y[i] = yi
+                if rec(i - 1, remaining - term):
+                    return True
+        return False
+
+    rec(n - 1, F(bound))
+    return out
 
 
 def sympy_inverse(gram):
@@ -399,6 +435,34 @@ def test_enumerate_matches_brute_force(gram, data):
     assert k.enumerate_coset(gamma, bound) == sorted(expected)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(small_even_grams(), block_diagonal_grams()), st.data())
+def test_integer_enumeration_matches_fraction_oracle(gram, data):
+    k = EvenLattice(gram)
+    offset = tuple(F(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 24)))
+                   for _ in range(k.rank))
+    # the norm of a short vector of the coset, or just off it
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=k.rank, max_size=k.rank))
+    bound = k.quadratic_value(tuple(c - round(c) + x for c, x in zip(offset, shift)))
+    bound += data.draw(st.sampled_from((0, 0, F(-1, 10**9), F(1, 10**9))))
+    limit = data.draw(st.sampled_from((0, 1, 2, 5, inf)))
+    d, r = k._gram_ldl
+
+    def oracle(limit):
+        return sorted(tuple(c + xi for c, xi in zip(offset, x))
+                      for x in fraction_enumerate_affine(d, r, offset, 2 * bound, limit))
+
+    found = k.enumerate_coset(offset, bound, limit)
+    assert found == oracle(limit)
+    assert len(found) <= limit + 1
+    assert (len(found) > limit) == (len(oracle(inf)) > limit)
+    # every point carries den * v and the exact integer scale * Q(v)
+    den, scale, points = k._points(offset, bound, limit)
+    assert sorted(tuple(F(y, den) for y in v) for v, _ in points) == found
+    for v, q in points:
+        assert F(q, scale) == k.quadratic_value(tuple(F(y, den) for y in v))
+
+
 def test_enumeration_monotone_and_symmetric():
     k = EvenLattice(GRAM_A)
     gamma = (F(5, 24), F(7, 12))
@@ -459,11 +523,22 @@ def test_coset_minima_matches_box_scan(gram):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(block_diagonal_grams())
-def test_coset_minima_block_diagonal_matches_box_scan(gram):
-    minima = EvenLattice(gram).coset_minima()
+@given(block_diagonal_grams(), st.data())
+def test_coset_minima_block_diagonal_matches_box_scan(gram, data):
+    k = EvenLattice(gram)
+    minima = k.coset_minima()
     assert minima == box_scan_coset_minima(gram)
     assert list(minima) == sorted(minima)
+    # the per-coset search of the whole Gram matrix, on cosets given by
+    # representatives outside [0, 1)
+    for gamma in data.draw(st.lists(st.sampled_from(sorted(minima)), max_size=6)):
+        shifted = tuple(c + data.draw(st.integers(-2, 2)) for c in gamma)
+        assert k.coset_minimum(shifted) == minima[gamma]
+
+
+def test_coset_minimum_rejects_non_dual():
+    with pytest.raises(NotInDualLattice):
+        EvenLattice(GRAM_A).coset_minimum((F(1, 5), 0))
 
 
 # -- direct sum ------------------------------------------------------------

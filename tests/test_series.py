@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borcherdskit.errors import (
     FormClassError,
@@ -27,6 +28,7 @@ from borcherdskit.series import (
     RAW,
     WEAK_JACOBI,
     JacobiSeries,
+    VectorValuedForm,
     direct_product,
     phi04,
     phi_n,
@@ -312,7 +314,6 @@ def test_recompose_keeps_q_den_and_form_class():
 
 
 def test_recompose_zero_form():
-    from borcherdskit.series import VectorValuedForm
     lat = L8
     reps = lat.discriminant_group().representatives
     zero = VectorValuedForm(lat, F(-1, 2), {g: {} for g in reps}, F(10))
@@ -360,6 +361,73 @@ def test_rank_6_decomposition_round_trip(no_coset_listing):
     assert len(form.components) == 729
     assert recompose(form, 1) == phi
     assert len(principal_part(form).terms) == 728
+
+
+def test_precision_searches_one_coset(no_coset_listing):
+    # diag(8)^7 has 2 097 152 cosets; the minimum of Q on the coset of gamma
+    # is 4 * sum_i dist(gamma_i, Z)^2
+    lat = EvenLattice([[8 * (i == j) for j in range(7)] for i in range(7)])
+    half = (F(1, 2),) * 7
+    form = VectorValuedForm(lat, F(-7, 2), {half: {F(-7): 1}}, 1)
+    assert form.precision(half) == 1 - 7
+    assert form.precision((F(9, 8), F(-3, 8)) + (0,) * 5) == 1 - 4 * (F(1, 64) + F(9, 64))
+    with pytest.raises(NotInDualLattice):
+        form.precision((F(1, 16),) + (0,) * 6)
+
+
+@st.composite
+def gram_forms(draw):
+    """(form, P): a vector-valued form of weight -rank/2 on a random lattice
+    with Gram matrix 2 B^T B of rank at most 3, with random coefficients at
+    exponents in -Q(gamma) + Z near -min Q(gamma) on random cosets, and a
+    recomposition precision P."""
+    rank = draw(st.sampled_from((3, 2, 1)))
+    # B = U * V with U upper and V unit lower triangular, nonsingular because
+    # U has a nonzero diagonal
+    entry = st.integers(-2, 2)
+    u = [[draw(st.sampled_from((1, -1, 2, -2))) if i == j else draw(entry) if i < j else 0
+          for j in range(rank)] for i in range(rank)]
+    v = [[1 if i == j else draw(entry) if i > j else 0 for j in range(rank)]
+         for i in range(rank)]
+    b = [[sum(u[i][k] * v[k][j] for k in range(rank)) for j in range(rank)]
+         for i in range(rank)]
+    lat = EvenLattice([[2 * sum(row[i] * row[j] for row in b) for j in range(rank)]
+                       for i in range(rank)])
+    disc = lat.discriminant_group()
+    components = {}
+    for _ in range(draw(st.integers(1, 4))):
+        gamma = [F(0)] * rank
+        for d, g in zip(disc.elementary_divisors, disc.generators):
+            k = draw(st.integers(0, d - 1))
+            gamma = [c + k * x for c, x in zip(gamma, g)]
+        gamma = lat.reduce_mod1(tuple(gamma))
+        q = lat.coset_minimum(gamma)
+        components[gamma] = {-q + draw(st.integers(-1, 3)): draw(st.integers(-3, 3))
+                             for _ in range(draw(st.integers(1, 3)))}
+    prec = draw(st.integers(1, 4))
+    return VectorValuedForm(lat, F(-rank, 2), components, prec), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gram_forms())
+def test_decompose_recompose_round_trip_random_gram(form_and_prec):
+    form, prec = form_and_prec
+    lat = form.lattice
+    top = min(prec, form.prec)
+    expected = VectorValuedForm(
+        lat, form.weight,
+        {g: {e: c for e, c in fg.items() if e < top - lat.coset_minimum(g)}
+         for g, fg in form.components.items()},
+        top)
+    assert theta_decompose(recompose(form, prec)) == expected
+    # each coset theta series, against the public constructor on the vectors
+    # of the coset
+    for gamma in form.components:
+        coeffs = {(lat.quadratic_value(l), l): 1
+                  for l in lat.enumerate_coset(gamma, prec)}
+        theta = theta_component(lat, gamma, prec)
+        oracle = JacobiSeries(lat, F(lat.rank, 2), prec, coeffs, form_class=RAW)
+        assert theta.coeffs == oracle.coeffs and theta.q_den == oracle.q_den
 
 
 # -- shift invariance as a property --------------------------------------------------
