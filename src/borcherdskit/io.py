@@ -13,6 +13,15 @@ Parsing turns each distinct rational string of a document into a Fraction
 once and hashes each key once. Neither changes the format: the bytes emitted
 and the messages raised are those of the Fraction-sorting code they replace.
 
+A vvform file lists every coset, so both of its routes run on the integer
+coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
+never build its Fraction view. The emitter walks the table in order. The
+parser scales each gamma by det, a common denominator of every dual vector
+(a coordinate whose denominator does not divide det is not dual), tests
+gram * (det * gamma) = 0 mod det, reduces mod det and detects duplicates on
+integer tuples, checks the precisions once per distinct (prec, minimum)
+pair, and builds Fraction keys only for the nonzero components it returns.
+
 Formats:
   lattice     {"gram": [[int, ...], ...]}
   series      {"gram": ..., "weight": "k/2", "q_den": D, "prec": "p/q",
@@ -38,6 +47,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Fractions
@@ -237,22 +247,52 @@ def emit_series(series: JacobiSeries) -> dict:
 # -- vector-valued forms --------------------------------------------------------------
 
 
+class _Scaled(dict):
+    """Vectors of one document on integers over den: each distinct rational
+    string maps to its value times den, or to None when den is no multiple of
+    its denominator. A vector with an entry that is not a string seen before
+    goes through _parse_lattice_vector, so the messages are those of the
+    Fraction parse."""
+
+    def __init__(self, den: int, fracs: _Rationals):
+        super().__init__()
+        self.den, self.fracs = den, fracs
+
+    def vector(self, value, path, lattice: EvenLattice) -> tuple:
+        if type(value) is list and len(value) == lattice.rank:
+            try:
+                return tuple([self[x] for x in value])
+            except (KeyError, TypeError):
+                pass  # a string not seen yet, or not a string
+        vec = _parse_lattice_vector(value, path, lattice, self.fracs)
+        den = self.den
+        out = tuple([None if den % x.denominator else x.numerator * (den // x.denominator)
+                     for x in vec])
+        for raw, k in zip(value, out):
+            if type(raw) is str:
+                self[raw] = k
+        return out
+
+
 def parse_vvform(doc, path="$") -> VectorValuedForm:
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     fracs = _Rationals()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
+    det, gram = lattice.det, lattice.gram
+    scaled = _Scaled(det, fracs)
     components = {}
-    precisions = []
+    precisions = {}  # raw prec -> its Fraction
+    keyed = []  # (raw prec, det * gamma reduced)
     for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
         cpath = f"{path}.components[{i}]"
         _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
-        if not lattice.is_dual_vector(gamma):
+        key = scaled.vector(comp["gamma"], f"{cpath}.gamma", lattice)
+        if None in key or any(sum(map(mul, row, key)) % det for row in gram):
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
-        gamma = lattice.reduce_mod1(gamma)
+        key = tuple([x % det for x in key])
         size = len(components)
-        components[gamma] = fg = {}
+        components[key] = fg = {}
         if len(components) == size:
             raise SchemaViolation(f"{cpath}.gamma: duplicate component")
         for j, term in enumerate(_expect_list(comp["terms"], f"{cpath}.terms")):
@@ -261,37 +301,46 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
             e = fracs.frac(term["e"], f"{tpath}.e")
             if not _add_term(fg, e, term["c"], f"{tpath}.c"):
                 raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
-        precisions.append((gamma, fracs.frac(comp["prec"], f"{cpath}.prec")))
+        raw = comp["prec"]
+        precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
+        keyed.append((raw, key))
     # det distinct cosets are all of them, and listing the minima costs no more than the doc
-    if len(components) != lattice.det:
-        raise SchemaViolation(f"{path}.components: has {len(components)} of {lattice.det} cosets")
+    if len(components) != det:
+        raise SchemaViolation(f"{path}.components: has {len(components)} of {det} cosets")
     minima = lattice.coset_minima()
-    tops = [p + minima[gamma] for gamma, p in precisions]
-    if any(top != tops[0] for top in tops):
+    table = minima.table
+    tops = {precisions[raw] + Fraction(q, minima.qden)
+            for raw, q in {(raw, table[key]) for raw, key in keyed}}
+    if len(tops) != 1:
         raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
-    return VectorValuedForm(lattice, weight, components, tops[0])
+    (prec,) = tops
+    coord = _Fractions(det).__getitem__
+    nonzero = {tuple(map(coord, key)): fg for key, fg in components.items() if any(fg.values())}
+    return VectorValuedForm(lattice, weight, nonzero, prec)
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
     if form.lattice.det > DEFAULT_BUDGET:
         raise ResourceLimit(
             f"determinant {form.lattice.det} exceeds the {DEFAULT_BUDGET}-coset budget")
-    minima = form.lattice.coset_minima()  # in canonical order
-    if not minima.keys() >= form.components.keys():
-        raise ValueError("a component key is not a reduced coset representative")
-    gden = _den(x for gamma in minima for x in gamma)
-    eden = lcm(form.prec.denominator, _den(minima.values()),
+    minima = form.lattice.coset_minima()  # keys in canonical order
+    gden, table = minima.gden, minima.table
+    scaled = {}
+    for gamma, fg in form.components.items():
+        key = None if any(gden % x.denominator for x in gamma) else _scaled_vector(gamma, gden)
+        if key not in table:
+            raise ValueError("a component key is not a reduced coset representative")
+        scaled[key] = fg
+    eden = lcm(form.prec.denominator, minima.qden,
                _den(e for fg in form.components.values() for e in fg))
     coords, exps = _Strings(gden), _Strings(eden)
-    scaled = {_scaled_vector(gamma, gden): fg for gamma, fg in form.components.items()}
-    top = _scaled(form.prec, eden)
+    top, qs = _scaled(form.prec, eden), eden // minima.qden
     components = []
-    for gamma, q in minima.items():
-        key = _scaled_vector(gamma, gden)
+    for key, q in table.items():
         terms = sorted((_scaled(e, eden), c) for e, c in scaled.get(key, {}).items())
         components.append({
             "gamma": [coords[x] for x in key],
-            "prec": exps[top - _scaled(q, eden)],
+            "prec": exps[top - q * qs],
             "terms": [{"e": exps[e], "c": str(c)} for e, c in terms],
         })
     return {

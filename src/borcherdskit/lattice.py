@@ -9,17 +9,22 @@ a coset come from the branch and bound of Fincke and Pohst on integers: the
 LDL decomposition of the Gram matrix is scaled once per lattice to integer
 weights, each coset to its common denominator, and every vector found carries
 its norm as an exact integer. Coset minima are searched once per orthogonal
-block of the Gram matrix and added across blocks as integers.
+block of the Gram matrix and added across blocks as integers into one table
+on integer keys, (gden, qden, {gden * gamma: qden * min Q}); gden is the
+determinant, a common denominator of every dual vector. coset_minima()
+returns that table as a read-only map whose Fraction-keyed view is built
+only on first access, so the vvform file boundary reads the integers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, product
 from math import floor, gcd, inf, isqrt, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .errors import (
     DimensionMismatch,
@@ -237,6 +242,40 @@ class _Fractions(dict):
         return value
 
 
+class CosetMinima(Mapping):
+    """Minimal Q on every coset of L'/L: a read-only map from reduced
+    representatives to Fractions, in sorted order.
+
+    The data lives on integers: table maps gden * gamma to qden * min Q, keys
+    sorted, gden being the determinant and qden a common denominator of the
+    minima. The Fraction-keyed view is built on first access to the map, so
+    code that reads table never builds it.
+    """
+
+    __slots__ = ("gden", "qden", "table", "_fractions")
+
+    def __init__(self, gden: int, qden: int, table: dict[tuple[int, ...], int]):
+        self.gden, self.qden = gden, qden
+        self.table = MappingProxyType(table)
+        self._fractions = None
+
+    def _view(self) -> dict[Vector, Fraction]:
+        if self._fractions is None:
+            coords, values = _Fractions(self.gden).__getitem__, _Fractions(self.qden)
+            self._fractions = {tuple(map(coords, key)): values[q]
+                               for key, q in self.table.items()}
+        return self._fractions
+
+    def __getitem__(self, gamma) -> Fraction:
+        return self._view()[gamma]
+
+    def __iter__(self):
+        return iter(self._view())
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
 class DiscriminantGroup(namedtuple("DiscriminantGroup",
                                     "elementary_divisors order generators rank")):
     """The finite quotient L'/L with its invariant factors; order equals the
@@ -428,9 +467,12 @@ class EvenLattice:
             raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
         return min(map(self.quadratic_value, found))
 
-    def coset_minima(self) -> dict[Vector, Fraction]:
+    def coset_minima(self) -> CosetMinima:
         """Minimal Q value on every coset of the dual quotient, keyed by the
-        reduced representative in sorted order.
+        reduced representative in sorted order, as a read-only map; its
+        table attribute holds the same data on integers,
+        {gden * gamma: qden * min Q} with gden = det. Computed on the first
+        call and kept.
 
         L'/L is the product of the groups of the orthogonal blocks of the
         Gram matrix, and Q adds across blocks, so each distinct block Gram is
@@ -447,28 +489,29 @@ class EvenLattice:
                     lat = self if len(block) == self.rank else EvenLattice(gram)
                     searched[gram] = lat._search_minima()
                 grams.append(gram)
-            den = lcm(*(q.denominator for part in searched.values() for q in part.values()))
-            scaled = {gram: [(gamma, q.numerator * (den // q.denominator))
+            gden = self.det
+            qden = lcm(*(q.denominator for part in searched.values() for q in part.values()))
+            scaled = {gram: [(tuple([c.numerator * (gden // c.denominator) for c in gamma]),
+                              q.numerator * (qden // q.denominator))
                              for gamma, q in part.items()]
                       for gram, part in searched.items()}
-            sums = _Fractions(den)
             # positions[k] is the coordinate that the k-th entry of a key
             # concatenated block by block belongs at
             positions = [i for block in blocks for i in block]
             interleaved = positions != list(range(self.rank))
             where = sorted(range(self.rank), key=positions.__getitem__)
-            minima: dict[Vector, Fraction] = {}
-            for combo in product(*map(scaled.__getitem__, grams)):
-                key = tuple(chain.from_iterable(gamma for gamma, _ in combo))
-                if interleaved:
-                    key = tuple(key[k] for k in where)
-                minima[key] = sums[sum([q for _, q in combo])]
+            # block by block, each key extended in sorted order
+            table: dict[tuple[int, ...], int] = {(): 0}
+            for gram in grams:
+                table = {key + gamma: q + p for key, q in table.items()
+                         for gamma, p in scaled[gram]}
             if interleaved:
-                minima = dict(sorted(minima.items()))
-            if len(minima) != self.det:
+                table = dict(sorted((tuple([key[k] for k in where]), q)
+                                    for key, q in table.items()))
+            if len(table) != self.det:
                 raise SelfCheckFailed("coset count",
-                                      f"{len(minima)} coset minima, expected {self.det}")
-            self._minima = minima
+                                      f"{len(table)} coset minima, expected {self.det}")
+            self._minima = CosetMinima(gden, qden, table)
         return self._minima
 
     def _search_minima(self) -> dict[Vector, Fraction]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 
 from .errors import (
@@ -487,24 +487,29 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         raise FormClassError(f"theta decomposition expects weight 0, got {phi.weight}")
     if phi.q_den != 1:
         raise FormClassError("theta decomposition expects integer q-exponents")
-    lat = phi.lattice
-    groups: dict[tuple[Vector, Fraction], tuple[int, int]] = {}
-    labels = _Fractions(phi.den).__getitem__
+    lat, den = phi.lattice, phi.den
+    # classes on integers: the label l = vec / den reduces to vec % den, and
+    # the exponent n - Q(l) is (2 den^2 n - vec^T gram vec) / eden
+    eden = 2 * den * den
+    labels = _Fractions(den).__getitem__
+    groups: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     # q_den is 1, so the grade n is the q-exponent
     for (n, vec), c in phi.terms.items():
-        l = tuple(map(labels, vec))
-        if not lat.is_dual_vector(l):
-            raise NotInDualLattice(f"label {l} is not in the dual lattice")
-        key = (lat.reduce_mod1(l), n - lat.quadratic_value(l))
+        pairings = [sum(map(mul, row, vec)) for row in lat.gram]
+        if any(x % den for x in pairings):
+            raise NotInDualLattice(f"label {tuple(map(labels, vec))} is not in the dual lattice")
+        key = (tuple([x % den for x in vec]), eden * n - sum(map(mul, vec, pairings)))
         value, count = groups.get(key, (c, 0))
         if value != c:
             raise ShiftInvarianceViolated(
-                f"coefficients at class gamma={key[0]}, exponent {key[1]} "
-                f"disagree: {value} vs {c}")
+                f"coefficients at class gamma={tuple(map(labels, key[0]))}, "
+                f"exponent {Fraction(key[1], eden)} disagree: {value} vs {c}")
         groups[key] = (c, count + 1)
-    by_gamma: dict[Vector, list[tuple[Fraction, int, int]]] = {}
-    for (gamma, e), (value, count) in groups.items():
-        by_gamma.setdefault(gamma, []).append((e, value, count))
+    exps = _Fractions(eden)
+    classes: dict[tuple[int, ...], list[tuple[Fraction, int, int]]] = {}
+    for (cls, e), (value, count) in groups.items():
+        classes.setdefault(cls, []).append((exps[e], value, count))
+    by_gamma = {tuple(map(labels, cls)): entries for cls, entries in classes.items()}
     if lat.det > DEFAULT_BUDGET:
         raise ResourceLimit(f"determinant {lat.det} exceeds the {DEFAULT_BUDGET}-coset budget")
     for gamma, entries in by_gamma.items():

@@ -5,6 +5,9 @@ document. The oracles below are the emitters they replaced, which sorted
 Fraction keys; random series, vector-valued forms, principal parts and
 expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
 and mixed label denominators, must emit byte for byte as the oracles do.
+parse_vvform reads cosets on integers; the Fraction parser it replaced is
+kept as an oracle, and mutated documents must give the same form or the same
+message under both.
 """
 
 import json
@@ -18,6 +21,11 @@ from hypothesis import strategies as st
 
 from borcherdskit.errors import ResourceLimit, SchemaViolation
 from borcherdskit.io import (
+    _add_term,
+    _expect_list,
+    _expect_object,
+    _parse_lattice_vector,
+    _Rationals,
     canonical_dumps,
     emit_expansion,
     emit_lattice,
@@ -35,13 +43,14 @@ from borcherdskit.io import (
     parse_series,
     parse_vvform,
 )
-from borcherdskit.lattice import EvenLattice
+from borcherdskit.lattice import CosetMinima, EvenLattice
 from borcherdskit.lift import OrthogonalExpansion, PrincipalPart, WeylData, lift_expansion
 from borcherdskit.series import (
     RAW,
     JacobiSeries,
     VectorValuedForm,
     phi04,
+    phi_n,
     theta_decompose,
     theta_sum,
 )
@@ -312,6 +321,42 @@ def oracle_emit_expansion(exp):
     }
 
 
+def oracle_parse_vvform(doc, path="$"):
+    """The Fraction parser: dual test, reduction and duplicates on Fraction
+    vectors, and one Fraction sum per coset for the precision check."""
+    _expect_object(doc, path, required=("gram", "weight", "components"))
+    lattice = parse_lattice({"gram": doc["gram"]}, path)
+    fracs = _Rationals()
+    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    components = {}
+    precisions = []
+    for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
+        cpath = f"{path}.components[{i}]"
+        _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
+        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
+        if not lattice.is_dual_vector(gamma):
+            raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
+        gamma = lattice.reduce_mod1(gamma)
+        size = len(components)
+        components[gamma] = fg = {}
+        if len(components) == size:
+            raise SchemaViolation(f"{cpath}.gamma: duplicate component")
+        for j, term in enumerate(_expect_list(comp["terms"], f"{cpath}.terms")):
+            tpath = f"{cpath}.terms[{j}]"
+            _expect_object(term, tpath, required=("e", "c"))
+            e = fracs.frac(term["e"], f"{tpath}.e")
+            if not _add_term(fg, e, term["c"], f"{tpath}.c"):
+                raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
+        precisions.append((gamma, fracs.frac(comp["prec"], f"{cpath}.prec")))
+    if len(components) != lattice.det:
+        raise SchemaViolation(f"{path}.components: has {len(components)} of {lattice.det} cosets")
+    minima = lattice.coset_minima()
+    tops = [p + minima[gamma] for gamma, p in precisions]
+    if any(top != tops[0] for top in tops):
+        raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
+    return VectorValuedForm(lattice, weight, components, tops[0])
+
+
 # -- random objects ---------------------------------------------------------------------
 
 LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]),
@@ -503,3 +548,98 @@ def test_memoised_rationals_keep_parse_frac_messages(entry, message):
     with pytest.raises(SchemaViolation) as excinfo:
         parse_series(doc)
     assert str(excinfo.value) == message
+
+
+# -- parse_vvform on integer cosets against the Fraction parser -------------------------
+
+
+def _outcome(parse, doc):
+    """The parsed form, or the message of the SchemaViolation raised."""
+    try:
+        return parse(doc)
+    except SchemaViolation as exc:
+        return str(exc)
+
+
+def _spelling(draw, value, shift=False):
+    """value written another way: not in lowest terms, as a JSON integer when
+    integral, and shifted by an integer when shift is set."""
+    x = F(value) + (draw(st.integers(-2, 2)) if shift else 0)
+    m = draw(st.sampled_from((1, 2, 3)))
+    if x.denominator == 1 and m == 1 and draw(st.booleans()):
+        return x.numerator
+    return f"{x.numerator * m}/{x.denominator * m}"
+
+
+@st.composite
+def vvform_documents(draw):
+    """Emitted vvform documents with up to three mutations, then shuffled:
+    respelled or unreduced gammas and precisions, duplicate and missing
+    cosets, precisions off by one, and gammas replaced by random vectors,
+    most of them not dual."""
+    form = draw(vvforms())
+    doc = json.loads(canonical_dumps(emit_vvform(form)))
+    comps = doc["components"]
+    for kind in draw(st.lists(st.sampled_from(
+            ("respell", "duplicate", "drop", "prec", "all_precs", "non_dual")), max_size=3)):
+        comp = comps[draw(st.integers(0, len(comps) - 1))]
+        if kind == "respell":
+            comp["gamma"] = [_spelling(draw, x, shift=True) for x in comp["gamma"]]
+            comp["prec"] = _spelling(draw, comp["prec"])
+        elif kind == "duplicate":
+            twin = dict(comp, gamma=[_spelling(draw, x, shift=True) for x in comp["gamma"]])
+            comps.insert(draw(st.integers(0, len(comps))), twin)
+        elif kind == "drop":
+            comps.remove(comp)
+        elif kind == "prec":
+            comp["prec"] = frac_str(F(comp["prec"]) + draw(st.sampled_from((-1, 1))))
+        elif kind == "all_precs":
+            for c in comps:
+                c["prec"] = frac_str(F(c["prec"]) + 1)
+        else:
+            comp["gamma"] = emit_vector(draw(vectors(form.lattice)))
+    doc["components"] = draw(st.permutations(comps))
+    return doc
+
+
+def _with_gamma(lattice, gamma):
+    """The zero form's document on lattice with the gamma of its second
+    component replaced."""
+    doc = emit_vvform(VectorValuedForm(lattice, F(-lattice.rank, 2), {}, F(1)))
+    doc["components"][1]["gamma"] = gamma
+    return doc
+
+
+# 3 does not divide the group exponent 8; 24 divides the exponent of
+# [[16, 8], [8, 16]], whose group is Z/8 x Z/24, but (1/24, 0) is not dual
+NON_DUAL = [_with_gamma(LATTICES[0], ["1/3"]), _with_gamma(LATTICES[1], ["1/24", "0"])]
+
+
+@pytest.mark.parametrize("doc", NON_DUAL, ids=["denominator", "pairing"])
+def test_vvform_rejects_non_dual_gamma(doc):
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_vvform(doc)
+    assert str(excinfo.value) == "$.components[1].gamma: not in the dual lattice"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vvform_documents())
+@example(NON_DUAL[0])
+@example(NON_DUAL[1])
+def test_vvform_parse_matches_fraction_oracle(doc):
+    assert _outcome(parse_vvform, doc) == _outcome(oracle_parse_vvform, doc)
+
+
+def test_vvform_io_reads_integer_minima(monkeypatch):
+    # diag(8)^4: 4096 cosets, 81 of them nonzero
+    form = theta_decompose(phi_n(4, 1))
+
+    def refuse(minima):
+        raise AssertionError("the Fraction view of the coset minima was built")
+
+    monkeypatch.setattr(CosetMinima, "_view", refuse)
+    doc = emit_vvform(form)
+    assert len(doc["components"]) == 4096
+    back = parse_vvform(json.loads(canonical_dumps(doc)))
+    assert back == form and len(back.components) == 81
+    assert emit_vvform(back) == doc

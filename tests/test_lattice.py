@@ -516,19 +516,36 @@ def box_scan_coset_minima(gram):
         mu *= 2
 
 
+def check_coset_minima(k, oracle):
+    """coset_minima() against the box scan: the Fraction view and the integer
+    table {gden * gamma: qden * min Q}, both in sorted order, det cosets, one
+    result per lattice, and no way to write to it."""
+    minima = k.coset_minima()
+    assert minima is k.coset_minima()
+    assert len(minima) == len(minima.table) == minima.gden == k.det
+    assert minima.table == {tuple(c * minima.gden for c in gamma): q * minima.qden
+                            for gamma, q in oracle.items()}
+    assert list(minima.table) == sorted(minima.table)
+    assert minima == oracle
+    assert list(minima) == sorted(oracle)
+    with pytest.raises(TypeError):
+        minima.table[next(iter(minima.table))] = 0
+    with pytest.raises(TypeError):
+        minima[next(iter(minima))] = 0
+    return minima
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_even_grams())
 def test_coset_minima_matches_box_scan(gram):
-    assert EvenLattice(gram).coset_minima() == box_scan_coset_minima(gram)
+    check_coset_minima(EvenLattice(gram), box_scan_coset_minima(gram))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(block_diagonal_grams(), st.data())
 def test_coset_minima_block_diagonal_matches_box_scan(gram, data):
     k = EvenLattice(gram)
-    minima = k.coset_minima()
-    assert minima == box_scan_coset_minima(gram)
-    assert list(minima) == sorted(minima)
+    minima = check_coset_minima(k, box_scan_coset_minima(gram))
     # the per-coset search of the whole Gram matrix, on cosets given by
     # representatives outside [0, 1)
     for gamma in data.draw(st.lists(st.sampled_from(sorted(minima)), max_size=6)):

@@ -8,7 +8,9 @@ path it checks.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from borcherdskit.io import emit_vvform
 from borcherdskit.lattice import EvenLattice
 from borcherdskit.lift import principal_part
 from borcherdskit.series import (
+    DEFAULT_BUDGET,
     RAW,
     WEAK_JACOBI,
     JacobiSeries,
@@ -428,6 +431,92 @@ def test_decompose_recompose_round_trip_random_gram(form_and_prec):
         theta = theta_component(lat, gamma, prec)
         oracle = JacobiSeries(lat, F(lat.rank, 2), prec, coeffs, form_class=RAW)
         assert theta.coeffs == oracle.coeffs and theta.q_den == oracle.q_den
+
+
+def oracle_theta_decompose(phi):
+    """theta_decompose grouping the terms on Fractions: each label is built,
+    tested with is_dual_vector, reduced with reduce_mod1, and its class keyed
+    by (gamma, n - Q(l))."""
+    lat = phi.lattice
+    groups = {}
+    for (n, l), c in phi.coeffs.items():
+        if not lat.is_dual_vector(l):
+            raise NotInDualLattice(f"label {l} is not in the dual lattice")
+        key = (lat.reduce_mod1(l), n - lat.quadratic_value(l))
+        value, count = groups.get(key, (c, 0))
+        if value != c:
+            raise ShiftInvarianceViolated(
+                f"coefficients at class gamma={key[0]}, exponent {key[1]} "
+                f"disagree: {value} vs {c}")
+        groups[key] = (c, count + 1)
+    by_gamma = {}
+    for (gamma, e), (value, count) in groups.items():
+        by_gamma.setdefault(gamma, []).append((e, value, count))
+    if lat.det > DEFAULT_BUDGET:
+        raise ResourceLimit(f"determinant {lat.det} exceeds the {DEFAULT_BUDGET}-coset budget")
+    for gamma, entries in by_gamma.items():
+        e_min, _, count_min = min(entries)
+        q0 = lat.quadratic_value(gamma)
+        bound = q0 + ceil(phi.prec - e_min - q0) - 1
+        _, scale, found = lat._points(gamma, bound, limit=count_min)
+        if len(found) > count_min:
+            raise ShiftInvarianceViolated(
+                f"class gamma={gamma}, exponent {e_min} has {count_min} stored "
+                f"witnesses but more than {count_min} lattice translates in the window")
+        norms = sorted(q for _, q in found)
+        for e, value, count in entries:
+            expected = bisect_left(norms, ceil(scale * (phi.prec - e)))
+            if expected != count:
+                raise ShiftInvarianceViolated(
+                    f"class gamma={gamma}, exponent {e} has {count} stored "
+                    f"witnesses but {expected} lattice translates in the window")
+    components = {g: {e: value for e, value, _ in entries} for g, entries in by_gamma.items()}
+    return VectorValuedForm(lat, F(-lat.rank, 2), components, phi.prec)
+
+
+def decompose_outcome(decompose, phi):
+    """The form, or the type and message of the error raised."""
+    try:
+        return decompose(phi)
+    except (NotInDualLattice, ShiftInvarianceViolated) as exc:
+        return type(exc), str(exc)
+
+
+def series_variants(draw, phi):
+    """phi, phi stored over a label denominator that is not the least one,
+    and two mutants: one label moved off the dual lattice, and one witness
+    coefficient changed."""
+    lat = phi.lattice
+    k = draw(st.sampled_from((2, 3)))
+    over = JacobiSeries._of(lat, phi.weight, phi.prec, phi._over(1, k * phi.den), 1,
+                            k * phi.den, WEAK_JACOBI)
+    yield phi
+    yield over
+    if not phi.terms:
+        return
+    keys = sorted(phi.coeffs)
+    (n, l) = draw(st.sampled_from(keys))
+    i = draw(st.integers(0, lat.rank - 1))
+    # gram[i][i] / (gram[i][i] + 1) is not an integer, so l + e_i / (gram[i][i] + 1)
+    # pairs non-integrally with e_i
+    moved = tuple(x + (F(1, lat.gram[i][i] + 1) if j == i else 0) for j, x in enumerate(l))
+    for key, change in (((n, moved), 0), ((n, l), draw(st.sampled_from((-1, 1))))):
+        coeffs = dict(phi.coeffs)
+        c = coeffs.pop((n, l))
+        coeffs[key] = c + change
+        yield JacobiSeries(lat, 0, phi.prec, coeffs, q_den=1, form_class=WEAK_JACOBI)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gram_forms(), st.data())
+def test_decompose_matches_fraction_oracle(form_and_prec, data):
+    form, prec = form_and_prec
+    phi = recompose(form, prec)
+    variants = list(series_variants(data.draw, phi))
+    assert variants[1].den != phi.den
+    for series in variants:
+        assert (decompose_outcome(theta_decompose, series)
+                == decompose_outcome(oracle_theta_decompose, series))
 
 
 # -- shift invariance as a property --------------------------------------------------
