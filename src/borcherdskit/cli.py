@@ -17,7 +17,6 @@ so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -59,10 +58,7 @@ def _parse_w0(text, rank):
 
 def _read_input_doc(path):
     if path in (None, "-"):
-        try:
-            return json.loads(sys.stdin.read())
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"stdin: not valid JSON ({exc})") from None
+        return kit_io.read_json(sys.stdin, "stdin")
     return kit_io.load_json(path)
 
 

@@ -6,6 +6,14 @@ terms are sorted, rationals are written as "p/q" in lowest terms with q > 0
 bits are written as strings. emit(parse(x)) is byte-identical for canonical
 inputs, which the golden tests rely on.
 
+The layout is exactly that of json.dumps(doc, indent=2, ensure_ascii=True)
+followed by a newline: one item per line, indented by two spaces per level,
+": " after keys, [] and {} for empty containers, non-ASCII escaped as
+\\uXXXX. canonical_dumps writes those bytes with a recursive emitter over
+the json module's C string escaper, because json.dumps with an indent runs
+the pure-Python encoder. The test suite compares the two on random documents
+and on the golden corpus.
+
 Emission sorts integer keys: each q-exponent, label, gamma or exponent is
 scaled by a positive common denominator, which keeps the order of the
 Fractions, and each distinct rational string is built once per document.
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from operator import mul
 
@@ -182,7 +191,52 @@ def _scaled_vector(vec, den: int) -> tuple[int, ...]:
 
 
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """doc as json.dumps(doc, indent=2, ensure_ascii=True) + "\\n" writes it.
+
+    doc is built from dicts with str keys, lists, str, int, True, False and
+    None. Any other value type, a tuple or a float included, raises
+    TypeError naming it; a key that is not a str raises the TypeError of the
+    json module's string escaper."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value, indent: str) -> str:
+    """value as JSON text; indent is the newline and indent of its line.
+
+    The str values of a dict, and a list of str, skip the recursive call:
+    they make up most of every document. Each list of items is a temporary
+    of its join, so the text of a large container is held at most twice."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = ("," + inner).join([
+            f"{_quote(k)}: {_quote(x) if type(x) is str else _dumps(x, inner)}"
+            for k, x in value.items()])
+        return f"{{{inner}{body}{indent}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        try:
+            return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
+        except TypeError:  # an item is not a str
+            pass
+        body = sep.join([_dumps(x, inner) for x in value])
+        return f"[{inner}{body}{indent}]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"canonical_dumps: cannot encode {kind.__name__}")
 
 
 # -- lattices -------------------------------------------------------------------
@@ -452,12 +506,21 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
 # -- file helpers -------------------------------------------------------------------------------
 
 
-def load_json(path):
+def read_json(handle, name):
+    """The JSON document in an open text file; name is its path or "stdin"."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return json.loads(handle.read())
     except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"{path}: not valid JSON ({exc})") from None
+        raise SchemaViolation(f"{name}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{name}: not valid UTF-8 ({exc})") from None
+    except RecursionError:
+        raise SchemaViolation(f"{name}: JSON nested too deeply to read") from None
+
+
+def load_json(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return read_json(handle, path)
 
 
 def load_lattice(path) -> EvenLattice:

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from borcherdskit.cli import main
 from borcherdskit.io import parse_expansion, parse_principal_part, parse_series
 from borcherdskit.series import DEFAULT_BUDGET
@@ -152,6 +154,43 @@ def test_invalid_json_is_io_error(capsys, tmp_path):
     bad.write_text("{")
     code, _, err = run_cli(capsys, ["criterion", str(bad)])
     assert code == 2
+
+
+INVALID_UTF8 = b'{"gram": [[8\xff]]}'
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+# (name, argv with {file} for the input file, input bytes, via stdin,
+#  PYTHONIOENCODING or None, message on stderr)
+UNREADABLE = [
+    ("utf8-file", ["lattice-info", "{file}"], INVALID_UTF8, False, None,
+     "in.json: not valid UTF-8"),
+    ("deep-file", ["lattice-info", "{file}"], DEEP, False, None,
+     "in.json: JSON nested too deeply to read"),
+    ("deep-stdin", ["decompose"], DEEP, True, None, "stdin: JSON nested too deeply to read"),
+    # the locale's stdin decoding: strict under UTF-8, surrogateescape under C
+    ("utf8-stdin", ["decompose"], INVALID_UTF8, True, None, "stdin: not valid"),
+    ("utf8-stdin-strict", ["decompose"], INVALID_UTF8, True, "utf-8:strict",
+     "stdin: not valid UTF-8"),
+]
+
+
+@pytest.mark.parametrize("argv, data, via_stdin, encoding, message",
+                         [case[1:] for case in UNREADABLE], ids=[case[0] for case in UNREADABLE])
+def test_unreadable_input_is_schema_error(tmp_path, argv, data, via_stdin, encoding, message):
+    # a fresh process, so that an uncaught exception shows as a traceback
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    result = subprocess.run(
+        [sys.executable, "-m", "borcherdskit", *(a.format(file=path) for a in argv)],
+        input=data if via_stdin else None, capture_output=True, env=env)
+    err = result.stderr.decode("utf-8", "replace")
+    assert result.returncode == 2, err
+    assert "Traceback" not in err
+    assert message in err
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

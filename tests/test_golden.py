@@ -1,9 +1,11 @@
 """Byte-identical CLI output on a fixed corpus.
 
 Each file under tests/golden/ is the stdout of one command, recorded before
-the emitters and parsers moved onto integer keys. The commands run in-process
-through cli.main; a command that reads a series gets another corpus file on
-stdin, so the corpus also pins parse -> compute -> emit.
+the emitters and parsers moved onto integer keys; the lattice-info, criterion
+and congruence files were recorded before canonical_dumps stopped calling
+json.dumps. The commands run in-process through cli.main; a command that
+reads a series gets another corpus file on stdin, so the corpus also pins
+parse -> compute -> emit.
 """
 
 import io
@@ -17,6 +19,8 @@ from borcherdskit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 EXAMPLE1 = str(ROOT / "fixtures" / "example1.json")
+GRAM_EX1 = str(ROOT / "fixtures" / "gram_ex1.json")
+GRAM_EX2 = str(ROOT / "fixtures" / "gram_ex2.json")
 
 # (file, argv, file piped to stdin or None)
 CORPUS = [
@@ -30,6 +34,9 @@ CORPUS = [
     ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
     ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
     ("validate_pp_example1.json", ["validate-pp", EXAMPLE1, "--format", "json"], None),
+    ("lattice_info_gram_ex1.json", ["lattice-info", GRAM_EX1, "--format", "json"], None),
+    ("criterion_gram_ex2.json", ["criterion", GRAM_EX2, "--format", "json"], None),
+    ("congruence_phi_n2_prec4.json", ["congruence", "--format", "json"], "phi_n2_prec4.json"),
 ]
 
 

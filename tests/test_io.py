@@ -7,7 +7,8 @@ expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
 and mixed label denominators, must emit byte for byte as the oracles do.
 parse_vvform reads cosets on integers; the Fraction parser it replaced is
 kept as an oracle, and mutated documents must give the same form or the same
-message under both.
+message under both. canonical_dumps must write what json.dumps(indent=2,
+ensure_ascii=True) writes, on random documents and on every golden file.
 """
 
 import json
@@ -263,6 +264,67 @@ def test_load_json_reports_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaViolation, match="not valid JSON"):
         load_json(bad)
+
+
+# -- canonical_dumps against json.dumps, kept as the oracle -----------------------------
+
+
+def oracle_dumps(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, a lone surrogate and
+# a character outside the BMP, besides Hypothesis's own characters
+SPECIAL = '"\\\x00\n\x1f\x7f\xe9\u2028\ud800\U0001f600'
+CHARACTERS = st.one_of(st.characters(), st.sampled_from(SPECIAL))
+STRINGS = st.text(CHARACTERS, max_size=8)
+LEAVES = st.one_of(st.none(), st.booleans(), STRINGS, st.integers(-2**100, 2**100),
+                   st.integers(-2**63, 2**63))
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.dictionaries(STRINGS, children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DOCUMENTS)
+@example({})
+@example([])
+@example({"": {}, "a": [], "b": [[]], "c": [{}]})
+@example([SPECIAL, {SPECIAL: SPECIAL}])
+@example([1, True, False, None, -2**100])
+@example([[1, 2], ["a", "b"], [True, 2], ["a", 1]])
+def test_canonical_dumps_matches_json_dumps(doc):
+    assert canonical_dumps(doc) == oracle_dumps(doc)
+
+
+GOLDEN_FILES = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=[p.name for p in GOLDEN_FILES])
+def test_canonical_dumps_rewrites_golden_file(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    doc = json.loads(text)
+    assert canonical_dumps(doc) == text == oracle_dumps(doc)
+
+
+@pytest.mark.parametrize("doc, kind", [
+    ((1, 2), "tuple"),
+    (0.5, "float"),
+    ({1}, "set"),
+    ({"terms": [{"l": ("1/2",)}]}, "tuple"),
+], ids=["tuple", "float", "set", "nested tuple"])
+def test_canonical_dumps_rejects_other_types(doc, kind):
+    with pytest.raises(TypeError, match=f"^canonical_dumps: cannot encode {kind}$"):
+        canonical_dumps(doc)
+
+
+def test_canonical_dumps_rejects_non_str_key():
+    # the key reaches the json module's C string escaper, which raises
+    with pytest.raises(TypeError, match="^first argument must be a string, not int$"):
+        canonical_dumps({1: "a"})
 
 
 # -- the Fraction-sorting emitters, kept as oracles ------------------------------------
