@@ -58,7 +58,7 @@ def _parse_w0(text, rank):
 
 def _read_input_doc(path):
     if path in (None, "-"):
-        return kit_io.read_json(sys.stdin, "stdin")
+        return kit_io.read_json(sys.stdin.buffer, "stdin")
     return kit_io.load_json(path)
 
 

@@ -507,9 +507,10 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
 
 
 def read_json(handle, name):
-    """The JSON document in an open text file; name is its path or "stdin"."""
+    """The JSON document in an open binary file, decoded as strict UTF-8
+    whatever the locale; name is its path or "stdin"."""
     try:
-        return json.loads(handle.read())
+        return json.loads(handle.read().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{name}: not valid JSON ({exc})") from None
     except UnicodeDecodeError as exc:
@@ -519,7 +520,7 @@ def read_json(handle, name):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return read_json(handle, path)
 
 

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from operator import floordiv, mod
 
 from .errors import (
     CongruenceFailed,
@@ -47,6 +49,7 @@ from .series import (
     VectorValuedForm,
     _grade_limit,
     _mul_into,
+    _Packing,
 )
 
 
@@ -262,35 +265,52 @@ def _factors(phi: JacobiSeries, weyl: WeylData, top: int):
                     yield n, vec, m, c
 
 
-def _apply_factor(layers, n, l, m, c):
-    """Multiply in place by (1 - q^n r^l s^m)^c, with l scaled to integers.
+def _packing(rank: int, factors, top: int) -> _Packing:
+    """The packing of every monomial (n + m, (n, *l)) that a product of the
+    factors forms below total degree top. Its bound is top plus the sum over
+    the factors of power * max |l|: n < top, and a monomial takes a factor
+    of degree g > 0 to a power below top / g, one of degree zero to a power
+    of at most |c|."""
+    reach = top
+    for n, l, m, c in factors:
+        g = n + m
+        power = abs(c) if g == 0 else (top - 1) // g
+        reach += power * max(map(abs, l), default=0)
+    return _Packing(rank + 1, reach)
 
-    layers[t] holds the kernel terms ((t, (n, *l)), coef) of total degree
-    t = n + m, up to the truncation len(layers). The factor is 1 + R with R_k
-    of degree kg, so layer t + kg gains layer t times R_k; a factor of degree
-    g only reads the layers below len(layers) - g. Layers are visited from
-    the top down, so every layer is read before it gains anything; it is
-    copied first because a degree-zero factor writes back into it.
+
+def _apply_factor(layers, g, key, c):
+    """Multiply in place by (1 - X)^c, X the monomial of degree g that packs
+    to key.
+
+    layers[t] maps the packed monomials (t, (n, *l)) of total degree
+    t = n + m, up to the truncation len(layers), to their coefficients; the
+    packing is the one _packing gives for every factor applied. The factor is
+    1 + R with R_k = w_k X^k of degree kg and key k * key, so layer t + kg
+    gains layer t times R_k; a factor of degree g only reads the layers below
+    len(layers) - g. Layers are visited from the top down, so every layer is
+    read before it gains anything; it is copied first because a degree-zero
+    factor writes back into it.
     """
     top = len(layers)
-    g = n + m
-    rest = [((k * g, (k * n, *[k * x for x in l])), w)
+    rest = [(k * g, k * key, w)
             for k, w in _factor_powers(c, g, top, sum(map(len, layers))) if k and w]
     for t in reversed(range(top - g)):
-        source = list(layers[t].items())
+        layer = layers[t]
+        source = list(zip(repeat(t), layer, layer.values()))
         for term in rest:
-            target = t + term[0][0]
+            target = t + term[0]
             if target >= top:
                 break
             _mul_into(layers[target], [term], source, top)
 
 
-def _expansion(phi, weyl, layers, total_prec) -> OrthogonalExpansion:
-    """The OrthogonalExpansion of maps of kernel terms ((n + m, (n, *l)), c)
-    with integer coefficients and labels l scaled by phi.den."""
+def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
+    """The OrthogonalExpansion of maps of packed monomials (n + m, (n, *l))
+    to integer coefficients, with labels l scaled by phi.den."""
     labels = _Fractions(phi.den).__getitem__
     coeffs = {(vec[0], tuple(map(labels, vec[1:])), t - vec[0]): c
-              for layer in layers for (t, vec), c in layer.items()}
+              for layer in layers for (t, vec), c in packing.unpack(layer).items()}
     weight = Fraction(phi.terms.get((0, (0,) * phi.lattice.rank), 0), 2)
     return OrthogonalExpansion(phi.lattice, weyl, weight, coeffs, total_prec)
 
@@ -305,19 +325,20 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
-    one = (0, (0,) * (phi.lattice.rank + 1))
-    layers = [{one: 1}] + [{} for _ in range(1, top)]
+    factors = list(_factors(phi, weyl, top))
+    packing = _packing(phi.lattice.rank, factors, top)
+    # the monomial 1 packs to the key 0
+    layers = [{0: 1}] + [{} for _ in range(1, top)]
     # Descending degree: while every factor applied so far has degree at
     # least g, the layers strictly between 0 and g are empty, so a factor of
     # degree g > top/2 reads only layer 0. The degree-zero factors keep every
     # grade and widen each layer they touch, so they come last.
-    for n, l, m, c in sorted(_factors(phi, weyl, top),
-                             key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2])):
-        _apply_factor(layers, n, l, m, c)
-    if layers[0].get(one) != 1:
+    for n, l, m, c in sorted(factors, key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2])):
+        _apply_factor(layers, n + m, packing.pack(n + m, (n, *l)), c)
+    if layers[0].get(0) != 1:
         raise SelfCheckFailed("lift constant term",
                               "constant coefficient of the product is not 1")
-    return _expansion(phi, weyl, layers, total_prec)
+    return _expansion(phi, weyl, packing, layers, total_prec)
 
 
 def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:
@@ -333,38 +354,42 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
     SelfCheckFailed at the grade where it appears."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
+    factors = list(_factors(phi, weyl, top))
+    packing = _packing(phi.lattice.rank, factors, top)
 
     # h * L_h: the log terms of total degree h, times h. The factor
     # (n, l, m) contributes -c/k at k(n, l, m), so the weighted term is
     # -c * (n + m), an integer.
     weighted_log: dict[int, dict] = {}
     zero_grade = []
-    for n, l, m, c in _factors(phi, weyl, top):
+    for n, l, m, c in factors:
         g = n + m
+        key = packing.pack(g, (n, *l))
         if g == 0:
-            zero_grade.append((n, l, m, c))
+            zero_grade.append((key, c))
             continue
         for k in range(1, -(-top // g)):
-            key = (k * g, (k * n, *[k * x for x in l]))
             bucket = weighted_log.setdefault(k * g, {})
-            bucket[key] = bucket.get(key, 0) - c * g
+            bucket[k * key] = bucket.get(k * key, 0) - c * g
+    weighted_log = {h: packing.terms(bucket) for h, bucket in weighted_log.items()}
 
-    layers = [{(0, (0,) * (phi.lattice.rank + 1)): 1}]
+    # layers[g] is E_g as a map of packed monomials, terms[g] as kernel terms
+    layers, terms = [{0: 1}], [[(0, 0, 1)]]
     for g in range(1, top):
         bucket = {}
         for h in range(1, g + 1):
             if h in weighted_log:
-                _mul_into(bucket, weighted_log[h].items(), layers[g - h].items(), top)
-        layer = {}
-        for (t, vec), v in bucket.items():
-            layer[t, vec], r = divmod(v, g)
-            if r:
-                raise SelfCheckFailed("lift integrality", f"non-integral coefficient "
-                                      f"{Fraction(v, g)} at n={vec[0]}, m={t - vec[0]}")
+                _mul_into(bucket, weighted_log[h], terms[g - h], top)
+        if any(map(mod, bucket.values(), repeat(g))):
+            (t, vec), v = next((mono, v) for mono, v in packing.unpack(bucket).items() if v % g)
+            raise SelfCheckFailed("lift integrality", f"non-integral coefficient "
+                                  f"{Fraction(v, g)} at n={vec[0]}, m={t - vec[0]}")
+        layer = dict(zip(bucket, map(floordiv, bucket.values(), repeat(g))))
         layers.append(layer)
-    for n, l, m, c in zero_grade:
-        _apply_factor(layers, n, l, m, c)
-    return _expansion(phi, weyl, layers, total_prec)
+        terms.append(packing.terms(layer))
+    for key, c in zero_grade:
+        _apply_factor(layers, 0, key, c)
+    return _expansion(phi, weyl, packing, layers, total_prec)
 
 
 # -- diagnostics for principal parts -------------------------------------------------

@@ -19,17 +19,26 @@ has negative exponents). Comparison looks only at the common window.
 
 A series stores its terms on integer keys: q-exponent n as the grade n * q_den
 and label l as the tuple l * den, den being a label denominator of the series.
+Fraction keys appear only at the boundary: the constructor reads them, and
+coeffs, a read-only view, gives them back.
+
 Every product of terms in the package, here and in the lift, runs through one
-kernel, _mul_into, on such keys. Fraction keys appear only at the boundary:
-the constructor reads them, and coeffs, a read-only view, gives them back.
+kernel, _mul_into, on keys packed further into one int each. _Packing writes
+the monomial (t, vec) as the digits of t * M^r + sum vec_i * M^(r-1-i) in a
+base M = 2^w with balanced digits. The map is linear, so the product of two
+monomials has the sum of their keys for its key, as long as every component
+of the product stays within the bound the packing was made for. Each caller
+proves such a bound for everything its products can reach, and unpacks the
+result once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, repeat
 from math import ceil, gcd, lcm
-from operator import add, mul
+from operator import add, and_, itemgetter, mul, rshift, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -53,23 +62,68 @@ _THETA_LATTICE_GRAM = ((8,),)
 # -- the exact product kernel ---------------------------------------------------
 
 
-def _mul_into(dst, a, b, limit, max_terms=None):
-    """dst += a * b over integer-keyed terms, keeping grades below limit.
+class _Packing:
+    """Kronecker substitution of kernel keys for vectors of length rank >= 1
+    whose components all satisfy |v_i| <= bound.
 
-    A term is ((t, vec), c): an integer truncation grade t, an integer tuple
-    vec and a coefficient c. Two terms multiply to grade t_a + t_b, vector
-    vec_a + vec_b and coefficient c_a * c_b. b must be sorted by grade, so the
-    inner loop stops at the first term whose product would reach limit.
-    Coefficients that cancel to zero leave dst, and ResourceLimit is raised
-    as soon as dst holds more than max_terms terms. This is the only place
-    where products of terms are formed.
+    The base is M = 2^width, the least power of two with M/2 > bound, and the
+    monomial (t, vec) packs to t * M^rank + sum vec_i * M^(rank-1-i): balanced
+    digits, so the map is linear, one-to-one on the box |v_i| <= bound, and
+    keys in numeric order are monomials in (t, lex vec) order. The grade t may
+    be any integer. A key whose vector leaves the box stands for another
+    monomial, so bound must hold for every product formed on the keys.
     """
-    for (ta, va), ca in a:
+
+    __slots__ = ("weights", "unit", "shift", "shifts", "offset", "mask", "half")
+
+    def __init__(self, rank: int, bound: int):
+        width = bound.bit_length() + 1
+        # digit i sits shifts[i] bits up, the grade shift bits up
+        self.shift = width * rank
+        self.shifts = tuple(width * i for i in reversed(range(rank)))
+        self.weights = tuple(1 << s for s in self.shifts)
+        self.unit = 1 << self.shift
+        self.mask, self.half = (1 << width) - 1, 1 << width - 1
+        # key + offset has the unsigned digits vec_i + M/2, all in [0, M)
+        self.offset = self.half * sum(self.weights)
+
+    def pack(self, t: int, vec) -> int:
+        return t * self.unit + sum(map(mul, vec, self.weights))
+
+    def terms(self, packed: dict) -> list:
+        """The kernel terms (t, k, c) of a map {k: c}, in its order."""
+        grades = map(rshift, map(add, packed, repeat(self.offset)), repeat(self.shift))
+        return list(zip(grades, packed, packed.values()))
+
+    def unpack(self, packed: dict) -> dict:
+        """The map {k: c} as {(t, vec): c}, one digit of every key at a time."""
+        lifted = list(map(add, packed, repeat(self.offset)))
+        grades = map(rshift, lifted, repeat(self.shift))
+        digits = [map(sub, map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask)),
+                      repeat(self.half)) for s in self.shifts]
+        return dict(zip(zip(grades, zip(*digits)), packed.values()))
+
+
+def _mul_into(dst, a, b, limit, max_terms=None):
+    """dst += a * b over packed terms, keeping grades below limit.
+
+    A term is (t, k, c): an integer truncation grade t, the key k of the
+    monomial (t, vec) under one _Packing, and a coefficient c; dst maps keys
+    to coefficients. Two terms multiply to grade t_a + t_b, key k_a + k_b and
+    coefficient c_a * c_b, which is the product monomial as long as its vector
+    stays inside the packing's box: every caller chooses a bound that holds
+    for all grades below limit. b must be sorted by grade, so the inner loop
+    stops at the first term whose product would reach limit. Coefficients
+    that cancel to zero leave dst, and ResourceLimit is raised as soon as dst
+    holds more than max_terms terms. This is the only place where products of
+    terms are formed.
+    """
+    for ta, ka, ca in a:
         stop = limit - ta
-        for (tb, vb), cb in b:
+        for tb, kb, cb in b:
             if tb >= stop:
                 break
-            key = (ta + tb, tuple(map(add, va, vb)))
+            key = ka + kb
             c = dst.get(key, 0) + ca * cb
             if c:
                 dst[key] = c
@@ -95,8 +149,8 @@ def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     """Window of a product: a factor with terms below q^0 lowers the window
     of the other one. a and b are the factors' kernel terms, sorted by
     grade."""
-    low_a = min(a[0][0][0], 0) if a else 0
-    low_b = min(b[0][0][0], 0) if b else 0
+    low_a = min(a[0][0], 0) if a else 0
+    low_b = min(b[0][0], 0) if b else 0
     return min(prec_a + Fraction(low_b, q_den), prec_b + Fraction(low_a, q_den))
 
 
@@ -170,14 +224,19 @@ class JacobiSeries:
         a, b = q_den // self.q_den, den // self.den
         return {(t * a, tuple([b * x for x in vec])): c for (t, vec), c in self.terms.items()}
 
-    def _kernel(self, q_den: int, den: int, before: int = 0, after: int = 0) -> list:
-        """The terms over q_den and den as kernel input, sorted by grade;
-        before and after zeros pad every label vector."""
-        terms = self._over(q_den, den).items()
-        if before or after:
-            pre, post = (0,) * before, (0,) * after
-            terms = [((t, (*pre, *vec, *post)), c) for (t, vec), c in terms]
-        return sorted(terms, key=lambda term: term[0][0])
+    def _reach(self, den: int) -> int:
+        """The largest |component| of a label vector over den."""
+        labels = chain.from_iterable(map(itemgetter(1), self.terms))
+        return max(map(abs, labels), default=0) * (den // self.den)
+
+    def _kernel(self, packing: _Packing, q_den: int, den: int, before: int = 0) -> list:
+        """The terms over q_den and den as packed kernel input, sorted by
+        grade; the label vector takes the digits from before on."""
+        a, b = q_den // self.q_den, den // self.den
+        unit = a * packing.unit
+        weights = [b * w for w in packing.weights[before:]]
+        return sorted([(a * t, unit * t + sum(map(mul, vec, weights)), c)
+                       for (t, vec), c in self.terms.items()])
 
     # -- inspection --------------------------------------------------------
 
@@ -270,13 +329,16 @@ class JacobiSeries:
             return NotImplemented
         self._require_same_lattice(other)
         q_den, den = lcm(self.q_den, other.q_den), lcm(self.den, other.den)
-        a, b = self._kernel(q_den, den), other._kernel(q_den, den)
+        # a label of the product is the sum of one label of each factor, so
+        # the sum of the two reaches bounds its components
+        packing = _Packing(self.lattice.rank, self._reach(den) + other._reach(den))
+        a, b = self._kernel(packing, q_den, den), other._kernel(packing, q_den, den)
         prec = _product_prec(self.prec, a, other.prec, b, q_den)
         out = {}
         _mul_into(out, a, b, _grade_limit(prec, q_den))
         cls = WEAK_JACOBI if self.form_class == other.form_class == WEAK_JACOBI else RAW
         return JacobiSeries._of(self.lattice, self.weight + other.weight, prec,
-                                out, q_den, den, cls)
+                                packing.unpack(out), q_den, den, cls)
 
     __rmul__ = __mul__
 
@@ -320,13 +382,18 @@ def theta_triple_product(prec) -> JacobiSeries:
     prec = Fraction(prec)
     # kernel terms: grades are 8 * q-exponents, labels are scaled by 16
     limit = _grade_limit(prec, 8)
-    acc = {(1, (1,)): 1, (1, (-1,)): -1}
+    # the prefactor has |label| 1 at grade 1, and each factor adds at most 2
+    # to |label| and 8 n >= 8 to the grade, so |label| <= 1 + grade / 4
+    packing = _Packing(1, 1 + limit // 4)
+    acc = {packing.pack(1, (1,)): 1, packing.pack(1, (-1,)): -1}
     n = 1
     while 8 * n + 1 < limit:
         for label in (2, -2, 0):
-            _mul_into(acc, list(acc.items()), [((8 * n, (label,)), -1)], limit)
+            _mul_into(acc, packing.terms(acc), [(8 * n, packing.pack(8 * n, (label,)), -1)],
+                      limit)
         n += 1
-    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, acc, 8, 16, RAW)
+    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, packing.unpack(acc),
+                            8, 16, RAW)
 
 
 def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
@@ -359,15 +426,20 @@ def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
         raise PrecisionTooSmall(f"phi04 needs precision >= 1, got {prec}")
     # kernel terms: q-exponents are integers, labels are scaled by 8
     limit = _grade_limit(prec, 1)
-    acc = {(0, (1,)): 1, (0, (0,)): 1, (0, (-1,)): 1}
+    # the q^0 part has |label| <= 1 and every factor adds at most 3 to
+    # |label| per unit of grade, so |label| <= 1 + 3 * grade
+    packing = _Packing(1, 1 + 3 * limit)
+    pack = packing.pack
+    acc = {pack(0, (1,)): 1, pack(0, (0,)): 1, pack(0, (-1,)): 1}
     for n in range(1, limit):
         # (1 - q^n zeta^3)(1 - q^n zeta^-3) - 1, already multiplied out
-        numer = [((n, (3,)), -1), ((n, (-3,)), -1), ((2 * n, (0,)), 1)]
-        _mul_into(acc, list(acc.items()), numer, limit, max_terms)
+        numer = [(n, pack(n, (3,)), -1), (n, pack(n, (-3,)), -1), (2 * n, pack(2 * n, (0,)), 1)]
+        _mul_into(acc, packing.terms(acc), numer, limit, max_terms)
         for sign in (1, -1):
-            geom = [((k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
-            _mul_into(acc, list(acc.items()), geom, limit, max_terms)
-    result = JacobiSeries._of(theta_lattice(), Fraction(0), prec, acc, 1, 8, WEAK_JACOBI)
+            geom = [(k * n, pack(k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
+            _mul_into(acc, packing.terms(acc), geom, limit, max_terms)
+    result = JacobiSeries._of(theta_lattice(), Fraction(0), prec, packing.unpack(acc),
+                              1, 8, WEAK_JACOBI)
     theta = theta_sum(prec)
     if result * theta != rescale_elliptic(theta, 3):
         raise SelfCheckFailed("phi04 identity", "phi04 * theta(z) differs from theta(3z)")
@@ -384,10 +456,14 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
     for phi in (phi1, phi2):
         if phi.q_den != 1:
             raise FormClassError("direct products need integer q-exponents")
-    # zero padding turns the sum of label vectors into their concatenation
+    # phi1 fills the first digits of a key and phi2 the others, so the sum of
+    # two keys packs the concatenated label; a component of that label is a
+    # component of one factor's label, so the sum of the two reaches bounds it
     den = lcm(phi1.den, phi2.den)
-    a = phi1._kernel(1, den, after=phi2.lattice.rank)
-    b = phi2._kernel(1, den, before=phi1.lattice.rank)
+    packing = _Packing(phi1.lattice.rank + phi2.lattice.rank,
+                       phi1._reach(den) + phi2._reach(den))
+    a = phi1._kernel(packing, 1, den)
+    b = phi2._kernel(packing, 1, den, before=phi1.lattice.rank)
     prec = _product_prec(phi1.prec, a, phi2.prec, b, 1)
     if prec <= 0:
         raise IncompatiblePrecision(
@@ -396,7 +472,7 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
     _mul_into(out, a, b, _grade_limit(prec, 1), max_terms)
     cls = WEAK_JACOBI if phi1.form_class == phi2.form_class == WEAK_JACOBI else RAW
     return JacobiSeries._of(direct_sum(phi1.lattice, phi2.lattice),
-                            phi1.weight + phi2.weight, prec, out, 1, den, cls)
+                            phi1.weight + phi2.weight, prec, packing.unpack(out), 1, den, cls)
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -554,13 +630,20 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
                 *{scale for _, _, scale, _ in blocks})
     den = lcm(*{d for _, d, _, points in blocks if points})
     limit = _grade_limit(out_prec, q_den)
-    zero = (0,) * lat.rank
+    # f_gamma has only the zero label, so the sum of the two reaches is the
+    # largest |component| of a theta label over den
+    packing = _Packing(lat.rank, max((den // d * abs(x) for _, d, _, points in blocks
+                                      for l, _ in points for x in l), default=0))
+    unit = packing.unit
     out = {}
     for fg, d, scale, points in blocks:
-        a = [((_scaled(e, q_den), zero), c) for e, c in fg.items()]
+        a = [(t, t * unit, c) for e, c in fg.items() for t in [_scaled(e, q_den)]]
         qs, ls = q_den // scale, den // d
-        b = sorted(((q * qs, tuple([ls * x for x in l])), 1) for l, q in points)
+        weights = [ls * w for w in packing.weights]
+        b = sorted([(t, t * unit + sum(map(mul, l, weights)), 1)
+                    for l, q in points for t in [q * qs]])
         _mul_into(out, a, b, limit)
+    out = packing.unpack(out)
     # the least q denominator of the result, as the public constructor infers it
     g = gcd(q_den, *(t for t, _ in out))
     weight = form.weight + Fraction(lat.rank, 2)

@@ -17,9 +17,15 @@ from borcherdskit.series import DEFAULT_BUDGET
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def byte_stdin(text):
+    """A text stream over the UTF-8 bytes of text, with the .buffer the CLI
+    reads stdin from."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdin", byte_stdin(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -168,8 +174,8 @@ UNREADABLE = [
     ("deep-file", ["lattice-info", "{file}"], DEEP, False, None,
      "in.json: JSON nested too deeply to read"),
     ("deep-stdin", ["decompose"], DEEP, True, None, "stdin: JSON nested too deeply to read"),
-    # the locale's stdin decoding: strict under UTF-8, surrogateescape under C
-    ("utf8-stdin", ["decompose"], INVALID_UTF8, True, None, "stdin: not valid"),
+    # stdin is decoded as strict UTF-8 whatever the locale and PYTHONIOENCODING
+    ("utf8-stdin", ["decompose"], INVALID_UTF8, True, None, "stdin: not valid UTF-8"),
     ("utf8-stdin-strict", ["decompose"], INVALID_UTF8, True, "utf-8:strict",
      "stdin: not valid UTF-8"),
 ]
@@ -191,6 +197,28 @@ def test_unreadable_input_is_schema_error(tmp_path, argv, data, via_stdin, encod
     assert result.returncode == 2, err
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("data", [b'{"gram": [[8]], "x\xff": 1}', b'{"gram": [[8]]}\xff'],
+                         ids=["in-key", "trailing"])
+def test_invalid_utf8_reads_alike_from_file_and_stdin_under_c_locale(tmp_path, data):
+    # under the C locale Python decodes sys.stdin with surrogateescape, which
+    # would hand the stray byte on to the JSON parser as a lone surrogate
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONPATH=str(FIXTURES.parent / "src"))
+    errors = []
+    for argv, stdin in ((["lattice-info", str(path)], None), (["lattice-info", "-"], data)):
+        result = subprocess.run([sys.executable, "-m", "borcherdskit", *argv],
+                                input=stdin, capture_output=True, env=env)
+        err = result.stderr.decode("utf-8", "replace")
+        assert result.returncode == 2, err
+        errors.append(err)
+    from_file, from_stdin = errors
+    assert from_stdin.startswith("error (lattice-info): stdin: not valid UTF-8 (")
+    assert from_file.replace(str(path), "stdin") == from_stdin
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

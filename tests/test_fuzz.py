@@ -120,7 +120,8 @@ def time_bound(seconds):
 
 
 def run(argv, text):
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
             with time_bound(SECONDS_PER_RUN):

@@ -3,7 +3,8 @@
 Each file under tests/golden/ is the stdout of one command, recorded before
 the emitters and parsers moved onto integer keys; the lattice-info, criterion
 and congruence files were recorded before canonical_dumps stopped calling
-json.dumps. The commands run in-process through cli.main; a command that
+json.dumps, and the rank-3 lift file, whose monomials carry four integer
+digits, before the product kernel packed its keys into ints. The commands run in-process through cli.main; a command that
 reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
 """
@@ -33,6 +34,7 @@ CORPUS = [
     ("weyl_phi_n2_prec4.json", ["weyl"], "phi_n2_prec4.json"),
     ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
     ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
+    ("lift_phi_n3_prec3_deg2.json", ["lift", "--prec", "2"], "phi_n3_prec3.json"),
     ("validate_pp_example1.json", ["validate-pp", EXAMPLE1, "--format", "json"], None),
     ("lattice_info_gram_ex1.json", ["lattice-info", GRAM_EX1, "--format", "json"], None),
     ("criterion_gram_ex2.json", ["criterion", GRAM_EX2, "--format", "json"], None),
@@ -48,7 +50,8 @@ def read(name):
 @pytest.mark.parametrize("name, argv, stdin", CORPUS, ids=[c[0] for c in CORPUS])
 def test_cli_output_is_byte_identical(name, argv, stdin, capsys, monkeypatch):
     if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(read(stdin)))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO((GOLDEN / stdin).read_bytes()), encoding="utf-8"))
     assert main(argv) == 0
     assert capsys.readouterr().out == read(name)
 

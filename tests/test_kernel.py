@@ -1,7 +1,12 @@
-"""Property tests of the exact product kernel behind JacobiSeries.__mul__ and
-direct_product.
+"""Property tests of the exact product kernel behind JacobiSeries.__mul__,
+direct_product, phi04 and the lift, and of the packing of its keys.
 
-The oracle below is the plain double loop over Fraction-keyed terms that
+oracle_mul_into is the kernel as it was on tuple keys ((t, vec), c), before
+every key was packed into one int; the packed kernel must agree with it
+wherever the packing's bound holds, including monomials on the edge of the
+box |vec_i| <= bound.
+
+oracle_product is the plain double loop over Fraction-keyed terms that
 both products used before they moved onto integer keys. Random sparse series
 on [[8]] and on a rank-2 lattice cover label denominators 8 and 16, q_den 1
 and 8, negative exponents, and windows that end between two multiples of
@@ -22,9 +27,40 @@ from hypothesis import strategies as st
 
 from borcherdskit.errors import IncompatiblePrecision, ResourceLimit
 from borcherdskit.lattice import EvenLattice, direct_sum
-from borcherdskit.series import RAW, JacobiSeries, _grade_limit, _mul_into, direct_product
+from borcherdskit.series import (
+    RAW,
+    JacobiSeries,
+    _grade_limit,
+    _mul_into,
+    _Packing,
+    direct_product,
+)
 
 LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]))
+
+
+def oracle_mul_into(dst, a, b, limit, max_terms=None):
+    """dst += a * b on tuple keys ((t, vec), c): the kernel before its keys
+    were packed, kept as the oracle of the packed one."""
+    for (ta, va), ca in a:
+        stop = limit - ta
+        for (tb, vb), cb in b:
+            if tb >= stop:
+                break
+            key = (ta + tb, tuple(x + y for x, y in zip(va, vb)))
+            c = dst.get(key, 0) + ca * cb
+            if c:
+                dst[key] = c
+                if max_terms is not None and len(dst) > max_terms:
+                    raise ResourceLimit(
+                        f"product exceeded the {max_terms}-coefficient budget")
+            else:
+                dst.pop(key, None)
+
+
+def packed(packing, terms):
+    """Tuple-keyed terms ((t, vec), c) as packed kernel terms (t, k, c)."""
+    return [(t, packing.pack(t, vec), c) for (t, vec), c in terms]
 
 
 def oracle_product(a, b, combine):
@@ -100,16 +136,91 @@ def test_kernel_matches_double_loop(start, a, b, limit, max_terms):
                 key = (ta + tb, (va[0] + vb[0], va[1] + vb[1]))
                 expected[key] = expected.get(key, 0) + ca * cb
     expected = {k: c for k, c in expected.items() if c}
+    # start reaches 6 and every product of a and b reaches 3 + 3
+    packing = _Packing(2, 6)
+    a, b = packed(packing, a), packed(packing, b)
+    start = {packing.pack(*mono): c for mono, c in start.items()}
     dst = dict(start)
     _mul_into(dst, a, b, limit)
-    assert dst == expected
+    assert packing.unpack(dst) == expected
     dst = dict(start)
     try:
         _mul_into(dst, a, b, limit, max_terms)
     except ResourceLimit:
         assert len(dst) > max_terms
     else:
-        assert dst == expected and len(dst) <= max(max_terms, len(start))
+        assert packing.unpack(dst) == expected and len(dst) <= max(max_terms, len(start))
+
+
+# bounds around powers of two, where the width of a digit changes
+bounds = st.one_of(st.integers(0, 40),
+                   st.integers(1, 70).flatmap(lambda e: st.sampled_from(
+                       (2 ** e - 1, 2 ** e, 2 ** e + 1))))
+
+
+def edge_components(bound):
+    """Integers in [-bound, bound], on the edge +-bound half of the time."""
+    return st.one_of(st.sampled_from((-bound, bound)), st.integers(-bound, bound))
+
+
+@st.composite
+def boxes(draw):
+    """A packing, its bound and a strategy for the monomials in its box, with
+    grades of either sign."""
+    rank, bound = draw(st.integers(1, 5)), draw(bounds)
+    monomial = st.tuples(st.integers(-2 ** 40, 2 ** 40),
+                         st.tuples(*[edge_components(bound)] * rank))
+    return _Packing(rank, bound), bound, monomial
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes(), st.data())
+def test_pack_unpack_round_trip_on_the_box(box, data):
+    packing, _, monomial = box
+    terms = data.draw(st.dictionaries(monomial, st.integers(-5, 5).filter(bool), max_size=8))
+    keys = {packing.pack(t, vec): c for (t, vec), c in terms.items()}
+    # one key per monomial, read back exactly
+    assert packing.unpack(keys) == terms
+    assert packing.terms(keys) == [(t, k, c) for ((t, _), c), k in zip(terms.items(), keys)]
+    # numeric order of keys is (t, lex vec) order
+    assert [next(iter(packing.unpack({k: 1}))) for k in sorted(keys)] == sorted(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes(), st.data())
+def test_keys_add_inside_the_box(box, data):
+    packing, bound, monomial = box
+    t, total = data.draw(monomial)
+    # two monomials of the box whose sum is (t, total)
+    first = tuple(data.draw(st.integers(max(-bound, x - bound), min(bound, x + bound)))
+                  for x in total)
+    second = tuple(x - y for x, y in zip(total, first))
+    s = data.draw(st.integers(-2 ** 40, 2 ** 40))
+    key = packing.pack(s, first) + packing.pack(t - s, second)
+    assert packing.unpack({key: 1}) == {(t, total): 1}
+
+
+def edge_terms(rank, reach):
+    """Tuple-keyed kernel terms whose components reach +-reach often."""
+    label = st.tuples(*[edge_components(reach)] * rank)
+    return st.lists(st.tuples(st.tuples(st.integers(-6, 6), label), st.integers(-3, 3)),
+                    max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes(), st.data(), st.integers(-6, 12))
+def test_packed_products_match_the_oracle(box, data, limit):
+    packing, bound, _ = box
+    # the reaches of the factors add up to the bound, as in JacobiSeries.__mul__
+    reach = data.draw(st.integers(0, bound))
+    rank = len(packing.weights)
+    a = data.draw(edge_terms(rank, reach))
+    b = sorted(data.draw(edge_terms(rank, bound - reach)), key=lambda term: term[0][0])
+    expected = {}
+    oracle_mul_into(expected, a, b, limit)
+    dst = {}
+    _mul_into(dst, packed(packing, a), packed(packing, b), limit)
+    assert packing.unpack(dst) == expected
 
 
 @given(st.fractions(min_value=-5, max_value=5), st.sampled_from((1, 3, 8)))
