@@ -174,7 +174,7 @@ def _cmd_lift(args):
     expansion = lift_expansion(series, _parse_prec(args.prec),
                                _parse_w0(args.w0, series.lattice.rank))
     lines = [f"product expansion to total degree {args.prec}: "
-             f"{len(expansion.coeffs)} monomials, weight "
+             f"{len(expansion.terms)} monomials, weight "
              f"{kit_io.frac_str(expansion.weight)}, holomorphic: {expansion.holomorphic}"]
     _write(args, kit_io.emit_expansion(expansion), lines)
     return 0

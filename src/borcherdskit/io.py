@@ -17,13 +17,14 @@ and on the golden corpus.
 Emission sorts integer keys: each q-exponent, label, gamma or exponent is
 scaled by a positive common denominator, which keeps the order of the
 Fractions, and each distinct rational string is built once per document.
+Series and expansions store their terms on such keys already, over den.
 Parsing turns each distinct rational string of a document into a Fraction
 once and hashes each key once. Neither changes the format: the bytes emitted
 and the messages raised are those of the Fraction-sorting code they replace.
 
 A vvform file lists every coset, so both of its routes run on the integer
 coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
-never build its Fraction view. The emitter walks the table in order. The
+build no Fraction from it. The emitter walks the table in order. The
 parser scales each gamma by det, a common denominator of every dual vector
 (a coordinate whose denominator does not divide det is not dual), tests
 gram * (det * gamma) = 0 mod det, reduces mod det and detects duplicates on
@@ -47,7 +48,8 @@ Formats:
   expansion   {"gram": ..., "weight": "k/2", "holomorphic": "unknown",
                "total_prec": "p/q", "weyl": {"A": ..., "B": [...], "C": ...,
                "w0": [...]}, "terms": [{"n": "a", "l": [...], "m": "b",
-               "c": "int"}, ...]}  sorted by (n, m, lex l)
+               "c": "int"}, ...]}  sorted by (n, m, lex l), with
+              integers n, m >= 0 and n + m < total_prec
 """
 
 from __future__ import annotations
@@ -480,6 +482,9 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         _expect_object(term, tpath, required=("n", "l", "m", "c"))
         n = parse_int(term["n"], f"{tpath}.n")
         m = parse_int(term["m"], f"{tpath}.m")
+        if min(n, m) < 0 or n + m >= total_prec:
+            raise SchemaViolation(f"{tpath}: monomial n={n}, m={m} is not in n, m >= 0, "
+                                  f"n + m < {frac_str(total_prec)}")
         l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
         if not _add_term(coeffs, (n, l, m), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
@@ -488,10 +493,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
-    den = _den(x for _, l, _ in exp.coeffs for x in l)
-    coords = _Strings(den)
-    ordered = sorted(((n, m, _scaled_vector(l, den)), c)
-                     for (n, l, m), c in exp.coeffs.items())
+    coords = _Strings(exp.den)
     return {
         **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),
@@ -499,7 +501,7 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
         "total_prec": frac_str(exp.total_prec),
         "weyl": emit_weyl(exp.weyl),
         "terms": [{"n": str(n), "l": [coords[x] for x in vec], "m": str(m), "c": str(c)}
-                  for (n, m, vec), c in ordered],
+                  for (n, m, vec), c in sorted(exp.terms.items())],
     }
 
 
@@ -522,15 +524,3 @@ def read_json(handle, name):
 def load_json(path):
     with open(path, "rb") as handle:
         return read_json(handle, path)
-
-
-def load_lattice(path) -> EvenLattice:
-    return parse_lattice(load_json(path))
-
-
-def load_series(path) -> JacobiSeries:
-    return parse_series(load_json(path))
-
-
-def load_principal_part(path) -> PrincipalPart:
-    return parse_principal_part(load_json(path))

@@ -12,14 +12,13 @@ its norm as an exact integer. Coset minima are searched once per orthogonal
 block of the Gram matrix and added across blocks as integers into one table
 on integer keys, (gden, qden, {gden * gamma: qden * min Q}); gden is the
 determinant, a common denominator of every dual vector. coset_minima()
-returns that table as a read-only map whose Fraction-keyed view is built
-only on first access, so the vvform file boundary reads the integers.
+returns that record and builds no Fraction; coset_minimum() gives one
+coset's minimum as a Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
 from math import floor, gcd, inf, isqrt, lcm
@@ -242,38 +241,14 @@ class _Fractions(dict):
         return value
 
 
-class CosetMinima(Mapping):
-    """Minimal Q on every coset of L'/L: a read-only map from reduced
-    representatives to Fractions, in sorted order.
-
-    The data lives on integers: table maps gden * gamma to qden * min Q, keys
-    sorted, gden being the determinant and qden a common denominator of the
-    minima. The Fraction-keyed view is built on first access to the map, so
-    code that reads table never builds it.
+class CosetMinima(namedtuple("CosetMinima", "gden qden table")):
+    """Minimal Q on every coset of L'/L, on integers: table is a read-only
+    map from gden * gamma to qden * min Q for each reduced representative
+    gamma, keys sorted; gden is the determinant and qden a common
+    denominator of the minima.
     """
 
-    __slots__ = ("gden", "qden", "table", "_fractions")
-
-    def __init__(self, gden: int, qden: int, table: dict[tuple[int, ...], int]):
-        self.gden, self.qden = gden, qden
-        self.table = MappingProxyType(table)
-        self._fractions = None
-
-    def _view(self) -> dict[Vector, Fraction]:
-        if self._fractions is None:
-            coords, values = _Fractions(self.gden).__getitem__, _Fractions(self.qden)
-            self._fractions = {tuple(map(coords, key)): values[q]
-                               for key, q in self.table.items()}
-        return self._fractions
-
-    def __getitem__(self, gamma) -> Fraction:
-        return self._view()[gamma]
-
-    def __iter__(self):
-        return iter(self._view())
-
-    def __len__(self) -> int:
-        return len(self.table)
+    __slots__ = ()
 
 
 class DiscriminantGroup(namedtuple("DiscriminantGroup",
@@ -468,10 +443,9 @@ class EvenLattice:
         return min(map(self.quadratic_value, found))
 
     def coset_minima(self) -> CosetMinima:
-        """Minimal Q value on every coset of the dual quotient, keyed by the
-        reduced representative in sorted order, as a read-only map; its
-        table attribute holds the same data on integers,
-        {gden * gamma: qden * min Q} with gden = det. Computed on the first
+        """Minimal Q value on every coset of the dual quotient, as the
+        integer table {gden * gamma: qden * min Q} with gden = det, keyed by
+        the reduced representatives in sorted order. Computed on the first
         call and kept.
 
         L'/L is the product of the groups of the orthogonal blocks of the
@@ -487,7 +461,8 @@ class EvenLattice:
                 gram = tuple(tuple(self.gram[i][j] for j in block) for i in block)
                 if gram not in searched:
                     lat = self if len(block) == self.rank else EvenLattice(gram)
-                    searched[gram] = lat._search_minima()
+                    searched[gram] = {gamma: lat.coset_minimum(gamma)
+                                      for gamma in lat.discriminant_group().representatives}
                 grams.append(gram)
             gden = self.det
             qden = lcm(*(q.denominator for part in searched.values() for q in part.values()))
@@ -511,13 +486,8 @@ class EvenLattice:
             if len(table) != self.det:
                 raise SelfCheckFailed("coset count",
                                       f"{len(table)} coset minima, expected {self.det}")
-            self._minima = CosetMinima(gden, qden, table)
+            self._minima = CosetMinima(gden, qden, MappingProxyType(table))
         return self._minima
-
-    def _search_minima(self) -> dict[Vector, Fraction]:
-        """Coset minima by one search per coset."""
-        return {gamma: self.coset_minimum(gamma)
-                for gamma in self.discriminant_group().representatives}
 
     # -- discriminant group ------------------------------------------------
 

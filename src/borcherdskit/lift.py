@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from math import comb
+from math import comb, lcm
 from operator import floordiv, mod
+from types import MappingProxyType
 
 from .errors import (
     CongruenceFailed,
@@ -50,6 +52,7 @@ from .series import (
     _grade_limit,
     _mul_into,
     _Packing,
+    _scaled,
 )
 
 
@@ -185,22 +188,56 @@ def weyl_vector(phi: JacobiSeries, w0=None) -> WeylData:
 # -- truncated product expansion ---------------------------------------------------
 
 
-class OrthogonalExpansion(namedtuple(
-        "OrthogonalExpansion", "lattice weyl weight coeffs total_prec holomorphic",
-        defaults=("unknown",))):
+class OrthogonalExpansion:
     """Truncated coefficients of the product expansion, graded by n + m.
 
-    lattice: EvenLattice; weyl: WeylData; weight: Fraction; coeffs:
-    dict[tuple[int, Vector, int], int]; total_prec: Fraction; holomorphic:
-    str, "unknown" by default.
+    lattice: EvenLattice; weyl: WeylData; weight: Fraction; total_prec:
+    Fraction; holomorphic: str, "unknown" by default.
 
-    coeffs maps monomials (n, l, m) with integer n, m >= 0 to integer
-    coefficients of the product itself; the Weyl prefactor q^A r^B s^C is
-    carried separately in weyl. Holomorphy of the underlying lift is not
-    decided by this package.
+    terms maps keys (n, m, l * den), in file order, to the integer
+    coefficient of q^n r^l s^m in the product itself: n, m >= 0 are integers
+    and den is a common denominator of the labels, not always the least one.
+    coeffs is the read-only {(n, l, m): c} view with Fraction labels, built
+    on first access; the constructor reads such a map. The Weyl prefactor
+    q^A r^B s^C is carried separately in weyl. Holomorphy of the underlying
+    lift is not decided by this package.
     """
 
-    __slots__ = ()
+    def __init__(self, lattice, weyl, weight, coeffs, total_prec, holomorphic="unknown"):
+        self.lattice, self.weyl, self.weight = lattice, weyl, weight
+        self.total_prec, self.holomorphic = total_prec, holomorphic
+        self.den = den = lcm(*{x.denominator for _, l, _ in coeffs for x in l})
+        self.terms = {(n, m, tuple([_scaled(x, den) for x in l])): c
+                      for (n, l, m), c in coeffs.items()}
+
+    @classmethod
+    def _of(cls, lattice, weyl, weight, terms, den, total_prec, holomorphic="unknown"):
+        """The expansion of integer terms over den; it keeps the dict."""
+        self = cls(lattice, weyl, weight, {}, total_prec, holomorphic)
+        self.terms, self.den = terms, den
+        return self
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        """The terms as a read-only {(n, l, m): c} map with Fraction labels."""
+        labels = _Fractions(self.den).__getitem__
+        return MappingProxyType({(n, tuple(map(labels, l)), m): c
+                                 for (n, m, l), c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, OrthogonalExpansion):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        mine, theirs = (e.terms if e.den == den else
+                        {(n, m, tuple([den // e.den * x for x in l])): c
+                         for (n, m, l), c in e.terms.items()} for e in (self, other))
+        return ((self.lattice, self.weyl, self.weight, self.total_prec, self.holomorphic)
+                == (other.lattice, other.weyl, other.weight, other.total_prec,
+                    other.holomorphic) and mine == theirs)
+
+    def __repr__(self):
+        return (f"OrthogonalExpansion(weight={self.weight}, rank={self.lattice.rank}, "
+                f"terms={len(self.terms)}, total_prec={self.total_prec})")
 
 
 def _factor_powers(c: int, grade: int, top: int, size: int):
@@ -308,11 +345,10 @@ def _apply_factor(layers, g, key, c):
 def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
     """The OrthogonalExpansion of maps of packed monomials (n + m, (n, *l))
     to integer coefficients, with labels l scaled by phi.den."""
-    labels = _Fractions(phi.den).__getitem__
-    coeffs = {(vec[0], tuple(map(labels, vec[1:])), t - vec[0]): c
-              for layer in layers for (t, vec), c in packing.unpack(layer).items()}
+    terms = {(vec[0], t - vec[0], vec[1:]): c
+             for layer in layers for (t, vec), c in packing.unpack(layer).items()}
     weight = Fraction(phi.terms.get((0, (0,) * phi.lattice.rank), 0), 2)
-    return OrthogonalExpansion(phi.lattice, weyl, weight, coeffs, total_prec)
+    return OrthogonalExpansion._of(phi.lattice, weyl, weight, terms, phi.den, total_prec)
 
 
 def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:

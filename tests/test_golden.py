@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from borcherdskit.cli import main
+from borcherdskit.lift import OrthogonalExpansion
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -54,6 +55,17 @@ def test_cli_output_is_byte_identical(name, argv, stdin, capsys, monkeypatch):
             io.BytesIO((GOLDEN / stdin).read_bytes()), encoding="utf-8"))
     assert main(argv) == 0
     assert capsys.readouterr().out == read(name)
+
+
+def test_lift_writes_integer_terms(capsys, monkeypatch):
+    def refuse(expansion):
+        raise AssertionError("the Fraction view of the expansion was built")
+
+    monkeypatch.setattr(OrthogonalExpansion, "coeffs", property(refuse))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO((GOLDEN / "phi_n2_prec4.json").read_bytes()), encoding="utf-8"))
+    assert main(["lift", "--prec", "4"]) == 0
+    assert capsys.readouterr().out == read("lift_phi_n2_prec4_deg4.json")
 
 
 def test_corpus_lists_every_file():

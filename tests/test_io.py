@@ -14,6 +14,7 @@ ensure_ascii=True) writes, on random documents and on every golden file.
 import json
 import time
 from fractions import Fraction as F
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,7 @@ def test_expansion_round_trip():
     e = lift_expansion(phi04(4), 4, (1,))
     doc = emit_expansion(e)
     back = parse_expansion(doc)
+    assert back == e
     assert back.coeffs == e.coeffs
     assert back.weyl == e.weyl
     assert back.total_prec == e.total_prec
@@ -342,15 +344,23 @@ def oracle_emit_series(series):
     }
 
 
+@cache
+def oracle_coset_minima(lattice):
+    """min Q on every coset as {gamma: Fraction}, one coset_minimum search
+    per reduced representative, in sorted order."""
+    return {gamma: lattice.coset_minimum(gamma)
+            for gamma in lattice.discriminant_group().representatives}
+
+
 def oracle_emit_vvform(form):
     """One entry per coset, with precision prec - min Q(gamma)."""
     lattice = form.lattice
     components = []
-    for gamma in sorted(lattice.discriminant_group().representatives):
+    for gamma, minimum in oracle_coset_minima(lattice).items():
         fg = form.components.get(gamma, {})
         components.append({
             "gamma": emit_vector(gamma),
-            "prec": frac_str(form.prec - lattice.coset_minima()[gamma]),
+            "prec": frac_str(form.prec - minimum),
             "terms": [{"e": frac_str(e), "c": str(fg[e])} for e in sorted(fg) if fg[e]],
         })
     return {
@@ -412,7 +422,7 @@ def oracle_parse_vvform(doc, path="$"):
         precisions.append((gamma, fracs.frac(comp["prec"], f"{cpath}.prec")))
     if len(components) != lattice.det:
         raise SchemaViolation(f"{path}.components: has {len(components)} of {lattice.det} cosets")
-    minima = lattice.coset_minima()
+    minima = oracle_coset_minima(lattice)
     tops = [p + minima[gamma] for gamma, p in precisions]
     if any(top != tops[0] for top in tops):
         raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
@@ -425,7 +435,7 @@ LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]),
             EvenLattice([[8, 0], [0, 8]]))
 # reduced coset representatives: entries with denominators dividing 8 on
 # [[8]] and diag(8, 8), and dividing 24 on [[16, 8], [8, 16]]
-COSETS = {id(lat): sorted(lat.coset_minima()) for lat in LATTICES}
+COSETS = {id(lat): lat.discriminant_group().representatives for lat in LATTICES}
 
 lattices = st.sampled_from(LATTICES)
 # numerators around zero over mixed denominators
@@ -472,9 +482,10 @@ def principal_parts(draw):
 @st.composite
 def expansions(draw):
     lattice = draw(lattices)
-    degree = st.integers(0, 4)
-    coeffs = draw(st.dictionaries(st.tuples(degree, vectors(lattice), degree),
-                                  coefficients, max_size=20))
+    # total degree n + m below total_prec 5
+    monomial = st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), vectors(lattice), st.integers(0, 4 - n)))
+    coeffs = draw(st.dictionaries(monomial, coefficients, max_size=20))
     weyl = WeylData(draw(rationals), draw(vectors(lattice)), draw(rationals),
                     draw(vectors(lattice)))
     return OrthogonalExpansion(lattice, weyl, draw(rationals), coeffs, F(5))
@@ -531,8 +542,22 @@ def test_expansion_emit_matches_oracle_and_round_trips(exp, data):
     doc = emit_expansion(exp)
     assert canonical_dumps(doc) == canonical_dumps(oracle_emit_expansion(exp))
     back = parse_expansion(shuffled(data, doc, "terms"))
+    assert back == exp
     assert back.coeffs == exp.coeffs
     assert emit_expansion(back) == doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(), st.integers(2, 3))
+def test_expansion_equality_and_emission_ignore_the_label_denominator(exp, k):
+    # the same expansion stored over k * den: unreduced integer labels
+    finer = OrthogonalExpansion._of(
+        exp.lattice, exp.weyl, exp.weight,
+        {(n, m, tuple([k * x for x in l])): c for (n, m, l), c in exp.terms.items()},
+        k * exp.den, exp.total_prec, exp.holomorphic)
+    assert finer == exp and exp == finer
+    assert finer.coeffs == exp.coeffs
+    assert canonical_dumps(emit_expansion(finer)) == canonical_dumps(oracle_emit_expansion(exp))
 
 
 def test_empty_objects_emit_as_oracles():
@@ -565,6 +590,17 @@ def _expansion(terms):
     zero = ["0"]
     return {"gram": [[8]], "weight": "0", "holomorphic": "unknown", "total_prec": "4",
             "weyl": {"A": "0", "B": zero, "C": "0", "w0": ["1"]}, "terms": terms}
+
+
+@pytest.mark.parametrize("n, m", [(-1, 2), (0, -2), (1, 3), (-3, 40)],
+                         ids=["negative-n", "negative-m", "total-degree", "negative-n-large-m"])
+def test_expansion_monomials_lie_below_total_prec(n, m):
+    # total_prec 4; the first term, of total degree 3, is the largest allowed
+    doc = _expansion([{"n": "0", "l": ["0"], "m": "3", "c": "1"},
+                      {"n": str(n), "l": ["0"], "m": m, "c": "1"}])
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_expansion(doc)
+    assert str(excinfo.value) == f"$.terms[1]: monomial n={n}, m={m} is not in n, m >= 0, n + m < 4"
 
 
 @pytest.mark.parametrize("parse, doc, message", [
@@ -692,14 +728,14 @@ def test_vvform_parse_matches_fraction_oracle(doc):
     assert _outcome(parse_vvform, doc) == _outcome(oracle_parse_vvform, doc)
 
 
-def test_vvform_io_reads_integer_minima(monkeypatch):
+def test_vvform_io_reads_integer_minima():
     # diag(8)^4: 4096 cosets, 81 of them nonzero
     form = theta_decompose(phi_n(4, 1))
-
-    def refuse(minima):
-        raise AssertionError("the Fraction view of the coset minima was built")
-
-    monkeypatch.setattr(CosetMinima, "_view", refuse)
+    # the minima are the integer record only: there is no Fraction view to build
+    minima = form.lattice.coset_minima()
+    assert type(minima) is CosetMinima and minima._fields == ("gden", "qden", "table")
+    with pytest.raises(TypeError):
+        minima[(F(0),) * 4]
     doc = emit_vvform(form)
     assert len(doc["components"]) == 4096
     back = parse_vvform(json.loads(canonical_dumps(doc)))

@@ -482,10 +482,12 @@ def test_enumerate_coset_contains_only_coset():
 
 
 def test_min_coset_value():
-    minima = EvenLattice([[8]]).coset_minima()
-    assert minima[(F(7, 8),)] == F(1, 16)
-    assert minima[(F(1, 2),)] == 1
-    assert minima[(F(0),)] == 0
+    k = EvenLattice([[8]])
+    minima = k.coset_minima()
+    for gamma, value in (((F(7, 8),), F(1, 16)), ((F(1, 2),), 1), ((F(0),), 0)):
+        assert k.coset_minimum(gamma) == value
+        key = tuple(c * minima.gden for c in gamma)
+        assert F(minima.table[key], minima.qden) == value
 
 
 def box_scan_coset_minima(gram):
@@ -517,22 +519,17 @@ def box_scan_coset_minima(gram):
 
 
 def check_coset_minima(k, oracle):
-    """coset_minima() against the box scan: the Fraction view and the integer
-    table {gden * gamma: qden * min Q}, both in sorted order, det cosets, one
-    result per lattice, and no way to write to it."""
+    """coset_minima() against the box scan: the integer table
+    {gden * gamma: qden * min Q} in sorted order, det cosets, one result per
+    lattice, and no way to write to it."""
     minima = k.coset_minima()
     assert minima is k.coset_minima()
-    assert len(minima) == len(minima.table) == minima.gden == k.det
+    assert len(minima.table) == minima.gden == k.det
     assert minima.table == {tuple(c * minima.gden for c in gamma): q * minima.qden
                             for gamma, q in oracle.items()}
     assert list(minima.table) == sorted(minima.table)
-    assert minima == oracle
-    assert list(minima) == sorted(oracle)
     with pytest.raises(TypeError):
         minima.table[next(iter(minima.table))] = 0
-    with pytest.raises(TypeError):
-        minima[next(iter(minima))] = 0
-    return minima
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -545,12 +542,13 @@ def test_coset_minima_matches_box_scan(gram):
 @given(block_diagonal_grams(), st.data())
 def test_coset_minima_block_diagonal_matches_box_scan(gram, data):
     k = EvenLattice(gram)
-    minima = check_coset_minima(k, box_scan_coset_minima(gram))
+    oracle = box_scan_coset_minima(gram)
+    check_coset_minima(k, oracle)
     # the per-coset search of the whole Gram matrix, on cosets given by
     # representatives outside [0, 1)
-    for gamma in data.draw(st.lists(st.sampled_from(sorted(minima)), max_size=6)):
+    for gamma in data.draw(st.lists(st.sampled_from(sorted(oracle)), max_size=6)):
         shifted = tuple(c + data.draw(st.integers(-2, 2)) for c in gamma)
-        assert k.coset_minimum(shifted) == minima[gamma]
+        assert k.coset_minimum(shifted) == oracle[gamma]
 
 
 def test_coset_minimum_rejects_non_dual():

@@ -102,7 +102,7 @@ def test_principal_part_of_phi_2():
             gamma = (a, b)
             if gamma == (F(0), F(0)):
                 continue
-            q = lat.coset_minima()[gamma]
+            q = lat.coset_minimum(gamma)
             assert pp.terms[(gamma, -q)] == 1
     # every exponent sits in the -Q(gamma) + Z class
     for (gamma, e), _ in pp.terms.items():
