@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import io as kit_io
 from .errors import BorcherdsKitError, SchemaViolation, SelfCheckFailed
+from .lattice import vector_str
 from .lift import (
     admits_half_integral_weight,
     congruence_check,
@@ -163,8 +164,8 @@ def _cmd_weyl(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
     weyl = weyl_vector(series, _parse_w0(args.w0, series.lattice.rank))
     doc = kit_io.emit_weyl(weyl)
-    b = ", ".join(kit_io.frac_str(x) for x in weyl.b)
-    lines = [f"A = {kit_io.frac_str(weyl.a)}, B = ({b}), C = {kit_io.frac_str(weyl.c)}"]
+    lines = [f"A = {kit_io.frac_str(weyl.a)}, B = {vector_str(weyl.b)}, "
+             f"C = {kit_io.frac_str(weyl.c)}"]
     _write(args, doc, lines)
     return 0
 
@@ -213,14 +214,12 @@ def _cmd_validate_pp(args):
         lines.append("validation FAILED")
     lines.append(f"exponent classes: {'ok' if report.exponent_class_ok else 'FAILED'}")
     for gamma, e in report.exponent_class_offenders:
-        lines.append(f"  exponent {kit_io.frac_str(e)} at gamma=("
-                     + ", ".join(kit_io.frac_str(x) for x in gamma)
-                     + ") is not in the -Q(gamma) + Z class")
+        lines.append(f"  exponent {kit_io.frac_str(e)} at gamma={vector_str(gamma)} "
+                     "is not in the -Q(gamma) + Z class")
     lines.append(f"symmetry under negation: {'ok' if report.symmetry_ok else 'FAILED'}")
     for gamma, e in report.symmetry_offenders:
-        lines.append(f"  coefficient at gamma=("
-                     + ", ".join(kit_io.frac_str(x) for x in gamma)
-                     + f"), exp {kit_io.frac_str(e)} differs from its negative")
+        lines.append(f"  coefficient at gamma={vector_str(gamma)}, "
+                     f"exp {kit_io.frac_str(e)} differs from its negative")
     lines.append(f"weight {kit_io.frac_str(report.weight)} "
                  f"(half-integral: {str(report.half_integral).lower()}), "
                  f"singular weight {kit_io.frac_str(report.singular_weight)}, "

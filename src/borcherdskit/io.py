@@ -19,17 +19,26 @@ scaled by a positive common denominator, which keeps the order of the
 Fractions, and each distinct rational string is built once per document.
 Series and expansions store their terms on such keys already, over den.
 Parsing turns each distinct rational string of a document into a Fraction
-once and hashes each key once. Neither changes the format: the bytes emitted
-and the messages raised are those of the Fraction-sorting code they replace.
+once and hashes each key once. The series parser goes further: each distinct
+value gets a small int, every term is keyed by the ints of its rationals,
+and only the terms kept are scaled to the integer keys of the series.
+Neither changes the format: the bytes emitted and the messages raised are
+those of the Fraction-keyed code they replace.
 
 A vvform file lists every coset, so both of its routes run on the integer
 coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
-build no Fraction from it. The emitter walks the table in order. The
-parser scales each gamma by det, a common denominator of every dual vector
-(a coordinate whose denominator does not divide det is not dual), tests
-gram * (det * gamma) = 0 mod det, reduces mod det and detects duplicates on
-integer tuples, checks the precisions once per distinct (prec, minimum)
-pair, and builds Fraction keys only for the nonzero components it returns.
+build no Fraction from it. The emitter walks the table in order and writes
+terms only for the nonzero components. The parser scales each gamma by
+det, a common denominator of every dual vector (a coordinate whose
+denominator does not divide det is not dual), and reduces it mod det. A
+list of at least det entries is checked against the table, whose keys are
+exactly the reduced dual cosets: one lookup tests gamma and gives its
+minimum. A shorter list cannot hold every coset and is refused after the
+loop, without listing the table; there each gamma is tested by
+gram * (det * gamma) = 0 mod det, so that the first error reported is the
+same. Duplicates are found on integer tuples, the precisions are checked
+once per distinct (prec, minimum) pair, and Fraction keys are built only
+for the nonzero components returned.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -61,7 +70,7 @@ from math import lcm
 from operator import mul
 
 from .errors import ResourceLimit, SchemaViolation
-from .lattice import EvenLattice, Vector, _Fractions
+from .lattice import EvenLattice, Vector, _Fractions, frac_str
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
 from .series import (
     DEFAULT_BUDGET,
@@ -69,16 +78,13 @@ from .series import (
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
+    _checked_q_den,
+    _checked_weight,
     _scaled,
 )
 
 
 # -- scalars -------------------------------------------------------------------
-
-
-def frac_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_frac(value, path) -> Fraction:
@@ -150,11 +156,50 @@ class _Rationals(dict):
 
 def _parse_lattice_vector(value, path, lattice: EvenLattice, fracs: _Rationals) -> Vector:
     """A vector with one entry per basis vector of lattice."""
-    vec = fracs.vector(value, path)
-    if len(vec) != lattice.rank:
-        raise SchemaViolation(
-            f"{path}: vector has length {len(vec)}, lattice rank is {lattice.rank}")
+    return _of_rank(fracs.vector(value, path), path, lattice.rank)
+
+
+def _of_rank(vec: tuple, path, rank: int) -> tuple:
+    if len(vec) != rank:
+        raise SchemaViolation(f"{path}: vector has length {len(vec)}, lattice rank is {rank}")
     return vec
+
+
+class _Interned(dict):
+    """The rationals of one document as small ints: each distinct value gets
+    the next index into values, and each distinct string is parsed once and
+    maps to the index of its value, so two spellings of one rational get one
+    index. Values that are not strings go to parse_frac every time, so the
+    messages are those of parse_frac."""
+
+    def __init__(self):
+        super().__init__()
+        self.values: list[Fraction] = []
+        self.index: dict[Fraction, int] = {}
+
+    def of(self, value, path) -> int:
+        if type(value) is str:
+            i = self.get(value)
+            if i is not None:
+                return i
+        x = parse_frac(value, path)
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.values)
+            self.values.append(x)
+        if type(value) is str:
+            self[value] = i
+        return i
+
+    def vector(self, value, path, rank: int) -> tuple[int, ...]:
+        """The indices of a vector with rank entries."""
+        if type(value) is list:
+            try:
+                return _of_rank(tuple([self[x] for x in value]), path, rank)
+            except (KeyError, TypeError):
+                pass  # a string not seen yet, or not a string
+        return _of_rank(tuple([self.of(x, f"{path}[{i}]")
+                               for i, x in enumerate(_expect_list(value, path))]), path, rank)
 
 
 def _add_term(table, key, raw, path) -> bool:
@@ -261,30 +306,51 @@ def emit_lattice(lattice: EvenLattice) -> dict:
 # -- Jacobi series -----------------------------------------------------------------
 
 
+_SERIES_TERM = {"n", "l", "c"}
+
+
 def parse_series(doc, path="$") -> JacobiSeries:
+    """The series of a document, read on integers: each term is keyed by the
+    value-interned indices of its rationals, which also finds duplicates
+    however they are spelled, and only the terms below prec with nonzero
+    coefficients are scaled to the (n * q_den, l * den) keys of the series.
+    The messages, and their order, are those of the Fraction-keyed parse
+    through the JacobiSeries constructor."""
     _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
                                         "form_class", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs = _Rationals()
-    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    rank = lattice.rank
+    weight = parse_frac(doc["weight"], f"{path}.weight")
     q_den = parse_int(doc["q_den"], f"{path}.q_den")
-    prec = fracs.frac(doc["prec"], f"{path}.prec")
+    prec = parse_frac(doc["prec"], f"{path}.prec")
     form_class = doc["form_class"]
     if form_class not in (RAW, WEAK_JACOBI):
         raise SchemaViolation(f"{path}.form_class: {form_class!r} is not a form class")
-    coeffs = {}
+    ids = _Interned()
+    values = ids.values
+    terms = {}  # (index of n, indices of l) -> c
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
-        _expect_object(term, tpath, required=("n", "l", "c"))
-        n = fracs.frac(term["n"], f"{tpath}.n")
-        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
-        if not _add_term(coeffs, (n, l), term["c"], f"{tpath}.c"):
-            raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(n)}")
+        if type(term) is not dict or term.keys() != _SERIES_TERM:
+            _expect_object(term, tpath, required=("n", "l", "c"))
+        key = (ids.of(term["n"], f"{tpath}.n"), ids.vector(term["l"], f"{tpath}.l", rank))
+        if not _add_term(terms, key, term["c"], f"{tpath}.c"):
+            raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(values[key[0]])}")
+    below = [x < prec for x in values]
+    kept = [(key, c) for key, c in terms.items() if c and below[key[0]]]
+    exps = {n for (n, _), _ in kept}
+    coords = {x for (_, l), _ in kept for x in l}
     try:
-        return JacobiSeries(lattice, weight, prec, coeffs, q_den=q_den,
-                            form_class=form_class)
+        weight = _checked_weight(weight)
+        q_den = _checked_q_den(q_den, {values[n].denominator for n in exps})
     except ValueError as exc:
         raise SchemaViolation(f"{path}: {exc}") from None
+    den = lcm(*{values[x].denominator for x in coords})
+    grade = {n: _scaled(values[n], q_den) for n in exps}
+    coord = {x: _scaled(values[x], den) for x in coords}
+    return JacobiSeries._of(lattice, weight, prec,
+                            {(grade[n], tuple(map(coord.__getitem__, l))): c
+                             for (n, l), c in kept}, q_den, den, form_class)
 
 
 def emit_series(series: JacobiSeries) -> dict:
@@ -304,11 +370,11 @@ def emit_series(series: JacobiSeries) -> dict:
 
 
 class _Scaled(dict):
-    """Vectors of one document on integers over den: each distinct rational
-    string maps to its value times den, or to None when den is no multiple of
-    its denominator. A vector with an entry that is not a string seen before
-    goes through _parse_lattice_vector, so the messages are those of the
-    Fraction parse."""
+    """Vectors of one document on integers mod den: each distinct rational
+    string maps to its value times den reduced mod den, or to None when den
+    is no multiple of its denominator. A vector with an entry that is not a
+    string seen before goes through _parse_lattice_vector, so the messages
+    are those of the Fraction parse."""
 
     def __init__(self, den: int, fracs: _Rationals):
         super().__init__()
@@ -322,12 +388,15 @@ class _Scaled(dict):
                 pass  # a string not seen yet, or not a string
         vec = _parse_lattice_vector(value, path, lattice, self.fracs)
         den = self.den
-        out = tuple([None if den % x.denominator else x.numerator * (den // x.denominator)
+        out = tuple([None if den % x.denominator else x.numerator * (den // x.denominator) % den
                      for x in vec])
         for raw, k in zip(value, out):
             if type(raw) is str:
                 self[raw] = k
         return out
+
+
+_COMPONENT = {"gamma", "prec", "terms"}
 
 
 def parse_vvform(doc, path="$") -> VectorValuedForm:
@@ -336,37 +405,54 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     fracs = _Rationals()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
     det, gram = lattice.det, lattice.gram
+    entries = _expect_list(doc["components"], f"{path}.components")
+    if len(entries) >= det:
+        # the table's keys are the det reduced dual cosets scaled by det, so a
+        # lookup both tests a key and gives qden * min Q, and listing the
+        # table costs no more than reading the document
+        minima = lattice.coset_minima()
+        qden, lookup = minima.qden, minima.table.get
+    else:
+        # too few entries for every coset: the document is refused after the
+        # loop, which tests gram * key = 0 mod det only to report an earlier
+        # error first
+        qden = 1
+
+        def lookup(key):
+            return None if any(sum(map(mul, row, key)) % det for row in gram) else 0
+
     scaled = _Scaled(det, fracs)
-    components = {}
+    seen = set()
+    components = {}  # det * gamma reduced -> its terms, for the entries with terms
     precisions = {}  # raw prec -> its Fraction
-    keyed = []  # (raw prec, det * gamma reduced)
-    for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
+    pairs = set()  # (raw prec, qden * min Q)
+    for i, comp in enumerate(entries):
         cpath = f"{path}.components[{i}]"
-        _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
+        if type(comp) is not dict or comp.keys() != _COMPONENT:
+            _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
         key = scaled.vector(comp["gamma"], f"{cpath}.gamma", lattice)
-        if None in key or any(sum(map(mul, row, key)) % det for row in gram):
+        q = None if None in key else lookup(key)
+        if q is None:
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
-        key = tuple([x % det for x in key])
-        size = len(components)
-        components[key] = fg = {}
-        if len(components) == size:
+        size = len(seen)
+        seen.add(key)
+        if len(seen) == size:
             raise SchemaViolation(f"{cpath}.gamma: duplicate component")
-        for j, term in enumerate(_expect_list(comp["terms"], f"{cpath}.terms")):
-            tpath = f"{cpath}.terms[{j}]"
-            _expect_object(term, tpath, required=("e", "c"))
-            e = fracs.frac(term["e"], f"{tpath}.e")
-            if not _add_term(fg, e, term["c"], f"{tpath}.c"):
-                raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
+        terms = comp["terms"]
+        if type(terms) is not list or terms:
+            components[key] = fg = {}
+            for j, term in enumerate(_expect_list(terms, f"{cpath}.terms")):
+                tpath = f"{cpath}.terms[{j}]"
+                _expect_object(term, tpath, required=("e", "c"))
+                e = fracs.frac(term["e"], f"{tpath}.e")
+                if not _add_term(fg, e, term["c"], f"{tpath}.c"):
+                    raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
         raw = comp["prec"]
         precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
-        keyed.append((raw, key))
-    # det distinct cosets are all of them, and listing the minima costs no more than the doc
-    if len(components) != det:
-        raise SchemaViolation(f"{path}.components: has {len(components)} of {det} cosets")
-    minima = lattice.coset_minima()
-    table = minima.table
-    tops = {precisions[raw] + Fraction(q, minima.qden)
-            for raw, q in {(raw, table[key]) for raw, key in keyed}}
+        pairs.add((raw, q))
+    if len(seen) != det:
+        raise SchemaViolation(f"{path}.components: has {len(seen)} of {det} cosets")
+    tops = {precisions[raw] + Fraction(q, qden) for raw, q in pairs}
     if len(tops) != 1:
         raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
     (prec,) = tops
@@ -390,15 +476,16 @@ def emit_vvform(form: VectorValuedForm) -> dict:
     eden = lcm(form.prec.denominator, minima.qden,
                _den(e for fg in form.components.values() for e in fg))
     coords, exps = _Strings(gden), _Strings(eden)
+    coord = coords.__getitem__
     top, qs = _scaled(form.prec, eden), eden // minima.qden
     components = []
     for key, q in table.items():
-        terms = sorted((_scaled(e, eden), c) for e, c in scaled.get(key, {}).items())
-        components.append({
-            "gamma": [coords[x] for x in key],
-            "prec": exps[top - q * qs],
-            "terms": [{"e": exps[e], "c": str(c)} for e, c in terms],
-        })
+        entry = {"gamma": list(map(coord, key)), "prec": exps[top - q * qs], "terms": []}
+        fg = scaled.get(key)
+        if fg:
+            entry["terms"] = [{"e": exps[e], "c": str(c)}
+                              for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])]
+        components.append(entry)
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),

@@ -45,6 +45,17 @@ def to_vector(coords) -> Vector:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
+def frac_str(x) -> str:
+    """x in lowest terms as "p/q", or "p" when it is an integer."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def vector_str(v) -> str:
+    """A vector as "(p/q, ...)", the way messages write it."""
+    return f"({', '.join(map(frac_str, v))})"
+
+
 def _as_integers(v: Vector) -> tuple[int, list[int]]:
     """(den, ints) with v = ints / den, den the least common denominator."""
     den = lcm(*[c.denominator for c in v])
@@ -365,7 +376,8 @@ class EvenLattice:
         """Q(gamma) mod 1; well defined on cosets of the lattice."""
         gamma = self._vec(gamma)
         if not self.is_dual_vector(gamma):
-            raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
+            raise NotInDualLattice(
+                f"{vector_str(gamma)} does not pair integrally with the lattice")
         return self.quadratic_value(gamma) % 1
 
     def gcd_inner_products(self) -> int:
@@ -417,6 +429,15 @@ class EvenLattice:
         budget = scale * bound.numerator // bound.denominator
         return den, scale, _enumerate_affine(levels, offset, den, budget, limit)
 
+    def _norms(self, offset, den: int, bound: int, limit=inf) -> list[int]:
+        """The values y^T gram y <= bound, sorted, for the integer vectors
+        y = offset + den * x, x integral: den^2 times 2 Q(v) for the vectors
+        v = y / den of a coset. When there are more than limit of them, the
+        search stops after limit + 1."""
+        k, levels = self._levels
+        points = _enumerate_affine(levels, offset, den, k * bound, limit)
+        return sorted([q // k for _, q in points])
+
     def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted
         lexicographically by coordinates. When there are more than limit of
@@ -434,12 +455,14 @@ class EvenLattice:
         lies in the coset, so the search cannot come back empty."""
         gamma = self._vec(gamma)
         if not self.is_dual_vector(gamma):
-            raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
+            raise NotInDualLattice(
+                f"{vector_str(gamma)} does not pair integrally with the lattice")
         half = Fraction(1, 2)
         centred = tuple(c - floor(c + half) for c in gamma)
         found = self.enumerate_coset(centred, self.quadratic_value(centred))
         if not found:
-            raise SelfCheckFailed("coset search", f"no vector found in coset {gamma}")
+            raise SelfCheckFailed("coset search",
+                                  f"no vector found in coset {vector_str(gamma)}")
         return min(map(self.quadratic_value, found))
 
     def coset_minima(self) -> CosetMinima:

@@ -43,7 +43,7 @@ from .errors import (
     SelfCheckFailed,
     UnboundedExpansion,
 )
-from .lattice import EvenLattice, Vector, _Fractions, to_vector
+from .lattice import EvenLattice, Vector, _Fractions, to_vector, vector_str
 from .series import (
     DEFAULT_BUDGET,
     WEAK_JACOBI,
@@ -72,7 +72,8 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms")):
     def __new__(cls, lattice, constant_term, terms):
         for (gamma, e), c in terms.items():
             if e >= 0:
-                raise ValueError(f"principal part exponent {e} at {gamma} is not negative")
+                raise ValueError(
+                    f"principal part exponent {e} at {vector_str(gamma)} is not negative")
         return super().__new__(cls, lattice, constant_term, terms)
 
 
@@ -176,7 +177,8 @@ def weyl_vector(phi: JacobiSeries, w0=None) -> WeylData:
         pairing = lat.bilinear_value(l, w0)
         if pairing == 0 and l != zero:
             raise NonGenericChamber(
-                f"chamber vector {w0} pairs to zero with supported label {l}")
+                f"chamber vector {vector_str(w0)} pairs to zero with supported label "
+                f"{vector_str(l)}")
         a += coef
         c += coef * lat.bilinear_value(l, l)
         if pairing > 0:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, repeat
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import add, and_, itemgetter, mul, rshift, sub
 from types import MappingProxyType
 
@@ -51,7 +51,14 @@ from .errors import (
     SelfCheckFailed,
     ShiftInvarianceViolated,
 )
-from .lattice import EvenLattice, Vector, _Fractions, direct_sum, to_vector
+from .lattice import (
+    EvenLattice,
+    Vector,
+    _Fractions,
+    direct_sum,
+    to_vector,
+    vector_str,
+)
 
 RAW = "raw"
 WEAK_JACOBI = "weak_jacobi"
@@ -154,6 +161,28 @@ def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     return min(prec_a + Fraction(low_b, q_den), prec_b + Fraction(low_a, q_den))
 
 
+def _checked_weight(weight) -> Fraction:
+    """weight as a Fraction; ValueError unless its denominator is 1 or 2."""
+    weight = Fraction(weight)
+    if weight.denominator > 2:
+        raise ValueError(f"weight {weight} does not have denominator <= 2")
+    return weight
+
+
+def _checked_q_den(q_den, dens) -> int:
+    """The q denominator of a series whose q-exponents have the denominators
+    dens: their lcm when q_den is None, else q_den itself, or ValueError
+    when it is not positive or not a multiple of each."""
+    if q_den is None:
+        return lcm(*dens)
+    q_den = int(q_den)
+    if q_den < 1:
+        raise ValueError(f"q_den must be a positive integer, got {q_den}")
+    if any(q_den % d for d in dens):
+        raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
+    return q_den
+
+
 class JacobiSeries:
     """Truncated Fourier expansion sum c(n, l) q^n zeta^l with exact data.
 
@@ -169,9 +198,7 @@ class JacobiSeries:
     def __init__(self, lattice, weight, prec, coeffs, q_den=None, form_class=RAW):
         if form_class not in (RAW, WEAK_JACOBI):
             raise FormClassError(f"unknown form class {form_class!r}")
-        weight = Fraction(weight)
-        if weight.denominator > 2:
-            raise ValueError(f"weight {weight} does not have denominator <= 2")
+        weight = _checked_weight(weight)
         prec = Fraction(prec)
         kept = []
         for (n, l), c in coeffs.items():
@@ -184,17 +211,10 @@ class JacobiSeries:
             l = to_vector(l)
             if len(l) != lattice.rank:
                 raise DimensionMismatch(
-                    f"label {l} has length {len(l)}, lattice rank is {lattice.rank}")
+                    f"label {vector_str(l)} has length {len(l)}, lattice rank is "
+                    f"{lattice.rank}")
             kept.append((n, l, c))
-        dens = {n.denominator for n, _, _ in kept}
-        if q_den is None:
-            q_den = lcm(*dens)
-        else:
-            q_den = int(q_den)
-            if q_den < 1:
-                raise ValueError(f"q_den must be a positive integer, got {q_den}")
-            if any(q_den % d for d in dens):
-                raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
+        q_den = _checked_q_den(q_den, {n.denominator for n, _, _ in kept})
         den = lcm(*{x.denominator for _, l, _ in kept for x in l})
         terms = {(_scaled(n, q_den), tuple([_scaled(x, den) for x in l])): c
                  for n, l, c in kept}
@@ -501,7 +521,8 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
     with Q(l) < prec."""
     gamma = to_vector(gamma)
     if not lattice.is_dual_vector(gamma):
-        raise NotInDualLattice(f"{gamma} does not pair integrally with the lattice")
+        raise NotInDualLattice(
+            f"{vector_str(gamma)} does not pair integrally with the lattice")
     prec = Fraction(prec)
     den, scale, points = lattice._points(gamma, prec)
     limit = _grade_limit(prec, scale)
@@ -528,6 +549,14 @@ class VectorValuedForm:
         self.components = {g: nonzero for g, fg in components.items()
                            if (nonzero := {e: c for e, c in fg.items() if c})}
         self.prec = Fraction(prec)
+
+    @classmethod
+    def _of(cls, lattice, weight: Fraction, components, prec: Fraction):
+        """The form of components with no zero coefficient, stored as they
+        are."""
+        form = cls.__new__(cls)
+        form.lattice, form.weight, form.components, form.prec = lattice, weight, components, prec
+        return form
 
     def component(self, gamma) -> dict[Fraction, int]:
         return self.components.get(self.lattice.reduce_mod1(gamma), {})
@@ -556,6 +585,12 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     agrees and that no witness inside the window is silently missing, and
     raises ShiftInvarianceViolated otherwise. Component gamma is determined
     for exponents below prec - min Q on its coset.
+
+    Everything up to the returned components runs on integers over the
+    label denominator den of phi: a class is (den * gamma, eden * e) with
+    eden = 2 den^2, and its witnesses are counted by one integer search per
+    coset for the norms eden * Q(l) of its translates. Fractions are built
+    only for the components returned and for messages.
     """
     if phi.form_class != WEAK_JACOBI:
         raise FormClassError("theta decomposition expects a weak_jacobi series")
@@ -563,55 +598,58 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         raise FormClassError(f"theta decomposition expects weight 0, got {phi.weight}")
     if phi.q_den != 1:
         raise FormClassError("theta decomposition expects integer q-exponents")
-    lat, den = phi.lattice, phi.den
+    lat, den, prec = phi.lattice, phi.den, phi.prec
     # classes on integers: the label l = vec / den reduces to vec % den, and
     # the exponent n - Q(l) is (2 den^2 n - vec^T gram vec) / eden
     eden = 2 * den * den
-    labels = _Fractions(den).__getitem__
+    labels, exps = _Fractions(den).__getitem__, _Fractions(eden)
     groups: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
     # q_den is 1, so the grade n is the q-exponent
     for (n, vec), c in phi.terms.items():
         pairings = [sum(map(mul, row, vec)) for row in lat.gram]
         if any(x % den for x in pairings):
-            raise NotInDualLattice(f"label {tuple(map(labels, vec))} is not in the dual lattice")
+            raise NotInDualLattice(
+                f"label {vector_str(map(labels, vec))} is not in the dual lattice")
         key = (tuple([x % den for x in vec]), eden * n - sum(map(mul, vec, pairings)))
         value, count = groups.get(key, (c, 0))
         if value != c:
             raise ShiftInvarianceViolated(
-                f"coefficients at class gamma={tuple(map(labels, key[0]))}, "
-                f"exponent {Fraction(key[1], eden)} disagree: {value} vs {c}")
+                f"coefficients at class gamma={vector_str(map(labels, key[0]))}, "
+                f"exponent {exps[key[1]]} disagree: {value} vs {c}")
         groups[key] = (c, count + 1)
-    exps = _Fractions(eden)
-    classes: dict[tuple[int, ...], list[tuple[Fraction, int, int]]] = {}
+    classes: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for (cls, e), (value, count) in groups.items():
-        classes.setdefault(cls, []).append((exps[e], value, count))
-    by_gamma = {tuple(map(labels, cls)): entries for cls, entries in classes.items()}
+        classes.setdefault(cls, []).append((e, value, count))
     if lat.det > DEFAULT_BUDGET:
         raise ResourceLimit(f"determinant {lat.det} exceeds the {DEFAULT_BUDGET}-coset budget")
-    for gamma, entries in by_gamma.items():
+    # a translate l = y / den of a class lies in the window e + Q(l) < prec
+    # exactly when eden * Q(l) = y^T gram y is below ceil(eden * prec) - e
+    cap = -(-eden * prec.numerator // prec.denominator)
+    for cls, entries in classes.items():
         e_min, _, count_min = min(entries)
         # Q is constant mod 1 on a coset of an even lattice, so the translates
-        # with Q < prec - e_min are those with Q <= bound
-        q0 = lat.quadratic_value(gamma)
-        bound = q0 + ceil(phi.prec - e_min - q0) - 1
+        # with Q < prec - e_min are those with Q <= bound, here over eden
+        q0 = lat._pair(cls, cls)
+        top = prec.numerator * eden - (e_min + q0) * prec.denominator
+        bound = q0 + eden * (-(-top // (eden * prec.denominator)) - 1)
         # the search stops once it proves class (gamma, e_min) short of
         # witnesses, so a prec far beyond the stored terms cannot run it long
-        _, scale, found = lat._points(gamma, bound, limit=count_min)
-        if len(found) > count_min:
+        norms = lat._norms(cls, den, bound, limit=count_min)
+        if len(norms) > count_min:
             raise ShiftInvarianceViolated(
-                f"class gamma={gamma}, exponent {e_min} has {count_min} stored "
-                f"witnesses but more than {count_min} lattice translates in the window")
-        norms = sorted(q for _, q in found)
+                f"class gamma={vector_str(map(labels, cls))}, exponent {exps[e_min]} has "
+                f"{count_min} stored witnesses but more than {count_min} lattice "
+                f"translates in the window")
         for e, value, count in entries:
-            # translates l with e + Q(l) < prec, that is scale * Q(l) below
-            # the ceiling of scale * (prec - e)
-            expected = bisect_left(norms, ceil(scale * (phi.prec - e)))
+            expected = bisect_left(norms, cap - e)
             if expected != count:
                 raise ShiftInvarianceViolated(
-                    f"class gamma={gamma}, exponent {e} has {count} stored "
-                    f"witnesses but {expected} lattice translates in the window")
-    components = {g: {e: value for e, value, _ in entries} for g, entries in by_gamma.items()}
-    return VectorValuedForm(lat, Fraction(-lat.rank, 2), components, phi.prec)
+                    f"class gamma={vector_str(map(labels, cls))}, exponent {exps[e]} has "
+                    f"{count} stored witnesses but {expected} lattice translates in the "
+                    f"window")
+    components = {tuple(map(labels, cls)): {exps[e]: value for e, value, _ in entries}
+                  for cls, entries in classes.items()}
+    return VectorValuedForm._of(lat, Fraction(-lat.rank, 2), components, prec)
 
 
 def recompose(form: VectorValuedForm, prec) -> JacobiSeries:

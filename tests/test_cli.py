@@ -376,6 +376,16 @@ def test_w0_of_wrong_length_is_schema_error(capsys, monkeypatch):
         assert f"error ({argv[0]}): --w0: '1,2' has 2 entries, lattice rank is 1" in err
 
 
+def test_messages_write_vectors_as_rationals(capsys, monkeypatch):
+    _, series_json, _ = run_cli(capsys, ["phi", "--n", "2", "--prec", "4"])
+    code, out, err = run_cli(capsys, ["weyl", "--w0", "1,1"], stdin_text=series_json,
+                             monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err == ("error (weyl): NonGenericChamber: chamber vector (1, 1) pairs to zero "
+                   "with supported label (-1/8, 1/8)\n")
+
+
 def test_bad_n_budget_weight_flags(capsys):
     assert run_cli(capsys, ["phi", "--n", "0", "--prec", "2"])[0] == 2
     assert run_cli(capsys, ["phi", "--n", "1", "--prec", "2", "--budget", "0"])[0] == 2

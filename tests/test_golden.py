@@ -3,8 +3,10 @@
 Each file under tests/golden/ is the stdout of one command, recorded before
 the emitters and parsers moved onto integer keys; the lattice-info, criterion
 and congruence files were recorded before canonical_dumps stopped calling
-json.dumps, and the rank-3 lift file, whose monomials carry four integer
-digits, before the product kernel packed its keys into ints. The commands run in-process through cli.main; a command that
+json.dumps, the rank-3 lift file, whose monomials carry four integer
+digits, before the product kernel packed its keys into ints, and the rank-3
+principal part before parse_series read its terms on integer keys.
+The commands run in-process through cli.main; a command that
 reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
 """
@@ -17,6 +19,7 @@ import pytest
 
 from borcherdskit.cli import main
 from borcherdskit.lift import OrthogonalExpansion
+from borcherdskit.series import JacobiSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -32,6 +35,7 @@ CORPUS = [
     ("decompose_phi_n2_prec4.json", ["decompose"], "phi_n2_prec4.json"),
     ("decompose_phi_n3_prec3.json", ["decompose"], "phi_n3_prec3.json"),
     ("principal_part_phi_n2_prec4.json", ["principal-part"], "phi_n2_prec4.json"),
+    ("principal_part_phi_n3_prec3.json", ["principal-part"], "phi_n3_prec3.json"),
     ("weyl_phi_n2_prec4.json", ["weyl"], "phi_n2_prec4.json"),
     ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
     ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
@@ -66,6 +70,21 @@ def test_lift_writes_integer_terms(capsys, monkeypatch):
         io.BytesIO((GOLDEN / "phi_n2_prec4.json").read_bytes()), encoding="utf-8"))
     assert main(["lift", "--prec", "4"]) == 0
     assert capsys.readouterr().out == read("lift_phi_n2_prec4_deg4.json")
+
+
+@pytest.mark.parametrize("name, command", [
+    ("decompose_phi_n3_prec3.json", "decompose"),
+    ("principal_part_phi_n3_prec3.json", "principal-part"),
+])
+def test_decomposition_reads_integer_terms(name, command, capsys, monkeypatch):
+    def refuse(series):
+        raise AssertionError("the Fraction view of the series was built")
+
+    monkeypatch.setattr(JacobiSeries, "coeffs", property(refuse))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO((GOLDEN / "phi_n3_prec3.json").read_bytes()), encoding="utf-8"))
+    assert main([command]) == 0
+    assert capsys.readouterr().out == read(name)
 
 
 def test_corpus_lists_every_file():

@@ -5,13 +5,15 @@ document. The oracles below are the emitters they replaced, which sorted
 Fraction keys; random series, vector-valued forms, principal parts and
 expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
 and mixed label denominators, must emit byte for byte as the oracles do.
-parse_vvform reads cosets on integers; the Fraction parser it replaced is
-kept as an oracle, and mutated documents must give the same form or the same
-message under both. canonical_dumps must write what json.dumps(indent=2,
-ensure_ascii=True) writes, on random documents and on every golden file.
+parse_vvform and parse_series read on integers; the Fraction parsers they
+replaced are kept as oracles, and mutated documents must give the same
+result or the same message under both. canonical_dumps must write what
+json.dumps(indent=2, ensure_ascii=True) writes, on random documents and on
+every golden file.
 """
 
 import json
+import signal
 import time
 from fractions import Fraction as F
 from functools import cache
@@ -40,6 +42,7 @@ from borcherdskit.io import (
     load_json,
     parse_expansion,
     parse_frac,
+    parse_int,
     parse_lattice,
     parse_principal_part,
     parse_series,
@@ -49,6 +52,7 @@ from borcherdskit.lattice import CosetMinima, EvenLattice
 from borcherdskit.lift import OrthogonalExpansion, PrincipalPart, WeylData, lift_expansion
 from borcherdskit.series import (
     RAW,
+    WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
     phi04,
@@ -393,6 +397,34 @@ def oracle_emit_expansion(exp):
     }
 
 
+def oracle_parse_series(doc, path="$"):
+    """The Fraction parser: terms keyed by (Fraction n, Fraction label), then
+    the JacobiSeries constructor."""
+    _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
+                                        "form_class", "terms"))
+    lattice = parse_lattice({"gram": doc["gram"]}, path)
+    fracs = _Rationals()
+    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    q_den = parse_int(doc["q_den"], f"{path}.q_den")
+    prec = fracs.frac(doc["prec"], f"{path}.prec")
+    form_class = doc["form_class"]
+    if form_class not in (RAW, WEAK_JACOBI):
+        raise SchemaViolation(f"{path}.form_class: {form_class!r} is not a form class")
+    coeffs = {}
+    for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
+        tpath = f"{path}.terms[{i}]"
+        _expect_object(term, tpath, required=("n", "l", "c"))
+        n = fracs.frac(term["n"], f"{tpath}.n")
+        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
+        if not _add_term(coeffs, (n, l), term["c"], f"{tpath}.c"):
+            raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(n)}")
+    try:
+        return JacobiSeries(lattice, weight, prec, coeffs, q_den=q_den,
+                            form_class=form_class)
+    except ValueError as exc:
+        raise SchemaViolation(f"{path}: {exc}") from None
+
+
 def oracle_parse_vvform(doc, path="$"):
     """The Fraction parser: dual test, reduction and duplicates on Fraction
     vectors, and one Fraction sum per coset for the precision check."""
@@ -720,12 +752,174 @@ def test_vvform_rejects_non_dual_gamma(doc):
     assert str(excinfo.value) == "$.components[1].gamma: not in the dual lattice"
 
 
+def _diag8_doc(gammas, drop=None, twin=None):
+    """The zero form's document on diag(8, 8), one entry per coset, with the
+    gammas at the given indices replaced, the entry at index drop removed,
+    and a copy of the first entry with its gamma shifted by (1, 2) inserted
+    at index twin."""
+    doc = emit_vvform(VectorValuedForm(LATTICES[2], F(-1), {}, F(1)))
+    comps = doc["components"]
+    for i, gamma in gammas.items():
+        comps[i]["gamma"] = gamma
+    if drop is not None:
+        del comps[drop]
+    if twin is not None:
+        comps.insert(twin, dict(comps[0], gamma=["1", "2"]))
+    return doc
+
+
+# (1/16, 0) has denominators dividing det = 64 but pairs to 1/2 with e_1: all
+# det entries, so the coset table refuses it; det - 1 entries, so the gram test
+# does; and det + 1 entries whose duplicate comes first
+TABLE_ROUTE = _diag8_doc({63: ["1/16", "0"]})
+GRAM_ROUTE = _diag8_doc({5: ["1/16", "0"]}, drop=9)
+SHORT = _diag8_doc({}, drop=9)
+DUPLICATE_FIRST = _diag8_doc({5: ["1/16", "0"]}, twin=1)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(vvform_documents())
 @example(NON_DUAL[0])
 @example(NON_DUAL[1])
+@example(TABLE_ROUTE)
+@example(GRAM_ROUTE)
+@example(SHORT)
+@example(DUPLICATE_FIRST)
 def test_vvform_parse_matches_fraction_oracle(doc):
     assert _outcome(parse_vvform, doc) == _outcome(oracle_parse_vvform, doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (TABLE_ROUTE, "$.components[63].gamma: not in the dual lattice"),
+    (GRAM_ROUTE, "$.components[5].gamma: not in the dual lattice"),
+    (SHORT, "$.components: has 63 of 64 cosets"),
+    (DUPLICATE_FIRST, "$.components[1].gamma: duplicate component"),
+], ids=["table", "gram", "short", "duplicate-first"])
+def test_vvform_routes_report_the_first_error(doc, message):
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_vvform(doc)
+    assert str(excinfo.value) == message
+
+
+def test_short_vvform_is_refused_without_listing_cosets():
+    # 2^70 cosets: a document that lists fewer is refused without listing the
+    # coset table, which it could never fill; a parse that lists it is
+    # stopped after 1 s, before it can fill the memory
+    doc = {"gram": [[2 ** 70]], "weight": "-1/2",
+           "components": [{"gamma": ["0"], "prec": "1", "terms": []}]}
+
+    def too_slow(signum, frame):
+        raise TimeoutError("parse_vvform ran for 1 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_vvform(doc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert str(excinfo.value) == "$.components: has 1 of 1180591620717411303424 cosets"
+
+
+# -- parse_series on interned rationals against the Fraction parser ----------------------
+
+
+def _series_outcome(parse, doc):
+    """Every stored field of the parsed series, or the message of the
+    SchemaViolation raised."""
+    try:
+        phi = parse(doc)
+    except SchemaViolation as exc:
+        return str(exc)
+    return (phi.lattice, phi.weight, phi.prec, phi.q_den, phi.den, phi.form_class, phi.terms)
+
+
+BAD_RATIONALS = ("1/0", "x", True, 0.5, [1], None)
+BAD_COEFFICIENTS = ("x", "1/2", True, 1.5, None, [])
+
+
+@st.composite
+def series_documents(draw):
+    """Emitted series documents with one to four mutations, then shuffled:
+    respelled and unreduced rationals, duplicate terms spelled differently,
+    exponents off the 1/q_den grid, labels of the wrong length, malformed
+    rationals and coefficients, zero coefficients, and a weight or q_den the
+    constructor refuses."""
+    doc = json.loads(canonical_dumps(emit_series(draw(jacobi_series()))))
+    terms = doc["terms"]
+    # in this order, so that only well-formed rationals are respelled
+    kinds = ("respell", "duplicate", "off_grid", "length", "zero_c", "header", "bad_rational",
+             "bad_c")
+    # duplicates drawn twice as often, so that one often precedes another error
+    drawn = draw(st.lists(st.sampled_from(kinds + ("duplicate",)), min_size=1, max_size=4))
+    for kind in sorted(drawn, key=kinds.index):
+        if kind == "header":
+            field, value = draw(st.sampled_from((("weight", "1/3"), ("q_den", 0),
+                                                 ("q_den", 3), ("prec", "0"))))
+            doc[field] = value
+            continue
+        if not terms:
+            continue
+        term = terms[draw(st.integers(0, len(terms) - 1))]
+        if kind == "respell":
+            term["n"] = _spelling(draw, term["n"])
+            term["l"] = [_spelling(draw, x) for x in term["l"]]
+        elif kind == "duplicate":
+            twin = dict(term, n=_spelling(draw, term["n"]),
+                        l=[_spelling(draw, x) for x in term["l"]],
+                        c=draw(st.sampled_from((term["c"], "7", "x"))))
+            terms.insert(draw(st.integers(0, len(terms))), twin)
+        elif kind == "off_grid":
+            term["n"] = frac_str(F(term["n"]) + F(1, 3 * doc["q_den"]))
+        elif kind == "length":
+            term["l"] = draw(st.sampled_from((term["l"][1:], term["l"] + ["0"])))
+        elif kind == "bad_rational":
+            bad = draw(st.sampled_from(BAD_RATIONALS))
+            if draw(st.booleans()):
+                term["n"] = bad
+            else:
+                term["l"] = [bad] + term["l"][1:]
+        elif kind == "bad_c":
+            term["c"] = draw(st.sampled_from(BAD_COEFFICIENTS))
+        else:
+            term["c"] = "0"
+    doc["terms"] = draw(st.permutations(terms))
+    return doc
+
+
+def _weak(terms):
+    return {"gram": [[8]], "weight": "0", "q_den": 1, "prec": "3",
+            "form_class": WEAK_JACOBI, "terms": terms}
+
+
+# a duplicate spelled differently before a malformed coefficient and before a
+# label of the wrong length: the duplicate is the first error
+DUPLICATE_BEFORE_BAD_C = _weak([{"n": "1", "l": ["1/2"], "c": "1"},
+                                {"n": "2/2", "l": ["2/4"], "c": "1"},
+                                {"n": "2", "l": ["0"], "c": "x"}])
+DUPLICATE_BEFORE_LENGTH = _weak([{"n": "0", "l": ["1/8"], "c": "1"},
+                                 {"n": "0", "l": ["2/16"], "c": "2"},
+                                 {"n": "1", "l": ["0", "0"], "c": "1"}])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(series_documents())
+@example(DUPLICATE_BEFORE_BAD_C)
+@example(DUPLICATE_BEFORE_LENGTH)
+# off the grid, but at or above prec, so the constructor drops the term
+@example(_weak([{"n": "7/2", "l": ["0"], "c": "1"}, {"n": "1", "l": ["1/8"], "c": "2"}]))
+# off the grid below prec with a zero coefficient, dropped too
+@example(_weak([{"n": "1/2", "l": ["0"], "c": "0"}, {"n": "1", "l": ["1/8"], "c": "2"}]))
+def test_series_parse_matches_fraction_oracle(doc):
+    assert _series_outcome(parse_series, doc) == _series_outcome(oracle_parse_series, doc)
+
+
+def test_series_parse_reports_the_first_error():
+    for doc in (DUPLICATE_BEFORE_BAD_C, DUPLICATE_BEFORE_LENGTH):
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_series(doc)
+        assert str(excinfo.value) == f"$.terms[1]: duplicate term at n={doc['terms'][0]['n']}"
 
 
 def test_vvform_io_reads_integer_minima():

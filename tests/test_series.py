@@ -24,7 +24,7 @@ from borcherdskit.errors import (
     ShiftInvarianceViolated,
 )
 from borcherdskit.io import emit_vvform
-from borcherdskit.lattice import EvenLattice
+from borcherdskit.lattice import EvenLattice, vector_str
 from borcherdskit.lift import principal_part
 from borcherdskit.series import (
     DEFAULT_BUDGET,
@@ -441,12 +441,12 @@ def oracle_theta_decompose(phi):
     groups = {}
     for (n, l), c in phi.coeffs.items():
         if not lat.is_dual_vector(l):
-            raise NotInDualLattice(f"label {l} is not in the dual lattice")
+            raise NotInDualLattice(f"label {vector_str(l)} is not in the dual lattice")
         key = (lat.reduce_mod1(l), n - lat.quadratic_value(l))
         value, count = groups.get(key, (c, 0))
         if value != c:
             raise ShiftInvarianceViolated(
-                f"coefficients at class gamma={key[0]}, exponent {key[1]} "
+                f"coefficients at class gamma={vector_str(key[0])}, exponent {key[1]} "
                 f"disagree: {value} vs {c}")
         groups[key] = (c, count + 1)
     by_gamma = {}
@@ -461,14 +461,14 @@ def oracle_theta_decompose(phi):
         _, scale, found = lat._points(gamma, bound, limit=count_min)
         if len(found) > count_min:
             raise ShiftInvarianceViolated(
-                f"class gamma={gamma}, exponent {e_min} has {count_min} stored "
+                f"class gamma={vector_str(gamma)}, exponent {e_min} has {count_min} stored "
                 f"witnesses but more than {count_min} lattice translates in the window")
         norms = sorted(q for _, q in found)
         for e, value, count in entries:
             expected = bisect_left(norms, ceil(scale * (phi.prec - e)))
             if expected != count:
                 raise ShiftInvarianceViolated(
-                    f"class gamma={gamma}, exponent {e} has {count} stored "
+                    f"class gamma={vector_str(gamma)}, exponent {e} has {count} stored "
                     f"witnesses but {expected} lattice translates in the window")
     components = {g: {e: value for e, value, _ in entries} for g, entries in by_gamma.items()}
     return VectorValuedForm(lat, F(-lat.rank, 2), components, phi.prec)
