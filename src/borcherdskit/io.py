@@ -14,10 +14,25 @@ the json module's C string escaper, because json.dumps with an indent runs
 the pure-Python encoder. The test suite compares the two on random documents
 and on the golden corpus.
 
+Most of every document is a list of rows, dicts with the same keys in the
+same order: the terms of a series or an expansion, the components of a
+vvform. The emitter writes such a list column by column (_rows): the text
+between two cells is the same in every row, so the list is one join of
+those pieces interleaved with the columns, each written by one C-level map.
+A column of str is left as it is when one escaper call on the whole column
+shows that nothing needs escaping, and quoted by the escaper otherwise; a
+column of non-empty lists of str that needs no escaping is one join per
+cell; any other column goes through the recursive emitter cell by cell.
+Any other list, and any TypeError, falls back to the recursive path, which
+stays the one source of the output and of the first error in document
+order.
+
 Emission sorts integer keys: each q-exponent, label, gamma or exponent is
 scaled by a positive common denominator, which keeps the order of the
 Fractions, and each distinct rational string is built once per document.
-Series and expansions store their terms on such keys already, over den.
+Series and expansions store their terms on such keys already, over den, and
+the product kernel leaves them in file order, so that sort is one linear
+pass; the rows are then built by maps over the sorted keys.
 Parsing turns each distinct rational string of a document into a Fraction
 once and hashes each key once. The series parser goes further: each distinct
 value gets a small int, every term is keyed by the ints of its rationals,
@@ -65,9 +80,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from operator import mul
+from operator import is_, itemgetter, mul, sub
 
 from .errors import ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Fractions, frac_str
@@ -228,6 +244,11 @@ class _Strings(_Fractions):
         return value
 
 
+def _lists(strings: _Strings, vectors):
+    """The integer vectors as lists of their entries' strings."""
+    return map(list, map(map, repeat(strings.__getitem__), vectors))
+
+
 def _den(values) -> int:
     """Least common denominator of the given Fractions."""
     return lcm(*{x.denominator for x in values})
@@ -267,10 +288,15 @@ def _dumps(value, indent: str) -> str:
             return "[]"
         inner = indent + "  "
         sep = "," + inner
-        try:
-            return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
-        except TypeError:  # an item is not a str
-            pass
+        if type(value[0]) is dict:
+            text = _rows(value, indent)
+            if text is not None:
+                return text
+        else:
+            try:
+                return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
+            except TypeError:  # an item is not a str
+                pass
         body = sep.join([_dumps(x, inner) for x in value])
         return f"[{inner}{body}{indent}]"
     if kind is str:
@@ -284,6 +310,67 @@ def _dumps(value, indent: str) -> str:
     if value is None:
         return "null"
     raise TypeError(f"canonical_dumps: cannot encode {kind.__name__}")
+
+
+def _rows(rows: list, indent: str):
+    """A list of dicts that all have the keys of the first in its order, as
+    _dumps writes it at indent; None for any other list, and on any
+    TypeError, so that the recursive path writes the list or reports its
+    first error in document order.
+
+    The rows are written column by column: the text between two cells is the
+    same in every row, so the whole list is one join of those constant
+    pieces interleaved with the columns that _column writes."""
+    keys = tuple(rows[0])
+    if not keys or not (all(map(is_, map(type, rows), repeat(dict)))
+                        and all(map(keys.__eq__, map(tuple, rows)))):
+        return None
+    inner, field = indent + "  ", indent + "    "
+    heads, columns, text = [], [], f",{inner}{{"
+    try:
+        for key in keys:
+            before, column, after = _column(list(map(itemgetter(key), rows)), field)
+            heads.append(f"{text}{field}{_quote(key)}: {before}")
+            columns.append(column)
+            text = after + ","
+    except TypeError:
+        return None
+    heads.append(f"{after}{inner}}}")
+    # every row opens with a separator, the first with the bracket instead
+    streams = [chain([f"[{heads[0][1:]}"], repeat(heads[0]))]
+    for column, head in zip(columns, heads[1:]):
+        streams += [column, repeat(head)]
+    return "".join(chain(chain.from_iterable(zip(*streams)), [f"{indent}]"]))
+
+
+def _column(cells: list, indent: str):
+    """(before, texts, after): the values of one dict key across the rows,
+    each written as _dumps writes it at indent and then put between before
+    and after. One escaper call on the whole column shows whether it has a
+    character to escape. A column of str without one is its cells as they
+    are, with the quotes in before and after, and with one it is one map of
+    the escaper; a column of non-empty lists of str without one is one join
+    per cell. Any other column goes through _dumps cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        if _plain("".join(cells)):
+            return '"', cells, '"'
+        return "", list(map(_quote, cells)), ""
+    if kinds == {list} and all(cells):
+        inner = indent + "  "
+        try:
+            if _plain("".join(map("".join, cells))):
+                return f'[{inner}"', list(map(f'",{inner}"'.join, cells)), f'"{indent}]'
+        except TypeError:  # an item of a cell is not a str
+            pass
+    return "", list(map(_dumps, cells, repeat(indent))), ""
+
+
+def _plain(text: str) -> bool:
+    """Whether the string escaper writes every character of text as it is.
+    It escapes character by character, so this holds for a concatenation
+    exactly when it holds for each of its parts."""
+    return len(_quote(text)) == len(text) + 2
 
 
 # -- lattices -------------------------------------------------------------------
@@ -354,15 +441,18 @@ def parse_series(doc, path="$") -> JacobiSeries:
 
 
 def emit_series(series: JacobiSeries) -> dict:
-    exps, coords = _Strings(series.q_den), _Strings(series.den)
+    terms = series.terms
+    keys = sorted(terms)  # linear in the kernel's order
+    ns = map(_Strings(series.q_den).__getitem__, map(itemgetter(0), keys))
+    ls = _lists(_Strings(series.den), map(itemgetter(1), keys))
+    cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
         "q_den": series.q_den,
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
-        "terms": [{"n": exps[t], "l": [coords[x] for x in vec], "c": str(c)}
-                  for (t, vec), c in sorted(series.terms.items())],
+        "terms": [{"n": n, "l": l, "c": c} for n, l, c in zip(ns, ls, cs)],
     }
 
 
@@ -457,8 +547,13 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
         raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
     (prec,) = tops
     coord = _Fractions(det).__getitem__
-    nonzero = {tuple(map(coord, key)): fg for key, fg in components.items() if any(fg.values())}
-    return VectorValuedForm(lattice, weight, nonzero, prec)
+    nonzero = {}  # each key hashed once: fg keeps its dict unless a coefficient is zero
+    for key, fg in components.items():
+        if 0 in fg.values():
+            fg = {e: c for e, c in fg.items() if c}
+        if fg:
+            nonzero[tuple(map(coord, key))] = fg
+    return VectorValuedForm._of(lattice, weight, nonzero, prec)
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
@@ -475,21 +570,18 @@ def emit_vvform(form: VectorValuedForm) -> dict:
         scaled[key] = fg
     eden = lcm(form.prec.denominator, minima.qden,
                _den(e for fg in form.components.values() for e in fg))
-    coords, exps = _Strings(gden), _Strings(eden)
-    coord = coords.__getitem__
+    exps = _Strings(eden)
     top, qs = _scaled(form.prec, eden), eden // minima.qden
-    components = []
-    for key, q in table.items():
-        entry = {"gamma": list(map(coord, key)), "prec": exps[top - q * qs], "terms": []}
-        fg = scaled.get(key)
-        if fg:
-            entry["terms"] = [{"e": exps[e], "c": str(c)}
-                              for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])]
-        components.append(entry)
+    gammas = _lists(_Strings(gden), table)
+    precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
+    terms = [[{"e": exps[e], "c": str(c)}
+              for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])] if fg else []
+             for fg in map(scaled.get, table)]
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),
-        "components": components,
+        "components": [{"gamma": g, "prec": p, "terms": t}
+                       for g, p, t in zip(gammas, precs, terms)],
     }
 
 
@@ -580,15 +672,19 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
-    coords = _Strings(exp.den)
+    terms = exp.terms
+    keys = sorted(terms)  # linear in the order the lift leaves them
+    ns = map(str, map(itemgetter(0), keys))
+    ms = map(str, map(itemgetter(1), keys))
+    ls = _lists(_Strings(exp.den), map(itemgetter(2), keys))
+    cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),
         "holomorphic": exp.holomorphic,
         "total_prec": frac_str(exp.total_prec),
         "weyl": emit_weyl(exp.weyl),
-        "terms": [{"n": str(n), "l": [coords[x] for x in vec], "m": str(m), "c": str(c)}
-                  for (n, m, vec), c in sorted(exp.terms.items())],
+        "terms": [{"n": n, "l": l, "m": m, "c": c} for n, l, m, c in zip(ns, ls, ms, cs)],
     }
 
 

@@ -237,6 +237,8 @@ def _enumerate_affine(levels, offset, den, budget, limit=inf):
         rec(len(levels) - 1, budget)
     except _Full:
         pass
+    finally:
+        del rec  # rec refers to itself through its closure: end the cycle
     return out
 
 

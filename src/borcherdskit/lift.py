@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, lcm
-from operator import floordiv, mod
+from operator import add, floordiv, mod
 from types import MappingProxyType
 
 from .errors import (
@@ -305,11 +305,13 @@ def _factors(phi: JacobiSeries, weyl: WeylData, top: int):
 
 
 def _packing(rank: int, factors, top: int) -> _Packing:
-    """The packing of every monomial (n + m, (n, *l)) that a product of the
-    factors forms below total degree top. Its bound is top plus the sum over
-    the factors of power * max |l|: n < top, and a monomial takes a factor
+    """The packing of every monomial (n, (m, *l)) that a product of the
+    factors forms below total degree top, so that keys in numeric order are
+    monomials in file order (n, m, lex l). Its bound is top plus the sum over
+    the factors of power * max |l|: m < top, and a monomial takes a factor
     of degree g > 0 to a power below top / g, one of degree zero to a power
-    of at most |c|."""
+    of at most |c|. The total degree n + m is no digit of the key, so the
+    routes pass it to the kernel as the grade of each term."""
     reach = top
     for n, l, m, c in factors:
         g = n + m
@@ -318,11 +320,17 @@ def _packing(rank: int, factors, top: int) -> _Packing:
     return _Packing(rank + 1, reach)
 
 
+def _graded(t: int, layer: dict) -> list:
+    """The kernel terms of a map of packed monomials of total degree t: the
+    grade of a term is its total degree, which its key does not carry."""
+    return list(zip(repeat(t), layer, layer.values()))
+
+
 def _apply_factor(layers, g, key, c):
     """Multiply in place by (1 - X)^c, X the monomial of degree g that packs
     to key.
 
-    layers[t] maps the packed monomials (t, (n, *l)) of total degree
+    layers[t] maps the packed monomials (n, (m, *l)) of total degree
     t = n + m, up to the truncation len(layers), to their coefficients; the
     packing is the one _packing gives for every factor applied. The factor is
     1 + R with R_k = w_k X^k of degree kg and key k * key, so layer t + kg
@@ -336,7 +344,7 @@ def _apply_factor(layers, g, key, c):
             for k, w in _factor_powers(c, g, top, sum(map(len, layers))) if k and w]
     for t in reversed(range(top - g)):
         layer = layers[t]
-        source = list(zip(repeat(t), layer, layer.values()))
+        source = _graded(t, layer)
         for term in rest:
             target = t + term[0]
             if target >= top:
@@ -345,10 +353,15 @@ def _apply_factor(layers, g, key, c):
 
 
 def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
-    """The OrthogonalExpansion of maps of packed monomials (n + m, (n, *l))
-    to integer coefficients, with labels l scaled by phi.den."""
-    terms = {(vec[0], t - vec[0], vec[1:]): c
-             for layer in layers for (t, vec), c in packing.unpack(layer).items()}
+    """The OrthogonalExpansion of maps of packed monomials (n, (m, *l)) to
+    integer coefficients, with labels l scaled by phi.den. The keys of all
+    layers are unpacked at once, in numeric order, which is file order; the
+    coefficient of (n, m, l) is in layer n + m."""
+    keys = sorted(chain.from_iterable(layers))
+    ns, ms, *labels = packing.digits(keys)
+    ns, ms = list(ns), list(ms)
+    coeffs = map(dict.__getitem__, map(layers.__getitem__, map(add, ns, ms)), keys)
+    terms = dict(zip(zip(ns, ms, zip(*labels)), coeffs))
     weight = Fraction(phi.terms.get((0, (0,) * phi.lattice.rank), 0), 2)
     return OrthogonalExpansion._of(phi.lattice, weyl, weight, terms, phi.den, total_prec)
 
@@ -372,7 +385,7 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     # degree g > top/2 reads only layer 0. The degree-zero factors keep every
     # grade and widen each layer they touch, so they come last.
     for n, l, m, c in sorted(factors, key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2])):
-        _apply_factor(layers, n + m, packing.pack(n + m, (n, *l)), c)
+        _apply_factor(layers, n + m, packing.pack(n, (m, *l)), c)
     if layers[0].get(0) != 1:
         raise SelfCheckFailed("lift constant term",
                               "constant coefficient of the product is not 1")
@@ -402,14 +415,14 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
     zero_grade = []
     for n, l, m, c in factors:
         g = n + m
-        key = packing.pack(g, (n, *l))
+        key = packing.pack(n, (m, *l))
         if g == 0:
             zero_grade.append((key, c))
             continue
         for k in range(1, -(-top // g)):
             bucket = weighted_log.setdefault(k * g, {})
             bucket[k * key] = bucket.get(k * key, 0) - c * g
-    weighted_log = {h: packing.terms(bucket) for h, bucket in weighted_log.items()}
+    weighted_log = {h: _graded(h, bucket) for h, bucket in weighted_log.items()}
 
     # layers[g] is E_g as a map of packed monomials, terms[g] as kernel terms
     layers, terms = [{0: 1}], [[(0, 0, 1)]]
@@ -419,12 +432,12 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
             if h in weighted_log:
                 _mul_into(bucket, weighted_log[h], terms[g - h], top)
         if any(map(mod, bucket.values(), repeat(g))):
-            (t, vec), v = next((mono, v) for mono, v in packing.unpack(bucket).items() if v % g)
+            (n, vec), v = next((mono, v) for mono, v in packing.unpack(bucket).items() if v % g)
             raise SelfCheckFailed("lift integrality", f"non-integral coefficient "
-                                  f"{Fraction(v, g)} at n={vec[0]}, m={t - vec[0]}")
+                                  f"{Fraction(v, g)} at n={n}, m={vec[0]}")
         layer = dict(zip(bucket, map(floordiv, bucket.values(), repeat(g))))
         layers.append(layer)
-        terms.append(packing.terms(layer))
+        terms.append(_graded(g, layer))
     for key, c in zero_grade:
         _apply_factor(layers, 0, key, c)
     return _expansion(phi, weyl, packing, layers, total_prec)

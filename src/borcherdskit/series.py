@@ -29,7 +29,9 @@ base M = 2^w with balanced digits. The map is linear, so the product of two
 monomials has the sum of their keys for its key, as long as every component
 of the product stays within the bound the packing was made for. Each caller
 proves such a bound for everything its products can reach, and unpacks the
-result once.
+result once. Keys in numeric order are monomials in (t, lex vec) order, so
+the unpacked map comes out sorted for one sort of ints, and the emitters and
+the next product sort it again in linear time.
 """
 
 from __future__ import annotations
@@ -102,13 +104,20 @@ class _Packing:
         grades = map(rshift, map(add, packed, repeat(self.offset)), repeat(self.shift))
         return list(zip(grades, packed, packed.values()))
 
+    def digits(self, keys) -> list:
+        """The grades of the keys, then each digit of their vectors, as one
+        iterator over the keys each."""
+        lifted = list(map(add, keys, repeat(self.offset)))
+        return [map(rshift, lifted, repeat(self.shift))] + [
+            map(sub, map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask)),
+                repeat(self.half)) for s in self.shifts]
+
     def unpack(self, packed: dict) -> dict:
-        """The map {k: c} as {(t, vec): c}, one digit of every key at a time."""
-        lifted = list(map(add, packed, repeat(self.offset)))
-        grades = map(rshift, lifted, repeat(self.shift))
-        digits = [map(sub, map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask)),
-                      repeat(self.half)) for s in self.shifts]
-        return dict(zip(zip(grades, zip(*digits)), packed.values()))
+        """The map {k: c} as {(t, vec): c} in (t, lex vec) order, which is the
+        numeric order of the keys."""
+        keys = sorted(packed)
+        grades, *digits = self.digits(keys)
+        return dict(zip(zip(grades, zip(*digits)), map(packed.__getitem__, keys)))
 
 
 def _mul_into(dst, a, b, limit, max_terms=None):
@@ -232,7 +241,7 @@ class JacobiSeries:
         """The series of integer terms as the kernel leaves them: the dict
         itself, or a copy without zero coefficients and grades >= prec."""
         limit = _grade_limit(prec, q_den)
-        if not all(c and key[0] < limit for key, c in terms.items()):
+        if 0 in terms.values() or (terms and max(map(itemgetter(0), terms)) >= limit):
             terms = {key: c for key, c in terms.items() if c and key[0] < limit}
         return cls.__new__(cls)._store(lattice, weight, prec, terms, q_den, den, form_class)
 
@@ -388,7 +397,7 @@ def theta_sum(prec) -> JacobiSeries:
     # kernel terms: grades are 8 * q-exponents, labels are scaled by 16
     limit = _grade_limit(prec, 8)
     terms = {(s * s, (s,)): 1 if s % 4 == 1 else -1
-             for n in range(1, limit, 2) if n * n < limit for s in (n, -n)}
+             for n in range(1, limit, 2) if n * n < limit for s in (-n, n)}
     return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, terms, 8, 16, RAW)
 
 

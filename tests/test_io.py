@@ -333,6 +333,80 @@ def test_canonical_dumps_rejects_non_str_key():
         canonical_dumps({1: "a"})
 
 
+# -- the row-table writer: lists of dicts with the same keys in the same order ---------
+
+
+def first_unencodable(value):
+    """The TypeError message of the recursive path for the first value of
+    value, in document order, that canonical_dumps cannot encode: a key
+    before its value, and the items of a list in order. None when there is
+    none."""
+    kind = type(value)
+    if kind is dict:
+        for key, x in value.items():
+            if type(key) is not str:
+                return f"first argument must be a string, not {type(key).__name__}"
+            found = first_unencodable(x)
+            if found:
+                return found
+        return None
+    if kind is list:
+        return next(filter(None, map(first_unencodable, value)), None)
+    if kind in (str, int, bool, type(None)):
+        return None
+    return f"canonical_dumps: cannot encode {kind.__name__}"
+
+
+def dumps_outcome(doc):
+    try:
+        return canonical_dumps(doc)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+def oracle_dumps_outcome(doc):
+    message = first_unencodable(doc)
+    return oracle_dumps(doc) if message is None else ("TypeError", message)
+
+
+# strings the escaper writes as they are, and keys with the braces of a
+# format template
+PLAIN = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+KEYS = st.one_of(STRINGS, PLAIN, st.sampled_from(["{", "}", "{}", "}{0}{", SPECIAL]))
+CELLS = st.one_of(LEAVES, DOCUMENTS, st.lists(STRINGS, max_size=3),
+                  st.floats(allow_nan=False), st.tuples(PLAIN))
+# a column draws every cell from one of these
+COLUMNS = st.sampled_from([PLAIN, STRINGS, st.lists(PLAIN, min_size=1, max_size=4),
+                           st.lists(STRINGS, min_size=1, max_size=4), CELLS])
+
+
+@st.composite
+def row_tables(draw):
+    """A list of dicts with the same keys in the same order, on its own or
+    one level down, where most columns hold values of one kind."""
+    keys = draw(st.lists(KEYS, unique=True, max_size=4))
+    columns = [draw(COLUMNS) for _ in keys]
+    rows = [{key: draw(column) for key, column in zip(keys, columns)}
+            for _ in range(draw(st.integers(1, 6)))]
+    return draw(st.sampled_from([rows, {"rows": rows}, [rows, "x"]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row_tables())
+@example([{"a": "1", "b": ["x"]}, {"b": ["y"], "a": "2"}])
+@example([{"a": "1"}, {"a": "2", "b": "3"}])
+@example([{"l": ["1", "2"]}, {"l": ["3", 4]}])
+@example([{"{": "1", "}": ["{}"]}, {"{": "2", "}": ["}{"]}])
+@example([{"a": "1", "l": [SPECIAL]}, {"a": SPECIAL, "l": ["x", "y"]}])
+@example([{"a": "1", "l": ("x",)}, {"a": 0.5, "l": ["y"]}])
+@example([{"a": "1", "l": ["x"]}, {"a": 0.5, "l": ("y",)}])
+@example([{"a": "1"}, {1: "2"}])
+@example([{1: "1"}, {1: "2"}])
+def test_row_tables_match_json_dumps(doc):
+    # the same text as json.dumps, or the first error of the recursive path
+    assert dumps_outcome(doc) == oracle_dumps_outcome(doc)
+
+
 # -- the Fraction-sorting emitters, kept as oracles ------------------------------------
 
 
@@ -777,8 +851,38 @@ SHORT = _diag8_doc({}, drop=9)
 DUPLICATE_FIRST = _diag8_doc({5: ["1/16", "0"]}, twin=1)
 
 
+def _with_zeros(whole_component):
+    """The phi_2 vvform document and the constructor's form of it, with a
+    zero coefficient added to the first nonzero component, or with every
+    coefficient of that component set to zero."""
+    form = theta_decompose(phi_n(2, 4))
+    doc = emit_vvform(form)
+    comp = next(comp for comp in doc["components"] if comp["terms"])
+    if whole_component:
+        for term in comp["terms"]:
+            term["c"] = "0"
+    else:
+        comp["terms"].append({"e": frac_str(F(comp["terms"][-1]["e"]) + 1), "c": "0"})
+    components = {tuple(map(F, comp["gamma"])): {F(t["e"]): int(t["c"]) for t in comp["terms"]}
+                  for comp in doc["components"]}
+    return doc, VectorValuedForm(form.lattice, form.weight, components, form.prec)
+
+
+ZERO_TERM, ZERO_COMPONENT = _with_zeros(False), _with_zeros(True)
+
+
+@pytest.mark.parametrize("doc, form", [ZERO_TERM, ZERO_COMPONENT],
+                         ids=["zero-term", "zero-component"])
+def test_vvform_parse_drops_zero_coefficients(doc, form):
+    parsed = parse_vvform(doc)
+    assert parsed == form == oracle_parse_vvform(doc)
+    assert all(all(fg.values()) for fg in parsed.components.values())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(vvform_documents())
+@example(ZERO_TERM[0])
+@example(ZERO_COMPONENT[0])
 @example(NON_DUAL[0])
 @example(NON_DUAL[1])
 @example(TABLE_ROUTE)

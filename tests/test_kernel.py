@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from borcherdskit.errors import IncompatiblePrecision, ResourceLimit
 from borcherdskit.lattice import EvenLattice, direct_sum
+from borcherdskit.lift import lift_expansion, lift_expansion_log_exp
 from borcherdskit.series import (
     RAW,
     JacobiSeries,
@@ -34,6 +35,10 @@ from borcherdskit.series import (
     _mul_into,
     _Packing,
     direct_product,
+    phi04,
+    phi_n,
+    theta_sum,
+    theta_triple_product,
 )
 
 LATTICES = (EvenLattice([[8]]), EvenLattice([[16, 8], [8, 16]]))
@@ -182,8 +187,9 @@ def test_pack_unpack_round_trip_on_the_box(box, data):
     # one key per monomial, read back exactly
     assert packing.unpack(keys) == terms
     assert packing.terms(keys) == [(t, k, c) for ((t, _), c), k in zip(terms.items(), keys)]
-    # numeric order of keys is (t, lex vec) order
+    # numeric order of keys is (t, lex vec) order, the order unpack returns
     assert [next(iter(packing.unpack({k: 1}))) for k in sorted(keys)] == sorted(terms)
+    assert list(packing.unpack(keys)) == sorted(terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,3 +353,29 @@ def test_coeffs_view_is_read_only_and_pickles():
         phi.coeffs[(F(1), (F(0),))] = 1
     assert phi.coeffs == {(F(0), (F(0),)): 1}
     assert pickle.loads(pickle.dumps(phi)) == phi
+
+
+# -- kernel order: what a product hands on is already in file order -----------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(phi04(3), phi_n(2, 2)),
+    lambda: theta_sum(5) * theta_triple_product(5),
+    lambda: phi04(4) * phi04(3),
+    lambda: theta_triple_product(9),
+    lambda: theta_sum(9),
+    lambda: phi04(6),
+    lambda: phi_n(3, 3),
+    lambda: lift_expansion(phi_n(2, 4), 4),
+    lambda: lift_expansion_log_exp(phi_n(2, 4), 4),
+    lambda: lift_expansion(phi_n(3, 3), 2),
+    lambda: lift_expansion_log_exp(phi_n(3, 3), 2),
+], ids=["direct_product", "mul", "mul-weak", "theta_triple_product", "theta_sum", "phi04", "phi_n",
+        "lift-phi_2", "log_exp-phi_2", "lift-phi_3", "log_exp-phi_3"])
+def test_products_leave_their_terms_in_file_order(build):
+    # series keys (t, vec) in (t, lex vec) order, expansion keys (n, m, l) in
+    # (n, m, lex l) order: the emitters' sorts then pass over them once, and
+    # so does the sort of the next product
+    x = build()
+    assert len(x.terms) > 1
+    assert list(x.terms) == sorted(x.terms)

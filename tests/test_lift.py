@@ -338,6 +338,8 @@ def test_log_exp_route_checks_integrality(monkeypatch):
     with pytest.raises(SelfCheckFailed) as info:
         lift_expansion_log_exp(phi04(4), 4, (1,))
     assert info.value.check == "lift integrality"
+    # the packed key carries n in its grade digit and m in a label digit
+    assert str(info.value).endswith("non-integral coefficient -3/2 at n=1, m=0")
 
 
 def test_lift_expansion_singular_weight_support():

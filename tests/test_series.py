@@ -7,6 +7,7 @@ by the recompose round trip. No expected value below was produced by the code
 path it checks.
 """
 
+import gc
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -587,3 +588,18 @@ def test_truncate():
     assert all(n < 2 for (n, _) in t.coeffs)
     with pytest.raises(PrecisionTooSmall):
         t.truncate(10)
+
+
+def test_decomposition_leaves_no_reference_cycles():
+    # the collector finds nothing after a decomposition, a recomposition and
+    # a coset table: no search leaves a cycle behind
+    phi = phi_n(3, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        form = theta_decompose(phi)
+        assert recompose(form, phi.prec) == phi
+        EvenLattice([[8, 0, 0], [0, 8, 0], [0, 0, 8]]).coset_minima()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
