@@ -45,15 +45,19 @@ coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
 build no Fraction from it. The emitter walks the table in order and writes
 terms only for the nonzero components. The parser scales each gamma by
 det, a common denominator of every dual vector (a coordinate whose
-denominator does not divide det is not dual), and reduces it mod det. A
-list of at least det entries is checked against the table, whose keys are
-exactly the reduced dual cosets: one lookup tests gamma and gives its
-minimum. A shorter list cannot hold every coset and is refused after the
-loop, without listing the table; there each gamma is tested by
-gram * (det * gamma) = 0 mod det, so that the first error reported is the
-same. Duplicates are found on integer tuples, the precisions are checked
-once per distinct (prec, minimum) pair, and Fraction keys are built only
-for the nonzero components returned.
+denominator does not divide det is not dual), and reduces it mod det; the
+table's keys are exactly the reduced dual cosets. A list of exactly det
+entries is read by columns first (_columns): each check is one C-level pass
+over a column, each distinct gamma entry is parsed once, one map of table
+lookups tests every key and gives its minimum, one set finds duplicates,
+and only the entries with terms are read one by one. That reader never
+raises, and it reads every valid list of JSON values. On any other list the
+entry loop (_entries) reads the list again, and it alone reports errors,
+the first in document order. It tests each key by gram * key = 0 mod det
+and lists the table only after it has found det distinct cosets, so a
+short list is refused without listing it. Both check the precisions once
+per distinct (prec, minimum) pair and build Fraction keys only for the
+nonzero components returned.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -80,7 +84,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from operator import is_, itemgetter, mul, sub
@@ -244,9 +248,13 @@ class _Strings(_Fractions):
         return value
 
 
-def _lists(strings: _Strings, vectors):
-    """The integer vectors as lists of their entries' strings."""
-    return map(list, map(map, repeat(strings.__getitem__), vectors))
+def _lists(strings: _Strings, vectors, rank: int):
+    """The integer vectors, each of rank entries, as lists of their entries'
+    strings. vectors is read once per coordinate. Each list is built from a
+    tuple, so list() sizes it by its length; from a map, which has none, it
+    would keep room for 8 entries."""
+    get = strings.__getitem__
+    return map(list, zip(*[map(get, map(itemgetter(i), vectors)) for i in range(rank)]))
 
 
 def _den(values) -> int:
@@ -322,8 +330,7 @@ def _rows(rows: list, indent: str):
     same in every row, so the whole list is one join of those constant
     pieces interleaved with the columns that _column writes."""
     keys = tuple(rows[0])
-    if not keys or not (all(map(is_, map(type, rows), repeat(dict)))
-                        and all(map(keys.__eq__, map(tuple, rows)))):
+    if not keys or not (_of_type(dict, rows) and all(map(keys.__eq__, map(tuple, rows)))):
         return None
     inner, field = indent + "  ", indent + "    "
     heads, columns, text = [], [], f",{inner}{{"
@@ -364,6 +371,11 @@ def _column(cells: list, indent: str):
         except TypeError:  # an item of a cell is not a str
             pass
     return "", list(map(_dumps, cells, repeat(indent))), ""
+
+
+def _of_type(kind: type, values) -> bool:
+    """Whether the type of every value is kind itself."""
+    return all(map(is_, map(type, values), repeat(kind)))
 
 
 def _plain(text: str) -> bool:
@@ -444,7 +456,7 @@ def emit_series(series: JacobiSeries) -> dict:
     terms = series.terms
     keys = sorted(terms)  # linear in the kernel's order
     ns = map(_Strings(series.q_den).__getitem__, map(itemgetter(0), keys))
-    ls = _lists(_Strings(series.den), map(itemgetter(1), keys))
+    ls = _lists(_Strings(series.den), list(map(itemgetter(1), keys)), series.lattice.rank)
     cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(series.lattice),
@@ -459,94 +471,30 @@ def emit_series(series: JacobiSeries) -> dict:
 # -- vector-valued forms --------------------------------------------------------------
 
 
-class _Scaled(dict):
-    """Vectors of one document on integers mod den: each distinct rational
-    string maps to its value times den reduced mod den, or to None when den
-    is no multiple of its denominator. A vector with an entry that is not a
-    string seen before goes through _parse_lattice_vector, so the messages
-    are those of the Fraction parse."""
-
-    def __init__(self, den: int, fracs: _Rationals):
-        super().__init__()
-        self.den, self.fracs = den, fracs
-
-    def vector(self, value, path, lattice: EvenLattice) -> tuple:
-        if type(value) is list and len(value) == lattice.rank:
-            try:
-                return tuple([self[x] for x in value])
-            except (KeyError, TypeError):
-                pass  # a string not seen yet, or not a string
-        vec = _parse_lattice_vector(value, path, lattice, self.fracs)
-        den = self.den
-        out = tuple([None if den % x.denominator else x.numerator * (den // x.denominator) % den
-                     for x in vec])
-        for raw, k in zip(value, out):
-            if type(raw) is str:
-                self[raw] = k
-        return out
+def _reduced(x: Fraction, den: int):
+    """den * x reduced mod den, or None when den is no multiple of the
+    denominator of x."""
+    return None if den % x.denominator else x.numerator * (den // x.denominator) % den
 
 
 _COMPONENT = {"gamma", "prec", "terms"}
+_RATIONAL = {str, int}  # the types parse_frac reads; a bool is neither
 
 
 def parse_vvform(doc, path="$") -> VectorValuedForm:
+    """The form of a document. A well-formed component list is read by
+    columns (_columns); any other goes through the entry loop (_entries),
+    which is the one source of every message and of which error comes
+    first. Both return {det * gamma reduced: its terms} for the entries with
+    terms, and P."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     fracs = _Rationals()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
-    det, gram = lattice.det, lattice.gram
     entries = _expect_list(doc["components"], f"{path}.components")
-    if len(entries) >= det:
-        # the table's keys are the det reduced dual cosets scaled by det, so a
-        # lookup both tests a key and gives qden * min Q, and listing the
-        # table costs no more than reading the document
-        minima = lattice.coset_minima()
-        qden, lookup = minima.qden, minima.table.get
-    else:
-        # too few entries for every coset: the document is refused after the
-        # loop, which tests gram * key = 0 mod det only to report an earlier
-        # error first
-        qden = 1
-
-        def lookup(key):
-            return None if any(sum(map(mul, row, key)) % det for row in gram) else 0
-
-    scaled = _Scaled(det, fracs)
-    seen = set()
-    components = {}  # det * gamma reduced -> its terms, for the entries with terms
-    precisions = {}  # raw prec -> its Fraction
-    pairs = set()  # (raw prec, qden * min Q)
-    for i, comp in enumerate(entries):
-        cpath = f"{path}.components[{i}]"
-        if type(comp) is not dict or comp.keys() != _COMPONENT:
-            _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        key = scaled.vector(comp["gamma"], f"{cpath}.gamma", lattice)
-        q = None if None in key else lookup(key)
-        if q is None:
-            raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
-        size = len(seen)
-        seen.add(key)
-        if len(seen) == size:
-            raise SchemaViolation(f"{cpath}.gamma: duplicate component")
-        terms = comp["terms"]
-        if type(terms) is not list or terms:
-            components[key] = fg = {}
-            for j, term in enumerate(_expect_list(terms, f"{cpath}.terms")):
-                tpath = f"{cpath}.terms[{j}]"
-                _expect_object(term, tpath, required=("e", "c"))
-                e = fracs.frac(term["e"], f"{tpath}.e")
-                if not _add_term(fg, e, term["c"], f"{tpath}.c"):
-                    raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
-        raw = comp["prec"]
-        precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
-        pairs.add((raw, q))
-    if len(seen) != det:
-        raise SchemaViolation(f"{path}.components: has {len(seen)} of {det} cosets")
-    tops = {precisions[raw] + Fraction(q, qden) for raw, q in pairs}
-    if len(tops) != 1:
-        raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
-    (prec,) = tops
-    coord = _Fractions(det).__getitem__
+    components, prec = (_columns(entries, lattice, fracs)
+                        or _entries(entries, path, lattice, fracs))
+    coord = _Fractions(lattice.det).__getitem__
     nonzero = {}  # each key hashed once: fg keeps its dict unless a coefficient is zero
     for key, fg in components.items():
         if 0 in fg.values():
@@ -554,6 +502,98 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
         if fg:
             nonzero[tuple(map(coord, key))] = fg
     return VectorValuedForm._of(lattice, weight, nonzero, prec)
+
+
+def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals):
+    """What _entries returns for a well-formed list of exactly det
+    components, or None for any other list, whose message _entries gives.
+    It never raises: each check is a C-level pass over one column, each
+    distinct gamma entry is parsed once, and only the entries with terms are
+    read one by one, a SchemaViolation of _terms meaning None. It reads every
+    list of JSON values that _entries accepts, so that for a document read
+    from a file the loop runs only to report an error."""
+    det, rank = lattice.det, lattice.rank
+    if len(entries) != det or not _of_type(dict, entries) or set(map(len, entries)) != {3}:
+        return None
+    try:
+        gammas, raws, terms = [list(map(itemgetter(key), entries))
+                               for key in ("gamma", "prec", "terms")]
+    except KeyError:
+        return None
+    if not (_of_type(list, gammas) and set(map(len, gammas)) == {rank}
+            and set(map(type, raws)) <= _RATIONAL and _of_type(list, terms)):
+        return None
+    try:
+        values = set(chain.from_iterable(gammas))
+    except TypeError:  # an entry of a gamma is not hashable
+        return None
+    if not set(map(type, values)) <= _RATIONAL:
+        return None
+    try:  # Fraction raises on a string that is not a rational, _terms on a bad term
+        scaled = {x: _reduced(Fraction(x), det) for x in values}
+        keys = list(zip(*[map(scaled.__getitem__, chain.from_iterable(gammas))] * rank))
+        minima = lattice.coset_minima()  # one lookup tests a key and gives its minimum
+        qs = list(map(minima.table.get, keys))
+        if None in qs or len(set(keys)) != det:
+            return None
+        tops = {Fraction(raw) + Fraction(q, minima.qden) for raw, q in set(zip(raws, qs))}
+        if len(tops) != 1:
+            return None
+        # the path names no entry: a message built here is never shown
+        components = {key: _terms(fg, "", fracs) for key, fg in compress(zip(keys, terms), terms)}
+    except (ValueError, ZeroDivisionError, SchemaViolation):
+        return None
+    return components, tops.pop()
+
+
+def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals):
+    """The components with terms, and P, of a component list read one entry
+    at a time; the first error in document order raises its SchemaViolation.
+    A key is dual when gram * key = 0 mod det, and the coset table is listed
+    only for a list of det distinct cosets, which a short list cannot be."""
+    det, gram = lattice.det, lattice.gram
+    seen = set()
+    components = {}  # det * gamma reduced -> its terms, for the entries with terms
+    precisions = {}  # raw prec -> its Fraction
+    pairs = []  # (raw prec, key)
+    for i, comp in enumerate(entries):
+        cpath = f"{path}.components[{i}]"
+        if type(comp) is not dict or comp.keys() != _COMPONENT:
+            _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
+        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
+        key = tuple([_reduced(x, det) for x in gamma])
+        if None in key or any(sum(map(mul, row, key)) % det for row in gram):
+            raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
+        size = len(seen)
+        seen.add(key)
+        if len(seen) == size:
+            raise SchemaViolation(f"{cpath}.gamma: duplicate component")
+        terms = comp["terms"]
+        if type(terms) is not list or terms:
+            components[key] = _terms(terms, cpath, fracs)
+        raw = comp["prec"]
+        precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
+        pairs.append((raw, key))
+    if len(seen) != det:
+        raise SchemaViolation(f"{path}.components: has {len(seen)} of {det} cosets")
+    minima = lattice.coset_minima()
+    tops = {precisions[raw] + Fraction(q, minima.qden)
+            for raw, q in {(raw, minima.table[key]) for raw, key in pairs}}
+    if len(tops) != 1:
+        raise SchemaViolation(f"{path}.components: the precisions are not P - min Q(gamma)")
+    return components, tops.pop()
+
+
+def _terms(terms, path, fracs: _Rationals) -> dict:
+    """The {e: c} of the terms of the component at path."""
+    fg = {}
+    for j, term in enumerate(_expect_list(terms, f"{path}.terms")):
+        tpath = f"{path}.terms[{j}]"
+        _expect_object(term, tpath, required=("e", "c"))
+        e = fracs.frac(term["e"], f"{tpath}.e")
+        if not _add_term(fg, e, term["c"], f"{tpath}.c"):
+            raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
+    return fg
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
@@ -572,7 +612,7 @@ def emit_vvform(form: VectorValuedForm) -> dict:
                _den(e for fg in form.components.values() for e in fg))
     exps = _Strings(eden)
     top, qs = _scaled(form.prec, eden), eden // minima.qden
-    gammas = _lists(_Strings(gden), table)
+    gammas = _lists(_Strings(gden), table, form.lattice.rank)
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
     terms = [[{"e": exps[e], "c": str(c)}
               for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])] if fg else []
@@ -676,7 +716,7 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
     keys = sorted(terms)  # linear in the order the lift leaves them
     ns = map(str, map(itemgetter(0), keys))
     ms = map(str, map(itemgetter(1), keys))
-    ls = _lists(_Strings(exp.den), map(itemgetter(2), keys))
+    ls = _lists(_Strings(exp.den), list(map(itemgetter(2), keys)), exp.lattice.rank)
     cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(exp.lattice),

@@ -9,8 +9,8 @@
 set -euo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-roundtrip() {  # roundtrip KIND FILE: io.emit_KIND(io.parse_KIND(FILE)) must be FILE
-  python -c 'import sys; from borcherdskit import io; kind = sys.argv[1]; sys.stdout.write(io.canonical_dumps(getattr(io, "emit_" + kind)(getattr(io, "parse_" + kind)(io.load_json(sys.argv[2])))))' "$1" "$2" | cmp - "$2"
+roundtrip() {  # roundtrip KIND FILE [CANONICAL]: io.emit_KIND(io.parse_KIND(FILE)) must be CANONICAL, by default FILE
+  python -c 'import sys; from borcherdskit import io; kind = sys.argv[1]; sys.stdout.write(io.canonical_dumps(getattr(io, "emit_" + kind)(getattr(io, "parse_" + kind)(io.load_json(sys.argv[2])))))' "$1" "$2" | cmp - "${3:-$2}"
 }
 borcherds-kit phi --n 1 --prec 16 | cmp - tests/golden/phi_n1_prec16.json
 borcherds-kit phi --n 2 --prec 4 | cmp - tests/golden/phi_n2_prec4.json
@@ -30,6 +30,9 @@ borcherds-kit phi --n 3 --prec 3 | borcherds-kit lift --prec 2 | cmp - tests/gol
 # a 4096-coset vvform read and written back
 borcherds-kit phi --n 4 --prec 1 | borcherds-kit decompose > "$tmp/decompose_phi_n4_prec1.json"
 roundtrip vvform "$tmp/decompose_phi_n4_prec1.json"
+# the same file with its components in reverse order is written back canonical
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["components"].reverse(); json.dump(doc, sys.stdout)' "$tmp/decompose_phi_n4_prec1.json" > "$tmp/reversed.json"
+roundtrip vvform "$tmp/reversed.json" "$tmp/decompose_phi_n4_prec1.json"
 # series files and a rank-3 expansion file read and written back
 for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/golden/phi_n3_prec3.json; do
   roundtrip series "$f"

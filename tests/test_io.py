@@ -7,13 +7,16 @@ expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
 and mixed label denominators, must emit byte for byte as the oracles do.
 parse_vvform and parse_series read on integers; the Fraction parsers they
 replaced are kept as oracles, and mutated documents must give the same
-result or the same message under both. canonical_dumps must write what
+result or the same message under both. parse_vvform reads a well-formed
+component list by columns: that reader must read what its entry loop
+reads, raise nothing, and not give up on an emitted document. canonical_dumps must write what
 json.dumps(indent=2, ensure_ascii=True) writes, on random documents and on
 every golden file.
 """
 
 import json
 import signal
+import sys
 import time
 from fractions import Fraction as F
 from functools import cache
@@ -26,6 +29,8 @@ from hypothesis import strategies as st
 from borcherdskit.errors import ResourceLimit, SchemaViolation
 from borcherdskit.io import (
     _add_term,
+    _columns,
+    _entries,
     _expect_list,
     _expect_object,
     _parse_lattice_vector,
@@ -263,6 +268,20 @@ def test_emit_vvform_refuses_unreduced_key():
     form = VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(9, 8),): {F(0): 1}}, F(1))
     with pytest.raises(ValueError, match="not a reduced coset representative"):
         emit_vvform(form)
+
+
+def test_emitted_vectors_are_sized_by_their_length():
+    # list() of a map, which has no length, reserves 8 entries and keeps
+    # them for a vector of 4 or more; every label and gamma list is built
+    # from a tuple, at ranks 1 to 3
+    phi_3 = phi_n(3, 1)
+    for rows, key in [(emit_series(phi04(2))["terms"], "l"), (emit_series(phi_3)["terms"], "l"),
+                      (_vvform_doc()["components"], "gamma"),
+                      (emit_vvform(theta_decompose(phi_3))["components"], "gamma"),
+                      (_expansion_doc()["terms"], "l")]:
+        vectors = [row[key] for row in rows]
+        assert vectors and all(sys.getsizeof(v) == sys.getsizeof(list(tuple(v)))
+                               for v in vectors)
 
 
 def test_load_json_reports_parse_errors(tmp_path):
@@ -765,6 +784,20 @@ def _outcome(parse, doc):
         return str(exc)
 
 
+def _as_ints(doc):
+    """doc with every integral gamma entry and precision written as a JSON
+    integer, which parse_frac reads as well as a string."""
+    for comp in doc["components"]:
+        comp["gamma"] = [_int_or_str(x) for x in comp["gamma"]]
+        comp["prec"] = _int_or_str(comp["prec"])
+    return doc
+
+
+def _int_or_str(value):
+    x = F(value)
+    return x.numerator if x.denominator == 1 else value
+
+
 def _spelling(draw, value, shift=False):
     """value written another way: not in lowest terms, as a JSON integer when
     integral, and shifted by an integer when shift is set."""
@@ -775,17 +808,64 @@ def _spelling(draw, value, shift=False):
     return f"{x.numerator * m}/{x.denominator * m}"
 
 
+# components of the wrong shape, which the column reader leaves to the entry loop
+MALFORMED = ("not_dict", "missing_key", "extra_key", "renamed_key", "gamma_not_list",
+             "gamma_length", "gamma_entry", "prec_other", "terms_not_list", "bad_term",
+             "bad_e", "bad_c", "duplicate_e")
+
+
+def _malformed(draw, comp, kind):
+    """A copy of the well-formed component comp with one field of the wrong
+    shape, or comp replaced by a value that is not a dict."""
+    comp = dict(comp)
+    odd = st.sampled_from((None, True, "x", "1/0", [], {}))  # neither rational nor integer
+    if kind == "not_dict":
+        return draw(st.sampled_from((None, comp["gamma"], [comp], comp["prec"])))
+    if kind == "missing_key":
+        del comp[draw(st.sampled_from(sorted(comp)))]
+    elif kind == "extra_key":
+        comp["gammas"] = comp["gamma"]
+    elif kind == "renamed_key":
+        comp["gammas"] = comp.pop(draw(st.sampled_from(sorted(comp))))
+    elif kind == "gamma_not_list":
+        comp["gamma"] = draw(st.sampled_from((None, "0", 0, {"0": "0"})))
+    elif kind == "gamma_length":
+        comp["gamma"] = draw(st.sampled_from((comp["gamma"][1:], comp["gamma"] + ["0"])))
+    elif kind == "gamma_entry":
+        gamma = comp["gamma"] = list(comp["gamma"])
+        gamma[draw(st.integers(0, len(gamma) - 1))] = draw(odd)
+    elif kind == "prec_other":
+        comp["prec"] = draw(odd | st.just([comp["prec"]]))
+    elif kind == "terms_not_list":
+        comp["terms"] = draw(st.sampled_from((None, "", {}, {"e": "1", "c": "1"})))
+    elif kind == "bad_term":
+        comp["terms"] = comp["terms"] + [draw(st.sampled_from(
+            ("1", None, [], {"e": "1"}, {"e": "1", "c": "1", "n": "1"})))]
+    elif kind == "bad_e":
+        comp["terms"] = comp["terms"] + [{"e": draw(odd), "c": "1"}]
+    elif kind == "bad_c":
+        comp["terms"] = comp["terms"] + [{"e": "7", "c": draw(odd | st.just("1/2"))}]
+    else:  # the exponent of a term, spelled another way
+        terms = comp["terms"] or [{"e": "1", "c": "2"}]
+        e = terms[draw(st.integers(0, len(terms) - 1))]["e"]
+        comp["terms"] = terms + [{"e": _spelling(draw, e), "c": "5"}]
+    return comp
+
+
 @st.composite
 def vvform_documents(draw):
     """Emitted vvform documents with up to three mutations, then shuffled:
     respelled or unreduced gammas and precisions, duplicate and missing
-    cosets, precisions off by one, and gammas replaced by random vectors,
-    most of them not dual."""
+    cosets, a gamma replaced by that of another coset, precisions off by
+    one, gammas replaced by random vectors, most of them not dual, and
+    integral values written as JSON integers. Half of them then get one
+    component of the wrong shape (MALFORMED)."""
     form = draw(vvforms())
     doc = json.loads(canonical_dumps(emit_vvform(form)))
     comps = doc["components"]
     for kind in draw(st.lists(st.sampled_from(
-            ("respell", "duplicate", "drop", "prec", "all_precs", "non_dual")), max_size=3)):
+            ("respell", "duplicate", "drop", "twin", "prec", "all_precs", "non_dual", "ints")),
+            max_size=3)):
         comp = comps[draw(st.integers(0, len(comps) - 1))]
         if kind == "respell":
             comp["gamma"] = [_spelling(draw, x, shift=True) for x in comp["gamma"]]
@@ -795,13 +875,21 @@ def vvform_documents(draw):
             comps.insert(draw(st.integers(0, len(comps))), twin)
         elif kind == "drop":
             comps.remove(comp)
+        elif kind == "twin":  # as many entries as cosets, one of them twice
+            other = draw(st.sampled_from(comps))
+            comp["gamma"], comp["prec"] = list(other["gamma"]), other["prec"]
         elif kind == "prec":
             comp["prec"] = frac_str(F(comp["prec"]) + draw(st.sampled_from((-1, 1))))
         elif kind == "all_precs":
             for c in comps:
                 c["prec"] = frac_str(F(c["prec"]) + 1)
+        elif kind == "ints":
+            _as_ints(doc)
         else:
             comp["gamma"] = emit_vector(draw(vectors(form.lattice)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(comps) - 1))
+        comps[i] = _malformed(draw, comps[i], draw(st.sampled_from(MALFORMED)))
     doc["components"] = draw(st.permutations(comps))
     return doc
 
@@ -849,6 +937,13 @@ TABLE_ROUTE = _diag8_doc({63: ["1/16", "0"]})
 GRAM_ROUTE = _diag8_doc({5: ["1/16", "0"]}, drop=9)
 SHORT = _diag8_doc({}, drop=9)
 DUPLICATE_FIRST = _diag8_doc({5: ["1/16", "0"]}, twin=1)
+# det entries, the last a copy of the first
+TWIN_LAST = _diag8_doc({}, drop=63, twin=64)
+# JSON booleans where they equal the value they replace: bool is an int
+# type in Python, but parse_frac refuses it
+BOOL_GAMMA = _diag8_doc({0: [False, "0"]})
+BOOL_PREC = _diag8_doc({})
+BOOL_PREC["components"][0]["prec"] = True
 
 
 def _with_zeros(whole_component):
@@ -903,6 +998,66 @@ def test_vvform_routes_report_the_first_error(doc, message):
     with pytest.raises(SchemaViolation) as excinfo:
         parse_vvform(doc)
     assert str(excinfo.value) == message
+
+
+def _columns_of(doc):
+    return _columns(doc["components"], parse_lattice({"gram": doc["gram"]}), _Rationals())
+
+
+def _entries_of(doc):
+    return _entries(doc["components"], "$", parse_lattice({"gram": doc["gram"]}), _Rationals())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vvform_documents())
+@example(ZERO_TERM[0])
+@example(TABLE_ROUTE)
+@example(DUPLICATE_FIRST)
+@example(TWIN_LAST)
+@example(BOOL_GAMMA)
+@example(BOOL_PREC)
+def test_column_reader_agrees_with_the_entry_loop(doc):
+    # the reader raises nothing; what it reads, the loop reads the same
+    read = _columns_of(doc)
+    if read is not None:
+        assert read == _entries_of(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vvforms(), st.booleans(), st.booleans(), st.data())
+def test_column_reader_reads_emitted_documents(form, shuffle, ints, data):
+    # a reader that always gave up would pass every other test
+    doc = json.loads(canonical_dumps(emit_vvform(form)))
+    if shuffle:
+        doc = shuffled(data, doc, "components")
+    if ints:
+        doc = _as_ints(doc)
+    read = _columns_of(doc)
+    assert read is not None and read == _entries_of(doc)
+
+
+PHI_2_VVFORM = canonical_dumps(emit_vvform(theta_decompose(phi_n(2, 4))))
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_column_reader_leaves_malformed_components_to_the_loop(kind, data):
+    doc = json.loads(PHI_2_VVFORM)
+    comps = doc["components"]
+    i = data.draw(st.integers(0, len(comps) - 1))
+    comps[i] = _malformed(data.draw, comps[i], kind)
+    assert _columns_of(doc) is None
+    assert _outcome(parse_vvform, doc) == _outcome(oracle_parse_vvform, doc)
+
+
+def test_column_reader_reads_4096_cosets():
+    form = theta_decompose(phi_n(4, 1))
+    doc = json.loads(canonical_dumps(emit_vvform(form)))
+    doc["components"].reverse()
+    read = _columns_of(doc)
+    assert read is not None and read == _entries_of(doc)
+    assert parse_vvform(doc) == form
 
 
 def test_short_vvform_is_refused_without_listing_cosets():
