@@ -112,7 +112,7 @@ def _cmd_phi(args):
     if args.budget < 1:
         raise SchemaViolation(f"--budget: {args.budget} is not a positive integer")
     series = phi_n(args.n, _parse_prec(args.prec), budget=args.budget)
-    lines = [f"phi_{args.n} to precision {args.prec}: {len(series.terms)} terms"]
+    lines = [f"phi_{args.n} to precision {args.prec}: {series.term_count()} terms"]
     _write(args, kit_io.emit_series(series), lines)
     return 0
 

@@ -32,7 +32,9 @@ scaled by a positive common denominator, which keeps the order of the
 Fractions, and each distinct rational string is built once per document.
 Series and expansions store their terms on such keys already, over den, and
 the product kernel leaves them in file order, so that sort is one linear
-pass; the rows are then built by maps over the sorted keys.
+pass; the rows are then built by maps over the sorted keys. A direct product
+whose terms were never decoded is written from the digits of its packed int
+keys instead.
 Parsing turns each distinct rational string of a document into a Fraction
 once and hashes each key once. The series parser goes further: each distinct
 value gets a small int, every term is keyed by the ints of its rationals,
@@ -241,20 +243,29 @@ def emit_vector(vec) -> list[str]:
 
 
 class _Strings(_Fractions):
-    """frac_str(Fraction(k, den)) for integers k, each built once."""
+    """frac_str(Fraction(k - low, den)) for integers k, each built once."""
+
+    def __init__(self, den: int, low: int = 0):
+        super().__init__(den)
+        self.low = low
 
     def __missing__(self, k):
-        value = self[k] = frac_str(Fraction(k, self.den))
+        value = self[k] = frac_str(Fraction(k - self.low, self.den))
         return value
 
 
-def _lists(strings: _Strings, vectors, rank: int):
-    """The integer vectors, each of rank entries, as lists of their entries'
-    strings. vectors is read once per coordinate. Each list is built from a
-    tuple, so list() sizes it by its length; from a map, which has none, it
-    would keep room for 8 entries."""
-    get = strings.__getitem__
-    return map(list, zip(*[map(get, map(itemgetter(i), vectors)) for i in range(rank)]))
+def _coordinates(vectors, rank: int) -> list:
+    """The columns of the vectors' coordinates; vectors is read once per
+    coordinate."""
+    return [map(itemgetter(i), vectors) for i in range(rank)]
+
+
+def _lists(strings: _Strings, columns: list):
+    """The integer vectors given by their coordinate columns as lists of
+    their entries' strings. Each list is built from a tuple, so list() sizes
+    it by its length; from a map, which has none, it would keep room for 8
+    entries."""
+    return map(list, zip(*[map(strings.__getitem__, column) for column in columns]))
 
 
 def _den(values) -> int:
@@ -357,19 +368,24 @@ def _column(cells: list, indent: str):
     character to escape. A column of str without one is its cells as they
     are, with the quotes in before and after, and with one it is one map of
     the escaper; a column of non-empty lists of str without one is one join
-    per cell. Any other column goes through _dumps cell by cell."""
+    per cell. In any other column of lists, such as the terms of a vvform's
+    components, the empty cells are "[]" and only the others go through
+    _dumps; any other column goes through _dumps cell by cell."""
     kinds = set(map(type, cells))
     if kinds == {str}:
         if _plain("".join(cells)):
             return '"', cells, '"'
         return "", list(map(_quote, cells)), ""
-    if kinds == {list} and all(cells):
-        inner = indent + "  "
-        try:
-            if _plain("".join(map("".join, cells))):
-                return f'[{inner}"', list(map(f'",{inner}"'.join, cells)), f'"{indent}]'
-        except TypeError:  # an item of a cell is not a str
-            pass
+    if kinds == {list}:
+        if all(cells):
+            inner = indent + "  "
+            try:
+                if _plain("".join(map("".join, cells))):
+                    return f'[{inner}"', list(map(f'",{inner}"'.join, cells)), f'"{indent}]'
+            except TypeError:  # an item of a cell is not a str
+                pass
+        else:
+            return "", [_dumps(cell, indent) if cell else "[]" for cell in cells], ""
     return "", list(map(_dumps, cells, repeat(indent))), ""
 
 
@@ -453,10 +469,22 @@ def parse_series(doc, path="$") -> JacobiSeries:
 
 
 def emit_series(series: JacobiSeries) -> dict:
-    terms = series.terms
-    keys = sorted(terms)  # linear in the kernel's order
-    ns = map(_Strings(series.q_den).__getitem__, map(itemgetter(0), keys))
-    ls = _lists(_Strings(series.den), list(map(itemgetter(1), keys)), series.lattice.rank)
+    """The document of a series. Its columns come from the tuple keys of its
+    terms, or from the digits of the sorted packed keys of a series whose
+    terms were never decoded."""
+    terms, low = series._terms, 0
+    if terms is not None:
+        keys = sorted(terms)  # linear in the kernel's order
+        grades = map(itemgetter(0), keys)
+        coords = _coordinates(list(map(itemgetter(1), keys)), series.lattice.rank)
+    else:
+        terms = series._packed
+        keys = sorted(terms)
+        # unsigned digits are vec_i + low
+        grades, *coords = series._packing.digits(keys, signed=False)
+        low = series._packing.half
+    ns = map(_Strings(series.q_den).__getitem__, grades)
+    ls = _lists(_Strings(series.den, low), coords)
     cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(series.lattice),
@@ -612,7 +640,7 @@ def emit_vvform(form: VectorValuedForm) -> dict:
                _den(e for fg in form.components.values() for e in fg))
     exps = _Strings(eden)
     top, qs = _scaled(form.prec, eden), eden // minima.qden
-    gammas = _lists(_Strings(gden), table, form.lattice.rank)
+    gammas = _lists(_Strings(gden), _coordinates(table, form.lattice.rank))
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
     terms = [[{"e": exps[e], "c": str(c)}
               for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])] if fg else []
@@ -716,7 +744,8 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
     keys = sorted(terms)  # linear in the order the lift leaves them
     ns = map(str, map(itemgetter(0), keys))
     ms = map(str, map(itemgetter(1), keys))
-    ls = _lists(_Strings(exp.den), list(map(itemgetter(2), keys)), exp.lattice.rank)
+    ls = _lists(_Strings(exp.den), _coordinates(list(map(itemgetter(2), keys)),
+                                                exp.lattice.rank))
     cs = map(str, map(terms.__getitem__, keys))
     return {
         **emit_lattice(exp.lattice),

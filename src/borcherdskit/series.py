@@ -28,10 +28,20 @@ the monomial (t, vec) as the digits of t * M^r + sum vec_i * M^(r-1-i) in a
 base M = 2^w with balanced digits. The map is linear, so the product of two
 monomials has the sum of their keys for its key, as long as every component
 of the product stays within the bound the packing was made for. Each caller
-proves such a bound for everything its products can reach, and unpacks the
-result once. Keys in numeric order are monomials in (t, lex vec) order, so
-the unpacked map comes out sorted for one sort of ints, and the emitters and
-the next product sort it again in linear time.
+proves such a bound for everything its products can reach. Keys in numeric
+order are monomials in (t, lex vec) order, so one sort of ints puts them in
+file order.
+
+A direct product keeps the kernel's {key: c} map and its packing: terms
+decodes it on first read, and until then nothing does. Its labels
+concatenate, so the bound of the product's packing is the larger of the two
+factors' reaches, and a packed series carries that bound as its reach. In a
+chain of products the digit width then stays the same, and a packed factor
+enters the next product by one shift of its keys. emit_series writes a
+series whose terms were never decoded from the digits of its sorted keys.
+The other products, whose outputs are small or read as tuples at once,
+decode their result once; the emitters and the next product sort it again
+in linear time.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, and_, itemgetter, mul, rshift, sub
+from operator import add, and_, itemgetter, lshift, mul, rshift, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -83,10 +93,12 @@ class _Packing:
     monomial, so bound must hold for every product formed on the keys.
     """
 
-    __slots__ = ("weights", "unit", "shift", "shifts", "offset", "mask", "half")
+    __slots__ = ("bound", "width", "weights", "unit", "shift", "shifts", "offset", "mask",
+                 "half")
 
     def __init__(self, rank: int, bound: int):
-        width = bound.bit_length() + 1
+        self.bound = bound
+        self.width = width = bound.bit_length() + 1
         # digit i sits shifts[i] bits up, the grade shift bits up
         self.shift = width * rank
         self.shifts = tuple(width * i for i in reversed(range(rank)))
@@ -104,13 +116,16 @@ class _Packing:
         grades = map(rshift, map(add, packed, repeat(self.offset)), repeat(self.shift))
         return list(zip(grades, packed, packed.values()))
 
-    def digits(self, keys) -> list:
+    def digits(self, keys, signed: bool = True) -> list:
         """The grades of the keys, then each digit of their vectors, as one
-        iterator over the keys each."""
+        iterator over the keys each. A digit is vec_i, or vec_i + M/2 in
+        [0, M) when not signed."""
         lifted = list(map(add, keys, repeat(self.offset)))
-        return [map(rshift, lifted, repeat(self.shift))] + [
-            map(sub, map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask)),
-                repeat(self.half)) for s in self.shifts]
+        digits = [map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask))
+                  for s in self.shifts]
+        if signed:
+            digits = [map(sub, d, repeat(self.half)) for d in digits]
+        return [map(rshift, lifted, repeat(self.shift))] + digits
 
     def unpack(self, packed: dict) -> dict:
         """The map {k: c} as {(t, vec): c} in (t, lex vec) order, which is the
@@ -197,12 +212,17 @@ class JacobiSeries:
 
     terms maps integer keys (t, vec) to the coefficient of q^(t / q_den)
     zeta^(vec / den), den being a common denominator of the labels, not always
-    the least one. Series may share terms, and none modifies it. coeffs is
-    the read-only {(n, l): c} view with Fraction keys, built on first access.
+    the least one. Series may share terms, and none modifies it. A direct
+    product stores the kernel's map {k: c} on the keys of its _Packing
+    instead, and terms decodes it on first access; term_count, is_zero,
+    repr and the next direct product read the packed keys, and so does
+    emit_series until terms is read.
+    coeffs is the read-only {(n, l): c} view with Fraction keys, built on
+    first access over terms.
     """
 
-    __slots__ = ("lattice", "weight", "prec", "q_den", "den", "form_class", "terms",
-                 "_coeffs")
+    __slots__ = ("lattice", "weight", "prec", "q_den", "den", "form_class", "_terms",
+                 "_packing", "_packed", "_coeffs")
 
     def __init__(self, lattice, weight, prec, coeffs, q_den=None, form_class=RAW):
         if form_class not in (RAW, WEAK_JACOBI):
@@ -229,10 +249,13 @@ class JacobiSeries:
                  for n, l, c in kept}
         self._store(lattice, weight, prec, terms, q_den, den, form_class)
 
-    def _store(self, lattice, weight, prec, terms, q_den, den, form_class):
+    def _store(self, lattice, weight, prec, terms, q_den, den, form_class, packing=None):
+        """Set every slot; with a packing, terms is the kernel's map on its
+        keys, kept packed."""
         self.lattice, self.weight, self.prec = lattice, weight, prec
         self.q_den, self.den, self.form_class = q_den, den, form_class
-        self.terms = terms
+        self._terms, self._packing, self._packed = ((terms, None, None) if packing is None
+                                                    else (None, packing, terms))
         self._coeffs = None
         return self
 
@@ -254,9 +277,14 @@ class JacobiSeries:
         return {(t * a, tuple([b * x for x in vec])): c for (t, vec), c in self.terms.items()}
 
     def _reach(self, den: int) -> int:
-        """The largest |component| of a label vector over den."""
-        labels = chain.from_iterable(map(itemgetter(1), self.terms))
-        return max(map(abs, labels), default=0) * (den // self.den)
+        """A bound on |component| of the label vectors over den: the largest
+        one, or the bound of the packing of a packed series."""
+        if self._packed is None:
+            bound = max(map(abs, chain.from_iterable(map(itemgetter(1), self._terms))),
+                        default=0)
+        else:
+            bound = self._packing.bound
+        return bound * (den // self.den)
 
     def _kernel(self, packing: _Packing, q_den: int, den: int, before: int = 0) -> list:
         """The terms over q_den and den as packed kernel input, sorted by
@@ -267,7 +295,40 @@ class JacobiSeries:
         return sorted([(a * t, unit * t + sum(map(mul, vec, weights)), c)
                        for (t, vec), c in self.terms.items()])
 
+    def _factor(self, packing: _Packing, den: int, before: int) -> list:
+        """The terms over q_den 1 and den as the kernel input of a direct
+        product, sorted by grade; the label vector takes the digits from before
+        on. A packed series over den whose digits have the width of packing's
+        is re-keyed without decoding: the key t * U + v of its packing becomes
+        t * U' + (v << s), U' being the unit of packing and s the width of the
+        digits after the vector's."""
+        packed, mine = self._packed, self._packing
+        if packed is None or den != self.den or mine.width != packing.width:
+            return self._kernel(packing, 1, den, before)
+        keys = sorted(packed)
+        grades = list(map(rshift, map(add, keys, repeat(mine.offset)), repeat(mine.shift)))
+        s = packing.shift - mine.shift - packing.width * before
+        moved = map(lshift, keys, repeat(s))
+        # zero for the leftmost factor, whose keys only shift
+        step = packing.unit - (mine.unit << s)
+        if step:
+            moved = map(add, moved, map(mul, grades, repeat(step)))
+        return list(zip(grades, moved, map(packed.__getitem__, keys)))
+
     # -- inspection --------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The {(t, vec): c} map, decoded from the packed keys on first
+        access."""
+        if self._terms is None:
+            self._terms = self._packing.unpack(self._packed)
+        return self._terms
+
+    def term_count(self) -> int:
+        """The number of stored terms, counted without decoding packed
+        keys."""
+        return len(self._terms if self._packed is None else self._packed)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -284,7 +345,7 @@ class JacobiSeries:
         return Fraction(min((t for t, _ in self.terms), default=0), self.q_den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.term_count()
 
     def coefficient(self, n, l) -> int:
         """Stored coefficient; exponents below prec that are absent are 0."""
@@ -308,7 +369,7 @@ class JacobiSeries:
 
     def __repr__(self):
         return (f"JacobiSeries(weight={self.weight}, rank={self.lattice.rank}, "
-                f"terms={len(self.terms)}, prec={self.prec}, {self.form_class})")
+                f"terms={self.term_count()}, prec={self.prec}, {self.form_class})")
 
     def __eq__(self, other):
         if not isinstance(other, JacobiSeries):
@@ -487,12 +548,13 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
             raise FormClassError("direct products need integer q-exponents")
     # phi1 fills the first digits of a key and phi2 the others, so the sum of
     # two keys packs the concatenated label; a component of that label is a
-    # component of one factor's label, so the sum of the two reaches bounds it
+    # component of one factor's label, so the larger of the two reaches bounds
+    # it, and the product keeps its keys on that packing
     den = lcm(phi1.den, phi2.den)
     packing = _Packing(phi1.lattice.rank + phi2.lattice.rank,
-                       phi1._reach(den) + phi2._reach(den))
-    a = phi1._kernel(packing, 1, den)
-    b = phi2._kernel(packing, 1, den, before=phi1.lattice.rank)
+                       max(phi1._reach(den), phi2._reach(den)))
+    a = phi1._factor(packing, den, 0)
+    b = phi2._factor(packing, den, phi1.lattice.rank)
     prec = _product_prec(phi1.prec, a, phi2.prec, b, 1)
     if prec <= 0:
         raise IncompatiblePrecision(
@@ -500,8 +562,10 @@ def direct_product(phi1: JacobiSeries, phi2: JacobiSeries,
     out = {}
     _mul_into(out, a, b, _grade_limit(prec, 1), max_terms)
     cls = WEAK_JACOBI if phi1.form_class == phi2.form_class == WEAK_JACOBI else RAW
-    return JacobiSeries._of(direct_sum(phi1.lattice, phi2.lattice),
-                            phi1.weight + phi2.weight, prec, packing.unpack(out), 1, den, cls)
+    # the kernel keeps no zero coefficient and no grade at or above the limit
+    return JacobiSeries.__new__(JacobiSeries)._store(
+        direct_sum(phi1.lattice, phi2.lattice), phi1.weight + phi2.weight, prec, out, 1, den,
+        cls, packing)
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -517,7 +581,7 @@ def phi_n(n: int, prec, budget: int = DEFAULT_BUDGET) -> JacobiSeries:
     acc = base
     for _ in range(n - 1):
         acc = direct_product(acc, base, max_terms=budget)
-    if len(acc.terms) > budget:
+    if acc.term_count() > budget:
         raise ResourceLimit(f"series exceeded the {budget}-coefficient budget")
     return acc
 

@@ -38,3 +38,7 @@ for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/go
   roundtrip series "$f"
 done
 roundtrip expansion tests/golden/lift_phi_n3_prec3_deg2.json
+# phi_4 as the CLI writes it from packed keys is written back the same from
+# the parsed tuple keys
+borcherds-kit phi --n 4 --prec 3 > "$tmp/phi4.json"
+roundtrip series "$tmp/phi4.json"

@@ -19,7 +19,7 @@ import pytest
 
 from borcherdskit.cli import main
 from borcherdskit.lift import OrthogonalExpansion
-from borcherdskit.series import JacobiSeries
+from borcherdskit.series import JacobiSeries, _Packing, phi_n
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -85,6 +85,27 @@ def test_decomposition_reads_integer_terms(name, command, capsys, monkeypatch):
         io.BytesIO((GOLDEN / "phi_n3_prec3.json").read_bytes()), encoding="utf-8"))
     assert main([command]) == 0
     assert capsys.readouterr().out == read(name)
+
+
+def test_phi_writes_from_packed_keys(capsys, monkeypatch):
+    # phi04 and its self-check decode packings of rank 1; every packing of a
+    # higher rank that the phi command makes is a direct product's, and none
+    # of them may be decoded
+    unpack = _Packing.unpack
+
+    def refuse(packing, packed):
+        if len(packing.shifts) > 1:
+            raise AssertionError("the packed terms of a direct product were decoded")
+        return unpack(packing, packed)
+
+    monkeypatch.setattr(_Packing, "unpack", refuse)
+    assert main(["phi", "--n", "3", "--prec", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out == read("phi_n3_prec3.json")
+    assert err == "phi_3 to precision 3: 495 terms\n"
+    phi = phi_n(3, 3, budget=495)
+    assert repr(phi) == "JacobiSeries(weight=0, rank=3, terms=495, prec=3, weak_jacobi)"
+    assert not phi.is_zero() and phi.term_count() == 495
 
 
 def test_corpus_lists_every_file():

@@ -394,9 +394,14 @@ PLAIN = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
 KEYS = st.one_of(STRINGS, PLAIN, st.sampled_from(["{", "}", "{}", "}{0}{", SPECIAL]))
 CELLS = st.one_of(LEAVES, DOCUMENTS, st.lists(STRINGS, max_size=3),
                   st.floats(allow_nan=False), st.tuples(PLAIN))
-# a column draws every cell from one of these
+# lists of rows or nothing, as in the terms of a vvform's components
+TERMS = st.one_of(st.just([]), st.lists(st.fixed_dictionaries({"e": PLAIN, "c": PLAIN}),
+                                        min_size=1, max_size=3))
+# a column draws every cell from one of these; the last two mix empty and
+# non-empty lists
 COLUMNS = st.sampled_from([PLAIN, STRINGS, st.lists(PLAIN, min_size=1, max_size=4),
-                           st.lists(STRINGS, min_size=1, max_size=4), CELLS])
+                           st.lists(STRINGS, min_size=1, max_size=4), CELLS,
+                           st.lists(CELLS, max_size=3), TERMS])
 
 
 @st.composite
@@ -421,6 +426,9 @@ def row_tables(draw):
 @example([{"a": "1", "l": ["x"]}, {"a": 0.5, "l": ("y",)}])
 @example([{"a": "1"}, {1: "2"}])
 @example([{1: "1"}, {1: "2"}])
+@example([{"g": ["0"], "t": []}, {"g": ["1/8"], "t": [{"e": "0", "c": "1"}]}, {"g": ["1/4"], "t": []}])
+@example([{"t": []}, {"t": ["x", 1, [], {}]}, {"t": [[]]}])
+@example([{"t": []}, {"t": [0.5]}, {"t": [("x",)]}])
 def test_row_tables_match_json_dumps(doc):
     # the same text as json.dumps, or the first error of the recursive path
     assert dumps_outcome(doc) == oracle_dumps_outcome(doc)

@@ -11,7 +11,7 @@ import gc
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from borcherdskit.errors import (
     ResourceLimit,
     ShiftInvarianceViolated,
 )
-from borcherdskit.io import emit_vvform
+from borcherdskit.io import canonical_dumps, emit_series, emit_vvform
 from borcherdskit.lattice import EvenLattice, vector_str
 from borcherdskit.lift import principal_part
 from borcherdskit.series import (
@@ -193,6 +193,81 @@ def test_direct_product_associative_up_to_grouping():
     right = direct_product(p, direct_product(p, p))
     assert left.coeffs == right.coeffs
     assert left.lattice == right.lattice
+
+
+# -- packed products against products of decoded series ----------------------------
+#
+# A direct product keeps its terms on the packed keys of the kernel, and the
+# next product re-keys them by one shift when the label denominator and the
+# digit width agree; otherwise it decodes them. Every such product must equal
+# the one formed from its factors rebuilt through the public constructor.
+
+
+def rebuilt(phi):
+    """phi as the public constructor makes it: decoded keys over the least
+    label denominator."""
+    return JacobiSeries(phi.lattice, phi.weight, phi.prec, dict(phi.coeffs),
+                        q_den=phi.q_den, form_class=phi.form_class)
+
+
+def items_over(phi, den):
+    """The items of phi.terms in their order, with labels over den."""
+    k = den // phi.den
+    return [((t, tuple(k * x for x in vec)), c) for (t, vec), c in phi.terms.items()]
+
+
+def decomposition(phi):
+    """theta_decompose(phi), or the type and message of its refusal: a
+    rescaled phi04 is not shift invariant on its lattice."""
+    try:
+        return theta_decompose(phi)
+    except ShiftInvarianceViolated as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def phi04_factors(draw):
+    """rescale_elliptic(phi04(prec), a) over den 8, or over its least label
+    denominator when rebuilt."""
+    phi = rescale_elliptic(phi04(draw(st.integers(1, 3))), draw(st.sampled_from((1, 2, 3, 8))))
+    return rebuilt(phi) if draw(st.booleans()) else phi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(phi04_factors(), phi04_factors(), phi04_factors(), phi04_factors())
+def test_packed_products_match_decoded_products(f1, f2, f3, f4):
+    def packed():
+        return direct_product(f1, f2)
+
+    # a factor 64 times wider than the others cannot share their digit width
+    cases = [
+        ("packed x tuple", packed(), f3),
+        ("tuple x packed", f3, packed()),
+        ("packed x packed", packed(), direct_product(f3, f4)),
+        ("width mismatch", packed(), rescale_elliptic(f4, 64)),
+    ]
+    products = []
+    for name, a, b in cases:
+        product = direct_product(a, b)
+        for factor in (a, b):
+            # a packed factor is decoded exactly when it cannot be re-keyed
+            if factor._packed is not None:
+                rekeyed = (factor.den == product.den
+                           and factor._packing.width == product._packing.width)
+                assert (factor._terms is None) == rekeyed, name
+        products.append((name, product, direct_product(rebuilt(a), rebuilt(b))))
+    assert cases[-1][1]._terms is not None
+    for name, product, reference in products:
+        den = lcm(product.den, reference.den)
+        text = canonical_dumps(emit_series(product))
+        assert text == canonical_dumps(emit_series(reference)), name
+        assert text == canonical_dumps(emit_series(rebuilt(product))), name
+        assert items_over(product, den) == items_over(reference, den), name
+        assert list(product.coeffs.items()) == list(reference.coeffs.items()), name
+        assert (product.lattice, product.weight, product.prec, product.form_class) == (
+            reference.lattice, reference.weight, reference.prec, reference.form_class), name
+        assert product == reference and reference == product, name
+        assert decomposition(product) == decomposition(reference), name
 
 
 def test_phi_n_one_is_phi04():
