@@ -15,26 +15,27 @@ the pure-Python encoder. The test suite compares the two on random documents
 and on the golden corpus.
 
 Most of every document is a list of rows, dicts with the same keys in the
-same order: the terms of a series or an expansion, the components of a
-vvform. The emitter writes such a list column by column (_rows): the text
-between two cells is the same in every row, so the list is one join of
-those pieces interleaved with the columns, each written by one C-level map.
-A column of str is left as it is when one escaper call on the whole column
-shows that nothing needs escaping, and quoted by the escaper otherwise; a
-column of non-empty lists of str that needs no escaping is one join per
-cell; any other column goes through the recursive emitter cell by cell.
-Any other list, and any TypeError, falls back to the recursive path, which
-stays the one source of the output and of the first error in document
-order.
+same order: the terms of a series, an expansion or a principal part, the
+components of a vvform and their terms. The emitters build each such list
+as a Rows, which stores the columns and no row: a column of str, of int, of
+vectors of str kept as their coordinate columns, or of the Rows of a
+vvform component's terms. Reading a Rows builds its rows as fresh dicts,
+equal to the lists the emitters built before. canonical_dumps writes a Rows
+from its columns: the text between two cells is the same in every row, so
+the list is one join of those pieces interleaved with the columns. It runs
+no escaper and no check of shape on them, because every cell is the ASCII
+text of frac_str or str. Every other value, and every document not built by
+an emitter, goes through the recursive emitter, the one writer of plain
+trees.
 
 Emission sorts integer keys: each q-exponent, label, gamma or exponent is
 scaled by a positive common denominator, which keeps the order of the
-Fractions, and each distinct rational string is built once per document.
-Series and expansions store their terms on such keys already, over den, and
-the product kernel leaves them in file order, so that sort is one linear
-pass; the rows are then built by maps over the sorted keys. A direct product
-whose terms were never decoded is written from the digits of its packed int
-keys instead.
+Fractions, and each distinct rational string, and each distinct
+coefficient's, is built once per document. Series and expansions store their
+terms on such keys already, over den, and the product kernel leaves them in
+file order, so that sort is one linear pass; the columns are then maps over
+the sorted keys into those strings. A direct product whose terms were never
+decoded is written from the digits of its packed int keys instead.
 Parsing turns each distinct rational string of a document into a Fraction
 once and hashes each key once. The series parser goes further: each distinct
 value gets a small int, every term is keyed by the ints of its rationals,
@@ -85,11 +86,12 @@ Formats:
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from operator import is_, itemgetter, mul, sub
+from operator import eq, is_, itemgetter, mul, sub
 
 from .errors import ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Fractions, frac_str
@@ -254,18 +256,24 @@ class _Strings(_Fractions):
         return value
 
 
+class _Decimals(dict):
+    """str(c) for integers c, each built once: the coefficients of a
+    document, and the degrees of an expansion, repeat."""
+
+    def __missing__(self, c):
+        value = self[c] = str(c)
+        return value
+
+
 def _coordinates(vectors, rank: int) -> list:
     """The columns of the vectors' coordinates; vectors is read once per
     coordinate."""
     return [map(itemgetter(i), vectors) for i in range(rank)]
 
 
-def _lists(strings: _Strings, columns: list):
-    """The integer vectors given by their coordinate columns as lists of
-    their entries' strings. Each list is built from a tuple, so list() sizes
-    it by its length; from a map, which has none, it would keep room for 8
-    entries."""
-    return map(list, zip(*[map(strings.__getitem__, column) for column in columns]))
+def _string_columns(strings: _Strings, columns) -> list:
+    """Each column of integers as the list of their strings."""
+    return [list(map(strings.__getitem__, column)) for column in columns]
 
 
 def _den(values) -> int:
@@ -278,12 +286,15 @@ def _scaled_vector(vec, den: int) -> tuple[int, ...]:
 
 
 def canonical_dumps(doc) -> str:
-    """doc as json.dumps(doc, indent=2, ensure_ascii=True) + "\\n" writes it.
+    """doc as json.dumps(doc, indent=2, ensure_ascii=True) + "\\n" writes it,
+    with each Rows in doc written as the list of its rows.
 
-    doc is built from dicts with str keys, lists, str, int, True, False and
-    None. Any other value type, a tuple or a float included, raises
+    doc is built from dicts with str keys, lists, Rows, str, int, True, False
+    and None. Any other value type, a tuple or a float included, raises
     TypeError naming it; a key that is not a str raises the TypeError of the
-    json module's string escaper."""
+    json module's string escaper. json.dumps does not write a Rows, and the
+    parse_* functions read plain JSON trees only: pass them
+    json.loads(canonical_dumps(doc))."""
     return _dumps(doc, "\n") + "\n"
 
 
@@ -291,8 +302,9 @@ def _dumps(value, indent: str) -> str:
     """value as JSON text; indent is the newline and indent of its line.
 
     The str values of a dict, and a list of str, skip the recursive call:
-    they make up most of every document. Each list of items is a temporary
-    of its join, so the text of a large container is held at most twice."""
+    they make up most of every plain document. Each list of items is a
+    temporary of its join, so the text of a large container is held at most
+    twice."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -307,21 +319,18 @@ def _dumps(value, indent: str) -> str:
             return "[]"
         inner = indent + "  "
         sep = "," + inner
-        if type(value[0]) is dict:
-            text = _rows(value, indent)
-            if text is not None:
-                return text
-        else:
-            try:
-                return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
-            except TypeError:  # an item is not a str
-                pass
+        try:
+            return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
+        except TypeError:  # an item is not a str
+            pass
         body = sep.join([_dumps(x, inner) for x in value])
         return f"[{inner}{body}{indent}]"
     if kind is str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is Rows:
+        return value._text(indent)
     if value is True:
         return "true"
     if value is False:
@@ -331,74 +340,86 @@ def _dumps(value, indent: str) -> str:
     raise TypeError(f"canonical_dumps: cannot encode {kind.__name__}")
 
 
-def _rows(rows: list, indent: str):
-    """A list of dicts that all have the keys of the first in its order, as
-    _dumps writes it at indent; None for any other list, and on any
-    TypeError, so that the recursive path writes the list or reports its
-    first error in document order.
+class Rows(Sequence):
+    """An immutable sequence of dicts with the same keys in the same order,
+    stored as columns: the terms of a series, an expansion or a principal
+    part, the components of a vvform and their terms.
 
-    The rows are written column by column: the text between two cells is the
-    same in every row, so the whole list is one join of those constant
-    pieces interleaved with the columns that _column writes."""
-    keys = tuple(rows[0])
-    if not keys or not (_of_type(dict, rows) and all(map(keys.__eq__, map(tuple, rows)))):
-        return None
-    inner, field = indent + "  ", indent + "    "
-    heads, columns, text = [], [], f",{inner}{{"
-    try:
-        for key in keys:
-            before, column, after = _column(list(map(itemgetter(key), rows)), field)
-            heads.append(f"{text}{field}{_quote(key)}: {before}")
-            columns.append(column)
-            text = after + ","
-    except TypeError:
-        return None
-    heads.append(f"{after}{inner}}}")
-    # every row opens with a separator, the first with the bracket instead
-    streams = [chain([f"[{heads[0][1:]}"], repeat(heads[0]))]
-    for column, head in zip(columns, heads[1:]):
-        streams += [column, repeat(head)]
-    return "".join(chain(chain.from_iterable(zip(*streams)), [f"{indent}]"]))
+    fields holds (key, kind, column) for each key, where kind is the type of
+    the key's value in a row. A str or int column lists its cells; a list
+    column is a vector of str, stored as the list of its coordinate columns;
+    a Rows column lists one Rows per row, whose value in the row is the list
+    of its rows. len, indexing, iteration and == work on rows built as fresh
+    dicts, so changing one changes nothing stored. canonical_dumps writes
+    the columns themselves (_text)."""
 
+    __slots__ = ("size", "fields")
 
-def _column(cells: list, indent: str):
-    """(before, texts, after): the values of one dict key across the rows,
-    each written as _dumps writes it at indent and then put between before
-    and after. One escaper call on the whole column shows whether it has a
-    character to escape. A column of str without one is its cells as they
-    are, with the quotes in before and after, and with one it is one map of
-    the escaper; a column of non-empty lists of str without one is one join
-    per cell. In any other column of lists, such as the terms of a vvform's
-    components, the empty cells are "[]" and only the others go through
-    _dumps; any other column goes through _dumps cell by cell."""
-    kinds = set(map(type, cells))
-    if kinds == {str}:
-        if _plain("".join(cells)):
-            return '"', cells, '"'
-        return "", list(map(_quote, cells)), ""
-    if kinds == {list}:
-        if all(cells):
-            inner = indent + "  "
-            try:
-                if _plain("".join(map("".join, cells))):
-                    return f'[{inner}"', list(map(f'",{inner}"'.join, cells)), f'"{indent}]'
-            except TypeError:  # an item of a cell is not a str
-                pass
-        else:
-            return "", [_dumps(cell, indent) if cell else "[]" for cell in cells], ""
-    return "", list(map(_dumps, cells, repeat(indent))), ""
+    def __init__(self, size: int, *fields):
+        self.size, self.fields = size, fields
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        index = range(self.size)[i]
+        return list(map(self._row, index)) if type(index) is range else self._row(index)
+
+    def __iter__(self):
+        return map(self._row, range(self.size))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Rows, list)):
+            return NotImplemented
+        return self.size == len(other) and all(map(eq, self, other))
+
+    def _row(self, i: int) -> dict:
+        # a vector is built from a tuple, so list() sizes it by its length
+        return {key: list(tuple([x[i] for x in column])) if kind is list
+                else list(column[i]) if kind is Rows else column[i]
+                for key, kind, column in self.fields}
+
+    def _text(self, indent: str) -> str:
+        """The rows as _dumps writes their dicts in a list at indent. The
+        text between two cells is the same in every row, so the whole list
+        is one join of those constant pieces interleaved with the columns,
+        and no row is built. The cells of str and vector columns are written
+        as they are: the emitters build them with frac_str and str, which
+        give ASCII text that the string escaper leaves alone."""
+        if not self.size:
+            return "[]"
+        inner, field = indent + "  ", indent + "    "
+        # pieces[j] comes before the j-th column in a row, pieces[-1] ends it
+        pieces, columns, text = [], [], f",{inner}{{"
+        for n, (key, kind, column) in enumerate(self.fields):
+            text += f"{',' if n else ''}{field}{_quote(key)}: "
+            if kind is str:
+                pieces.append(text + '"')
+                columns.append(column)
+                text = '"'
+            elif kind is list:
+                text += "["
+                for coordinate in column:
+                    pieces.append(f'{text}{field}  "')
+                    columns.append(coordinate)
+                    text = '",'
+                text = f'"{field}]'
+            else:
+                pieces.append(text)
+                columns.append(map(int.__repr__, column) if kind is int
+                               else map(Rows._text, column, repeat(field)))
+                text = ""
+        pieces.append(f"{text}{inner}}}")
+        # every row opens with a separator, the first with the bracket instead
+        streams = [chain([f"[{pieces[0][1:]}"], repeat(pieces[0], self.size - 1))]
+        for column, piece in zip(columns, pieces[1:]):
+            streams += [column, repeat(piece)]
+        return "".join(chain(chain.from_iterable(zip(*streams)), [f"{indent}]"]))
 
 
 def _of_type(kind: type, values) -> bool:
     """Whether the type of every value is kind itself."""
     return all(map(is_, map(type, values), repeat(kind)))
-
-
-def _plain(text: str) -> bool:
-    """Whether the string escaper writes every character of text as it is.
-    It escapes character by character, so this holds for a concatenation
-    exactly when it holds for each of its parts."""
-    return len(_quote(text)) == len(text) + 2
 
 
 # -- lattices -------------------------------------------------------------------
@@ -483,16 +504,16 @@ def emit_series(series: JacobiSeries) -> dict:
         # unsigned digits are vec_i + low
         grades, *coords = series._packing.digits(keys, signed=False)
         low = series._packing.half
-    ns = map(_Strings(series.q_den).__getitem__, grades)
-    ls = _lists(_Strings(series.den, low), coords)
-    cs = map(str, map(terms.__getitem__, keys))
+    ns = list(map(_Strings(series.q_den).__getitem__, grades))
+    ls = _string_columns(_Strings(series.den, low), coords)
+    cs = list(map(_Decimals().__getitem__, map(terms.__getitem__, keys)))
     return {
         **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
         "q_den": series.q_den,
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
-        "terms": [{"n": n, "l": l, "c": c} for n, l, c in zip(ns, ls, cs)],
+        "terms": Rows(len(keys), ("n", str, ns), ("l", list, ls), ("c", str, cs)),
     }
 
 
@@ -640,16 +661,22 @@ def emit_vvform(form: VectorValuedForm) -> dict:
                _den(e for fg in form.components.values() for e in fg))
     exps = _Strings(eden)
     top, qs = _scaled(form.prec, eden), eden // minima.qden
-    gammas = _lists(_Strings(gden), _coordinates(table, form.lattice.rank))
+    gammas = _string_columns(_Strings(gden), _coordinates(table, form.lattice.rank))
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
-    terms = [[{"e": exps[e], "c": str(c)}
-              for e, c in sorted([(_scaled(e, eden), c) for e, c in fg.items()])] if fg else []
-             for fg in map(scaled.get, table)]
+    decimal, empty = _Decimals().__getitem__, Rows(0)
+    terms = []
+    for fg in map(scaled.get, table):
+        if fg:
+            es, cs = zip(*sorted([(_scaled(e, eden), c) for e, c in fg.items()]))
+            terms.append(Rows(len(es), ("e", str, list(map(exps.__getitem__, es))),
+                              ("c", str, list(map(decimal, cs)))))
+        else:
+            terms.append(empty)
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),
-        "components": [{"gamma": g, "prec": p, "terms": t}
-                       for g, p, t in zip(gammas, precs, terms)],
+        "components": Rows(len(table), ("gamma", list, gammas), ("prec", str, list(precs)),
+                           ("terms", Rows, terms)),
     }
 
 
@@ -680,14 +707,16 @@ def parse_principal_part(doc, path="$") -> PrincipalPart:
 def emit_principal_part(pp: PrincipalPart) -> dict:
     gden = _den(x for gamma, _ in pp.terms for x in gamma)
     eden = _den(e for _, e in pp.terms)
-    coords, exps = _Strings(gden), _Strings(eden)
     ordered = sorted(((_scaled(e, eden), _scaled_vector(gamma, gden)), c)
                      for (gamma, e), c in pp.terms.items())
+    keys = list(map(itemgetter(0), ordered))
+    gammas = _coordinates(list(map(itemgetter(1), keys)), pp.lattice.rank)
+    exps = list(map(_Strings(eden).__getitem__, map(itemgetter(0), keys)))
     return {
         **emit_lattice(pp.lattice),
         "constant_term": pp.constant_term,
-        "terms": [{"gamma": [coords[x] for x in key], "exp": exps[e], "c": c}
-                  for (e, key), c in ordered],
+        "terms": Rows(len(keys), ("gamma", list, _string_columns(_Strings(gden), gammas)),
+                      ("exp", str, exps), ("c", int, list(map(itemgetter(1), ordered)))),
     }
 
 
@@ -742,18 +771,18 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
     terms = exp.terms
     keys = sorted(terms)  # linear in the order the lift leaves them
-    ns = map(str, map(itemgetter(0), keys))
-    ms = map(str, map(itemgetter(1), keys))
-    ls = _lists(_Strings(exp.den), _coordinates(list(map(itemgetter(2), keys)),
-                                                exp.lattice.rank))
-    cs = map(str, map(terms.__getitem__, keys))
+    labels = _coordinates(list(map(itemgetter(2), keys)), exp.lattice.rank)
+    decimal = _Decimals().__getitem__
     return {
         **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),
         "holomorphic": exp.holomorphic,
         "total_prec": frac_str(exp.total_prec),
         "weyl": emit_weyl(exp.weyl),
-        "terms": [{"n": n, "l": l, "m": m, "c": c} for n, l, m, c in zip(ns, ls, ms, cs)],
+        "terms": Rows(len(keys), ("n", str, list(map(decimal, map(itemgetter(0), keys)))),
+                      ("l", list, _string_columns(_Strings(exp.den), labels)),
+                      ("m", str, list(map(decimal, map(itemgetter(1), keys)))),
+                      ("c", str, list(map(decimal, map(terms.__getitem__, keys))))),
     }
 
 

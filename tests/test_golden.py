@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from borcherdskit.cli import main
+from borcherdskit.io import Rows
 from borcherdskit.lift import OrthogonalExpansion
 from borcherdskit.series import JacobiSeries, _Packing, phi_n
 
@@ -106,6 +107,26 @@ def test_phi_writes_from_packed_keys(capsys, monkeypatch):
     phi = phi_n(3, 3, budget=495)
     assert repr(phi) == "JacobiSeries(weight=0, rank=3, terms=495, prec=3, weak_jacobi)"
     assert not phi.is_zero() and phi.term_count() == 495
+
+
+@pytest.mark.parametrize("name, argv, stdin", [
+    ("phi_n3_prec3.json", ["phi", "--n", "3", "--prec", "3"], None),
+    ("decompose_phi_n2_prec4.json", ["decompose"], "phi_n2_prec4.json"),
+    ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
+], ids=["phi", "decompose", "lift"])
+def test_cli_writes_rows_without_building_them(name, argv, stdin, capsys, monkeypatch):
+    # canonical_dumps writes the columns of an emitted Rows; reading a row,
+    # by index or by iteration, would build it
+    def refuse(rows, *args):
+        raise AssertionError("a row of an emitted Rows was built")
+
+    monkeypatch.setattr(Rows, "__iter__", refuse)
+    monkeypatch.setattr(Rows, "__getitem__", refuse)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO((GOLDEN / stdin).read_bytes()), encoding="utf-8"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == read(name)
 
 
 def test_corpus_lists_every_file():

@@ -11,7 +11,9 @@ result or the same message under both. parse_vvform reads a well-formed
 component list by columns: that reader must read what its entry loop
 reads, raise nothing, and not give up on an emitted document. canonical_dumps must write what
 json.dumps(indent=2, ensure_ascii=True) writes, on random documents and on
-every golden file.
+every golden file, and write each Rows of an emitted document as json.dumps
+writes the list of its rows. The parsers read plain trees: tree() turns an
+emitted document into one.
 """
 
 import json
@@ -35,6 +37,7 @@ from borcherdskit.io import (
     _expect_object,
     _parse_lattice_vector,
     _Rationals,
+    Rows,
     canonical_dumps,
     emit_expansion,
     emit_lattice,
@@ -54,19 +57,34 @@ from borcherdskit.io import (
     parse_vvform,
 )
 from borcherdskit.lattice import CosetMinima, EvenLattice
-from borcherdskit.lift import OrthogonalExpansion, PrincipalPart, WeylData, lift_expansion
+from borcherdskit.lift import (
+    OrthogonalExpansion,
+    PrincipalPart,
+    WeylData,
+    lift_expansion,
+    principal_part,
+)
 from borcherdskit.series import (
     RAW,
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
+    direct_product,
     phi04,
     phi_n,
+    rescale_elliptic,
     theta_decompose,
     theta_sum,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def tree(doc):
+    """An emitted document as the plain JSON tree that its file holds: the
+    parsers read plain trees, and the Rows of an emitted document are read
+    only, each access building fresh rows."""
+    return json.loads(canonical_dumps(doc))
 
 
 def test_frac_str_lowest_terms():
@@ -105,7 +123,7 @@ def test_lattice_schema_paths():
 
 def test_series_round_trip():
     p = phi04(3)
-    doc = emit_series(p)
+    doc = tree(emit_series(p))
     back = parse_series(doc)
     assert back.coeffs == p.coeffs
     assert back.prec == p.prec
@@ -124,14 +142,14 @@ def test_series_parse_is_lenient_about_order():
 
 
 def test_series_rejects_duplicate_terms():
-    doc = emit_series(theta_sum(3))
+    doc = tree(emit_series(theta_sum(3)))
     doc["terms"] = doc["terms"] + [doc["terms"][0]]
     with pytest.raises(SchemaViolation, match="duplicate"):
         parse_series(doc)
 
 
 def test_series_rejects_off_grid_exponent():
-    doc = emit_series(theta_sum(3))
+    doc = tree(emit_series(theta_sum(3)))
     doc["terms"][0]["n"] = "1/3"
     with pytest.raises(SchemaViolation):
         parse_series(doc)
@@ -139,7 +157,7 @@ def test_series_rejects_off_grid_exponent():
 
 def test_vvform_round_trip():
     vv = theta_decompose(phi04(4))
-    doc = emit_vvform(vv)
+    doc = tree(emit_vvform(vv))
     back = parse_vvform(doc)
     assert back.components == vv.components
     assert back.prec == vv.prec
@@ -184,7 +202,7 @@ def test_gram_fixtures_round_trip():
 
 def test_expansion_round_trip():
     e = lift_expansion(phi04(4), 4, (1,))
-    doc = emit_expansion(e)
+    doc = tree(emit_expansion(e))
     back = parse_expansion(doc)
     assert back == e
     assert back.coeffs == e.coeffs
@@ -195,11 +213,11 @@ def test_expansion_round_trip():
 
 
 def _series_doc():
-    return emit_series(phi04(2))
+    return tree(emit_series(phi04(2)))
 
 
 def _vvform_doc():
-    return emit_vvform(theta_decompose(phi04(2)))
+    return tree(emit_vvform(theta_decompose(phi04(2))))
 
 
 def _principal_part_doc():
@@ -207,7 +225,7 @@ def _principal_part_doc():
 
 
 def _expansion_doc():
-    return emit_expansion(lift_expansion(phi04(4), 4, (1,)))
+    return tree(emit_expansion(lift_expansion(phi04(4), 4, (1,))))
 
 
 @pytest.mark.parametrize("make_doc, parse, field, path", [
@@ -272,13 +290,13 @@ def test_emit_vvform_refuses_unreduced_key():
 
 def test_emitted_vectors_are_sized_by_their_length():
     # list() of a map, which has no length, reserves 8 entries and keeps
-    # them for a vector of 4 or more; every label and gamma list is built
-    # from a tuple, at ranks 1 to 3
+    # them for a vector of 4 or more; every label and gamma list of a row
+    # that an emitted Rows builds is built from a tuple, at ranks 1 to 3
     phi_3 = phi_n(3, 1)
     for rows, key in [(emit_series(phi04(2))["terms"], "l"), (emit_series(phi_3)["terms"], "l"),
-                      (_vvform_doc()["components"], "gamma"),
+                      (emit_vvform(theta_decompose(phi04(2)))["components"], "gamma"),
                       (emit_vvform(theta_decompose(phi_3))["components"], "gamma"),
-                      (_expansion_doc()["terms"], "l")]:
+                      (emit_expansion(lift_expansion(phi04(4), 4, (1,)))["terms"], "l")]:
         vectors = [row[key] for row in rows]
         assert vectors and all(sys.getsizeof(v) == sys.getsizeof(list(tuple(v)))
                                for v in vectors)
@@ -707,6 +725,89 @@ def test_empty_objects_emit_as_oracles():
             assert canonical_dumps(new(obj)) == canonical_dumps(oracle(obj))
 
 
+# -- Rows against json.dumps of the lists of their rows --------------------------------
+
+
+def listed(doc):
+    """An emitted document with each Rows in it replaced by the list of its
+    rows, which json.dumps writes."""
+    return {key: list(value) if isinstance(value, Rows) else value for key, value in doc.items()}
+
+
+@st.composite
+def packed_products(draw):
+    """A direct product of two or three rescaled phi04, as in test_series:
+    its terms stay on the product kernel's packed keys, so emit_series
+    writes it from their digits."""
+    factor = st.builds(rescale_elliptic, st.integers(1, 3).map(phi04),
+                       st.sampled_from((1, 2, 3, 8)))
+    product = direct_product(draw(factor), draw(factor))
+    if draw(st.booleans()):
+        product = direct_product(product, draw(factor))
+    assert product._terms is None
+    return product
+
+
+EMISSIONS = st.one_of(
+    st.tuples(st.just(emit_series), jacobi_series()),
+    st.tuples(st.just(emit_series), packed_products()),
+    st.tuples(st.just(emit_vvform), vvforms()),
+    st.tuples(st.just(emit_expansion), expansions()),
+    st.tuples(st.just(emit_principal_part), principal_parts()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(EMISSIONS)
+def test_rows_write_what_json_dumps_writes_of_their_rows(emission):
+    emit, obj = emission
+    doc = emit(obj)
+    assert canonical_dumps(doc) == oracle_dumps(listed(doc))
+
+
+def _emitted_rows():
+    """(document, key of its Rows) for each emitter, each Rows of several
+    rows, the vvform's with term lists both empty and not."""
+    phi = phi_n(2, 3)
+    packed = emit_series(phi)  # before theta_decompose decodes the terms of phi
+    assert phi._terms is None
+    form = theta_decompose(phi)
+    return [(emit_series(phi04(3)), "terms"), (packed, "terms"), (emit_vvform(form), "components"),
+            (emit_principal_part(principal_part(form)), "terms"),
+            (emit_expansion(lift_expansion(phi04(4), 4, (1,))), "terms")]
+
+
+@pytest.mark.parametrize("doc, key", _emitted_rows(),
+                         ids=["series", "packed-series", "vvform", "principal_part", "expansion"])
+def test_rows_are_a_sequence_of_fresh_rows(doc, key):
+    rows = doc[key]
+    assert type(rows) is Rows
+    text = canonical_dumps(doc)
+    rows_list = list(rows)
+    assert len(rows) == len(rows_list) > 1
+    assert rows == rows_list and rows_list == rows and not rows != rows_list
+    assert rows[-1] == rows_list[-1] and rows[-len(rows)] == rows_list[0]
+    assert rows[1:-1] == rows_list[1:-1] and list(reversed(rows)) == rows_list[::-1]
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[index]
+    # a row more or less, or one row changed, is unequal either way round
+    for other in (rows_list[:-1], rows_list + rows_list[:1], rows_list[:-1] + [{}]):
+        assert rows != other and other != rows
+    assert rows != tuple(rows_list) and rows != {}
+    # every access builds its rows afresh: changing them changes no dump
+    for row in (rows[0], rows[-1], *rows):
+        assert row is not rows[0]
+        for value in row.values():
+            if type(value) is list:
+                for item in value:
+                    if type(item) is dict:
+                        item.clear()
+                value.append("x")
+        row.clear()
+    assert canonical_dumps(doc) == text and rows == rows_list
+
+
 # -- duplicates spelled differently, and parse_frac's messages ---------------------------
 
 
@@ -905,7 +1006,7 @@ def vvform_documents(draw):
 def _with_gamma(lattice, gamma):
     """The zero form's document on lattice with the gamma of its second
     component replaced."""
-    doc = emit_vvform(VectorValuedForm(lattice, F(-lattice.rank, 2), {}, F(1)))
+    doc = tree(emit_vvform(VectorValuedForm(lattice, F(-lattice.rank, 2), {}, F(1))))
     doc["components"][1]["gamma"] = gamma
     return doc
 
@@ -927,7 +1028,7 @@ def _diag8_doc(gammas, drop=None, twin=None):
     gammas at the given indices replaced, the entry at index drop removed,
     and a copy of the first entry with its gamma shifted by (1, 2) inserted
     at index twin."""
-    doc = emit_vvform(VectorValuedForm(LATTICES[2], F(-1), {}, F(1)))
+    doc = tree(emit_vvform(VectorValuedForm(LATTICES[2], F(-1), {}, F(1))))
     comps = doc["components"]
     for i, gamma in gammas.items():
         comps[i]["gamma"] = gamma
@@ -959,7 +1060,7 @@ def _with_zeros(whole_component):
     zero coefficient added to the first nonzero component, or with every
     coefficient of that component set to zero."""
     form = theta_decompose(phi_n(2, 4))
-    doc = emit_vvform(form)
+    doc = tree(emit_vvform(form))
     comp = next(comp for comp in doc["components"] if comp["terms"])
     if whole_component:
         for term in comp["terms"]:
