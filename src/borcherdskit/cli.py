@@ -120,7 +120,7 @@ def _cmd_phi(args):
 def _cmd_decompose(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
     form = theta_decompose(series)
-    lines = [f"theta decomposition: {form.lattice.det} components, {len(form.components)} nonzero"]
+    lines = [f"theta decomposition: {form.lattice.det} components, {len(form.terms)} nonzero"]
     _write(args, kit_io.emit_vvform(form), lines)
     return 0
 

@@ -45,22 +45,32 @@ those of the Fraction-keyed code they replace.
 
 A vvform file lists every coset, so both of its routes run on the integer
 coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
-build no Fraction from it. The emitter walks the table in order and writes
-terms only for the nonzero components. The parser scales each gamma by
+build no Fraction from it. A VectorValuedForm stores its terms on the same
+keys, so the emitter walks the table in order, looks each key up in the
+form, and writes terms only for the nonzero components, their exponents
+rescaled by one integer factor. The parser scales each gamma by
 det, a common denominator of every dual vector (a coordinate whose
 denominator does not divide det is not dual), and reduces it mod det; the
 table's keys are exactly the reduced dual cosets. A list of exactly det
 entries is read by columns first (_columns): each check is one C-level pass
-over a column, each distinct gamma entry is parsed once, one map of table
-lookups tests every key and gives its minimum, one set finds duplicates,
-and only the entries with terms are read one by one. That reader never
+over a column, each distinct gamma entry is parsed once, and only the
+entries with terms are read one by one. Keys listed in the table's own
+order, as the emitter writes them, are checked by one list comparison and
+take the minima in order; keys in any other order go through one map of
+table lookups, which tests every key and gives its minimum, and one set
+that finds duplicates. That reader never
 raises, and it reads every valid list of JSON values. On any other list the
 entry loop (_entries) reads the list again, and it alone reports errors,
 the first in document order. It tests each key by gram * key = 0 mod det
 and lists the table only after it has found det distinct cosets, so a
-short list is refused without listing it. Both check the precisions once
-per distinct (prec, minimum) pair and build Fraction keys only for the
-nonzero components returned.
+short list is refused without listing it. The loop checks the precisions
+once per distinct (prec, minimum) pair, and the column reader once per
+distinct prec string, on integers over one denominator. Both key the terms
+of a component by the interned indices of their exponents (_Interned, as
+the series parser does), so two spellings of one exponent are still caught
+as a duplicate; at the end the exponents are scaled to their common
+denominator, and the form is returned on the integer keys of the table,
+with no Fraction key built.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -104,6 +114,7 @@ from .series import (
     VectorValuedForm,
     _checked_q_den,
     _checked_weight,
+    _exponent_den,
     _scaled,
 )
 
@@ -535,25 +546,29 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     columns (_columns); any other goes through the entry loop (_entries),
     which is the one source of every message and of which error comes
     first. Both return {det * gamma reduced: its terms} for the entries with
-    terms, and P."""
+    terms, and P; the terms are keyed by the interned indices of their
+    exponents, which are scaled to their common denominator at the end."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs = _Rationals()
+    fracs, ids = _Rationals(), _Interned()
     weight = fracs.frac(doc["weight"], f"{path}.weight")
     entries = _expect_list(doc["components"], f"{path}.components")
-    components, prec = (_columns(entries, lattice, fracs)
-                        or _entries(entries, path, lattice, fracs))
-    coord = _Fractions(lattice.det).__getitem__
-    nonzero = {}  # each key hashed once: fg keeps its dict unless a coefficient is zero
+    components, prec = (_columns(entries, lattice, fracs, ids)
+                        or _entries(entries, path, lattice, fracs, ids))
+    nonzero = {}  # each key hashed once
     for key, fg in components.items():
         if 0 in fg.values():
-            fg = {e: c for e, c in fg.items() if c}
+            fg = {i: c for i, c in fg.items() if c}
         if fg:
-            nonzero[tuple(map(coord, key))] = fg
-    return VectorValuedForm._of(lattice, weight, nonzero, prec)
+            nonzero[key] = fg
+    eden = _exponent_den(lattice.det, nonzero, {x.denominator for x in ids.values})
+    exps = [_scaled(x, eden) for x in ids.values]
+    terms = {key: dict(zip(map(exps.__getitem__, fg), fg.values()))
+             for key, fg in nonzero.items()}
+    return VectorValuedForm._of(lattice, weight, prec, terms, eden)
 
 
-def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals):
+def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals, ids: _Interned):
     """What _entries returns for a well-formed list of exactly det
     components, or None for any other list, whose message _entries gives.
     It never raises: each check is a C-level pass over one column, each
@@ -581,21 +596,32 @@ def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals):
     try:  # Fraction raises on a string that is not a rational, _terms on a bad term
         scaled = {x: _reduced(Fraction(x), det) for x in values}
         keys = list(zip(*[map(scaled.__getitem__, chain.from_iterable(gammas))] * rank))
-        minima = lattice.coset_minima()  # one lookup tests a key and gives its minimum
-        qs = list(map(minima.table.get, keys))
-        if None in qs or len(set(keys)) != det:
+        minima = lattice.coset_minima()
+        if keys == list(minima.table):  # the canonical order: no key is hashed
+            qs = list(minima.table.values())
+        else:  # one lookup tests a key and gives its minimum
+            qs = list(map(minima.table.get, keys))
+            if None in qs or len(set(keys)) != det:
+                return None
+        # each distinct prec is parsed once, and P * den is one integer;
+        # a prec spelled alike on cosets of two minima is refused
+        minimum = dict(zip(raws, qs))
+        if list(map(minimum.__getitem__, raws)) != qs:
             return None
-        tops = {Fraction(raw) + Fraction(q, minima.qden) for raw, q in set(zip(raws, qs))}
+        precs = {raw: Fraction(raw) for raw in minimum}
+        den = lcm(minima.qden, *{x.denominator for x in precs.values()})
+        tops = {x.numerator * (den // x.denominator) + minimum[raw] * (den // minima.qden)
+                for raw, x in precs.items()}
         if len(tops) != 1:
             return None
         # the path names no entry: a message built here is never shown
-        components = {key: _terms(fg, "", fracs) for key, fg in compress(zip(keys, terms), terms)}
+        components = {key: _terms(fg, "", ids) for key, fg in compress(zip(keys, terms), terms)}
     except (ValueError, ZeroDivisionError, SchemaViolation):
         return None
-    return components, tops.pop()
+    return components, Fraction(tops.pop(), den)
 
 
-def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals):
+def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals, ids: _Interned):
     """The components with terms, and P, of a component list read one entry
     at a time; the first error in document order raises its SchemaViolation.
     A key is dual when gram * key = 0 mod det, and the coset table is listed
@@ -619,7 +645,7 @@ def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals):
             raise SchemaViolation(f"{cpath}.gamma: duplicate component")
         terms = comp["terms"]
         if type(terms) is not list or terms:
-            components[key] = _terms(terms, cpath, fracs)
+            components[key] = _terms(terms, cpath, ids)
         raw = comp["prec"]
         precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
         pairs.append((raw, key))
@@ -633,45 +659,50 @@ def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals):
     return components, tops.pop()
 
 
-def _terms(terms, path, fracs: _Rationals) -> dict:
-    """The {e: c} of the terms of the component at path."""
+_TERM = {"e", "c"}
+
+
+def _terms(terms, path, ids: _Interned) -> dict:
+    """The {index of e: c} of the terms of the component at path; two
+    spellings of one exponent share its index. A term of the two fields
+    whose e is a string seen before is read by lookups."""
     fg = {}
     for j, term in enumerate(_expect_list(terms, f"{path}.terms")):
-        tpath = f"{path}.terms[{j}]"
-        _expect_object(term, tpath, required=("e", "c"))
-        e = fracs.frac(term["e"], f"{tpath}.e")
-        if not _add_term(fg, e, term["c"], f"{tpath}.c"):
-            raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
+        if type(term) is not dict or term.keys() != _TERM:
+            _expect_object(term, f"{path}.terms[{j}]", required=("e", "c"))
+        e = term["e"]
+        i = ids.get(e) if type(e) is str else None
+        if i is None:
+            i = ids.of(e, f"{path}.terms[{j}].e")
+        if not _add_term(fg, i, term["c"], f"{path}.terms[{j}].c"):
+            raise SchemaViolation(
+                f"{path}.terms[{j}]: duplicate exponent {frac_str(ids.values[i])}")
     return fg
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
+    """The document of a form: the coset table in order, each key of the
+    form looked up in it, and the exponents rescaled by one integer factor."""
     if form.lattice.det > DEFAULT_BUDGET:
         raise ResourceLimit(
             f"determinant {form.lattice.det} exceeds the {DEFAULT_BUDGET}-coset budget")
     minima = form.lattice.coset_minima()  # keys in canonical order
     gden, table = minima.gden, minima.table
-    scaled = {}
-    for gamma, fg in form.components.items():
-        key = None if any(gden % x.denominator for x in gamma) else _scaled_vector(gamma, gden)
-        if key not in table:
-            raise ValueError("a component key is not a reduced coset representative")
-        scaled[key] = fg
-    eden = lcm(form.prec.denominator, minima.qden,
-               _den(e for fg in form.components.values() for e in fg))
-    exps = _Strings(eden)
+    if not all(map(table.__contains__, form.terms)):
+        raise ValueError("a component key is not a reduced coset representative")
+    eden = lcm(form.prec.denominator, minima.qden, form.eden)
+    exps, es = _Strings(eden), eden // form.eden
     top, qs = _scaled(form.prec, eden), eden // minima.qden
     gammas = _string_columns(_Strings(gden), _coordinates(table, form.lattice.rank))
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
-    decimal, empty = _Decimals().__getitem__, Rows(0)
-    terms = []
-    for fg in map(scaled.get, table):
-        if fg:
-            es, cs = zip(*sorted([(_scaled(e, eden), c) for e, c in fg.items()]))
-            terms.append(Rows(len(es), ("e", str, list(map(exps.__getitem__, es))),
-                              ("c", str, list(map(decimal, cs)))))
-        else:
-            terms.append(empty)
+    decimal = _Decimals().__getitem__
+    rows = {}
+    for key, fg in form.terms.items():
+        keys = sorted(fg)
+        rows[key] = Rows(len(keys),
+                         ("e", str, list(map(exps.__getitem__, map(mul, keys, repeat(es))))),
+                         ("c", str, list(map(decimal, map(fg.__getitem__, keys)))))
+    terms = list(map(rows.get, table, repeat(Rows(0))))
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),

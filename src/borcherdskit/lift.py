@@ -79,11 +79,13 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms")):
 
 def principal_part(form: VectorValuedForm) -> PrincipalPart:
     """Extract all (gamma, exponent < 0) coefficients and the constant term
-    of the zero component."""
+    of the zero component. The form's integer terms are read as they are,
+    and Fraction keys are built for the negative terms only."""
     if form.prec <= 0:
         raise PrecisionTooSmall("the zero component does not reach exponent 0")
-    constant = form.component((0,) * form.lattice.rank).get(0, 0)
-    terms = {(gamma, e): c for gamma, fg in form.components.items()
+    constant = form.terms.get((0,) * form.lattice.rank, {}).get(0, 0)
+    coords, exps = _Fractions(form.lattice.det).__getitem__, _Fractions(form.eden)
+    terms = {(tuple(map(coords, key)), exps[e]): c for key, fg in form.terms.items()
              for e, c in fg.items() if e < 0}
     return PrincipalPart(form.lattice, constant, terms)
 

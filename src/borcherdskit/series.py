@@ -42,12 +42,21 @@ series whose terms were never decoded from the digits of its sorted keys.
 The other products, whose outputs are small or read as tuples at once,
 decode their result once; the emitters and the next product sort it again
 in linear time.
+
+The theta decomposition is kept on integers as well. A VectorValuedForm
+stores {det * gamma: {eden * e: c}} for reduced representatives gamma and a
+common denominator eden of the exponents, which is how the coset-minima
+table keys its cosets. theta_decompose writes those terms from its integer
+classes, recompose enumerates each coset from its integer offset, and the
+vvform io and principal_part read them as they are. The Fraction map
+components is a view built only when it is read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, and_, itemgetter, lshift, mul, rshift, sub
@@ -66,6 +75,7 @@ from .errors import (
 from .lattice import (
     EvenLattice,
     Vector,
+    _enumerate_affine,
     _Fractions,
     direct_sum,
     to_vector,
@@ -606,30 +616,75 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
                             {(q // g, l): 1 for l, q in points}, scale // g, den, RAW)
 
 
+def _exponent_den(det: int, keys, dens) -> int:
+    """A common denominator of exponents with the denominators dens, on a
+    form with the keys over det: lcm(2 d^2, *dens), d the least common
+    denominator of the gammas. The exponents of f_gamma lie in -Q(gamma) + Z,
+    in (1/(2 d^2))Z, so this is the eden that theta_decompose keeps for a
+    series over its least label denominator d, and == compares the integers
+    of such forms as they are."""
+    d = det // gcd(det, *chain.from_iterable(keys))
+    return lcm(2 * d * d, *dens)
+
+
 class VectorValuedForm:
     """Components f_gamma of the theta decomposition, one sparse q-series per
     coset of the discriminant group.
 
-    components maps reduced representatives to {exponent: coefficient}; the
-    constructor drops zero coefficients, then empty components, so an absent
-    coset has f_gamma = 0. Exponents of f_gamma lie in -Q(gamma) + Z, and
-    f_gamma is known below precision(gamma) = prec - min Q on the coset.
+    terms maps integer keys det * gamma to {eden * e: c}, gamma a
+    representative and e an exponent of f_gamma; eden is a common
+    denominator, not always the least one. Every form the package builds
+    keys by reduced representatives, which is how the coset-minima table
+    keys them. No zero coefficient and no empty component is stored, so an
+    absent coset has f_gamma = 0. Exponents of f_gamma lie in -Q(gamma) + Z,
+    and f_gamma is known below precision(gamma) = prec - min Q on the coset.
+
+    The constructor reads the Fraction map {gamma: {e: c}}, drops zero
+    coefficients, then empty components, and raises NotInDualLattice for a
+    gamma whose coordinates det does not clear; components is that map, a
+    read-only view with Fraction keys built on first access over terms.
     """
 
     def __init__(self, lattice, weight, components, prec):
-        self.lattice = lattice
-        self.weight = Fraction(weight)
-        self.components = {g: nonzero for g, fg in components.items()
-                           if (nonzero := {e: c for e, c in fg.items() if c})}
-        self.prec = Fraction(prec)
+        det, kept = lattice.det, {}
+        for g, fg in components.items():
+            g = to_vector(g)
+            if any(det % x.denominator for x in g):
+                raise NotInDualLattice(
+                    f"{vector_str(g)} does not pair integrally with the lattice")
+            if nonzero := {Fraction(e): c for e, c in fg.items() if c}:
+                kept[tuple([_scaled(x, det) for x in g])] = nonzero
+        eden = _exponent_den(det, kept, {e.denominator for fg in kept.values() for e in fg})
+        self._store(lattice, Fraction(weight), Fraction(prec),
+                    {key: {_scaled(e, eden): c for e, c in fg.items()}
+                     for key, fg in kept.items()}, eden)
+
+    def _store(self, lattice, weight, prec, terms, eden):
+        self.lattice, self.weight, self.prec, self.terms, self.eden = (
+            lattice, weight, prec, terms, eden)
+        return self
 
     @classmethod
-    def _of(cls, lattice, weight: Fraction, components, prec: Fraction):
-        """The form of components with no zero coefficient, stored as they
-        are."""
-        form = cls.__new__(cls)
-        form.lattice, form.weight, form.components, form.prec = lattice, weight, components, prec
-        return form
+    def _of(cls, lattice, weight: Fraction, prec: Fraction, terms, eden: int):
+        """The form of integer terms with no zero coefficient and no empty
+        component; it keeps the dict."""
+        return cls.__new__(cls)._store(lattice, weight, prec, terms, eden)
+
+    def _over(self, eden: int) -> dict:
+        """The terms with exponents over eden, a multiple of the stored
+        denominator; the stored dict itself when they are equal."""
+        if eden == self.eden:
+            return self.terms
+        b = eden // self.eden
+        return {g: {b * e: c for e, c in fg.items()} for g, fg in self.terms.items()}
+
+    @cached_property
+    def components(self) -> MappingProxyType:
+        """The terms as a read-only {gamma: {e: c}} map with Fraction keys."""
+        coords = _Fractions(self.lattice.det).__getitem__
+        exps = _Fractions(self.eden).__getitem__
+        return MappingProxyType({tuple(map(coords, g)): dict(zip(map(exps, fg), fg.values()))
+                                 for g, fg in self.terms.items()})
 
     def component(self, gamma) -> dict[Fraction, int]:
         return self.components.get(self.lattice.reduce_mod1(gamma), {})
@@ -639,13 +694,15 @@ class VectorValuedForm:
 
     def __repr__(self):
         return (f"VectorValuedForm(weight={self.weight}, prec={self.prec}, "
-                f"components={self.lattice.det}, nonzero={len(self.components)})")
+                f"components={self.lattice.det}, nonzero={len(self.terms)})")
 
     def __eq__(self, other):
         if not isinstance(other, VectorValuedForm):
             return NotImplemented
-        return (self.lattice == other.lattice and self.weight == other.weight
-                and self.components == other.components and self.prec == other.prec)
+        if (self.lattice, self.weight, self.prec) != (other.lattice, other.weight, other.prec):
+            return False
+        eden = lcm(self.eden, other.eden)
+        return self._over(eden) == other._over(eden)
 
     __hash__ = None
 
@@ -659,11 +716,11 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
     raises ShiftInvarianceViolated otherwise. Component gamma is determined
     for exponents below prec - min Q on its coset.
 
-    Everything up to the returned components runs on integers over the
-    label denominator den of phi: a class is (den * gamma, eden * e) with
-    eden = 2 den^2, and its witnesses are counted by one integer search per
-    coset for the norms eden * Q(l) of its translates. Fractions are built
-    only for the components returned and for messages.
+    It runs on integers over the label denominator den of phi: a class is
+    (den * gamma, eden * e) with eden = 2 den^2, its witnesses are counted by
+    one integer search per coset for the norms eden * Q(l) of its
+    translates, and the form keeps the classes as its terms, gamma rescaled
+    from den to det. Fractions are built only for messages.
     """
     if phi.form_class != WEAK_JACOBI:
         raise FormClassError("theta decomposition expects a weak_jacobi series")
@@ -720,9 +777,12 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
                     f"class gamma={vector_str(map(labels, cls))}, exponent {exps[e]} has "
                     f"{count} stored witnesses but {expected} lattice translates in the "
                     f"window")
-    components = {tuple(map(labels, cls)): {exps[e]: value for e, value, _ in entries}
-                  for cls, entries in classes.items()}
-    return VectorValuedForm._of(lat, Fraction(-lat.rank, 2), components, prec)
+    # every label is dual, so det * gamma = det * cls / den is an integer; den
+    # need not divide det, as it need not be the least label denominator
+    det = lat.det
+    terms = {tuple([x * det // den for x in cls]): {e: value for e, value, _ in entries}
+             for cls, entries in classes.items()}
+    return VectorValuedForm._of(lat, Fraction(-lat.rank, 2), prec, terms, eden)
 
 
 def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
@@ -733,22 +793,33 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     """
     lat = form.lattice
     out_prec = min(Fraction(prec), form.prec)
+    det, eden = lat.det, form.eden
+    k, levels = lat._levels
+    # Theta_gamma needs the vectors with Q <= out_prec - e_min on the coset,
+    # that is scale * Q <= scale * (top - eden * e_min * out_prec.denominator)
+    # / over, rounded down
+    top, over = out_prec.numerator * eden, out_prec.denominator * eden
     # (f_gamma, den, scale, points): Theta_gamma as integer pairs
-    # (den * l, scale * Q(l))
-    blocks = [(fg, *lat._points(gamma, out_prec - min(fg)))
-              for gamma, fg in form.components.items()]
-    q_den = lcm(*{e.denominator for fg, *_ in blocks for e in fg},
-                *{scale for _, _, scale, _ in blocks})
+    # (den * l, scale * Q(l)), den the least denominator of gamma
+    blocks = []
+    for key, fg in form.terms.items():
+        d = det // gcd(det, *key)
+        scale = 2 * k * d * d
+        budget = scale * (top - min(fg) * out_prec.denominator) // over
+        points = _enumerate_affine(levels, [x * d // det for x in key], d, budget)
+        blocks.append((fg, d, scale, points))
+    q_den = lcm(eden, *{scale for _, _, scale, _ in blocks})
     den = lcm(*{d for _, d, _, points in blocks if points})
     limit = _grade_limit(out_prec, q_den)
     # f_gamma has only the zero label, so the sum of the two reaches is the
     # largest |component| of a theta label over den
-    packing = _Packing(lat.rank, max((den // d * abs(x) for _, d, _, points in blocks
-                                      for l, _ in points for x in l), default=0))
-    unit = packing.unit
+    packing = _Packing(lat.rank, max(
+        (den // d * max(map(abs, chain.from_iterable(map(itemgetter(0), points))))
+         for _, d, _, points in blocks if points), default=0))
+    unit, es = packing.unit, q_den // eden
     out = {}
     for fg, d, scale, points in blocks:
-        a = [(t, t * unit, c) for e, c in fg.items() for t in [_scaled(e, q_den)]]
+        a = [(t, t * unit, c) for e, c in fg.items() for t in [e * es]]
         qs, ls = q_den // scale, den // d
         weights = [ls * w for w in packing.weights]
         b = sorted([(t, t * unit + sum(map(mul, l, weights)), 1)

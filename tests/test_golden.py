@@ -12,15 +12,23 @@ parse -> compute -> emit.
 """
 
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from borcherdskit.cli import main
-from borcherdskit.io import Rows
-from borcherdskit.lift import OrthogonalExpansion
-from borcherdskit.series import JacobiSeries, _Packing, phi_n
+from borcherdskit.io import Rows, canonical_dumps, emit_principal_part, emit_vvform, parse_vvform
+from borcherdskit.lift import OrthogonalExpansion, principal_part
+from borcherdskit.series import (
+    JacobiSeries,
+    VectorValuedForm,
+    _Packing,
+    phi_n,
+    recompose,
+    theta_decompose,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -86,6 +94,40 @@ def test_decomposition_reads_integer_terms(name, command, capsys, monkeypatch):
         io.BytesIO((GOLDEN / "phi_n3_prec3.json").read_bytes()), encoding="utf-8"))
     assert main([command]) == 0
     assert capsys.readouterr().out == read(name)
+
+
+@pytest.fixture
+def no_components_view(monkeypatch):
+    """Fail the test if the Fraction view of a vector-valued form is built."""
+    def refuse(form):
+        raise AssertionError("the Fraction view of the form was built")
+
+    monkeypatch.setattr(VectorValuedForm, "components", property(refuse))
+
+
+@pytest.mark.parametrize("name, command", [
+    ("decompose_phi_n3_prec3.json", "decompose"),
+    ("principal_part_phi_n3_prec3.json", "principal-part"),
+])
+def test_decomposition_builds_no_fraction_components(name, command, capsys, monkeypatch,
+                                                     no_components_view):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO((GOLDEN / "phi_n3_prec3.json").read_bytes()), encoding="utf-8"))
+    assert main([command]) == 0
+    assert capsys.readouterr().out == read(name)
+
+
+def test_decomposition_round_trip_builds_no_fraction_components(no_components_view):
+    # the round trip of the decompose benchmark: recompose, emission, parse
+    # and ==, and the principal part
+    phi = phi_n(3, 3)
+    form = theta_decompose(phi)
+    assert recompose(form, phi.prec) == phi
+    text = canonical_dumps(emit_vvform(form))
+    assert text == read("decompose_phi_n3_prec3.json")
+    assert parse_vvform(json.loads(text)) == form
+    assert canonical_dumps(emit_principal_part(principal_part(form))) == read(
+        "principal_part_phi_n3_prec3.json")
 
 
 def test_phi_writes_from_packed_keys(capsys, monkeypatch):

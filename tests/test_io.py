@@ -25,16 +25,17 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from borcherdskit.errors import ResourceLimit, SchemaViolation
+from borcherdskit.errors import NotInDualLattice, ResourceLimit, SchemaViolation
 from borcherdskit.io import (
     _add_term,
     _columns,
     _entries,
     _expect_list,
     _expect_object,
+    _Interned,
     _parse_lattice_vector,
     _Rationals,
     Rows,
@@ -286,6 +287,13 @@ def test_emit_vvform_refuses_unreduced_key():
     form = VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(9, 8),): {F(0): 1}}, F(1))
     with pytest.raises(ValueError, match="not a reduced coset representative"):
         emit_vvform(form)
+
+
+def test_vvform_refuses_a_gamma_that_det_does_not_clear():
+    # the keys are det * gamma, so 1/16 on a lattice of det 8 has no key
+    with pytest.raises(NotInDualLattice) as excinfo:
+        VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(1, 16),): {F(0): 1}}, F(1))
+    assert str(excinfo.value) == "(1/16) does not pair integrally with the lattice"
 
 
 def test_emitted_vectors_are_sized_by_their_length():
@@ -611,14 +619,21 @@ def jacobi_series(draw):
 
 
 @st.composite
-def vvforms(draw):
-    """Forms on random cosets with one random precision. Coefficients may be
-    zero and components empty; the constructor drops both."""
+def vvform_maps(draw):
+    """(lattice, components, prec): the Fraction map of a form on random
+    cosets with one random precision. Coefficients may be zero and
+    components empty."""
     lattice = draw(lattices)
     coset = st.sampled_from(COSETS[id(lattice)])
     gammas = draw(st.lists(coset, unique=True, max_size=8))
     components = {g: draw(st.dictionaries(rationals, coefficients, max_size=5)) for g in gammas}
-    return VectorValuedForm(lattice, F(-lattice.rank, 2), components, draw(rationals))
+    return lattice, components, draw(rationals)
+
+
+def vvforms():
+    """The forms of vvform_maps(); the constructor drops zero coefficients and
+    empty components."""
+    return vvform_maps().map(lambda d: VectorValuedForm(d[0], F(-d[0].rank, 2), d[1], d[2]))
 
 
 @st.composite
@@ -711,6 +726,53 @@ def test_expansion_equality_and_emission_ignore_the_label_denominator(exp, k):
     assert canonical_dumps(emit_expansion(finer)) == canonical_dumps(oracle_emit_expansion(exp))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(vvform_maps(), st.integers(2, 3), st.data())
+def test_vvform_integer_terms_match_the_fraction_map(drawn, k, data):
+    lattice, components, prec = drawn
+    weight = F(-lattice.rank, 2)
+    form = VectorValuedForm(lattice, weight, components, prec)
+    nonzero = {g: {e: c for e, c in fg.items() if c} for g, fg in components.items()}
+    nonzero = {g: fg for g, fg in nonzero.items() if fg}
+    assert form.components == nonzero
+    assert all(all(fg.values()) for fg in form.terms.values())
+    # the same form over k * eden, and as parsed
+    finer = VectorValuedForm._of(
+        lattice, weight, form.prec,
+        {g: {k * e: c for e, c in fg.items()} for g, fg in form.terms.items()}, k * form.eden)
+    text = canonical_dumps(emit_vvform(form))
+    parsed = parse_vvform(json.loads(text))
+    forms = [form, finer, parsed]
+    for one in forms:
+        assert one.components == nonzero
+        assert all(one == other for other in forms)
+        assert canonical_dumps(emit_vvform(one)) == text
+    # one coefficient, one exponent or one gamma changed
+    mutants = []
+    if nonzero:
+        g = data.draw(st.sampled_from(sorted(nonzero)))
+        fg = nonzero[g]
+        e = data.draw(st.sampled_from(sorted(fg)))
+        rest = {x: c for x, c in fg.items() if x != e}
+        mutants += [{**nonzero, g: {**fg, e: fg[e] + (1 if fg[e] != -1 else -1)}},
+                    {**nonzero, g: {**rest, max(fg) + 1: fg[e]}}]
+        cosets = [h for h in COSETS[id(lattice)] if h not in nonzero]
+        if cosets:
+            moved = {h: f for h, f in nonzero.items() if h != g}
+            mutants.append({**moved, data.draw(st.sampled_from(cosets)): fg})
+    for mutant in mutants:
+        changed = VectorValuedForm(lattice, weight, mutant, prec)
+        for one in forms:
+            assert changed != one and one != changed
+    # component and precision on reduced and unreduced gamma
+    shift = tuple(data.draw(st.integers(-2, 2)) for _ in range(lattice.rank))
+    for gamma in data.draw(st.lists(st.sampled_from(COSETS[id(lattice)]), max_size=3)):
+        for v in (gamma, tuple(x + y for x, y in zip(gamma, shift))):
+            for one in forms:
+                assert one.component(v) == nonzero.get(gamma, {})
+                assert one.precision(v) == one.prec - lattice.coset_minimum(gamma)
+
+
 def test_empty_objects_emit_as_oracles():
     for lattice in LATTICES:
         series = JacobiSeries(lattice, 0, 1, {}, q_den=1, form_class=RAW)
@@ -757,7 +819,10 @@ EMISSIONS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# no shrinking: each shrink step rebuilds products and runs the pure-Python
+# json.dumps(indent=2), so a failure would take minutes to report
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(EMISSIONS)
 def test_rows_write_what_json_dumps_writes_of_their_rows(emission):
     emit, obj = emission
@@ -1109,12 +1174,24 @@ def test_vvform_routes_report_the_first_error(doc, message):
     assert str(excinfo.value) == message
 
 
+def _read(read, *args):
+    """What a component reader returns, its terms keyed by the exponents
+    themselves instead of their interned indices; None when it gives up."""
+    ids = _Interned()
+    out = read(*args, _Rationals(), ids)
+    if out is None:
+        return None
+    components, prec = out
+    return {key: {ids.values[i]: c for i, c in fg.items()}
+            for key, fg in components.items()}, prec
+
+
 def _columns_of(doc):
-    return _columns(doc["components"], parse_lattice({"gram": doc["gram"]}), _Rationals())
+    return _read(_columns, doc["components"], parse_lattice({"gram": doc["gram"]}))
 
 
 def _entries_of(doc):
-    return _entries(doc["components"], "$", parse_lattice({"gram": doc["gram"]}), _Rationals())
+    return _read(_entries, doc["components"], "$", parse_lattice({"gram": doc["gram"]}))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -8,6 +8,7 @@ path it checks.
 """
 
 import gc
+import json
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -24,7 +25,7 @@ from borcherdskit.errors import (
     ResourceLimit,
     ShiftInvarianceViolated,
 )
-from borcherdskit.io import canonical_dumps, emit_series, emit_vvform
+from borcherdskit.io import canonical_dumps, emit_series, emit_vvform, parse_vvform
 from borcherdskit.lattice import EvenLattice, vector_str
 from borcherdskit.lift import principal_part
 from borcherdskit.series import (
@@ -455,11 +456,12 @@ def test_precision_searches_one_coset(no_coset_listing):
 
 
 @st.composite
-def gram_forms(draw):
-    """(form, P): a vector-valued form of weight -rank/2 on a random lattice
-    with Gram matrix 2 B^T B of rank at most 3, with random coefficients at
-    exponents in -Q(gamma) + Z near -min Q(gamma) on random cosets, and a
-    recomposition precision P."""
+def gram_components(draw):
+    """(lattice, components, prec, P): the Fraction map of a vector-valued
+    form on a random lattice with Gram matrix 2 B^T B of rank at most 3, with
+    random coefficients, zero ones included, at exponents in -Q(gamma) + Z
+    near -min Q(gamma) on random cosets, its precision, and a recomposition
+    precision P."""
     rank = draw(st.sampled_from((3, 2, 1)))
     # B = U * V with U upper and V unit lower triangular, nonsingular because
     # U has a nonzero diagonal
@@ -484,7 +486,13 @@ def gram_forms(draw):
         components[gamma] = {-q + draw(st.integers(-1, 3)): draw(st.integers(-3, 3))
                              for _ in range(draw(st.integers(1, 3)))}
     prec = draw(st.integers(1, 4))
-    return VectorValuedForm(lat, F(-rank, 2), components, prec), draw(st.integers(1, 4))
+    return lat, components, prec, draw(st.integers(1, 4))
+
+
+def gram_forms():
+    """(form, P): the form of weight -rank/2 of gram_components() and P."""
+    return gram_components().map(
+        lambda d: (VectorValuedForm(d[0], F(-d[0].rank, 2), d[1], d[2]), d[3]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -507,6 +515,66 @@ def test_decompose_recompose_round_trip_random_gram(form_and_prec):
         theta = theta_component(lat, gamma, prec)
         oracle = JacobiSeries(lat, F(lat.rank, 2), prec, coeffs, form_class=RAW)
         assert theta.coeffs == oracle.coeffs and theta.q_den == oracle.q_den
+
+
+def nonzero_map(components):
+    """The Fraction map of the constructor's input with zero coefficients,
+    then empty components, dropped: what components must give back."""
+    nonzero = {tuple(map(F, g)): {F(e): c for e, c in fg.items() if c}
+               for g, fg in components.items()}
+    return {g: fg for g, fg in nonzero.items() if fg}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gram_components(), st.integers(2, 3), st.data())
+def test_integer_forms_match_their_fraction_maps(drawn, k, data):
+    lat, components, prec, top = drawn
+    weight = F(-lat.rank, 2)
+    built = VectorValuedForm(lat, weight, components, prec)
+    nonzero = nonzero_map(components)
+    assert built.components == nonzero
+    # theta_decompose's own form keeps eden = 2 den^2 over the label
+    # denominator den of its input, so the same series stored over k * den
+    # gives another eden, and finer keeps k times the decomposition's eden
+    phi = recompose(built, top)
+    decomposed = theta_decompose(phi)
+    over = JacobiSeries._of(lat, phi.weight, phi.prec, phi._over(1, k * phi.den), 1,
+                            k * phi.den, phi.form_class)
+    parsed = parse_vvform(json.loads(canonical_dumps(emit_vvform(decomposed))))
+    finer = VectorValuedForm._of(
+        lat, weight, decomposed.prec,
+        {g: {k * e: c for e, c in fg.items()} for g, fg in decomposed.terms.items()},
+        k * decomposed.eden)
+    expected = nonzero_map(decomposed.components)
+    forms = [decomposed, theta_decompose(over), parsed, finer,
+             VectorValuedForm(lat, weight, expected, decomposed.prec)]
+    for form in forms:
+        assert form.components == expected
+        assert all(form == other for other in forms)
+    if not expected:
+        return
+    # one coefficient, one exponent or one gamma changed
+    g = data.draw(st.sampled_from(sorted(expected)))
+    fg = expected[g]
+    e = data.draw(st.sampled_from(sorted(fg)))
+    rest = {x: c for x, c in fg.items() if x != e}
+    cosets = [h for h in lat.discriminant_group().representatives if h not in expected]
+    mutants = [{**expected, g: {**fg, e: fg[e] + (1 if fg[e] != -1 else -1)}},
+               {**expected, g: {**rest, max(fg) + 1: fg[e]}}]
+    if cosets:
+        moved = {h: f for h, f in expected.items() if h != g}
+        mutants.append({**moved, data.draw(st.sampled_from(cosets)): fg})
+    for mutant in mutants:
+        changed = VectorValuedForm(lat, weight, mutant, decomposed.prec)
+        for form in forms:
+            assert changed != form and form != changed
+    # component and precision on reduced and unreduced gamma
+    shift = tuple(data.draw(st.integers(-2, 2)) for _ in range(lat.rank))
+    for gamma in [g, *cosets[:2]]:
+        for v in (gamma, tuple(x + y for x, y in zip(gamma, shift))):
+            for form in forms:
+                assert form.component(v) == expected.get(gamma, {})
+                assert form.precision(v) == form.prec - lat.coset_minimum(gamma)
 
 
 def oracle_theta_decompose(phi):
