@@ -36,10 +36,7 @@ from .series import DEFAULT_BUDGET, phi_n, theta_decompose
 
 
 def _parse_prec(text):
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaViolation(f"--prec: {text!r} is not a rational p/q") from None
+    value = kit_io.parse_frac(text, "--prec")
     if value <= 0:
         raise SchemaViolation(f"--prec: {value} is not positive")
     return value

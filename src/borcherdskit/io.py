@@ -9,68 +9,14 @@ inputs, which the golden tests rely on.
 The layout is exactly that of json.dumps(doc, indent=2, ensure_ascii=True)
 followed by a newline: one item per line, indented by two spaces per level,
 ": " after keys, [] and {} for empty containers, non-ASCII escaped as
-\\uXXXX. canonical_dumps writes those bytes with a recursive emitter over
-the json module's C string escaper, because json.dumps with an indent runs
-the pure-Python encoder. The test suite compares the two on random documents
-and on the golden corpus.
+\\uXXXX. canonical_dumps writes those bytes itself, because json.dumps with
+an indent runs the pure-Python encoder; the test suite compares the two.
 
-Most of every document is a list of rows, dicts with the same keys in the
-same order: the terms of a series, an expansion or a principal part, the
-components of a vvform and their terms. The emitters build each such list
-as a Rows, which stores the columns and no row: a column of str, of int, of
-vectors of str kept as their coordinate columns, or of the Rows of a
-vvform component's terms. Reading a Rows builds its rows as fresh dicts,
-equal to the lists the emitters built before. canonical_dumps writes a Rows
-from its columns: the text between two cells is the same in every row, so
-the list is one join of those pieces interleaved with the columns. It runs
-no escaper and no check of shape on them, because every cell is the ASCII
-text of frac_str or str. Every other value, and every document not built by
-an emitter, goes through the recursive emitter, the one writer of plain
-trees.
-
-Emission sorts integer keys: each q-exponent, label, gamma or exponent is
-scaled by a positive common denominator, which keeps the order of the
-Fractions, and each distinct rational string, and each distinct
-coefficient's, is built once per document. Series and expansions store their
-terms on such keys already, over den, and the product kernel leaves them in
-file order, so that sort is one linear pass; the columns are then maps over
-the sorted keys into those strings. A direct product whose terms were never
-decoded is written from the digits of its packed int keys instead.
-Parsing turns each distinct rational string of a document into a Fraction
-once and hashes each key once. The series parser goes further: each distinct
-value gets a small int, every term is keyed by the ints of its rationals,
-and only the terms kept are scaled to the integer keys of the series.
-Neither changes the format: the bytes emitted and the messages raised are
-those of the Fraction-keyed code they replace.
-
-A vvform file lists every coset, so both of its routes run on the integer
-coset-minima table of EvenLattice.coset_minima(), keyed by det * gamma, and
-build no Fraction from it. A VectorValuedForm stores its terms on the same
-keys, so the emitter walks the table in order, looks each key up in the
-form, and writes terms only for the nonzero components, their exponents
-rescaled by one integer factor. The parser scales each gamma by
-det, a common denominator of every dual vector (a coordinate whose
-denominator does not divide det is not dual), and reduces it mod det; the
-table's keys are exactly the reduced dual cosets. A list of exactly det
-entries is read by columns first (_columns): each check is one C-level pass
-over a column, each distinct gamma entry is parsed once, and only the
-entries with terms are read one by one. Keys listed in the table's own
-order, as the emitter writes them, are checked by one list comparison and
-take the minima in order; keys in any other order go through one map of
-table lookups, which tests every key and gives its minimum, and one set
-that finds duplicates. That reader never
-raises, and it reads every valid list of JSON values. On any other list the
-entry loop (_entries) reads the list again, and it alone reports errors,
-the first in document order. It tests each key by gram * key = 0 mod det
-and lists the table only after it has found det distinct cosets, so a
-short list is refused without listing it. The loop checks the precisions
-once per distinct (prec, minimum) pair, and the column reader once per
-distinct prec string, on integers over one denominator. Both key the terms
-of a component by the interned indices of their exponents (_Interned, as
-the series parser does), so two spellings of one exponent are still caught
-as a duplicate; at the end the exponents are scaled to their common
-denominator, and the form is returned on the integer keys of the table,
-with no Fraction key built.
+Both directions run on integer keys: each q-exponent, label, gamma or
+exponent is scaled by a positive common denominator, which keeps the order
+of the Fractions, so emission sorts ints, and parsing reads each distinct
+rational string of a document once. A vvform gamma is keyed by det * gamma
+reduced mod det, as EvenLattice.coset_minima() keys its table.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -104,7 +50,7 @@ from math import lcm
 from operator import eq, is_, itemgetter, mul, sub
 
 from .errors import ResourceLimit, SchemaViolation
-from .lattice import EvenLattice, Vector, _Fractions, frac_str
+from .lattice import EvenLattice, Vector, _Fractions, _Memo, frac_str
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
 from .series import (
     DEFAULT_BUDGET,
@@ -166,34 +112,6 @@ def _expect_list(value, path):
     return value
 
 
-class _Rationals(dict):
-    """parse_frac over one document, each distinct rational string parsed
-    once. Values that are not strings go to parse_frac every time, so the
-    results and the messages are those of parse_frac."""
-
-    def frac(self, value, path) -> Fraction:
-        if type(value) is str:
-            x = self.get(value)
-            if x is None:
-                x = self[value] = parse_frac(value, path)
-            return x
-        return parse_frac(value, path)
-
-    def vector(self, value, path) -> Vector:
-        if type(value) is list:
-            try:
-                return tuple([self[x] for x in value])
-            except (KeyError, TypeError):
-                pass  # a string not seen yet, or not a string
-        return tuple(self.frac(x, f"{path}[{i}]")
-                     for i, x in enumerate(_expect_list(value, path)))
-
-
-def _parse_lattice_vector(value, path, lattice: EvenLattice, fracs: _Rationals) -> Vector:
-    """A vector with one entry per basis vector of lattice."""
-    return _of_rank(fracs.vector(value, path), path, lattice.rank)
-
-
 def _of_rank(vec: tuple, path, rank: int) -> tuple:
     if len(vec) != rank:
         raise SchemaViolation(f"{path}: vector has length {len(vec)}, lattice rank is {rank}")
@@ -236,6 +154,10 @@ class _Interned(dict):
         return _of_rank(tuple([self.of(x, f"{path}[{i}]")
                                for i, x in enumerate(_expect_list(value, path))]), path, rank)
 
+    def fracs(self, value, path, rank: int) -> Vector:
+        """The Fractions of a vector with rank entries."""
+        return tuple(map(self.values.__getitem__, self.vector(value, path, rank)))
+
 
 def _add_term(table, key, raw, path) -> bool:
     """Store parse_int(raw, path) under key, hashing key once; False when key
@@ -255,25 +177,9 @@ def emit_vector(vec) -> list[str]:
     return [frac_str(x) for x in vec]
 
 
-class _Strings(_Fractions):
+def _Strings(den: int, low: int = 0) -> _Memo:
     """frac_str(Fraction(k - low, den)) for integers k, each built once."""
-
-    def __init__(self, den: int, low: int = 0):
-        super().__init__(den)
-        self.low = low
-
-    def __missing__(self, k):
-        value = self[k] = frac_str(Fraction(k - self.low, self.den))
-        return value
-
-
-class _Decimals(dict):
-    """str(c) for integers c, each built once: the coefficients of a
-    document, and the degrees of an expansion, repeat."""
-
-    def __missing__(self, c):
-        value = self[c] = str(c)
-        return value
+    return _Memo(lambda k: frac_str(Fraction(k - low, den)))
 
 
 def _coordinates(vectors, rank: int) -> list:
@@ -282,7 +188,7 @@ def _coordinates(vectors, rank: int) -> list:
     return [map(itemgetter(i), vectors) for i in range(rank)]
 
 
-def _string_columns(strings: _Strings, columns) -> list:
+def _string_columns(strings: _Memo, columns) -> list:
     """Each column of integers as the list of their strings."""
     return [list(map(strings.__getitem__, column)) for column in columns]
 
@@ -517,7 +423,7 @@ def emit_series(series: JacobiSeries) -> dict:
         low = series._packing.half
     ns = list(map(_Strings(series.q_den).__getitem__, grades))
     ls = _string_columns(_Strings(series.den, low), coords)
-    cs = list(map(_Decimals().__getitem__, map(terms.__getitem__, keys)))
+    cs = list(map(_Memo(str).__getitem__, map(terms.__getitem__, keys)))
     return {
         **emit_lattice(series.lattice),
         "weight": frac_str(series.weight),
@@ -537,6 +443,17 @@ def _reduced(x: Fraction, den: int):
     return None if den % x.denominator else x.numerator * (den // x.denominator) % den
 
 
+def _dual_key(gamma: Vector, path, lattice: EvenLattice) -> tuple[int, ...]:
+    """det * gamma reduced mod det; SchemaViolation when gamma is not in the
+    dual lattice. det clears the denominators of every dual vector, and the
+    key is dual when gram * key = 0 mod det."""
+    det = lattice.det
+    key = tuple([_reduced(x, det) for x in gamma])
+    if None in key or any(sum(map(mul, row, key)) % det for row in lattice.gram):
+        raise SchemaViolation(f"{path}: not in the dual lattice")
+    return key
+
+
 _COMPONENT = {"gamma", "prec", "terms"}
 _RATIONAL = {str, int}  # the types parse_frac reads; a bool is neither
 
@@ -550,11 +467,10 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     exponents, which are scaled to their common denominator at the end."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs, ids = _Rationals(), _Interned()
-    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    ids = _Interned()
+    weight = parse_frac(doc["weight"], f"{path}.weight")
     entries = _expect_list(doc["components"], f"{path}.components")
-    components, prec = (_columns(entries, lattice, fracs, ids)
-                        or _entries(entries, path, lattice, fracs, ids))
+    components, prec = _columns(entries, lattice, ids) or _entries(entries, path, lattice, ids)
     nonzero = {}  # each key hashed once
     for key, fg in components.items():
         if 0 in fg.values():
@@ -568,7 +484,7 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     return VectorValuedForm._of(lattice, weight, prec, terms, eden)
 
 
-def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals, ids: _Interned):
+def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
     """What _entries returns for a well-formed list of exactly det
     components, or None for any other list, whose message _entries gives.
     It never raises: each check is a C-level pass over one column, each
@@ -621,12 +537,13 @@ def _columns(entries: list, lattice: EvenLattice, fracs: _Rationals, ids: _Inter
     return components, Fraction(tops.pop(), den)
 
 
-def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals, ids: _Interned):
+def _entries(entries: list, path, lattice: EvenLattice, ids: _Interned):
     """The components with terms, and P, of a component list read one entry
     at a time; the first error in document order raises its SchemaViolation.
-    A key is dual when gram * key = 0 mod det, and the coset table is listed
-    only for a list of det distinct cosets, which a short list cannot be."""
-    det, gram = lattice.det, lattice.gram
+    The coset table is listed only for a list of det distinct cosets, which a
+    short list cannot be. The gammas and precisions are interned apart from
+    the exponents in ids, whose values set the exponent denominator."""
+    det, rank, fracs = lattice.det, lattice.rank, _Interned()
     seen = set()
     components = {}  # det * gamma reduced -> its terms, for the entries with terms
     precisions = {}  # raw prec -> its Fraction
@@ -635,10 +552,8 @@ def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals, ids: 
         cpath = f"{path}.components[{i}]"
         if type(comp) is not dict or comp.keys() != _COMPONENT:
             _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
-        key = tuple([_reduced(x, det) for x in gamma])
-        if None in key or any(sum(map(mul, row, key)) % det for row in gram):
-            raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
+        gpath = f"{cpath}.gamma"
+        key = _dual_key(fracs.fracs(comp["gamma"], gpath, rank), gpath, lattice)
         size = len(seen)
         seen.add(key)
         if len(seen) == size:
@@ -647,7 +562,7 @@ def _entries(entries: list, path, lattice: EvenLattice, fracs: _Rationals, ids: 
         if type(terms) is not list or terms:
             components[key] = _terms(terms, cpath, ids)
         raw = comp["prec"]
-        precisions[raw] = fracs.frac(raw, f"{cpath}.prec")
+        precisions[raw] = fracs.values[fracs.of(raw, f"{cpath}.prec")]
         pairs.append((raw, key))
     if len(seen) != det:
         raise SchemaViolation(f"{path}.components: has {len(seen)} of {det} cosets")
@@ -695,7 +610,7 @@ def emit_vvform(form: VectorValuedForm) -> dict:
     top, qs = _scaled(form.prec, eden), eden // minima.qden
     gammas = _string_columns(_Strings(gden), _coordinates(table, form.lattice.rank))
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
-    decimal = _Decimals().__getitem__
+    decimal = _Memo(str).__getitem__
     rows = {}
     for key, fg in form.terms.items():
         keys = sorted(fg)
@@ -718,16 +633,15 @@ def parse_principal_part(doc, path="$") -> PrincipalPart:
     _expect_object(doc, path, required=("gram", "constant_term", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     constant = parse_int(doc["constant_term"], f"{path}.constant_term")
-    fracs = _Rationals()
+    ids, coords = _Interned(), _Fractions(lattice.det).__getitem__
     terms = {}
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("gamma", "exp", "c"))
-        gamma = _parse_lattice_vector(term["gamma"], f"{tpath}.gamma", lattice, fracs)
-        if not lattice.is_dual_vector(gamma):
-            raise SchemaViolation(f"{tpath}.gamma: not in the dual lattice")
-        gamma = lattice.reduce_mod1(gamma)
-        e = fracs.frac(term["exp"], f"{tpath}.exp")
+        gpath = f"{tpath}.gamma"
+        key = _dual_key(ids.fracs(term["gamma"], gpath, lattice.rank), gpath, lattice)
+        gamma = tuple(map(coords, key))
+        e = ids.values[ids.of(term["exp"], f"{tpath}.exp")]
         if e >= 0:
             raise SchemaViolation(f"{tpath}.exp: {frac_str(e)} is not negative")
         if not _add_term(terms, (gamma, e), term["c"], f"{tpath}.c"):
@@ -765,11 +679,12 @@ def emit_weyl(weyl: WeylData) -> dict:
 
 def parse_weyl(doc, path, lattice: EvenLattice) -> WeylData:
     _expect_object(doc, path, required=("A", "B", "C", "w0"))
+    ids = _Interned()
     return WeylData(
         a=parse_frac(doc["A"], f"{path}.A"),
-        b=_parse_lattice_vector(doc["B"], f"{path}.B", lattice, _Rationals()),
+        b=ids.fracs(doc["B"], f"{path}.B", lattice.rank),
         c=parse_frac(doc["C"], f"{path}.C"),
-        chamber_vector=_parse_lattice_vector(doc["w0"], f"{path}.w0", lattice, _Rationals()),
+        chamber_vector=ids.fracs(doc["w0"], f"{path}.w0", lattice.rank),
     )
 
 
@@ -777,9 +692,9 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     _expect_object(doc, path, required=("gram", "weight", "holomorphic",
                                         "total_prec", "weyl", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs = _Rationals()
-    weight = fracs.frac(doc["weight"], f"{path}.weight")
-    total_prec = fracs.frac(doc["total_prec"], f"{path}.total_prec")
+    weight = parse_frac(doc["weight"], f"{path}.weight")
+    total_prec = parse_frac(doc["total_prec"], f"{path}.total_prec")
+    ids = _Interned()
     weyl = parse_weyl(doc["weyl"], f"{path}.weyl", lattice)
     if not isinstance(doc["holomorphic"], str):
         raise SchemaViolation(f"{path}.holomorphic: {doc['holomorphic']!r} is not a string")
@@ -792,7 +707,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         if min(n, m) < 0 or n + m >= total_prec:
             raise SchemaViolation(f"{tpath}: monomial n={n}, m={m} is not in n, m >= 0, "
                                   f"n + m < {frac_str(total_prec)}")
-        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
+        l = ids.fracs(term["l"], f"{tpath}.l", lattice.rank)
         if not _add_term(coeffs, (n, l, m), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
     return OrthogonalExpansion(lattice, weyl, weight, coeffs, total_prec,
@@ -803,7 +718,7 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
     terms = exp.terms
     keys = sorted(terms)  # linear in the order the lift leaves them
     labels = _coordinates(list(map(itemgetter(2), keys)), exp.lattice.rank)
-    decimal = _Decimals().__getitem__
+    decimal = _Memo(str).__getitem__
     return {
         **emit_lattice(exp.lattice),
         "weight": frac_str(exp.weight),

@@ -242,16 +242,24 @@ def _enumerate_affine(levels, offset, den, budget, limit=inf):
     return out
 
 
-class _Fractions(dict):
-    """Fraction(k, den) for integers k, each built once."""
+class _Memo(dict):
+    """fn(k) for keys k, each computed once: the rationals and decimal
+    strings of one document or one series repeat."""
 
-    def __init__(self, den: int):
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
         super().__init__()
-        self.den = den
+        self.fn = fn
 
     def __missing__(self, k):
-        value = self[k] = Fraction(k, self.den)
+        value = self[k] = self.fn(k)
         return value
+
+
+def _Fractions(den: int) -> _Memo:
+    """Fraction(k, den) for integers k, each built once."""
+    return _Memo(lambda k: Fraction(k, den))
 
 
 class CosetMinima(namedtuple("CosetMinima", "gden qden table")):
@@ -417,37 +425,24 @@ class EvenLattice:
         return k, [(w.numerator * (k // w.denominator), m, row)
                    for w, (m, row) in zip(weights, rows)]
 
-    def _points(self, gamma: Vector, bound, limit=inf) -> tuple[int, int, list]:
-        """(den, scale, points) for the vectors v in gamma + Z^rank with
-        Q(v) <= bound: den is the least common denominator of gamma, and
-        points lists the integer pairs (den * v, scale * Q(v)) in search
-        order. When there are more than limit vectors, the search stops after
-        limit + 1."""
-        bound = Fraction(bound)
-        den, offset = _as_integers(gamma)
+    def _points(self, offset, den: int, top: int, over: int, limit=inf) -> tuple[int, list]:
+        """(scale, points) for the vectors v = y / den, y = offset + den * x
+        with x integral, whose Q(v) is at most top / over (over > 0): points
+        lists the integer pairs (y, scale * Q(v)) in search order, scale being
+        2 k den^2. When there are more than limit vectors, the search stops
+        after limit + 1. The one entry point of the enumeration."""
         k, levels = self._levels
-        # k * y^T gram y = 2 k den^2 Q(v) for y = den * v
+        # k * y^T gram y = 2 k den^2 Q(v)
         scale = 2 * k * den * den
-        budget = scale * bound.numerator // bound.denominator
-        return den, scale, _enumerate_affine(levels, offset, den, budget, limit)
-
-    def _norms(self, offset, den: int, bound: int, limit=inf) -> list[int]:
-        """The values y^T gram y <= bound, sorted, for the integer vectors
-        y = offset + den * x, x integral: den^2 times 2 Q(v) for the vectors
-        v = y / den of a coset. When there are more than limit of them, the
-        search stops after limit + 1."""
-        k, levels = self._levels
-        points = _enumerate_affine(levels, offset, den, k * bound, limit)
-        return sorted([q // k for _, q in points])
+        return scale, _enumerate_affine(levels, offset, den, scale * top // over, limit)
 
     def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted
         lexicographically by coordinates. When there are more than limit of
         them, the search stops after limit + 1 and returns those."""
         bound = Fraction(bound)
-        if bound < 0:
-            return []
-        den, _, points = self._points(self._vec(gamma), bound, limit)
+        den, offset = _as_integers(self._vec(gamma))
+        _, points = self._points(offset, den, bound.numerator, bound.denominator, limit)
         coords = _Fractions(den).__getitem__
         return [tuple(map(coords, y)) for y, _ in sorted(points)]
 

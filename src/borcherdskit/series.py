@@ -19,37 +19,12 @@ has negative exponents). Comparison looks only at the common window.
 
 A series stores its terms on integer keys: q-exponent n as the grade n * q_den
 and label l as the tuple l * den, den being a label denominator of the series.
-Fraction keys appear only at the boundary: the constructor reads them, and
-coeffs, a read-only view, gives them back.
-
-Every product of terms in the package, here and in the lift, runs through one
-kernel, _mul_into, on keys packed further into one int each. _Packing writes
-the monomial (t, vec) as the digits of t * M^r + sum vec_i * M^(r-1-i) in a
-base M = 2^w with balanced digits. The map is linear, so the product of two
-monomials has the sum of their keys for its key, as long as every component
-of the product stays within the bound the packing was made for. Each caller
-proves such a bound for everything its products can reach. Keys in numeric
-order are monomials in (t, lex vec) order, so one sort of ints puts them in
-file order.
-
-A direct product keeps the kernel's {key: c} map and its packing: terms
-decodes it on first read, and until then nothing does. Its labels
-concatenate, so the bound of the product's packing is the larger of the two
-factors' reaches, and a packed series carries that bound as its reach. In a
-chain of products the digit width then stays the same, and a packed factor
-enters the next product by one shift of its keys. emit_series writes a
-series whose terms were never decoded from the digits of its sorted keys.
-The other products, whose outputs are small or read as tuples at once,
-decode their result once; the emitters and the next product sort it again
-in linear time.
-
-The theta decomposition is kept on integers as well. A VectorValuedForm
-stores {det * gamma: {eden * e: c}} for reduced representatives gamma and a
-common denominator eden of the exponents, which is how the coset-minima
-table keys its cosets. theta_decompose writes those terms from its integer
-classes, recompose enumerates each coset from its integer offset, and the
-vvform io and principal_part read them as they are. The Fraction map
-components is a view built only when it is read.
+A VectorValuedForm stores {det * gamma: {eden * e: c}}, keyed as the
+coset-minima table keys its cosets. Fraction keys appear only at the
+boundary: the constructors read them, and coeffs and components, read-only
+views, give them back. Every product of terms in the package, here and in
+the lift, runs through one kernel, _mul_into, on keys packed into one int
+each (_Packing).
 """
 
 from __future__ import annotations
@@ -75,7 +50,7 @@ from .errors import (
 from .lattice import (
     EvenLattice,
     Vector,
-    _enumerate_affine,
+    _as_integers,
     _Fractions,
     direct_sum,
     to_vector,
@@ -607,7 +582,8 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
         raise NotInDualLattice(
             f"{vector_str(gamma)} does not pair integrally with the lattice")
     prec = Fraction(prec)
-    den, scale, points = lattice._points(gamma, prec)
+    den, offset = _as_integers(gamma)
+    scale, points = lattice._points(offset, den, prec.numerator, prec.denominator)
     limit = _grade_limit(prec, scale)
     points = [(l, q) for l, q in points if q < limit]
     # the least q denominator, as the public constructor infers it
@@ -764,7 +740,10 @@ def theta_decompose(phi: JacobiSeries) -> VectorValuedForm:
         bound = q0 + eden * (-(-top // (eden * prec.denominator)) - 1)
         # the search stops once it proves class (gamma, e_min) short of
         # witnesses, so a prec far beyond the stored terms cannot run it long
-        norms = lat._norms(cls, den, bound, limit=count_min)
+        scale, points = lat._points(cls, den, bound, eden, limit=count_min)
+        # scale * Q(l) is k * y^T gram y for an integer k
+        k = scale // eden
+        norms = sorted([q // k for _, q in points])
         if len(norms) > count_min:
             raise ShiftInvarianceViolated(
                 f"class gamma={vector_str(map(labels, cls))}, exponent {exps[e_min]} has "
@@ -794,19 +773,16 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     lat = form.lattice
     out_prec = min(Fraction(prec), form.prec)
     det, eden = lat.det, form.eden
-    k, levels = lat._levels
     # Theta_gamma needs the vectors with Q <= out_prec - e_min on the coset,
-    # that is scale * Q <= scale * (top - eden * e_min * out_prec.denominator)
-    # / over, rounded down
+    # that is Q <= (top - e_min * out_prec.denominator) / over
     top, over = out_prec.numerator * eden, out_prec.denominator * eden
     # (f_gamma, den, scale, points): Theta_gamma as integer pairs
     # (den * l, scale * Q(l)), den the least denominator of gamma
     blocks = []
     for key, fg in form.terms.items():
         d = det // gcd(det, *key)
-        scale = 2 * k * d * d
-        budget = scale * (top - min(fg) * out_prec.denominator) // over
-        points = _enumerate_affine(levels, [x * d // det for x in key], d, budget)
+        scale, points = lat._points([x * d // det for x in key], d,
+                                    top - min(fg) * out_prec.denominator, over)
         blocks.append((fg, d, scale, points))
     q_den = lcm(eden, *{scale for _, _, scale, _ in blocks})
     den = lcm(*{d for _, d, _, points in blocks if points})

@@ -366,6 +366,21 @@ def test_bad_prec_flag_is_schema_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "--n", "1", "--prec", "x"], "--prec: 'x' is not a rational p/q"),
+    (["phi", "--n", "1", "--prec", "1/0"], "--prec: '1/0' is not a rational p/q"),
+    (["phi", "--n", "1", "--prec", "0"], "--prec: 0 is not positive"),
+    (["lift", "--prec", "x"], "--prec: 'x' is not a rational p/q"),
+], ids=["phi-x", "phi-zero-denominator", "phi-zero", "lift-x"])
+def test_bad_prec_flag_message(capsys, monkeypatch, argv, message):
+    # lift reads its series before it reads --prec
+    series_json = (FIXTURES.parent / "tests" / "golden" / "phi_n1_prec16.json").read_text()
+    code, out, err = run_cli(capsys, argv, stdin_text=series_json, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == f"error ({argv[0]}): {message}\n"
+
+
 def test_w0_of_wrong_length_is_schema_error(capsys, monkeypatch):
     _, series_json, _ = run_cli(capsys, ["phi", "--n", "1", "--prec", "16"])
     for argv in (["weyl", "--w0", "1,2"], ["lift", "--prec", "8", "--w0", "1,2"]):

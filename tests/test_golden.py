@@ -13,6 +13,8 @@ parse -> compute -> emit.
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +70,25 @@ def test_cli_output_is_byte_identical(name, argv, stdin, capsys, monkeypatch):
             io.BytesIO((GOLDEN / stdin).read_bytes()), encoding="utf-8"))
     assert main(argv) == 0
     assert capsys.readouterr().out == read(name)
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so a package import of anything
+    # outside the standard library, sympy or hypothesis say, fails here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(argv, stdin=None):
+        result = subprocess.run([sys.executable, "-S", "-m", "borcherdskit", *argv],
+                                input=stdin, capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    series = cli(["phi", "--n", "2", "--prec", "4"])
+    assert series == (GOLDEN / "phi_n2_prec4.json").read_bytes()
+    for name, argv in [("decompose_phi_n2_prec4.json", ["decompose"]),
+                       ("principal_part_phi_n2_prec4.json", ["principal-part"]),
+                       ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"])]:
+        assert cli(argv, series) == (GOLDEN / name).read_bytes()
 
 
 def test_lift_writes_integer_terms(capsys, monkeypatch):

@@ -36,8 +36,6 @@ from borcherdskit.io import (
     _expect_list,
     _expect_object,
     _Interned,
-    _parse_lattice_vector,
-    _Rationals,
     Rows,
     canonical_dumps,
     emit_expansion,
@@ -524,16 +522,23 @@ def oracle_emit_expansion(exp):
     }
 
 
+def oracle_vector(value, path, rank):
+    """A vector read by parse_frac entry by entry, with no cache."""
+    vec = tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(value, path)))
+    if len(vec) != rank:
+        raise SchemaViolation(f"{path}: vector has length {len(vec)}, lattice rank is {rank}")
+    return vec
+
+
 def oracle_parse_series(doc, path="$"):
     """The Fraction parser: terms keyed by (Fraction n, Fraction label), then
     the JacobiSeries constructor."""
     _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
                                         "form_class", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs = _Rationals()
-    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    weight = parse_frac(doc["weight"], f"{path}.weight")
     q_den = parse_int(doc["q_den"], f"{path}.q_den")
-    prec = fracs.frac(doc["prec"], f"{path}.prec")
+    prec = parse_frac(doc["prec"], f"{path}.prec")
     form_class = doc["form_class"]
     if form_class not in (RAW, WEAK_JACOBI):
         raise SchemaViolation(f"{path}.form_class: {form_class!r} is not a form class")
@@ -541,8 +546,8 @@ def oracle_parse_series(doc, path="$"):
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("n", "l", "c"))
-        n = fracs.frac(term["n"], f"{tpath}.n")
-        l = _parse_lattice_vector(term["l"], f"{tpath}.l", lattice, fracs)
+        n = parse_frac(term["n"], f"{tpath}.n")
+        l = oracle_vector(term["l"], f"{tpath}.l", lattice.rank)
         if not _add_term(coeffs, (n, l), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(n)}")
     try:
@@ -557,14 +562,13 @@ def oracle_parse_vvform(doc, path="$"):
     vectors, and one Fraction sum per coset for the precision check."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    fracs = _Rationals()
-    weight = fracs.frac(doc["weight"], f"{path}.weight")
+    weight = parse_frac(doc["weight"], f"{path}.weight")
     components = {}
     precisions = []
     for i, comp in enumerate(_expect_list(doc["components"], f"{path}.components")):
         cpath = f"{path}.components[{i}]"
         _expect_object(comp, cpath, required=("gamma", "prec", "terms"))
-        gamma = _parse_lattice_vector(comp["gamma"], f"{cpath}.gamma", lattice, fracs)
+        gamma = oracle_vector(comp["gamma"], f"{cpath}.gamma", lattice.rank)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
         gamma = lattice.reduce_mod1(gamma)
@@ -575,10 +579,10 @@ def oracle_parse_vvform(doc, path="$"):
         for j, term in enumerate(_expect_list(comp["terms"], f"{cpath}.terms")):
             tpath = f"{cpath}.terms[{j}]"
             _expect_object(term, tpath, required=("e", "c"))
-            e = fracs.frac(term["e"], f"{tpath}.e")
+            e = parse_frac(term["e"], f"{tpath}.e")
             if not _add_term(fg, e, term["c"], f"{tpath}.c"):
                 raise SchemaViolation(f"{tpath}: duplicate exponent {frac_str(e)}")
-        precisions.append((gamma, fracs.frac(comp["prec"], f"{cpath}.prec")))
+        precisions.append((gamma, parse_frac(comp["prec"], f"{cpath}.prec")))
     if len(components) != lattice.det:
         raise SchemaViolation(f"{path}.components: has {len(components)} of {lattice.det} cosets")
     minima = oracle_coset_minima(lattice)
@@ -933,17 +937,49 @@ def test_duplicate_spelled_differently(parse, doc, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("entry, message", [
-    (True, "$.terms[1].l[0]: expected a rational, got a boolean"),
-    ("1/0", "$.terms[1].l[0]: '1/0' is not a rational p/q"),
-    (0.5, "$.terms[1].l[0]: expected a rational string, got float"),
-    ([1], "$.terms[1].l[0]: expected a rational string, got list"),
-])
-def test_memoised_rationals_keep_parse_frac_messages(entry, message):
+def _second_label(entry, name, text):
     # "1" is in the memo when the second term is read, and True == 1
     doc = _series([{"n": "1", "l": ["1"], "c": "1"}, {"n": 1, "l": [entry], "c": "1"}])
+    message = f"$.terms[1].l[0]: {text}"
+    return pytest.param(parse_series, doc, message, id=f"{name}-{message}")
+
+
+def _principal_part(gamma, exp):
+    return {"gram": [[8]], "constant_term": 0, "terms": [
+        {"gamma": ["1"], "exp": "-1", "c": 1}, {"gamma": gamma, "exp": exp, "c": 1}]}
+
+
+def _weyl(b, w0):
+    return dict(_expansion([]), weyl={"A": "0", "B": b, "C": "0", "w0": w0})
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    _second_label(True, "True", "expected a rational, got a boolean"),
+    _second_label("1/0", "1/0", "'1/0' is not a rational p/q"),
+    _second_label(0.5, "0.5", "expected a rational string, got float"),
+    _second_label([1], "entry3", "expected a rational string, got list"),
+    pytest.param(parse_principal_part, _principal_part([True], "-1"),
+                 "$.terms[1].gamma[0]: expected a rational, got a boolean",
+                 id="principal-part-gamma"),
+    pytest.param(parse_principal_part, _principal_part(["1"], "1/0"),
+                 "$.terms[1].exp: '1/0' is not a rational p/q", id="principal-part-exp"),
+    pytest.param(parse_expansion, _expansion([{"n": "0", "l": ["1"], "m": "0", "c": "1"},
+                                              {"n": "0", "l": [0.5], "m": "1", "c": "1"}]),
+                 "$.terms[1].l[0]: expected a rational string, got float", id="expansion-l"),
+    pytest.param(parse_expansion, _weyl(["1", True], ["1"]),
+                 "$.weyl.B[1]: expected a rational, got a boolean", id="expansion-weyl-B"),
+    pytest.param(parse_expansion, _weyl(["1"], [[1]]),
+                 "$.weyl.w0[0]: expected a rational string, got list", id="expansion-weyl-w0"),
+    pytest.param(parse_vvform, dict(_vvform([]), weight=True),
+                 "$.weight: expected a rational, got a boolean", id="vvform-weight"),
+    # a list shorter than det goes to the entry loop
+    pytest.param(parse_vvform, _vvform([{"gamma": ["1"], "prec": "1", "terms": []},
+                                        {"gamma": ["1/0"], "prec": "1", "terms": []}]),
+                 "$.components[1].gamma[0]: '1/0' is not a rational p/q", id="vvform-gamma"),
+])
+def test_memoised_rationals_keep_parse_frac_messages(parse, doc, message):
     with pytest.raises(SchemaViolation) as excinfo:
-        parse_series(doc)
+        parse(doc)
     assert str(excinfo.value) == message
 
 
@@ -1088,6 +1124,19 @@ def test_vvform_rejects_non_dual_gamma(doc):
     assert str(excinfo.value) == "$.components[1].gamma: not in the dual lattice"
 
 
+@pytest.mark.parametrize("lattice, gamma", [(LATTICES[0], ["1/3"]),
+                                            (LATTICES[1], ["1/24", "0"])],
+                         ids=["denominator", "pairing"])
+def test_principal_part_rejects_non_dual_gamma_by_message(lattice, gamma):
+    # the gammas of NON_DUAL, in the second term of a principal part
+    zero = ["0"] * lattice.rank
+    doc = {"gram": [list(row) for row in lattice.gram], "constant_term": 0, "terms": [
+        {"gamma": zero, "exp": "-1", "c": 1}, {"gamma": gamma, "exp": "-1", "c": 1}]}
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_principal_part(doc)
+    assert str(excinfo.value) == "$.terms[1].gamma: not in the dual lattice"
+
+
 def _diag8_doc(gammas, drop=None, twin=None):
     """The zero form's document on diag(8, 8), one entry per coset, with the
     gammas at the given indices replaced, the entry at index drop removed,
@@ -1178,7 +1227,7 @@ def _read(read, *args):
     """What a component reader returns, its terms keyed by the exponents
     themselves instead of their interned indices; None when it gives up."""
     ids = _Interned()
-    out = read(*args, _Rationals(), ids)
+    out = read(*args, ids)
     if out is None:
         return None
     components, prec = out

@@ -24,7 +24,7 @@ from borcherdskit.errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from borcherdskit.lattice import EvenLattice, direct_sum, smith_normal_form
+from borcherdskit.lattice import EvenLattice, _as_integers, direct_sum, smith_normal_form
 
 GRAM_A = [[16, 8], [8, 16]]
 GRAM_B = [[8, 0], [0, 8]]
@@ -273,8 +273,9 @@ def test_integer_arithmetic_matches_fraction_loops(gram, data):
 
 def test_integer_arithmetic_dimension_mismatch():
     k = EvenLattice(GRAM_A)
+    # a negative bound finds no vector, but the length is checked first
     for call in (lambda: k.bilinear_value((1, 0), (1,)), lambda: k.is_dual_vector((1,)),
-                 lambda: k.reduce_mod1((0, 0, 0))):
+                 lambda: k.reduce_mod1((0, 0, 0)), lambda: k.enumerate_coset((0,), -1)):
         with pytest.raises(DimensionMismatch):
             call()
 
@@ -457,7 +458,8 @@ def test_integer_enumeration_matches_fraction_oracle(gram, data):
     assert len(found) <= limit + 1
     assert (len(found) > limit) == (len(oracle(inf)) > limit)
     # every point carries den * v and the exact integer scale * Q(v)
-    den, scale, points = k._points(offset, bound, limit)
+    den, ints = _as_integers(offset)
+    scale, points = k._points(ints, den, bound.numerator, bound.denominator, limit)
     assert sorted(tuple(F(y, den) for y in v) for v, _ in points) == found
     for v, q in points:
         assert F(q, scale) == k.quadratic_value(tuple(F(y, den) for y in v))

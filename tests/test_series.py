@@ -26,7 +26,7 @@ from borcherdskit.errors import (
     ShiftInvarianceViolated,
 )
 from borcherdskit.io import canonical_dumps, emit_series, emit_vvform, parse_vvform
-from borcherdskit.lattice import EvenLattice, vector_str
+from borcherdskit.lattice import EvenLattice, _as_integers, vector_str
 from borcherdskit.lift import principal_part
 from borcherdskit.series import (
     DEFAULT_BUDGET,
@@ -602,7 +602,9 @@ def oracle_theta_decompose(phi):
         e_min, _, count_min = min(entries)
         q0 = lat.quadratic_value(gamma)
         bound = q0 + ceil(phi.prec - e_min - q0) - 1
-        _, scale, found = lat._points(gamma, bound, limit=count_min)
+        den, offset = _as_integers(gamma)
+        scale, found = lat._points(offset, den, bound.numerator, bound.denominator,
+                                   limit=count_min)
         if len(found) > count_min:
             raise ShiftInvarianceViolated(
                 f"class gamma={vector_str(gamma)}, exponent {e_min} has {count_min} stored "
