@@ -46,8 +46,8 @@ def _parse_w0(text, rank):
     if text is None:
         return None
     try:
-        w0 = tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        w0 = tuple(kit_io.parse_frac(part, "--w0") for part in text.split(","))
+    except SchemaViolation:
         raise SchemaViolation(f"--w0: {text!r} is not a comma-separated rational vector") from None
     if len(w0) != rank:
         raise SchemaViolation(f"--w0: {text!r} has {len(w0)} entries, lattice rank is {rank}")
@@ -184,8 +184,8 @@ def _cmd_validate_pp(args):
         claimed = None
     else:
         try:
-            claimed = Fraction(args.weight)
-        except (ValueError, ZeroDivisionError):
+            claimed = kit_io.parse_frac(args.weight, "--weight")
+        except SchemaViolation:
             raise SchemaViolation(f"--weight: {args.weight!r} is not a rational") from None
     report = validate_principal_part(pp, claimed_weight=claimed)
     doc = {

@@ -42,12 +42,13 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
-from operator import eq, is_, itemgetter, mul, sub
+from math import ceil, lcm
+from operator import and_, eq, is_, itemgetter, mul, sub
 
 from .errors import ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Fractions, _Memo, frac_str
@@ -68,16 +69,24 @@ from .series import (
 # -- scalars -------------------------------------------------------------------
 
 
+_RATIONAL_TEXT = re.compile("(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_frac(value, path) -> Fraction:
+    """A JSON integer, or a string "p/q" or "p": an optional minus sign and
+    ASCII digits, with no space, sign, point, exponent or underscore else."""
     if isinstance(value, bool):
         raise SchemaViolation(f"{path}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaViolation(f"{path}: {value!r} is not a rational p/q") from None
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match:
+            try:  # q = 0, or more digits than int() reads
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise SchemaViolation(f"{path}: {value!r} is not a rational p/q")
     raise SchemaViolation(f"{path}: expected a rational string, got {type(value).__name__}")
 
 
@@ -360,39 +369,37 @@ def emit_lattice(lattice: EvenLattice) -> dict:
 
 
 _SERIES_TERM = {"n", "l", "c"}
+_RATIONAL = {str, int}  # the types parse_frac and parse_int read; a bool is neither
 
 
 def parse_series(doc, path="$") -> JacobiSeries:
-    """The series of a document, read on integers: each term is keyed by the
-    value-interned indices of its rationals, which also finds duplicates
-    however they are spelled, and only the terms below prec with nonzero
-    coefficients are scaled to the (n * q_den, l * den) keys of the series.
-    The messages, and their order, are those of the Fraction-keyed parse
-    through the JacobiSeries constructor."""
+    """The series of a document, read on integers. A well-formed term list
+    is read by columns (_series_columns); any other goes through the term
+    loop (_series_terms), which is the one source of every message and of
+    which error comes first. Both read each rational as its value-interned
+    index, which also finds duplicates however they are spelled, and only
+    the terms below prec with nonzero coefficients are scaled to the
+    (n * q_den, l * den) keys of the series. The messages, and
+    their order, are those of the Fraction-keyed parse through the
+    JacobiSeries constructor."""
     _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
                                         "form_class", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
-    rank = lattice.rank
     weight = parse_frac(doc["weight"], f"{path}.weight")
     q_den = parse_int(doc["q_den"], f"{path}.q_den")
     prec = parse_frac(doc["prec"], f"{path}.prec")
     form_class = doc["form_class"]
     if form_class not in (RAW, WEAK_JACOBI):
         raise SchemaViolation(f"{path}.form_class: {form_class!r} is not a form class")
-    ids = _Interned()
-    values = ids.values
-    terms = {}  # (index of n, indices of l) -> c
-    for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
-        tpath = f"{path}.terms[{i}]"
-        if type(term) is not dict or term.keys() != _SERIES_TERM:
-            _expect_object(term, tpath, required=("n", "l", "c"))
-        key = (ids.of(term["n"], f"{tpath}.n"), ids.vector(term["l"], f"{tpath}.l", rank))
-        if not _add_term(terms, key, term["c"], f"{tpath}.c"):
-            raise SchemaViolation(f"{tpath}: duplicate term at n={frac_str(values[key[0]])}")
+    entries, rank = _expect_list(doc["terms"], f"{path}.terms"), lattice.rank
+    ns, flat, cs, values = (_series_columns(entries, rank)
+                            or _series_terms(entries, path, rank))
+    # the terms below prec with nonzero coefficients, one column at a time
     below = [x < prec for x in values]
-    kept = [(key, c) for key, c in terms.items() if c and below[key[0]]]
-    exps = {n for (n, _), _ in kept}
-    coords = {x for (_, l), _ in kept for x in l}
+    keep = list(map(and_, map(below.__getitem__, ns), map(bool, cs)))
+    ns, cs = list(compress(ns, keep)), list(compress(cs, keep))
+    flat = list(compress(flat, chain.from_iterable(zip(*[keep] * rank))))
+    exps, coords = set(ns), set(flat)
     try:
         weight = _checked_weight(weight)
         q_den = _checked_q_den(q_den, {values[n].denominator for n in exps})
@@ -401,9 +408,56 @@ def parse_series(doc, path="$") -> JacobiSeries:
     den = lcm(*{values[x].denominator for x in coords})
     grade = {n: _scaled(values[n], q_den) for n in exps}
     coord = {x: _scaled(values[x], den) for x in coords}
-    return JacobiSeries._of(lattice, weight, prec,
-                            {(grade[n], tuple(map(coord.__getitem__, l))): c
-                             for (n, l), c in kept}, q_den, den, form_class)
+    keys = zip(map(grade.__getitem__, ns), zip(*[map(coord.__getitem__, flat)] * rank))
+    return JacobiSeries._of(lattice, weight, prec, dict(zip(keys, cs)), q_den, den,
+                            form_class)
+
+
+def _series_columns(entries: list, rank: int):
+    """What _series_terms returns for a well-formed term list, or None for
+    any other list, whose message _series_terms gives. It never raises: each
+    check is a C-level pass over one column, and each distinct n or label
+    entry is parsed once."""
+    if not _of_type(dict, entries) or not set(map(len, entries)) <= {3}:
+        return None
+    try:
+        ns, ls, cs = [list(map(itemgetter(key), entries)) for key in ("n", "l", "c")]
+    except KeyError:
+        return None
+    if not (_of_type(list, ls) and set(map(len, ls)) <= {rank}):
+        return None
+    coords = list(chain.from_iterable(ls))
+    if not set(map(type, chain(ns, coords, cs))) <= _RATIONAL:
+        return None
+    ids = _Interned()
+    try:
+        index = {x: ids.of(x, "") for x in {*ns, *coords}}
+        cs = list(map(int, cs))  # parse_int of a str or an int
+    except (SchemaViolation, ValueError):
+        return None
+    ns, flat = list(map(index.__getitem__, ns)), list(map(index.__getitem__, coords))
+    if len(set(zip(ns, zip(*[iter(flat)] * rank)))) != len(entries):
+        return None  # a duplicate term
+    return ns, flat, cs, ids.values
+
+
+def _series_terms(entries: list, path, rank: int):
+    """The columns of a term list read one term at a time: the interned
+    indices of n, those of the label entries term after term, and c; then
+    the values of the indices. The first error in document order raises its
+    SchemaViolation."""
+    ids = _Interned()
+    terms = {}
+    for i, term in enumerate(entries):
+        tpath = f"{path}.terms[{i}]"
+        if type(term) is not dict or term.keys() != _SERIES_TERM:
+            _expect_object(term, tpath, required=("n", "l", "c"))
+        key = (ids.of(term["n"], f"{tpath}.n"), ids.vector(term["l"], f"{tpath}.l", rank))
+        if not _add_term(terms, key, term["c"], f"{tpath}.c"):
+            raise SchemaViolation(
+                f"{tpath}: duplicate term at n={frac_str(ids.values[key[0]])}")
+    return ([n for n, _ in terms], list(chain.from_iterable(l for _, l in terms)),
+            list(terms.values()), ids.values)
 
 
 def emit_series(series: JacobiSeries) -> dict:
@@ -455,7 +509,6 @@ def _dual_key(gamma: Vector, path, lattice: EvenLattice) -> tuple[int, ...]:
 
 
 _COMPONENT = {"gamma", "prec", "terms"}
-_RATIONAL = {str, int}  # the types parse_frac reads; a bool is neither
 
 
 def parse_vvform(doc, path="$") -> VectorValuedForm:
@@ -509,8 +562,8 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
         return None
     if not set(map(type, values)) <= _RATIONAL:
         return None
-    try:  # Fraction raises on a string that is not a rational, _terms on a bad term
-        scaled = {x: _reduced(Fraction(x), det) for x in values}
+    try:  # parse_frac and _terms raise on a bad rational or term
+        scaled = {x: _reduced(parse_frac(x, ""), det) for x in values}
         keys = list(zip(*[map(scaled.__getitem__, chain.from_iterable(gammas))] * rank))
         minima = lattice.coset_minima()
         if keys == list(minima.table):  # the canonical order: no key is hashed
@@ -524,7 +577,7 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
         minimum = dict(zip(raws, qs))
         if list(map(minimum.__getitem__, raws)) != qs:
             return None
-        precs = {raw: Fraction(raw) for raw in minimum}
+        precs = {raw: parse_frac(raw, "") for raw in minimum}
         den = lcm(minima.qden, *{x.denominator for x in precs.values()})
         tops = {x.numerator * (den // x.denominator) + minimum[raw] * (den // minima.qden)
                 for raw, x in precs.items()}
@@ -689,6 +742,9 @@ def parse_weyl(doc, path, lattice: EvenLattice) -> WeylData:
 
 
 def parse_expansion(doc, path="$") -> OrthogonalExpansion:
+    """The expansion of a document, read on integers: each monomial is keyed
+    by (n, m, the value-interned indices of l), and the labels are scaled
+    to their common denominator at the end."""
     _expect_object(doc, path, required=("gram", "weight", "holomorphic",
                                         "total_prec", "weyl", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
@@ -698,20 +754,23 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     weyl = parse_weyl(doc["weyl"], f"{path}.weyl", lattice)
     if not isinstance(doc["holomorphic"], str):
         raise SchemaViolation(f"{path}.holomorphic: {doc['holomorphic']!r} is not a string")
-    coeffs = {}
+    terms, top = {}, ceil(total_prec)  # n + m < total_prec means n + m < top
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("n", "l", "m", "c"))
         n = parse_int(term["n"], f"{tpath}.n")
         m = parse_int(term["m"], f"{tpath}.m")
-        if min(n, m) < 0 or n + m >= total_prec:
+        if min(n, m) < 0 or n + m >= top:
             raise SchemaViolation(f"{tpath}: monomial n={n}, m={m} is not in n, m >= 0, "
                                   f"n + m < {frac_str(total_prec)}")
-        l = ids.fracs(term["l"], f"{tpath}.l", lattice.rank)
-        if not _add_term(coeffs, (n, l, m), term["c"], f"{tpath}.c"):
+        l = ids.vector(term["l"], f"{tpath}.l", lattice.rank)
+        if not _add_term(terms, (n, m, l), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
-    return OrthogonalExpansion(lattice, weyl, weight, coeffs, total_prec,
-                               holomorphic=doc["holomorphic"])
+    den = _den(ids.values)
+    coord = [_scaled(x, den) for x in ids.values]
+    terms = {(n, m, tuple(map(coord.__getitem__, l))): c for (n, m, l), c in terms.items()}
+    return OrthogonalExpansion._of(lattice, weyl, weight, terms, den, total_prec,
+                                   holomorphic=doc["holomorphic"])
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:

@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from math import comb, lcm
-from operator import add, floordiv, mod
+from operator import add, floordiv, itemgetter, mod
 from types import MappingProxyType
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     SelfCheckFailed,
     UnboundedExpansion,
 )
-from .lattice import EvenLattice, Vector, _Fractions, to_vector, vector_str
+from .lattice import EvenLattice, Vector, _as_integers, _Fractions, vector_str
 from .series import (
     DEFAULT_BUDGET,
     WEAK_JACOBI,
@@ -129,7 +129,7 @@ def congruence_check(phi: JacobiSeries) -> CongruenceReport:
     if phi.prec <= 0:
         raise PrecisionTooSmall("the q^0 row is outside the stored window")
     n = phi.lattice.gcd_inner_products()
-    total = sum(phi.q_row(0).values())
+    total = sum(map(itemgetter(1), _q0_row(phi)))
     residue = (n * total) % 24
     return CongruenceReport(n, total, residue, residue == 0)
 
@@ -160,33 +160,42 @@ def default_chamber_vector(rank: int) -> Vector:
     return tuple(Fraction(1, 10 ** i) for i in range(rank))
 
 
+def _q0_row(phi: JacobiSeries) -> list:
+    """The q^0 row of phi as (l * phi.den, c) pairs, in the order of its
+    terms."""
+    return [(vec, c) for (t, vec), c in phi.terms.items() if not t]
+
+
 def weyl_vector(phi: JacobiSeries, w0=None) -> WeylData:
     """Evaluate the Weyl vector formula on the q^0 row of phi for the chamber
     containing w0. Raises NonGenericChamber when some supported label pairs
-    to zero with w0."""
+    to zero with w0, and DimensionMismatch when w0 does not have the rank of
+    the lattice.
+
+    The sums run on integers: the labels l * den that phi stores pair with
+    w0 scaled to integers with the sign of <l, w0>. Fractions are built only
+    for A, B and C, and for the label a message names."""
     if phi.form_class != WEAK_JACOBI or phi.weight != 0:
         raise FormClassError("Weyl data expects a weight-0 weak Jacobi form")
     if phi.prec <= 0:
         raise PrecisionTooSmall("the q^0 row is outside the stored window")
-    lat = phi.lattice
-    w0 = default_chamber_vector(lat.rank) if w0 is None else to_vector(w0)
-    row = phi.q_row(0)
-    zero = (Fraction(0),) * lat.rank
-    a = Fraction(0)
-    b = [Fraction(0)] * lat.rank
-    c = Fraction(0)
-    for l, coef in row.items():
-        pairing = lat.bilinear_value(l, w0)
-        if pairing == 0 and l != zero:
+    lat, den = phi.lattice, phi.den
+    w0 = default_chamber_vector(lat.rank) if w0 is None else lat._vec(w0)
+    w = _as_integers(w0)[1]
+    a = c = 0
+    b = [0] * lat.rank
+    for l, coef in _q0_row(phi):
+        pairing = lat._pair(l, w)
+        if pairing > 0:
+            b = [x + coef * y for x, y in zip(b, l)]
+        elif pairing == 0 and any(l):
             raise NonGenericChamber(
                 f"chamber vector {vector_str(w0)} pairs to zero with supported label "
-                f"{vector_str(l)}")
+                f"{vector_str([Fraction(x, den) for x in l])}")
         a += coef
-        c += coef * lat.bilinear_value(l, l)
-        if pairing > 0:
-            for i in range(lat.rank):
-                b[i] += Fraction(coef) * l[i]
-    return WeylData(a / 24, tuple(x / 2 for x in b), c / (2 * lat.rank), w0)
+        c += coef * lat._pair(l, l)
+    return WeylData(Fraction(a, 24), tuple([Fraction(x, 2 * den) for x in b]),
+                    Fraction(c, 2 * lat.rank * den * den), w0)
 
 
 # -- truncated product expansion ---------------------------------------------------
@@ -289,15 +298,16 @@ def _factors(phi: JacobiSeries, weyl: WeylData, top: int):
     top, as (n, l * phi.den, m, c): the degree-zero factors on the negative
     side of the chamber, then (n, m) != (0, 0) with n, m >= 0, n + m < top
     and c = c(nm, l)."""
-    lat = phi.lattice
+    pair = phi.lattice._pair
     # the rows at integer exponents; the preamble puts n * m below phi.prec
     rows: dict[int, list] = {}
     for (t, vec), c in phi.terms.items():
         if t % phi.q_den == 0:
             rows.setdefault(t // phi.q_den, []).append((vec, c))
-    # den > 0, so the scaled label pairs with the sign of the label
+    # the scaled label and chamber vector pair with the sign of <l, w0>
+    w = _as_integers(weyl.chamber_vector)[1]
     for vec, c in sorted(rows.get(0, ())):
-        if lat.bilinear_value(vec, weyl.chamber_vector) < 0:
+        if pair(vec, w) < 0:
             yield 0, vec, 0, c
     for m in range(top):
         for n in range(top - m):
@@ -328,30 +338,42 @@ def _graded(t: int, layer: dict) -> list:
     return list(zip(repeat(t), layer, layer.values()))
 
 
-def _apply_factor(layers, g, key, c):
-    """Multiply in place by (1 - X)^c, X the monomial of degree g that packs
-    to key.
+def _factor_terms(layers, g, key, c) -> list:
+    """(1 - X)^c - 1 below the truncation len(layers) as kernel terms
+    (k * g, k * key, w_k), X the monomial of degree g that packs to key."""
+    return [(k * g, k * key, w) for k, w in
+            _factor_powers(c, g, len(layers), sum(map(len, layers))) if k and w]
+
+
+def _apply_factor(layers, g, rest):
+    """Multiply in place by 1 + R, R the sum of the kernel terms
+    (grade, key, w) of rest, sorted by grade, each a monomial of degree at
+    least g.
 
     layers[t] maps the packed monomials (n, (m, *l)) of total degree
     t = n + m, up to the truncation len(layers), to their coefficients; the
-    packing is the one _packing gives for every factor applied. The factor is
-    1 + R with R_k = w_k X^k of degree kg and key k * key, so layer t + kg
-    gains layer t times R_k; a factor of degree g only reads the layers below
-    len(layers) - g. Layers are visited from the top down, so every layer is
-    read before it gains anything; it is copied first because a degree-zero
-    factor writes back into it.
+    packing is the one _packing gives for every factor applied. Layer t + s
+    gains layer t times the terms of R of degree s, in one kernel call for
+    each nonempty layer t and each s, and only the layers below
+    len(layers) - g are read. Layers are visited from the top down, so every
+    layer is read before it gains anything; it is copied first because a
+    degree-zero factor writes back into it.
+
+    rest is one factor (1 - X)^c less 1 (_factor_terms), or, for the factors
+    of one degree g with 2g >= len(layers), the sum of -c X over all of them:
+    a product of two of those has degree at least len(layers), so below it
+    their product is 1 - sum c X.
     """
     top = len(layers)
-    rest = [(k * g, k * key, w)
-            for k, w in _factor_powers(c, g, top, sum(map(len, layers))) if k and w]
+    by_degree = [(s, list(terms)) for s, terms in groupby(rest, itemgetter(0))]
     for t in reversed(range(top - g)):
-        layer = layers[t]
-        source = _graded(t, layer)
-        for term in rest:
-            target = t + term[0]
-            if target >= top:
+        if not layers[t]:
+            continue
+        source = _graded(t, layers[t])
+        for s, terms in by_degree:
+            if t + s >= top:
                 break
-            _mul_into(layers[target], [term], source, top)
+            _mul_into(layers[t + s], terms, source, top)
 
 
 def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
@@ -374,7 +396,9 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
 
     Negative exponents are expanded through geometric series; every factor
     with n + m > 0 is 1 + higher order, so the truncation by total degree is
-    exact and all output coefficients are integers by construction.
+    exact and all output coefficients are integers by construction. The
+    factors of one high degree g, 2g >= top, go in one kernel pass
+    (_apply_factor).
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
@@ -384,10 +408,17 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     layers = [{0: 1}] + [{} for _ in range(1, top)]
     # Descending degree: while every factor applied so far has degree at
     # least g, the layers strictly between 0 and g are empty, so a factor of
-    # degree g > top/2 reads only layer 0. The degree-zero factors keep every
-    # grade and widen each layer they touch, so they come last.
-    for n, l, m, c in sorted(factors, key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2])):
-        _apply_factor(layers, n + m, packing.pack(n, (m, *l)), c)
+    # degree g > top/2 reads only layer 0. The factors of one degree g with
+    # 2g >= top go in one pass. The degree-zero factors keep every grade and
+    # widen each layer they touch, so they come last.
+    ordered = sorted(factors, key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2]))
+    for g, group in groupby(ordered, key=lambda f: f[0] + f[2]):
+        packed = [(packing.pack(n, (m, *l)), c) for n, l, m, c in group]
+        if 2 * g >= top:
+            _apply_factor(layers, g, [(g, key, -c) for key, c in packed])
+        else:
+            for key, c in packed:
+                _apply_factor(layers, g, _factor_terms(layers, g, key, c))
     if layers[0].get(0) != 1:
         raise SelfCheckFailed("lift constant term",
                               "constant coefficient of the product is not 1")
@@ -441,7 +472,7 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
         layers.append(layer)
         terms.append(_graded(g, layer))
     for key, c in zero_grade:
-        _apply_factor(layers, 0, key, c)
+        _apply_factor(layers, 0, _factor_terms(layers, 0, key, c))
     return _expansion(phi, weyl, packing, layers, total_prec)
 
 

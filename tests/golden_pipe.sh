@@ -16,6 +16,7 @@ borcherds-kit phi --n 1 --prec 16 | cmp - tests/golden/phi_n1_prec16.json
 borcherds-kit phi --n 2 --prec 4 | cmp - tests/golden/phi_n2_prec4.json
 borcherds-kit phi --n 3 --prec 3 | cmp - tests/golden/phi_n3_prec3.json
 borcherds-kit phi --n 2 --prec 4 | borcherds-kit weyl | cmp - tests/golden/weyl_phi_n2_prec4.json
+borcherds-kit phi --n 2 --prec 4 | borcherds-kit weyl --w0 1,-1/3 | cmp - tests/golden/weyl_phi_n2_prec4_w0skew.json
 borcherds-kit validate-pp fixtures/example1.json --format json | cmp - tests/golden/validate_pp_example1.json
 borcherds-kit lattice-info fixtures/gram_ex1.json --format json | cmp - tests/golden/lattice_info_gram_ex1.json
 borcherds-kit criterion fixtures/gram_ex2.json --format json | cmp - tests/golden/criterion_gram_ex2.json
@@ -26,6 +27,7 @@ borcherds-kit phi --n 2 --prec 4 | borcherds-kit principal-part | cmp - tests/go
 borcherds-kit phi --n 3 --prec 3 | borcherds-kit principal-part | cmp - tests/golden/principal_part_phi_n3_prec3.json
 borcherds-kit phi --n 1 --prec 16 | borcherds-kit lift --prec 8 | cmp - tests/golden/lift_phi_n1_prec16_deg8.json
 borcherds-kit phi --n 2 --prec 4 | borcherds-kit lift --prec 4 | cmp - tests/golden/lift_phi_n2_prec4_deg4.json
+borcherds-kit phi --n 2 --prec 4 | borcherds-kit lift --prec 4 --w0 1,-1/3 | cmp - tests/golden/lift_phi_n2_prec4_deg4_w0skew.json
 borcherds-kit phi --n 3 --prec 3 | borcherds-kit lift --prec 2 | cmp - tests/golden/lift_phi_n3_prec3_deg2.json
 # a 4096-coset vvform read and written back
 borcherds-kit phi --n 4 --prec 1 | borcherds-kit decompose > "$tmp/decompose_phi_n4_prec1.json"

@@ -401,6 +401,33 @@ def test_messages_write_vectors_as_rationals(capsys, monkeypatch):
                    "with supported label (-1/8, 1/8)\n")
 
 
+# spellings that Fraction(str) reads but that are not "p/q" or "p" in ASCII digits
+NOT_P_OVER_Q = ("1e0", "0.5", " 1/2 ", "1_000", "+1/2", "\u0663", "1/2\n")
+
+
+@pytest.mark.parametrize("text", NOT_P_OVER_Q)
+def test_flags_read_rationals_as_p_over_q_only(capsys, monkeypatch, text):
+    series_json = (FIXTURES.parent / "tests" / "golden" / "phi_n1_prec16.json").read_text()
+    cases = [(["phi", "--n", "1", "--prec", text], f"--prec: {text!r} is not a rational p/q"),
+             (["weyl", "--w0", text], f"--w0: {text!r} is not a comma-separated rational vector"),
+             (["lift", "--prec", "8", "--w0", text],
+              f"--w0: {text!r} is not a comma-separated rational vector"),
+             (["validate-pp", str(FIXTURES / "example1.json"), "--weight", text],
+              f"--weight: {text!r} is not a rational")]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, argv, stdin_text=series_json, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error ({argv[0]}): {message}\n")
+
+
+def test_flags_still_read_unreduced_and_negative_rationals(capsys, monkeypatch):
+    series_json = (FIXTURES.parent / "tests" / "golden" / "phi_n1_prec16.json").read_text()
+    assert run_cli(capsys, ["phi", "--n", "1", "--prec", "4/2"])[0] == 0
+    for w0 in ("-3", "2/4", "-2/4"):
+        code, out, _ = run_cli(capsys, ["weyl", f"--w0={w0}", "--format", "text"],
+                               stdin_text=series_json, monkeypatch=monkeypatch)
+        assert code == 0 and out.startswith("A = ")
+
+
 def test_bad_n_budget_weight_flags(capsys):
     assert run_cli(capsys, ["phi", "--n", "0", "--prec", "2"])[0] == 2
     assert run_cli(capsys, ["phi", "--n", "1", "--prec", "2", "--budget", "0"])[0] == 2

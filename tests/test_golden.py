@@ -5,7 +5,10 @@ the emitters and parsers moved onto integer keys; the lattice-info, criterion
 and congruence files were recorded before canonical_dumps stopped calling
 json.dumps, the rank-3 lift file, whose monomials carry four integer
 digits, before the product kernel packed its keys into ints, and the rank-3
-principal part before parse_series read its terms on integer keys.
+principal part before parse_series read its terms on integer keys; the
+rank-2 weyl and lift files with the chamber vector (1, -1/3) were recorded
+before the Weyl data and the chamber test moved onto integers, and before
+the lift applied the factors of one high degree in one pass.
 The commands run in-process through cli.main; a command that
 reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
@@ -48,8 +51,11 @@ CORPUS = [
     ("principal_part_phi_n2_prec4.json", ["principal-part"], "phi_n2_prec4.json"),
     ("principal_part_phi_n3_prec3.json", ["principal-part"], "phi_n3_prec3.json"),
     ("weyl_phi_n2_prec4.json", ["weyl"], "phi_n2_prec4.json"),
+    ("weyl_phi_n2_prec4_w0skew.json", ["weyl", "--w0", "1,-1/3"], "phi_n2_prec4.json"),
     ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
     ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
+    ("lift_phi_n2_prec4_deg4_w0skew.json", ["lift", "--prec", "4", "--w0", "1,-1/3"],
+     "phi_n2_prec4.json"),
     ("lift_phi_n3_prec3_deg2.json", ["lift", "--prec", "2"], "phi_n3_prec3.json"),
     ("validate_pp_example1.json", ["validate-pp", EXAMPLE1, "--format", "json"], None),
     ("lattice_info_gram_ex1.json", ["lattice-info", GRAM_EX1, "--format", "json"], None),

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from borcherdskit import io as kit_io
 from borcherdskit.errors import NotInDualLattice, ResourceLimit, SchemaViolation
 from borcherdskit.io import (
     _add_term,
@@ -36,6 +37,8 @@ from borcherdskit.io import (
     _expect_list,
     _expect_object,
     _Interned,
+    _series_columns,
+    _series_terms,
     Rows,
     canonical_dumps,
     emit_expansion,
@@ -1329,7 +1332,7 @@ def _series_outcome(parse, doc):
     return (phi.lattice, phi.weight, phi.prec, phi.q_den, phi.den, phi.form_class, phi.terms)
 
 
-BAD_RATIONALS = ("1/0", "x", True, 0.5, [1], None)
+BAD_RATIONALS = ("1/0", "x", True, 0.5, [1], None, "0.5", "1e3", " 1/2 ", "+1/2")
 BAD_COEFFICIENTS = ("x", "1/2", True, 1.5, None, [])
 
 
@@ -1429,3 +1432,95 @@ def test_vvform_io_reads_integer_minima():
     back = parse_vvform(json.loads(canonical_dumps(doc)))
     assert back == form and len(back.components) == 81
     assert emit_vvform(back) == doc
+
+
+# -- one grammar for rationals, and the series column reader ------------------------------
+
+
+# spellings that Fraction(str) reads but that are not "p/q" or "p" in ASCII digits
+NOT_P_OVER_Q = ("0.5", "1e3", " 1/2 ", "1_000", "+1/2", "\u0663", "1/2\n", "-0.25e1", "1/+2",
+                "")
+
+
+@pytest.mark.parametrize("text", NOT_P_OVER_Q)
+def test_parse_frac_reads_p_over_q_only(text):
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_frac(text, "$.x")
+    assert str(excinfo.value) == f"$.x: {text!r} is not a rational p/q"
+
+
+def test_parse_frac_reads_unreduced_negative_and_integer_values():
+    assert parse_frac("2/4", "$") == F(1, 2)
+    assert parse_frac("-3", "$") == -3
+    assert parse_frac("-6/4", "$") == F(-3, 2)
+    assert parse_frac(0, "$") == 0 and type(parse_frac(0, "$")) is F
+
+
+@pytest.mark.parametrize("text", NOT_P_OVER_Q)
+def test_every_reader_refuses_what_parse_frac_refuses(text):
+    # both readers of parse_series and both of parse_vvform: the column
+    # readers leave the document to the loops, which give parse_frac's message
+    for field, path in (("n", "$.terms[1].n"), ("l", "$.terms[1].l[0]")):
+        doc = json.loads(canonical_dumps(emit_series(phi_n(1, 2))))
+        doc["terms"][1][field] = [text] if field == "l" else text
+        assert _series_columns(doc["terms"], 1) is None
+        assert _series_outcome(parse_series, doc) == f"{path}: {text!r} is not a rational p/q"
+    for field, path in (("gamma", "$.components[1].gamma[0]"), ("prec", "$.components[1].prec")):
+        doc = json.loads(PHI_2_VVFORM)
+        comp = doc["components"][1]
+        comp[field] = [text] + comp["gamma"][1:] if field == "gamma" else text
+        assert _columns_of(doc) is None
+        assert _outcome(parse_vvform, doc) == f"{path}: {text!r} is not a rational p/q"
+
+
+def _series_read(read, terms, rank):
+    """What a series term reader returns, keyed by the rationals themselves
+    instead of their interned indices; None when it gives up."""
+    out = read(terms, rank) if read is _series_columns else read(terms, "$", rank)
+    if out is None:
+        return None
+    ns, flat, cs, values = out
+    labels = zip(*[iter(flat)] * rank)
+    return [((values[n], tuple(values[x] for x in l)), c) for n, l, c in zip(ns, labels, cs)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(series_documents())
+@example(DUPLICATE_BEFORE_BAD_C)
+@example(DUPLICATE_BEFORE_LENGTH)
+def test_series_column_reader_agrees_with_the_term_loop(doc):
+    # the reader raises nothing; what it reads, the loop reads the same, in
+    # the same order
+    rank = len(doc["gram"])
+    read = _series_read(_series_columns, doc["terms"], rank)
+    if read is not None:
+        assert read == _series_read(_series_terms, doc["terms"], rank)
+
+
+@pytest.mark.parametrize("path", [p for p in GOLDEN_FILES if p.name.startswith("phi_")],
+                         ids=lambda p: p.name)
+def test_canonical_series_never_enters_the_term_loop(path, monkeypatch):
+    doc = load_json(path)
+    expected = _series_outcome(oracle_parse_series, doc)
+
+    def refuse(*args):
+        raise AssertionError("a canonical series document went through the term loop")
+
+    monkeypatch.setattr(kit_io, "_series_terms", refuse)
+    assert _series_outcome(parse_series, doc) == expected
+    # reversed terms, and integral rationals written as JSON integers
+    doc["terms"].reverse()
+    for term in doc["terms"]:
+        term["n"] = _int_or_str(term["n"])
+        term["l"] = [_int_or_str(x) for x in term["l"]]
+    assert _series_outcome(parse_series, doc) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(jacobi_series(), st.data())
+def test_series_column_reader_reads_emitted_documents(series, data):
+    # a reader that always gave up would pass every other test
+    doc = shuffled(data, json.loads(canonical_dumps(emit_series(series))), "terms")
+    rank = series.lattice.rank
+    read = _series_read(_series_columns, doc["terms"], rank)
+    assert read is not None and read == _series_read(_series_terms, doc["terms"], rank)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from borcherdskit.errors import (
     CongruenceFailed,
+    DimensionMismatch,
     InsufficientInputPrecision,
     NonGenericChamber,
     PrecisionTooSmall,
@@ -24,9 +25,10 @@ from borcherdskit.errors import (
     UnboundedExpansion,
 )
 from borcherdskit import lift
-from borcherdskit.lattice import EvenLattice
+from borcherdskit.lattice import EvenLattice, to_vector, vector_str
 from borcherdskit.lift import (
     PrincipalPart,
+    WeylData,
     admits_half_integral_weight,
     congruence_check,
     default_chamber_vector,
@@ -258,6 +260,107 @@ def test_weyl_denominators_bounded():
         assert bound % w.c.denominator == 0
 
 
+def test_weyl_checks_the_chamber_vector_length_on_an_empty_row():
+    # only q^1 terms: the q^0 row is empty, and a 3-entry w0 on a rank-1
+    # lattice is refused all the same
+    lat = EvenLattice([[8]])
+    phi = JacobiSeries(lat, 0, 2, {(F(1), (F(1, 8),)): 1}, q_den=1, form_class=WEAK_JACOBI)
+    with pytest.raises(DimensionMismatch) as excinfo:
+        weyl_vector(phi, (1, 2, 3))
+    assert str(excinfo.value) == "vector has length 3, lattice rank is 1"
+    assert weyl_vector(phi, (1,)) == WeylData(0, (0,), 0, (1,))
+
+
+# -- Weyl data on integers against the Fraction formula ----------------------------------
+
+
+def oracle_weyl_vector(phi, w0):
+    """The Fraction formula weyl_vector evaluated before it ran on integers:
+    the q^0 row with Fraction labels, each pairing through bilinear_value."""
+    lat = phi.lattice
+    w0 = to_vector(w0)
+    zero = (F(0),) * lat.rank
+    a, b, c = F(0), [F(0)] * lat.rank, F(0)
+    for l, coef in phi.q_row(0).items():
+        pairing = lat.bilinear_value(l, w0)
+        if pairing == 0 and l != zero:
+            raise NonGenericChamber(
+                f"chamber vector {vector_str(w0)} pairs to zero with supported label "
+                f"{vector_str(l)}")
+        a += coef
+        c += coef * lat.bilinear_value(l, l)
+        if pairing > 0:
+            for i in range(lat.rank):
+                b[i] += F(coef) * l[i]
+    return WeylData(a / 24, tuple(x / 2 for x in b), c / (2 * lat.rank), w0)
+
+
+def _weyl_outcome(weyl, phi, w0):
+    """(A, B, C, w0) and their types, or the message of NonGenericChamber."""
+    try:
+        data = weyl(phi, w0)
+    except NonGenericChamber as exc:
+        return str(exc)
+    return tuple(data), [type(x) for x in (data.a, *data.b, data.c, *data.chamber_vector)]
+
+
+# non-diagonal Gram matrices, and one diagonal one
+WEYL_GRAMS = ([[16, 8], [8, 16]], [[2, 1], [1, 2]], [[4, -2], [-2, 6]], [[8, 0], [0, 8]],
+              [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+SMALL = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def q0_rows(draw):
+    """A weight-0 weak Jacobi series: a random q^0 row, the zero label
+    allowed, and a q^1 term that the Weyl data must not read; plus a chamber
+    vector, often orthogonal to a label of the row."""
+    gram = draw(st.sampled_from(WEYL_GRAMS))
+    rank = len(gram)
+    labels = draw(st.lists(st.tuples(*[SMALL] * rank), min_size=1, max_size=6, unique=True))
+    coeffs = {(F(0), l): draw(st.integers(-5, 5).filter(bool)) for l in labels}
+    coeffs[(F(1), labels[0])] = 7
+    phi = JacobiSeries(EvenLattice(gram), 0, 2, coeffs, q_den=1, form_class=WEAK_JACOBI)
+    w0 = draw(st.tuples(*[SMALL] * rank))
+    if rank == 2 and draw(st.booleans()):
+        # (-<l, e2>, <l, e1>) pairs to zero with l
+        x, y = (sum(F(g) * v for g, v in zip(row, draw(st.sampled_from(labels)))) for row in gram)
+        w0 = (-y, x)
+    return phi, w0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q0_rows())
+def test_weyl_vector_matches_the_fraction_formula(drawn):
+    phi, w0 = drawn
+    assert _weyl_outcome(weyl_vector, phi, w0) == _weyl_outcome(oracle_weyl_vector, phi, w0)
+    assert congruence_check(phi).q0_sum == sum(phi.q_row(0).values())
+    try:
+        weyl = weyl_vector(phi, w0)
+    except NonGenericChamber:
+        return
+    # the degree-zero factors are the q^0 terms on the negative side of the
+    # chamber; at truncation 1 no other factor is listed
+    negative = sorted((tuple(int(x * phi.den) for x in l), c)
+                      for l, c in phi.q_row(0).items()
+                      if phi.lattice.bilinear_value(l, w0) < 0)
+    assert list(lift._factors(phi, weyl, 1)) == [(0, l, 0, c) for l, c in negative]
+
+
+def test_weyl_message_names_the_first_label_in_term_order():
+    # (1/8, 0) and (-1/8, 0) are both orthogonal to (0, 1): the message names
+    # the one stored first, as the q^0 row lists it
+    lat = EvenLattice([[8, 0], [0, 8]])
+    for first, second in (((F(1, 8), F(0)), (F(-1, 8), F(0))),
+                          ((F(-1, 8), F(0)), (F(1, 8), F(0)))):
+        phi = JacobiSeries(lat, 0, 1, {(F(0), (F(0), F(0))): 1, (F(0), first): 1,
+                                       (F(0), second): 1}, q_den=1, form_class=WEAK_JACOBI)
+        with pytest.raises(NonGenericChamber) as excinfo:
+            weyl_vector(phi, (0, 1))
+        assert str(excinfo.value) == (f"chamber vector (0, 1) pairs to zero with supported "
+                                      f"label {vector_str(first)}")
+
+
 # -- product expansion ----------------------------------------------------------------------
 
 
@@ -324,6 +427,32 @@ def test_lift_is_symmetric_in_n_and_m(factors, prec, degree, data):
         assert expansion.coeffs
         for (n, l, m), c in expansion.coeffs.items():
             assert expansion.coeffs.get((m, l, n), 0) == c
+
+
+@pytest.mark.parametrize("factors, prec, degree", [(1, 16, 7), (2, 4, 3), (1, 16, F(9, 2))],
+                         ids=["phi_1-degree-7", "phi_2-degree-3", "phi_1-degree-9/2"])
+def test_routes_agree_at_odd_truncations(factors, prec, degree):
+    # the factors of one degree g with 2g >= top go in one pass; at an odd
+    # top the square of a factor of degree (top - 1) / 2 is still below top,
+    # so those factors must be applied one by one
+    phi = cached_phi_n(factors, prec)
+    direct = lift_expansion(phi, degree)
+    assert direct.coeffs and direct.coeffs == lift_expansion_log_exp(phi, degree).coeffs
+
+
+def test_high_degrees_take_one_kernel_pass(monkeypatch):
+    # phi_1 at degree 8: the factors of degrees 4 to 7 go in one pass per
+    # degree, and every call multiplies the same pairs as one call per factor
+    calls, pairs, kernel = [], [], lift._mul_into
+
+    def counted(dst, a, b, limit, max_terms=None):
+        calls.append(1)
+        pairs.append(len(a) * len(b))
+        return kernel(dst, a, b, limit, max_terms)
+
+    monkeypatch.setattr(lift, "_mul_into", counted)
+    lift_expansion(cached_phi_n(1, 16), 8)
+    assert len(calls) <= 250 and sum(pairs) == 4766
 
 
 def test_log_exp_route_checks_integrality(monkeypatch):
