@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import io as kit_io
 from .errors import BorcherdsKitError, SchemaViolation, SelfCheckFailed
@@ -27,6 +26,7 @@ from .lift import (
     admits_half_integral_weight,
     congruence_check,
     lift_expansion,
+    lift_weight,
     principal_part,
     singular_weight,
     validate_principal_part,
@@ -126,7 +126,7 @@ def _cmd_principal_part(args):
     series = kit_io.parse_series(_read_input_doc(args.input))
     pp = principal_part(theta_decompose(series))
     lines = [f"constant term {pp.constant_term}, {len(pp.terms)} negative terms, "
-             f"lift weight {kit_io.frac_str(Fraction(pp.constant_term, 2))}"]
+             f"lift weight {kit_io.frac_str(lift_weight(pp))}"]
     _write(args, kit_io.emit_principal_part(pp), lines)
     return 0
 

@@ -15,8 +15,11 @@ an indent runs the pure-Python encoder; the test suite compares the two.
 Both directions run on integer keys: each q-exponent, label, gamma or
 exponent is scaled by a positive common denominator, which keeps the order
 of the Fractions, so emission sorts ints, and parsing reads each distinct
-rational string of a document once. A vvform gamma is keyed by det * gamma
-reduced mod det, as EvenLattice.coset_minima() keys its table.
+rational string of a document once. A vvform or principal part gamma is
+keyed by det * gamma reduced mod det, as EvenLattice.coset_minima() keys
+its table. A parser checks the schema and interns the rationals; the
+record's _build method, which its public constructor calls too, filters
+the terms, picks the denominators and scales the keys.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -48,10 +51,10 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import ceil, lcm
-from operator import and_, eq, is_, itemgetter, mul, sub
+from operator import eq, is_, itemgetter, mul, sub
 
-from .errors import ResourceLimit, SchemaViolation
-from .lattice import EvenLattice, Vector, _Fractions, _Memo, frac_str
+from .errors import NotInDualLattice, ResourceLimit, SchemaViolation
+from .lattice import EvenLattice, Vector, _Memo, frac_str
 from .lift import OrthogonalExpansion, PrincipalPart, WeylData
 from .series import (
     DEFAULT_BUDGET,
@@ -59,9 +62,6 @@ from .series import (
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
-    _checked_q_den,
-    _checked_weight,
-    _exponent_den,
     _scaled,
 )
 
@@ -145,9 +145,8 @@ class _Interned(dict):
             if i is not None:
                 return i
         x = parse_frac(value, path)
-        i = self.index.get(x)
-        if i is None:
-            i = self.index[x] = len(self.values)
+        i = self.index.setdefault(x, len(self.values))  # x is hashed once
+        if i == len(self.values):
             self.values.append(x)
         if type(value) is str:
             self[value] = i
@@ -200,15 +199,6 @@ def _coordinates(vectors, rank: int) -> list:
 def _string_columns(strings: _Memo, columns) -> list:
     """Each column of integers as the list of their strings."""
     return [list(map(strings.__getitem__, column)) for column in columns]
-
-
-def _den(values) -> int:
-    """Least common denominator of the given Fractions."""
-    return lcm(*{x.denominator for x in values})
-
-
-def _scaled_vector(vec, den: int) -> tuple[int, ...]:
-    return tuple([_scaled(x, den) for x in vec])
 
 
 def canonical_dumps(doc) -> str:
@@ -377,11 +367,11 @@ def parse_series(doc, path="$") -> JacobiSeries:
     is read by columns (_series_columns); any other goes through the term
     loop (_series_terms), which is the one source of every message and of
     which error comes first. Both read each rational as its value-interned
-    index, which also finds duplicates however they are spelled, and only
-    the terms below prec with nonzero coefficients are scaled to the
-    (n * q_den, l * den) keys of the series. The messages, and
-    their order, are those of the Fraction-keyed parse through the
-    JacobiSeries constructor."""
+    index, which also finds duplicates however they are spelled, and hands
+    the columns to JacobiSeries._build, the constructor's builder, which
+    keeps the terms below prec with nonzero coefficients on integer keys.
+    The messages, and their order, are those of the Fraction-keyed parse
+    through the JacobiSeries constructor."""
     _expect_object(doc, path, required=("gram", "weight", "q_den", "prec",
                                         "form_class", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
@@ -394,23 +384,11 @@ def parse_series(doc, path="$") -> JacobiSeries:
     entries, rank = _expect_list(doc["terms"], f"{path}.terms"), lattice.rank
     ns, flat, cs, values = (_series_columns(entries, rank)
                             or _series_terms(entries, path, rank))
-    # the terms below prec with nonzero coefficients, one column at a time
-    below = [x < prec for x in values]
-    keep = list(map(and_, map(below.__getitem__, ns), map(bool, cs)))
-    ns, cs = list(compress(ns, keep)), list(compress(cs, keep))
-    flat = list(compress(flat, chain.from_iterable(zip(*[keep] * rank))))
-    exps, coords = set(ns), set(flat)
     try:
-        weight = _checked_weight(weight)
-        q_den = _checked_q_den(q_den, {values[n].denominator for n in exps})
+        return JacobiSeries.__new__(JacobiSeries)._build(lattice, weight, prec, values, ns,
+                                                         flat, cs, q_den, form_class)
     except ValueError as exc:
         raise SchemaViolation(f"{path}: {exc}") from None
-    den = lcm(*{values[x].denominator for x in coords})
-    grade = {n: _scaled(values[n], q_den) for n in exps}
-    coord = {x: _scaled(values[x], den) for x in coords}
-    keys = zip(map(grade.__getitem__, ns), zip(*[map(coord.__getitem__, flat)] * rank))
-    return JacobiSeries._of(lattice, weight, prec, dict(zip(keys, cs)), q_den, den,
-                            form_class)
 
 
 def _series_columns(entries: list, rank: int):
@@ -491,21 +469,13 @@ def emit_series(series: JacobiSeries) -> dict:
 # -- vector-valued forms --------------------------------------------------------------
 
 
-def _reduced(x: Fraction, den: int):
-    """den * x reduced mod den, or None when den is no multiple of the
-    denominator of x."""
-    return None if den % x.denominator else x.numerator * (den // x.denominator) % den
-
-
 def _dual_key(gamma: Vector, path, lattice: EvenLattice) -> tuple[int, ...]:
     """det * gamma reduced mod det; SchemaViolation when gamma is not in the
-    dual lattice. det clears the denominators of every dual vector, and the
-    key is dual when gram * key = 0 mod det."""
-    det = lattice.det
-    key = tuple([_reduced(x, det) for x in gamma])
-    if None in key or any(sum(map(mul, row, key)) % det for row in lattice.gram):
-        raise SchemaViolation(f"{path}: not in the dual lattice")
-    return key
+    dual lattice."""
+    try:
+        return lattice._coset_key(gamma)
+    except NotInDualLattice:
+        raise SchemaViolation(f"{path}: not in the dual lattice") from None
 
 
 _COMPONENT = {"gamma", "prec", "terms"}
@@ -517,24 +487,16 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
     which is the one source of every message and of which error comes
     first. Both return {det * gamma reduced: its terms} for the entries with
     terms, and P; the terms are keyed by the interned indices of their
-    exponents, which are scaled to their common denominator at the end."""
+    exponents, and VectorValuedForm._build, the constructor's builder,
+    drops zeros and scales the exponents."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     ids = _Interned()
     weight = parse_frac(doc["weight"], f"{path}.weight")
     entries = _expect_list(doc["components"], f"{path}.components")
     components, prec = _columns(entries, lattice, ids) or _entries(entries, path, lattice, ids)
-    nonzero = {}  # each key hashed once
-    for key, fg in components.items():
-        if 0 in fg.values():
-            fg = {i: c for i, c in fg.items() if c}
-        if fg:
-            nonzero[key] = fg
-    eden = _exponent_den(lattice.det, nonzero, {x.denominator for x in ids.values})
-    exps = [_scaled(x, eden) for x in ids.values]
-    terms = {key: dict(zip(map(exps.__getitem__, fg), fg.values()))
-             for key, fg in nonzero.items()}
-    return VectorValuedForm._of(lattice, weight, prec, terms, eden)
+    return VectorValuedForm.__new__(VectorValuedForm)._build(lattice, weight, prec, ids.values,
+                                                             components)
 
 
 def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
@@ -563,7 +525,9 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
     if not set(map(type, values)) <= _RATIONAL:
         return None
     try:  # parse_frac and _terms raise on a bad rational or term
-        scaled = {x: _reduced(parse_frac(x, ""), det) for x in values}
+        # det * x reduced mod det, or None when det does not clear x
+        scaled = {x: None if det % y.denominator else y.numerator * (det // y.denominator) % det
+                  for x in values for y in [parse_frac(x, "")]}
         keys = list(zip(*[map(scaled.__getitem__, chain.from_iterable(gammas))] * rank))
         minima = lattice.coset_minima()
         if keys == list(minima.table):  # the canonical order: no key is hashed
@@ -683,38 +647,38 @@ def emit_vvform(form: VectorValuedForm) -> dict:
 
 
 def parse_principal_part(doc, path="$") -> PrincipalPart:
+    """The part of a document: each term keyed by (det * gamma reduced, the
+    interned index of its exponent), the gammas interned apart from the
+    exponents, whose values set eden."""
     _expect_object(doc, path, required=("gram", "constant_term", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     constant = parse_int(doc["constant_term"], f"{path}.constant_term")
-    ids, coords = _Interned(), _Fractions(lattice.det).__getitem__
-    terms = {}
+    ids, fracs, terms = _Interned(), _Interned(), {}
     for i, term in enumerate(_expect_list(doc["terms"], f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _expect_object(term, tpath, required=("gamma", "exp", "c"))
         gpath = f"{tpath}.gamma"
-        key = _dual_key(ids.fracs(term["gamma"], gpath, lattice.rank), gpath, lattice)
-        gamma = tuple(map(coords, key))
-        e = ids.values[ids.of(term["exp"], f"{tpath}.exp")]
-        if e >= 0:
-            raise SchemaViolation(f"{tpath}.exp: {frac_str(e)} is not negative")
-        if not _add_term(terms, (gamma, e), term["c"], f"{tpath}.c"):
+        key = _dual_key(fracs.fracs(term["gamma"], gpath, lattice.rank), gpath, lattice)
+        e = ids.of(term["exp"], f"{tpath}.exp")
+        if ids.values[e] >= 0:
+            raise SchemaViolation(f"{tpath}.exp: {frac_str(ids.values[e])} is not negative")
+        if not _add_term(terms, (key, e), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate term for this coset and exponent")
-    return PrincipalPart(lattice, constant, terms)
+    return PrincipalPart._build(lattice, constant, ids.values, terms)
 
 
 def emit_principal_part(pp: PrincipalPart) -> dict:
-    gden = _den(x for gamma, _ in pp.terms for x in gamma)
-    eden = _den(e for _, e in pp.terms)
-    ordered = sorted(((_scaled(e, eden), _scaled_vector(gamma, gden)), c)
-                     for (gamma, e), c in pp.terms.items())
-    keys = list(map(itemgetter(0), ordered))
-    gammas = _coordinates(list(map(itemgetter(1), keys)), pp.lattice.rank)
-    exps = list(map(_Strings(eden).__getitem__, map(itemgetter(0), keys)))
+    """The document of a part: its integer keys sorted by (exponent, gamma),
+    each coordinate and exponent written over det and eden."""
+    keys = sorted(pp.terms, key=itemgetter(1, 0))
+    gammas = _string_columns(_Strings(pp.lattice.det),
+                             _coordinates(list(map(itemgetter(0), keys)), pp.lattice.rank))
+    exps = list(map(_Strings(pp.eden).__getitem__, map(itemgetter(1), keys)))
     return {
         **emit_lattice(pp.lattice),
         "constant_term": pp.constant_term,
-        "terms": Rows(len(keys), ("gamma", list, _string_columns(_Strings(gden), gammas)),
-                      ("exp", str, exps), ("c", int, list(map(itemgetter(1), ordered)))),
+        "terms": Rows(len(keys), ("gamma", list, gammas), ("exp", str, exps),
+                      ("c", int, list(map(pp.terms.__getitem__, keys)))),
     }
 
 
@@ -743,8 +707,9 @@ def parse_weyl(doc, path, lattice: EvenLattice) -> WeylData:
 
 def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     """The expansion of a document, read on integers: each monomial is keyed
-    by (n, m, the value-interned indices of l), and the labels are scaled
-    to their common denominator at the end."""
+    by (n, m, the value-interned indices of l), and
+    OrthogonalExpansion._build, the constructor's builder, scales the
+    labels."""
     _expect_object(doc, path, required=("gram", "weight", "holomorphic",
                                         "total_prec", "weyl", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
@@ -766,11 +731,8 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
         l = ids.vector(term["l"], f"{tpath}.l", lattice.rank)
         if not _add_term(terms, (n, m, l), term["c"], f"{tpath}.c"):
             raise SchemaViolation(f"{tpath}: duplicate monomial")
-    den = _den(ids.values)
-    coord = [_scaled(x, den) for x in ids.values]
-    terms = {(n, m, tuple(map(coord.__getitem__, l))): c for (n, m, l), c in terms.items()}
-    return OrthogonalExpansion._of(lattice, weyl, weight, terms, den, total_prec,
-                                   holomorphic=doc["holomorphic"])
+    return OrthogonalExpansion.__new__(OrthogonalExpansion)._build(
+        lattice, weyl, weight, ids.values, terms, total_prec, doc["holomorphic"])
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:

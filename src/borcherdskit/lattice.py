@@ -374,6 +374,21 @@ class EvenLattice:
         den, a = _as_integers(self._vec(v))
         return all(sum(map(mul, row, a)) % den == 0 for row in self.gram)
 
+    def _dual(self, v) -> Vector:
+        """v as a vector of the lattice's rank; NotInDualLattice unless it is
+        in the dual lattice."""
+        v = self._vec(v)
+        if not self.is_dual_vector(v):
+            raise NotInDualLattice(f"{vector_str(v)} does not pair integrally with the lattice")
+        return v
+
+    def _coset_key(self, gamma) -> tuple[int, ...]:
+        """det * gamma reduced mod det for a dual vector gamma, as the coset
+        table keys its coset; det clears the denominators of every dual
+        vector."""
+        det = self.det
+        return tuple([x.numerator * (det // x.denominator) % det for x in self._dual(gamma)])
+
     def reduce_mod1(self, v) -> Vector:
         """Reduce coordinates componentwise into [0, 1); a vector already
         reduced is returned as it is."""
@@ -384,11 +399,7 @@ class EvenLattice:
 
     def q_mod1(self, gamma) -> Fraction:
         """Q(gamma) mod 1; well defined on cosets of the lattice."""
-        gamma = self._vec(gamma)
-        if not self.is_dual_vector(gamma):
-            raise NotInDualLattice(
-                f"{vector_str(gamma)} does not pair integrally with the lattice")
-        return self.quadratic_value(gamma) % 1
+        return self.quadratic_value(self._dual(gamma)) % 1
 
     def gcd_inner_products(self) -> int:
         """gcd of all inner products of lattice vectors (= gcd of the Gram
@@ -450,10 +461,7 @@ class EvenLattice:
         """Minimal Q on the coset gamma + Z^rank of a dual vector gamma, by one
         search up to Q of gamma centred into [-1/2, 1/2)^rank. That vector
         lies in the coset, so the search cannot come back empty."""
-        gamma = self._vec(gamma)
-        if not self.is_dual_vector(gamma):
-            raise NotInDualLattice(
-                f"{vector_str(gamma)} does not pair integrally with the lattice")
+        gamma = self._dual(gamma)
         half = Fraction(1, 2)
         centred = tuple(c - floor(c + half) for c in gamma)
         found = self.enumerate_coset(centred, self.quadratic_value(centred))

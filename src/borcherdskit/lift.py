@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, floordiv, itemgetter, mod
 from types import MappingProxyType
 
@@ -51,6 +51,7 @@ from .series import (
     VectorValuedForm,
     _grade_limit,
     _mul_into,
+    _exponent_den,
     _Packing,
     _scaled,
 )
@@ -59,35 +60,74 @@ from .series import (
 # -- principal parts ----------------------------------------------------------
 
 
-class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms")):
+class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms eden")):
     """Negative-exponent tail of a vector-valued form plus its c(0,0).
 
-    lattice: EvenLattice; constant_term: int; terms: dict[tuple[Vector,
-    Fraction], int] mapping (reduced coset representative, negative exponent)
-    to the integer coefficient.
+    lattice: EvenLattice; constant_term: int; terms: dict mapping integer
+    keys (det * gamma reduced mod det, eden * e), gamma a coset of the
+    discriminant group and e < 0 an exponent, to the integer coefficient;
+    eden: the common exponent denominator _exponent_den gives for the keys,
+    so == compares the stored terms as they are.
+
+    The constructor reads the Fraction map {(gamma, e): c}, as the parser
+    reads a file: ValueError for e >= 0 or for two keys on one coset and
+    exponent, NotInDualLattice for a gamma outside the dual lattice. coeffs
+    gives that map back, with gammas reduced mod 1.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lattice, constant_term, terms):
-        for (gamma, e), c in terms.items():
+    def __new__(cls, lattice, constant_term, coeffs):
+        for gamma, e in coeffs:
             if e >= 0:
                 raise ValueError(
                     f"principal part exponent {e} at {vector_str(gamma)} is not negative")
-        return super().__new__(cls, lattice, constant_term, terms)
+        index = {}
+        terms = {(lattice._coset_key(gamma), index.setdefault(Fraction(e), len(index))): c
+                 for (gamma, e), c in coeffs.items()}
+        if len(terms) != len(coeffs):
+            raise ValueError("two terms of the principal part share a coset and an exponent")
+        return cls._build(lattice, constant_term, list(index), terms)
+
+    @classmethod
+    def _build(cls, lattice, constant_term, values, terms):
+        """The part of interned columns: terms maps (det * gamma reduced, i)
+        to the coefficient at the exponent values[i]."""
+        over = lcm(*{x.denominator for x in values})
+        exps = [_scaled(x, over) for x in values]
+        return cls._of(lattice, constant_term,
+                       {(key, exps[i]): c for (key, i), c in terms.items()}, over)
+
+    @classmethod
+    def _of(cls, lattice, constant_term, terms, over: int):
+        """The part of integer terms (det * gamma reduced, over * e), stored
+        over eden; it keeps the dict when eden is over."""
+        # the lcm of the denominators of the e is over / gcd(over, *over * e)
+        eden = _exponent_den(lattice.det, map(itemgetter(0), terms),
+                             [over // gcd(over, *map(itemgetter(1), terms))])
+        if eden != over:
+            terms = {(key, e * eden // over): c for (key, e), c in terms.items()}
+        return super().__new__(cls, lattice, constant_term, terms, eden)
+
+    def __reduce__(self):  # copy and pickle past the constructor's Fraction map
+        return PrincipalPart._of, tuple(self)
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The terms as a read-only {(gamma, e): c} map with Fraction keys."""
+        coords, exps = _Fractions(self.lattice.det).__getitem__, _Fractions(self.eden)
+        return MappingProxyType({(tuple(map(coords, key)), exps[e]): c
+                                 for (key, e), c in self.terms.items()})
 
 
 def principal_part(form: VectorValuedForm) -> PrincipalPart:
     """Extract all (gamma, exponent < 0) coefficients and the constant term
-    of the zero component. The form's integer terms are read as they are,
-    and Fraction keys are built for the negative terms only."""
+    of the zero component, on the form's integer keys."""
     if form.prec <= 0:
         raise PrecisionTooSmall("the zero component does not reach exponent 0")
     constant = form.terms.get((0,) * form.lattice.rank, {}).get(0, 0)
-    coords, exps = _Fractions(form.lattice.det).__getitem__, _Fractions(form.eden)
-    terms = {(tuple(map(coords, key)), exps[e]): c for key, fg in form.terms.items()
-             for e, c in fg.items() if e < 0}
-    return PrincipalPart(form.lattice, constant, terms)
+    terms = {(key, e): c for key, fg in form.terms.items() for e, c in fg.items() if e < 0}
+    return PrincipalPart._of(form.lattice, constant, terms, form.eden)
 
 
 def lift_weight(pp: PrincipalPart) -> Fraction:
@@ -217,16 +257,27 @@ class OrthogonalExpansion:
     """
 
     def __init__(self, lattice, weyl, weight, coeffs, total_prec, holomorphic="unknown"):
+        index = {}
+        terms = {(n, m, tuple([index.setdefault(x, len(index)) for x in l])): c
+                 for (n, l, m), c in coeffs.items()}
+        self._build(lattice, weyl, weight, list(index), terms, total_prec, holomorphic)
+
+    def _build(self, lattice, weyl, weight, values, terms, total_prec, holomorphic):
+        """The expansion of interned columns: terms maps (n, m, l) to c, l
+        the indices of the label's entries in values; the labels are stored
+        over the lcm of the denominators of values."""
         self.lattice, self.weyl, self.weight = lattice, weyl, weight
         self.total_prec, self.holomorphic = total_prec, holomorphic
-        self.den = den = lcm(*{x.denominator for _, l, _ in coeffs for x in l})
-        self.terms = {(n, m, tuple([_scaled(x, den) for x in l])): c
-                      for (n, l, m), c in coeffs.items()}
+        self.den = den = lcm(*{x.denominator for x in values})
+        coord = [_scaled(x, den) for x in values]
+        self.terms = {(n, m, tuple(map(coord.__getitem__, l))): c
+                      for (n, m, l), c in terms.items()}
+        return self
 
     @classmethod
     def _of(cls, lattice, weyl, weight, terms, den, total_prec, holomorphic="unknown"):
         """The expansion of integer terms over den; it keeps the dict."""
-        self = cls(lattice, weyl, weight, {}, total_prec, holomorphic)
+        self = cls.__new__(cls)._build(lattice, weyl, weight, [], {}, total_prec, holomorphic)
         self.terms, self.den = terms, den
         return self
 
@@ -503,15 +554,18 @@ def validate_principal_part(pp: PrincipalPart, claimed_weight=None) -> Principal
     -Q(gamma) mod 1; (2) coefficients are symmetric under gamma -> -gamma;
     (3) the constant term matches the claimed weight (skipped when no weight
     is claimed); plus the resulting lift weight and singular weight."""
-    lat = pp.lattice
-    class_offenders = []
-    symmetry_offenders = []
-    for (gamma, e), c in sorted(pp.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        if (e + lat.quadratic_value(gamma)).denominator != 1:
-            class_offenders.append((gamma, e))
-        partner = lat.reduce_mod1(tuple(-x for x in gamma))
-        if pp.terms.get((partner, e), 0) != c:
-            symmetry_offenders.append((gamma, e))
+    lat, det, eden, terms = pp.lattice, pp.lattice.det, pp.eden, pp.terms
+
+    def offender(key, e):  # the only Fractions built here
+        return tuple([Fraction(x, det) for x in key]), Fraction(e, eden)
+
+    class_offenders, symmetry_offenders = [], []
+    for key, e in sorted(terms, key=itemgetter(1, 0)):
+        # eden * Q(gamma) is an integer, as eden is a multiple of 2 d^2
+        if (e + eden * lat._pair(key, key) // (2 * det * det)) % eden:
+            class_offenders.append(offender(key, e))
+        if terms.get((tuple([-x % det for x in key]), e), 0) != terms[key, e]:
+            symmetry_offenders.append(offender(key, e))
     weight = lift_weight(pp)
     weight_ok = True
     if claimed_weight is not None:

@@ -22,9 +22,12 @@ and label l as the tuple l * den, den being a label denominator of the series.
 A VectorValuedForm stores {det * gamma: {eden * e: c}}, keyed as the
 coset-minima table keys its cosets. Fraction keys appear only at the
 boundary: the constructors read them, and coeffs and components, read-only
-views, give them back. Every product of terms in the package, here and in
-the lift, runs through one kernel, _mul_into, on keys packed into one int
-each (_Packing).
+views, give them back. A constructor interns its Fraction map into columns,
+the distinct Fractions and the terms keyed by their indices, and hands them
+to _build, which the io parser of the record calls too: each record's
+denominator rule lives there. Every product of terms in the package, here
+and in the lift, runs through one kernel, _mul_into, on keys packed into one
+int each (_Packing).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, and_, itemgetter, lshift, mul, rshift, sub
 from types import MappingProxyType
@@ -170,28 +173,6 @@ def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     return min(prec_a + Fraction(low_b, q_den), prec_b + Fraction(low_a, q_den))
 
 
-def _checked_weight(weight) -> Fraction:
-    """weight as a Fraction; ValueError unless its denominator is 1 or 2."""
-    weight = Fraction(weight)
-    if weight.denominator > 2:
-        raise ValueError(f"weight {weight} does not have denominator <= 2")
-    return weight
-
-
-def _checked_q_den(q_den, dens) -> int:
-    """The q denominator of a series whose q-exponents have the denominators
-    dens: their lcm when q_den is None, else q_den itself, or ValueError
-    when it is not positive or not a multiple of each."""
-    if q_den is None:
-        return lcm(*dens)
-    q_den = int(q_den)
-    if q_den < 1:
-        raise ValueError(f"q_den must be a positive integer, got {q_den}")
-    if any(q_den % d for d in dens):
-        raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
-    return q_den
-
-
 class JacobiSeries:
     """Truncated Fourier expansion sum c(n, l) q^n zeta^l with exact data.
 
@@ -212,27 +193,49 @@ class JacobiSeries:
     def __init__(self, lattice, weight, prec, coeffs, q_den=None, form_class=RAW):
         if form_class not in (RAW, WEAK_JACOBI):
             raise FormClassError(f"unknown form class {form_class!r}")
-        weight = _checked_weight(weight)
-        prec = Fraction(prec)
-        kept = []
+        index, ns, flat, cs = {}, [], [], []
         for (n, l), c in coeffs.items():
-            c = c if type(c) is int else int(c)
-            if type(n) is not Fraction:
-                n = Fraction(n)
-            # n >= prec, compared without building Fractions
-            if not c or n.numerator * prec.denominator >= prec.numerator * n.denominator:
-                continue
             l = to_vector(l)
             if len(l) != lattice.rank:
                 raise DimensionMismatch(
                     f"label {vector_str(l)} has length {len(l)}, lattice rank is "
                     f"{lattice.rank}")
-            kept.append((n, l, c))
-        q_den = _checked_q_den(q_den, {n.denominator for n, _, _ in kept})
-        den = lcm(*{x.denominator for _, l, _ in kept for x in l})
-        terms = {(_scaled(n, q_den), tuple([_scaled(x, den) for x in l])): c
-                 for n, l, c in kept}
-        self._store(lattice, weight, prec, terms, q_den, den, form_class)
+            ns.append(index.setdefault(Fraction(n), len(index)))
+            flat += [index.setdefault(x, len(index)) for x in l]
+            cs.append(c if type(c) is int else int(c))
+        self._build(lattice, weight, Fraction(prec), list(index), ns, flat, cs, q_den,
+                    form_class)
+
+    def _build(self, lattice, weight, prec, values, ns, flat, cs, q_den, form_class):
+        """The series of interned columns: values lists distinct Fractions,
+        and term i has the q-exponent values[ns[i]], the label entries
+        values[flat[rank * i + j]] and the coefficient cs[i]. The terms below
+        prec with nonzero coefficients are kept on integer keys: grades over
+        q_den, or over the lcm of their denominators when q_den is None, and
+        labels over the lcm of theirs. ValueError unless the weight has
+        denominator 1 or 2 and q_den is a positive multiple of every kept
+        denominator."""
+        weight = Fraction(weight)
+        if weight.denominator > 2:
+            raise ValueError(f"weight {weight} does not have denominator <= 2")
+        rank = lattice.rank
+        # one comparison with prec per distinct value, then one pass per column
+        below = [x < prec for x in values]
+        keep = list(map(and_, map(below.__getitem__, ns), map(bool, cs)))
+        ns, cs = list(compress(ns, keep)), list(compress(cs, keep))
+        flat = list(compress(flat, chain.from_iterable(zip(*[keep] * rank))))
+        exps, coords = set(ns), set(flat)
+        dens = {values[n].denominator for n in exps}
+        q_den = lcm(*dens) if q_den is None else int(q_den)
+        if q_den < 1:
+            raise ValueError(f"q_den must be a positive integer, got {q_den}")
+        if any(q_den % d for d in dens):
+            raise ValueError(f"a q-exponent does not lie in (1/{q_den})Z")
+        den = lcm(*{values[x].denominator for x in coords})
+        grade = {n: _scaled(values[n], q_den) for n in exps}
+        coord = {x: _scaled(values[x], den) for x in coords}
+        keys = zip(map(grade.__getitem__, ns), zip(*[map(coord.__getitem__, flat)] * rank))
+        return self._store(lattice, weight, prec, dict(zip(keys, cs)), q_den, den, form_class)
 
     def _store(self, lattice, weight, prec, terms, q_den, den, form_class, packing=None):
         """Set every slot; with a packing, terms is the kernel's map on its
@@ -577,10 +580,7 @@ def phi_n(n: int, prec, budget: int = DEFAULT_BUDGET) -> JacobiSeries:
 def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
     """Coset theta series: one term q^Q(l) zeta^l for every l in gamma + Z^rank
     with Q(l) < prec."""
-    gamma = to_vector(gamma)
-    if not lattice.is_dual_vector(gamma):
-        raise NotInDualLattice(
-            f"{vector_str(gamma)} does not pair integrally with the lattice")
+    gamma = lattice._dual(gamma)
     prec = Fraction(prec)
     den, offset = _as_integers(gamma)
     scale, points = lattice._points(offset, den, prec.numerator, prec.denominator)
@@ -594,11 +594,12 @@ def theta_component(lattice: EvenLattice, gamma, prec) -> JacobiSeries:
 
 def _exponent_den(det: int, keys, dens) -> int:
     """A common denominator of exponents with the denominators dens, on a
-    form with the keys over det: lcm(2 d^2, *dens), d the least common
-    denominator of the gammas. The exponents of f_gamma lie in -Q(gamma) + Z,
-    in (1/(2 d^2))Z, so this is the eden that theta_decompose keeps for a
-    series over its least label denominator d, and == compares the integers
-    of such forms as they are."""
+    form or principal part with the keys over det: lcm(2 d^2, *dens), d the
+    least common denominator of the gammas. The exponents of f_gamma lie in
+    -Q(gamma) + Z, in (1/(2 d^2))Z, so this is the eden that theta_decompose
+    keeps for a series over its least label denominator d, and == compares
+    the integers of such forms as they are. A PrincipalPart always takes
+    it."""
     d = det // gcd(det, *chain.from_iterable(keys))
     return lcm(2 * d * d, *dens)
 
@@ -622,18 +623,33 @@ class VectorValuedForm:
     """
 
     def __init__(self, lattice, weight, components, prec):
-        det, kept = lattice.det, {}
+        det, index, kept = lattice.det, {}, {}
         for g, fg in components.items():
             g = to_vector(g)
             if any(det % x.denominator for x in g):
                 raise NotInDualLattice(
                     f"{vector_str(g)} does not pair integrally with the lattice")
-            if nonzero := {Fraction(e): c for e, c in fg.items() if c}:
-                kept[tuple([_scaled(x, det) for x in g])] = nonzero
-        eden = _exponent_den(det, kept, {e.denominator for fg in kept.values() for e in fg})
-        self._store(lattice, Fraction(weight), Fraction(prec),
-                    {key: {_scaled(e, eden): c for e, c in fg.items()}
-                     for key, fg in kept.items()}, eden)
+            kept[tuple([_scaled(x, det) for x in g])] = {
+                index.setdefault(Fraction(e), len(index)): c for e, c in fg.items() if c}
+        self._build(lattice, Fraction(weight), Fraction(prec), list(index), kept)
+
+    def _build(self, lattice, weight, prec, values, components):
+        """The form of interned columns: components maps det * gamma to
+        {i: c}, the coefficient c at the exponent values[i], and values holds
+        the exponents of the terms. Zero coefficients, then empty
+        components, are dropped, and the exponents are stored over eden,
+        _exponent_den of the keys kept and of the denominators of values."""
+        nonzero = {}  # each key hashed once
+        for key, fg in components.items():
+            if 0 in fg.values():
+                fg = {i: c for i, c in fg.items() if c}
+            if fg:
+                nonzero[key] = fg
+        eden = _exponent_den(lattice.det, nonzero, {x.denominator for x in values})
+        exps = [_scaled(x, eden) for x in values]
+        return self._store(lattice, weight, prec,
+                           {key: dict(zip(map(exps.__getitem__, fg), fg.values()))
+                            for key, fg in nonzero.items()}, eden)
 
     def _store(self, lattice, weight, prec, terms, eden):
         self.lattice, self.weight, self.prec, self.terms, self.eden = (

@@ -40,6 +40,11 @@ for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/go
   roundtrip series "$f"
 done
 roundtrip expansion tests/golden/lift_phi_n3_prec3_deg2.json
+# principal parts read and written back: the bundled fixtures and the goldens
+for f in fixtures/example1.json fixtures/example2.json \
+         tests/golden/principal_part_phi_n2_prec4.json tests/golden/principal_part_phi_n3_prec3.json; do
+  roundtrip principal_part "$f"
+done
 # phi_4 as the CLI writes it from packed keys is written back the same from
 # the parsed tuple keys
 borcherds-kit phi --n 4 --prec 3 > "$tmp/phi4.json"

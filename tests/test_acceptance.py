@@ -175,7 +175,7 @@ def test_criterion_7_fixtures_validate_and_mutations_reject():
         report = validate_principal_part(pp, claimed_weight=weight)
         assert report.passed
         assert report.weight == weight
-        assert pp.terms[(gamma, exp)] == coeff
+        assert pp.coeffs[(gamma, exp)] == coeff
         assert pp.lattice.q_mod1(gamma) == -exp
         rejected = 0
         for label, mutated in _mutations(doc):

@@ -25,7 +25,7 @@ import pytest
 
 from borcherdskit.cli import main
 from borcherdskit.io import Rows, canonical_dumps, emit_principal_part, emit_vvform, parse_vvform
-from borcherdskit.lift import OrthogonalExpansion, principal_part
+from borcherdskit.lift import OrthogonalExpansion, PrincipalPart, principal_part
 from borcherdskit.series import (
     JacobiSeries,
     VectorValuedForm,
@@ -38,6 +38,7 @@ from borcherdskit.series import (
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 EXAMPLE1 = str(ROOT / "fixtures" / "example1.json")
+EXAMPLE2 = str(ROOT / "fixtures" / "example2.json")
 GRAM_EX1 = str(ROOT / "fixtures" / "gram_ex1.json")
 GRAM_EX2 = str(ROOT / "fixtures" / "gram_ex2.json")
 
@@ -155,6 +156,27 @@ def test_decomposition_round_trip_builds_no_fraction_components(no_components_vi
     assert parse_vvform(json.loads(text)) == form
     assert canonical_dumps(emit_principal_part(principal_part(form))) == read(
         "principal_part_phi_n3_prec3.json")
+
+
+def test_principal_parts_build_no_fraction_view(capsys, monkeypatch):
+    # principal-part and validate-pp run on the integer keys of a part;
+    # validate-pp builds Fractions for its offenders only
+    def refuse(pp):
+        raise AssertionError("the Fraction view of the principal part was built")
+
+    monkeypatch.setattr(PrincipalPart, "coeffs", property(refuse))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO((GOLDEN / "phi_n3_prec3.json").read_bytes()), encoding="utf-8"))
+    assert main(["principal-part"]) == 0
+    assert capsys.readouterr().out == read("principal_part_phi_n3_prec3.json")
+    assert main(["validate-pp", EXAMPLE1, "--format", "json"]) == 0
+    assert capsys.readouterr().out == read("validate_pp_example1.json")
+    # example2.json has no golden file: its report, written canonically
+    assert main(["validate-pp", EXAMPLE2, "--format", "json"]) == 0
+    assert capsys.readouterr().out == canonical_dumps({
+        "exponent_classes_ok": True, "exponent_class_offenders": [], "symmetry_ok": True,
+        "symmetry_offenders": [], "weight_ok": True, "weight": "7/2", "half_integral": True,
+        "singular_weight": "1", "is_singular": False, "passed": True})
 
 
 def test_phi_writes_from_packed_keys(capsys, monkeypatch):

@@ -503,7 +503,7 @@ def oracle_emit_vvform(form):
 
 
 def oracle_emit_principal_part(pp):
-    ordered = sorted(pp.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    ordered = sorted(pp.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     return {
         **emit_lattice(pp.lattice),
         "constant_term": pp.constant_term,
@@ -1524,3 +1524,16 @@ def test_series_column_reader_reads_emitted_documents(series, data):
     rank = series.lattice.rank
     read = _series_read(_series_columns, doc["terms"], rank)
     assert read is not None and read == _series_read(_series_terms, doc["terms"], rank)
+
+
+def test_interned_hashes_each_new_rational_once(monkeypatch):
+    # Fraction.__hash__ runs in Python: a new value is hashed once to intern
+    # it, a string seen before is not parsed or hashed as a Fraction at all
+    hashed = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    ids = _Interned()
+    indices = [ids.of(value, "$") for value in ("1/2", "2/4", "1/2", 3, "-1/3", "3")]
+    assert indices == [0, 0, 0, 1, 2, 1]
+    assert ids.values == [F(1, 2), F(3), F(-1, 3)]
+    assert hashed == [F(1, 2), F(1, 2), F(3), F(-1, 3), F(3)]

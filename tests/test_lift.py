@@ -8,6 +8,9 @@ cross-checked against the exp-log pipeline and, for the weight-1/2 lift,
 against the norm-zero support forced at singular weight.
 """
 
+import copy
+import json
+import pickle
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -20,11 +23,13 @@ from borcherdskit.errors import (
     DimensionMismatch,
     InsufficientInputPrecision,
     NonGenericChamber,
+    NotInDualLattice,
     PrecisionTooSmall,
     SelfCheckFailed,
     UnboundedExpansion,
 )
 from borcherdskit import lift
+from borcherdskit.io import canonical_dumps, emit_principal_part, parse_principal_part
 from borcherdskit.lattice import EvenLattice, to_vector, vector_str
 from borcherdskit.lift import (
     PrincipalPart,
@@ -80,7 +85,7 @@ def scalar_q0_series(gram, constant, coset_coeff):
 def test_principal_part_of_phi04():
     pp = principal_part(theta_decompose(phi04(2)))
     assert pp.constant_term == 1
-    assert pp.terms == {((F(1, 8),), F(-1, 16)): 1, ((F(7, 8),), F(-1, 16)): 1}
+    assert pp.coeffs == {((F(1, 8),), F(-1, 16)): 1, ((F(7, 8),), F(-1, 16)): 1}
 
 
 def test_principal_part_of_holomorphic_form_is_empty():
@@ -105,15 +110,33 @@ def test_principal_part_of_phi_2():
             if gamma == (F(0), F(0)):
                 continue
             q = lat.coset_minimum(gamma)
-            assert pp.terms[(gamma, -q)] == 1
+            assert pp.coeffs[(gamma, -q)] == 1
     # every exponent sits in the -Q(gamma) + Z class
-    for (gamma, e), _ in pp.terms.items():
+    for (gamma, e), _ in pp.coeffs.items():
         assert (e + lat.quadratic_value(gamma)).denominator == 1
 
 
 def test_principal_part_rejects_positive_exponent():
     with pytest.raises(ValueError):
         PrincipalPart(EvenLattice([[8]]), 1, {((F(1, 8),), F(1, 16)): 1})
+
+
+def test_principal_part_reads_gammas_as_the_parser_does():
+    # a gamma is reduced mod 1, so the part written is the part read back
+    lat = EvenLattice([[8]])
+    pp = PrincipalPart(lat, 1, {((F(9, 8),), F(-1, 16)): 1})
+    assert pp.coeffs == {((F(1, 8),), F(-1, 16)): 1}
+    assert pp.terms == {((1,), -8): 1} and pp.eden == 128
+    doc = json.loads(canonical_dumps(emit_principal_part(pp)))
+    assert doc["terms"] == [{"gamma": ["1/8"], "exp": "-1/16", "c": 1}]
+    assert parse_principal_part(doc) == pp
+    assert pickle.loads(pickle.dumps(pp)) == pp == copy.deepcopy(pp)
+    # a gamma that the parser refuses is refused here too
+    with pytest.raises(NotInDualLattice, match=r"\(1/3\) does not pair integrally"):
+        PrincipalPart(lat, 1, {((F(1, 3),), F(-1, 16)): 1})
+    # two gammas of one coset at one exponent are one term of a file
+    with pytest.raises(ValueError, match="share a coset and an exponent"):
+        PrincipalPart(lat, 1, {((F(9, 8),), F(-1, 16)): 1, ((F(1, 8),), F(-1, 16)): 2})
 
 
 # -- weights -----------------------------------------------------------------------
@@ -540,16 +563,18 @@ def test_validate_principal_part_passes():
 
 def test_validate_principal_part_flags_wrong_class():
     pp = _example2_like_pp()
-    pp.terms[((F(1, 4), F(0)), F(-1, 8))] = pp.terms.pop(((F(1, 4), F(0)), F(-1, 4)))
-    report = validate_principal_part(pp)
+    terms = dict(pp.coeffs)
+    terms[((F(1, 4), F(0)), F(-1, 8))] = terms.pop(((F(1, 4), F(0)), F(-1, 4)))
+    report = validate_principal_part(PrincipalPart(pp.lattice, pp.constant_term, terms))
     assert not report.exponent_class_ok
     assert ((F(1, 4), F(0)), F(-1, 8)) in report.exponent_class_offenders
 
 
 def test_validate_principal_part_flags_asymmetry():
     pp = _example2_like_pp()
-    pp.terms[((F(1, 8), F(0)), F(-1, 16))] = 4
-    report = validate_principal_part(pp)
+    terms = dict(pp.coeffs)
+    terms[((F(1, 8), F(0)), F(-1, 16))] = 4
+    report = validate_principal_part(PrincipalPart(pp.lattice, pp.constant_term, terms))
     assert not report.symmetry_ok
     assert report.exponent_class_ok
 
@@ -558,3 +583,87 @@ def test_validate_principal_part_flags_wrong_weight():
     report = validate_principal_part(_example2_like_pp(), claimed_weight=F(9, 2))
     assert not report.weight_ok
     assert not report.passed
+
+
+# -- principal parts on integer keys against the Fraction-keyed diagnostics ------------
+
+
+def oracle_validate_principal_part(lattice, constant, coeffs, claimed_weight=None):
+    """validate_principal_part on the Fraction map {(gamma, e): c}, gammas
+    reduced mod 1, as the package computed it before the part moved onto
+    integer keys."""
+    class_offenders = []
+    symmetry_offenders = []
+    for (gamma, e), c in sorted(coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        if (e + lattice.quadratic_value(gamma)).denominator != 1:
+            class_offenders.append((gamma, e))
+        partner = lattice.reduce_mod1(tuple(-x for x in gamma))
+        if coeffs.get((partner, e), 0) != c:
+            symmetry_offenders.append((gamma, e))
+    weight = F(constant, 2)
+    weight_ok = True if claimed_weight is None else F(claimed_weight) == weight
+    return lift.PrincipalPartReport(
+        not class_offenders, class_offenders, not symmetry_offenders, symmetry_offenders,
+        weight_ok, weight, constant % 2 != 0, F(lattice.rank, 2), weight == F(lattice.rank, 2))
+
+
+PP_LATTICES = (EvenLattice([[8]]), EvenLattice([[8, 0], [0, 8]]),
+               EvenLattice([[16, 8], [8, 16]]), EvenLattice([[2, 1], [1, 2]]))
+PP_COSETS = {id(lat): lat.discriminant_group().representatives for lat in PP_LATTICES}
+
+
+@st.composite
+def principal_part_maps(draw):
+    """(lattice, {(gamma, e): c}) on reduced coset representatives, with
+    exponents in the class -Q(gamma) + Z or off it, coefficients zero or
+    not, and a term's partner at -gamma present with the same coefficient or
+    not."""
+    lattice = draw(st.sampled_from(PP_LATTICES))
+    coeffs = {}
+    for gamma in draw(st.lists(st.sampled_from(PP_COSETS[id(lattice)]), max_size=6)):
+        q = lattice.q_mod1(gamma)
+        in_class = -q - draw(st.integers(0 if q else 1, 2))
+        off_class = F(-draw(st.integers(1, 40)), draw(st.sampled_from((2, 3, 8, 16, 24))))
+        e = draw(st.sampled_from((in_class, off_class)))
+        c = coeffs[gamma, e] = draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            coeffs[lattice.reduce_mod1(tuple(-x for x in gamma)), e] = c
+    return lattice, coeffs
+
+
+# Mutants this test catches, each tried in a throwaway copy of the package: the
+# symmetry partner taken as -key without the reduction mod det, and the class
+# test on e alone without eden * Q(gamma).
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(principal_part_maps(), st.integers(-5, 5), st.data())
+def test_principal_part_on_integer_keys_matches_the_fraction_diagnostics(drawn, constant, data):
+    lattice, coeffs = drawn
+    pp = PrincipalPart(lattice, constant, coeffs)
+    assert pp.coeffs == coeffs
+    claimed = data.draw(st.sampled_from((None, F(constant, 2), F(constant + 1, 2))))
+    assert validate_principal_part(pp, claimed) == oracle_validate_principal_part(
+        lattice, constant, coeffs, claimed)
+    # the same part from a form, whose terms at e >= 0 it leaves, from the
+    # file of that part, and from the constructor
+    components = {(F(0),) * lattice.rank: {F(0): constant}}
+    for (gamma, e), c in coeffs.items():
+        components.setdefault(gamma, {})[e] = c
+        components[gamma][F(1, 2)] = 1
+    nonzero = {key: c for key, c in coeffs.items() if c}
+    from_form = principal_part(VectorValuedForm(lattice, F(-lattice.rank, 2), components, F(2)))
+    parsed = parse_principal_part(json.loads(canonical_dumps(emit_principal_part(from_form))))
+    parts = [from_form, parsed, PrincipalPart(lattice, constant, nonzero)]
+    for one in parts:
+        assert all(one == other and not one != other for other in parts)
+    # one coefficient, one exponent, one term or the constant changed
+    mutants = [PrincipalPart(lattice, constant + 1, nonzero)]
+    if nonzero:
+        (gamma, e) = key = data.draw(st.sampled_from(sorted(nonzero)))
+        lowest = min(e for _, e in nonzero)
+        for changed in ({**nonzero, key: nonzero[key] + 1},
+                        {k: c for k, c in nonzero.items() if k != key},
+                        {**{k: c for k, c in nonzero.items() if k != key},
+                         (gamma, lowest - 1): nonzero[key]}):
+            mutants.append(PrincipalPart(lattice, constant, changed))
+    for mutant in mutants:
+        assert all(one != mutant and mutant != one and not one == mutant for one in parts)

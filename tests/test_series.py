@@ -431,7 +431,7 @@ def test_decomposition_lists_no_cosets(no_coset_listing):
     lat = phi.lattice
     for l, c in phi.q_row(0).items():
         if any(l):
-            assert pp.terms[(lat.reduce_mod1(l), -lat.quadratic_value(l))] == c
+            assert pp.coeffs[(lat.reduce_mod1(l), -lat.quadratic_value(l))] == c
 
 
 def test_rank_6_decomposition_round_trip(no_coset_listing):
