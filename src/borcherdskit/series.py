@@ -25,9 +25,12 @@ boundary: the constructors read them, and coeffs and components, read-only
 views, give them back. A constructor interns its Fraction map into columns,
 the distinct Fractions and the terms keyed by their indices, and hands them
 to _build, which the io parser of the record calls too: each record's
-denominator rule lives there. Every product of terms in the package, here
-and in the lift, runs through one kernel, _mul_into, on keys packed into one
-int each (_Packing).
+denominator rule lives there. Products of terms run on keys packed into one
+int each (_Packing). A product of two term lists (*, direct_product,
+recompose and both lift expansions) runs through one kernel, _mul_into. A
+product or quotient by one binomial 1 + c X, the factors of phi04 and of
+the triple product, runs through _binomial, in place on the accumulator's
+rows of one grade each.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ class _Packing:
     def pack(self, t: int, vec) -> int:
         return t * self.unit + sum(map(mul, vec, self.weights))
 
-    def terms(self, packed: dict) -> list:
-        """The kernel terms (t, k, c) of a map {k: c}, in its order."""
-        grades = map(rshift, map(add, packed, repeat(self.offset)), repeat(self.shift))
-        return list(zip(grades, packed, packed.values()))
-
     def digits(self, keys, signed: bool = True) -> list:
         """The grades of the keys, then each digit of their vectors, as one
         iterator over the keys each. A digit is vec_i, or vec_i + M/2 in
@@ -134,8 +132,7 @@ def _mul_into(dst, a, b, limit, max_terms=None):
     for all grades below limit. b must be sorted by grade, so the inner loop
     stops at the first term whose product would reach limit. Coefficients
     that cancel to zero leave dst, and ResourceLimit is raised as soon as dst
-    holds more than max_terms terms. This is the only place where products of
-    terms are formed.
+    holds more than max_terms terms.
     """
     for ta, ka, ca in a:
         stop = limit - ta
@@ -151,6 +148,59 @@ def _mul_into(dst, a, b, limit, max_terms=None):
                         f"product exceeded the {max_terms}-coefficient budget")
             else:
                 dst.pop(key, None)
+
+
+def _binomial(rows, g, key, c, limit, count=0, max_terms=None, divide=False):
+    """Multiply, or with divide divide, the series held in rows by 1 + c X in
+    place, keeping grades below limit, and return the running term count.
+
+    rows[t] maps the packed keys of the terms t steps above row 0 to their
+    coefficients, a step being a fixed number of grades; X is the monomial g
+    >= 1 steps up with key key, c is nonzero, and rows at or above limit are
+    not kept. Row t gains +-c X times row t - g: a product walks the rows
+    downward, so that row is still the old one, and a quotient walks them
+    upward, so that row already holds the quotient. Rows are appended as the
+    walk reaches them. count is the number of terms in rows before the call;
+    ResourceLimit is raised as soon as a row leaves more than max_terms terms
+    in all, and a quotient that will pass max_terms once it walks past the
+    rows it was given is refused before that walk starts. This and _mul_into
+    are the only places where products of terms are formed.
+    """
+    if divide:
+        c, walk, new = -c, range(g, limit), max(g, len(rows))
+    else:
+        walk, new = range(min(len(rows) + g, limit) - 1, g - 1, -1), None
+    for t in walk:
+        if t == new and max_terms is not None:
+            # a quotient's new row is c X times the row g below it, so every
+            # row from t on repeats the size of one of the g rows below t
+            ahead = sum(len(row) * -(-(limit - t - j) // g)
+                        for j, row in enumerate(rows[t - g:t]))
+            if count + ahead > max_terms:
+                raise ResourceLimit(f"product exceeded the {max_terms}-coefficient budget")
+        if t >= len(rows):
+            rows += [{} for _ in range(len(rows), t + 1)]
+        src = rows[t - g]
+        if not src:
+            continue
+        row = rows[t]
+        before, get = len(row), row.get
+        for k, v in src.items():
+            k += key
+            v = get(k, 0) + c * v
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+        count += len(row) - before
+        if max_terms is not None and count > max_terms:
+            raise ResourceLimit(f"product exceeded the {max_terms}-coefficient budget")
+    return count
+
+
+def _joined(rows) -> dict:
+    """The rows of _binomial as one map {k: c}."""
+    return dict(chain.from_iterable(map(dict.items, rows)))
 
 
 def _grade_limit(prec: Fraction, q_den: int) -> int:
@@ -455,7 +505,9 @@ def theta_triple_product(prec) -> JacobiSeries:
     q^(1/8) (zeta^(1/2) - zeta^(-1/2)) prod (1-q^n zeta)(1-q^n zeta^-1)(1-q^n).
 
     Only factors with n + 1/8 < prec can touch the stored window, so the
-    product is finite and the truncation exact.
+    product is finite and the truncation exact. The product is kept as rows
+    of one grade 8 n + 1 each, and each binomial factor multiplies them in
+    place.
     """
     prec = Fraction(prec)
     # kernel terms: grades are 8 * q-exponents, labels are scaled by 16
@@ -463,15 +515,14 @@ def theta_triple_product(prec) -> JacobiSeries:
     # the prefactor has |label| 1 at grade 1, and each factor adds at most 2
     # to |label| and 8 n >= 8 to the grade, so |label| <= 1 + grade / 4
     packing = _Packing(1, 1 + limit // 4)
-    acc = {packing.pack(1, (1,)): 1, packing.pack(1, (-1,)): -1}
-    n = 1
-    while 8 * n + 1 < limit:
+    # row n holds grade 8 n + 1, the only grades the product reaches
+    rows = [{packing.pack(1, (1,)): 1, packing.pack(1, (-1,)): -1}]
+    top = -(-(limit - 1) // 8)
+    for n in range(1, top):
         for label in (2, -2, 0):
-            _mul_into(acc, packing.terms(acc), [(8 * n, packing.pack(8 * n, (label,)), -1)],
-                      limit)
-        n += 1
-    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec, packing.unpack(acc),
-                            8, 16, RAW)
+            _binomial(rows, n, packing.pack(8 * n, (label,)), -1, top)
+    return JacobiSeries._of(theta_lattice(), Fraction(1, 2), prec,
+                            packing.unpack(_joined(rows)), 8, 16, RAW)
 
 
 def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
@@ -488,16 +539,19 @@ def rescale_elliptic(phi: JacobiSeries, a: int) -> JacobiSeries:
 
 def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
     """The weight-0 weak Jacobi form on the [[8]] lattice whose q^0 part is
-    zeta + 1 + zeta^-1, built as a theta quotient without any series
-    division.
+    zeta + 1 + zeta^-1, built as a theta quotient that divides only by
+    binomials, never by another series.
 
     The two theta prefactors cancel to the exact three-term Laurent
     polynomial (zeta^(3/2) - zeta^(-3/2)) / (zeta^(1/2) - zeta^(-1/2))
     = zeta + 1 + zeta^-1, the (1 - q^n) factors cancel completely, and each
     remaining factor (1 - q^n zeta^(+-1))^-1 is 1 + O(q^n), so its geometric
-    expansion truncates exactly. The defining identity
-    phi04 * theta(z) = theta(3z) is re-checked on every call. ResourceLimit
-    is raised as soon as the expansion holds more than max_terms terms.
+    expansion truncates exactly. The expansion is kept as rows of one grade
+    each: per n, the two factors 1 - q^n zeta^(+-3) multiply them and the two
+    factors 1 - q^n zeta^(+-1) divide them, in place, one pass each. The
+    defining identity phi04 * theta(z) = theta(3z) is re-checked on every
+    call. ResourceLimit is raised as soon as the expansion holds more than
+    max_terms terms.
     """
     prec = Fraction(prec)
     if prec < 1:
@@ -508,15 +562,12 @@ def phi04(prec, max_terms: int | None = None) -> JacobiSeries:
     # |label| per unit of grade, so |label| <= 1 + 3 * grade
     packing = _Packing(1, 1 + 3 * limit)
     pack = packing.pack
-    acc = {pack(0, (1,)): 1, pack(0, (0,)): 1, pack(0, (-1,)): 1}
+    rows = [{pack(0, (1,)): 1, pack(0, (0,)): 1, pack(0, (-1,)): 1}]
+    count = 3
     for n in range(1, limit):
-        # (1 - q^n zeta^3)(1 - q^n zeta^-3) - 1, already multiplied out
-        numer = [(n, pack(n, (3,)), -1), (n, pack(n, (-3,)), -1), (2 * n, pack(2 * n, (0,)), 1)]
-        _mul_into(acc, packing.terms(acc), numer, limit, max_terms)
-        for sign in (1, -1):
-            geom = [(k * n, pack(k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
-            _mul_into(acc, packing.terms(acc), geom, limit, max_terms)
-    result = JacobiSeries._of(theta_lattice(), Fraction(0), prec, packing.unpack(acc),
+        for label, divide in ((3, False), (-3, False), (1, True), (-1, True)):
+            count = _binomial(rows, n, pack(n, (label,)), -1, limit, count, max_terms, divide)
+    result = JacobiSeries._of(theta_lattice(), Fraction(0), prec, packing.unpack(_joined(rows)),
                               1, 8, WEAK_JACOBI)
     theta = theta_sum(prec)
     if result * theta != rescale_elliptic(theta, 3):
@@ -616,21 +667,20 @@ class VectorValuedForm:
     absent coset has f_gamma = 0. Exponents of f_gamma lie in -Q(gamma) + Z,
     and f_gamma is known below precision(gamma) = prec - min Q on the coset.
 
-    The constructor reads the Fraction map {gamma: {e: c}}, drops zero
-    coefficients, then empty components, and raises NotInDualLattice for a
-    gamma whose coordinates det does not clear; components is that map, a
+    The constructor reads the Fraction map {gamma: {e: c}}, reduces each
+    gamma mod 1, drops zero coefficients, then empty components, and raises
+    NotInDualLattice for a gamma outside the dual lattice and ValueError for
+    two gammas of one coset; components is that map, with gammas reduced, a
     read-only view with Fraction keys built on first access over terms.
     """
 
     def __init__(self, lattice, weight, components, prec):
-        det, index, kept = lattice.det, {}, {}
-        for g, fg in components.items():
-            g = to_vector(g)
-            if any(det % x.denominator for x in g):
-                raise NotInDualLattice(
-                    f"{vector_str(g)} does not pair integrally with the lattice")
-            kept[tuple([_scaled(x, det) for x in g])] = {
-                index.setdefault(Fraction(e), len(index)): c for e, c in fg.items() if c}
+        index = {}
+        kept = {lattice._coset_key(g): {index.setdefault(Fraction(e), len(index)): c
+                                        for e, c in fg.items() if c}
+                for g, fg in components.items()}
+        if len(kept) != len(components):
+            raise ValueError("two components of the form share a coset")
         self._build(lattice, Fraction(weight), Fraction(prec), list(index), kept)
 
     def _build(self, lattice, weight, prec, values, components):
@@ -679,7 +729,10 @@ class VectorValuedForm:
                                  for g, fg in self.terms.items()})
 
     def component(self, gamma) -> dict[Fraction, int]:
-        return self.components.get(self.lattice.reduce_mod1(gamma), {})
+        """f_gamma as {e: c} with Fraction exponents, built for this coset
+        alone; NotInDualLattice for a gamma outside the dual lattice."""
+        fg = self.terms.get(self.lattice._coset_key(gamma), {})
+        return {Fraction(e, self.eden): c for e, c in fg.items()}
 
     def precision(self, gamma) -> Fraction:
         return self.prec - self.lattice.coset_minimum(gamma)

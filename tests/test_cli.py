@@ -306,6 +306,23 @@ def test_huge_degree_zero_exponent_fails_fast(capsys, tmp_path):
     assert f"exceed the {DEFAULT_BUDGET}-term budget" in err
 
 
+def test_huge_phi_precision_fails_fast():
+    # for n = 1 the first quotient by 1 - q zeta would have a row at every
+    # grade up to 10^30; its term count is known before those rows are
+    # built, and it is over the default budget. A fresh process, so that a
+    # refusal after the work would not leave its terms in this one
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "borcherdskit", "phi", "--n", "1", "--prec", str(10 ** 30)],
+        capture_output=True, text=True, env=env)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"product exceeded the {DEFAULT_BUDGET}-coefficient budget" in result.stderr
+
+
 def test_degree_zero_product_is_predicted_before_work(capsys, tmp_path):
     # 1502 binomials are far under the term budget, but each of the 358 terms
     # of the product meets all of them, at up to 1501 bits each; with 10^6 in

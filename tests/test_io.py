@@ -285,7 +285,9 @@ def test_emit_vvform_refuses_huge_determinant_before_listing():
 
 
 def test_emit_vvform_refuses_unreduced_key():
-    form = VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(9, 8),): {F(0): 1}}, F(1))
+    # the constructor reduces every gamma, so the key 9 = 8 * 9/8 is stored
+    # past it
+    form = VectorValuedForm._of(EvenLattice([[8]]), F(-1, 2), F(1), {(9,): {0: 1}}, 1)
     with pytest.raises(ValueError, match="not a reduced coset representative"):
         emit_vvform(form)
 
@@ -295,6 +297,21 @@ def test_vvform_refuses_a_gamma_that_det_does_not_clear():
     with pytest.raises(NotInDualLattice) as excinfo:
         VectorValuedForm(EvenLattice([[8]]), F(-1, 2), {(F(1, 16),): {F(0): 1}}, F(1))
     assert str(excinfo.value) == "(1/16) does not pair integrally with the lattice"
+
+
+def test_vvform_reads_gammas_as_the_emitter_keys_them():
+    lattice = EvenLattice([[16, 8], [8, 16]])
+    # 192 clears the denominators of (1/192, 0), which is not dual
+    with pytest.raises(NotInDualLattice) as excinfo:
+        VectorValuedForm(lattice, -1, {(F(1, 192), F(0)): {F(-1): 1}}, 1)
+    assert str(excinfo.value) == "(1/192, 0) does not pair integrally with the lattice"
+    form = VectorValuedForm(lattice, -1, {(F(25, 24), F(1, 24)): {F(-1, 24): 1}}, 1)
+    assert (form.terms, form.eden) == ({(8, 8): {-48: 1}}, 2 * 24 ** 2)
+    assert form.components == {(F(1, 24), F(1, 24)): {F(-1, 24): 1}}
+    assert parse_vvform(json.loads(canonical_dumps(emit_vvform(form)))) == form
+    with pytest.raises(ValueError, match="share a coset"):
+        VectorValuedForm(lattice, -1, {(F(25, 24), F(1, 24)): {F(-1, 24): 1},
+                                       (F(1, 24), F(1, 24)): {}}, 1)
 
 
 def test_emitted_vectors_are_sized_by_their_length():

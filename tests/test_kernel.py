@@ -1,5 +1,6 @@
 """Property tests of the exact product kernel behind JacobiSeries.__mul__,
-direct_product, phi04 and the lift, and of the packing of its keys.
+direct_product and the lift, of the in-place binomial factors behind phi04
+and the triple product, and of the packing of their keys.
 
 oracle_mul_into is the kernel as it was on tuple keys ((t, vec), c), before
 every key was packed into one int; the packed kernel must agree with it
@@ -15,6 +16,16 @@ and 8, negative exponents, and windows that end between two multiples of
 A series stores its terms on integer keys. The second oracle below is the
 normalisation the constructor applied when it stored Fraction keys; the
 Fraction-keyed view, q_den, support() and q_row() must agree with it.
+
+_binomial multiplies or divides graded rows by 1 + c X in place. On random
+rows of rank 1 to 3 a product must equal _mul_into with the two terms of the
+binomial, a quotient by 1 - X the product with the truncated geometric
+series, and a quotient must undo the product; max_terms must refuse one
+term past the peak count, and a quotient that would pass it in the rows it
+appends before it builds them. oracle_phi04 and
+oracle_triple_product are the loops that built both series before, one
+_mul_into per factor over a snapshot of the whole accumulator; the rows must
+give their terms exactly and in the same order.
 """
 
 import pickle
@@ -31,6 +42,7 @@ from borcherdskit.lift import lift_expansion, lift_expansion_log_exp
 from borcherdskit.series import (
     RAW,
     JacobiSeries,
+    _binomial,
     _grade_limit,
     _mul_into,
     _Packing,
@@ -186,7 +198,6 @@ def test_pack_unpack_round_trip_on_the_box(box, data):
     keys = {packing.pack(t, vec): c for (t, vec), c in terms.items()}
     # one key per monomial, read back exactly
     assert packing.unpack(keys) == terms
-    assert packing.terms(keys) == [(t, k, c) for ((t, _), c), k in zip(terms.items(), keys)]
     # numeric order of keys is (t, lex vec) order, the order unpack returns
     assert [next(iter(packing.unpack({k: 1}))) for k in sorted(keys)] == sorted(terms)
     assert list(packing.unpack(keys)) == sorted(terms)
@@ -379,3 +390,155 @@ def test_products_leave_their_terms_in_file_order(build):
     x = build()
     assert len(x.terms) > 1
     assert list(x.terms) == sorted(x.terms)
+
+
+# -- binomial factors in place, grade by grade ----------------------------------------
+
+
+def snapshot(packing, packed):
+    """The kernel terms (t, k, c) of a map {k: c}, in its order: what phi04
+    and the triple product listed of their whole accumulator before each
+    factor, when every factor was one _mul_into call."""
+    grades = [(k + packing.offset) >> packing.shift for k in packed]
+    return list(zip(grades, packed, packed.values()))
+
+
+def oracle_phi04(prec):
+    """phi04's expansion as it was built before _binomial: per n, one product
+    with (1 - q^n zeta^3)(1 - q^n zeta^-3) - 1 and one with each truncated
+    geometric series, each over a snapshot of the accumulator."""
+    limit = _grade_limit(F(prec), 1)
+    packing = _Packing(1, 1 + 3 * limit)
+    pack = packing.pack
+    acc = {pack(0, (1,)): 1, pack(0, (0,)): 1, pack(0, (-1,)): 1}
+    for n in range(1, limit):
+        numer = [(n, pack(n, (3,)), -1), (n, pack(n, (-3,)), -1), (2 * n, pack(2 * n, (0,)), 1)]
+        _mul_into(acc, snapshot(packing, acc), numer, limit)
+        for sign in (1, -1):
+            geom = [(k * n, pack(k * n, (sign * k,)), 1) for k in range(1, -(-limit // n))]
+            _mul_into(acc, snapshot(packing, acc), geom, limit)
+    return packing.unpack(acc)
+
+
+def oracle_triple_product(prec):
+    """The triple product's terms as they were built before _binomial: one
+    _mul_into per factor over a snapshot of the accumulator."""
+    limit = _grade_limit(F(prec), 8)
+    packing = _Packing(1, 1 + limit // 4)
+    acc = {packing.pack(1, (1,)): 1, packing.pack(1, (-1,)): -1}
+    n = 1
+    while 8 * n + 1 < limit:
+        for label in (2, -2, 0):
+            _mul_into(acc, snapshot(packing, acc), [(8 * n, packing.pack(8 * n, (label,)), -1)],
+                      limit)
+        n += 1
+    return {key: c for key, c in packing.unpack(acc).items() if key[0] < limit}
+
+
+@pytest.mark.parametrize("prec", range(1, 25))
+def test_phi04_matches_the_accumulator_loop(prec):
+    assert list(phi04(prec).terms.items()) == list(oracle_phi04(prec).items())
+
+
+@pytest.mark.parametrize("prec", [F(k, 16) for k in range(1, 17)] + [F(7, 3), F(81, 8)]
+                         + list(range(2, 33)))
+def test_triple_product_matches_the_accumulator_loop(prec):
+    assert list(theta_triple_product(prec).terms.items()) == list(
+        oracle_triple_product(prec).items())
+
+
+@st.composite
+def graded_rows(draw, positive=False):
+    """A packing of rank 1 to 3, a kernel limit, rows of grades 0 to limit - 1
+    with small labels, and a factor 1 + c X, X of grade g >= 1. The packing's
+    bound covers a label that gains the factor's at every grade."""
+    rank = draw(st.integers(1, 3))
+    limit = draw(st.integers(1, 9))
+    packing = _Packing(rank, 3 + 2 * limit)
+    label = st.tuples(*[st.integers(-3, 3)] * rank)
+    coefficient = st.integers(1, 3) if positive else st.integers(-3, 3).filter(bool)
+    rows = [{packing.pack(t, vec): c
+             for vec, c in draw(st.dictionaries(label, coefficient, max_size=4)).items()}
+            for t in range(draw(st.integers(0, limit)))]
+    g = draw(st.integers(1, 4))
+    key = packing.pack(g, draw(st.tuples(*[st.integers(-2, 2)] * rank)))
+    return packing, limit, rows, g, key, draw(coefficient)
+
+
+def flat(rows):
+    return {k: c for row in rows for k, c in row.items()}
+
+
+def rows_terms(packing, rows):
+    """The rows as sorted kernel terms (t, k, c)."""
+    return sorted(snapshot(packing, flat(rows)))
+
+
+def assert_rows(packing, rows, expected, count):
+    # every key on the row of its grade, no zero kept, the count exact
+    assert all(t == grade for t, row in enumerate(rows) for grade, _ in packing.unpack(row))
+    assert 0 not in flat(rows).values()
+    assert count == len(flat(rows)) == sum(map(len, rows))
+    assert list(packing.unpack(flat(rows)).items()) == list(packing.unpack(expected).items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_rows())
+def test_binomial_product_matches_the_kernel(case):
+    packing, limit, rows, g, key, c = case
+    expected = {}
+    _mul_into(expected, rows_terms(packing, rows), [(0, 0, 1), (g, key, c)], limit)
+    count = _binomial(rows, g, key, c, limit, len(flat(rows)))
+    assert_rows(packing, rows, expected, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_rows())
+def test_binomial_quotient_by_one_minus_x_is_the_geometric_series(case):
+    packing, limit, rows, g, key, _ = case
+    expected = {}
+    geometric = [(k * g, k * key, 1) for k in range(-(-limit // g))]
+    _mul_into(expected, rows_terms(packing, rows), geometric, limit)
+    count = _binomial(rows, g, key, -1, limit, len(flat(rows)), divide=True)
+    assert_rows(packing, rows, expected, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_rows())
+def test_binomial_quotient_undoes_the_product(case):
+    packing, limit, rows, g, key, c = case
+    before = flat(rows)
+    count = _binomial(rows, g, key, c, limit, len(before))
+    count = _binomial(rows, g, key, c, limit, count, divide=True)
+    assert_rows(packing, rows, before, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_rows(positive=True), st.booleans())
+def test_binomial_budget_refuses_one_term_past_it(case, divide):
+    # positive rows times 1 + c X, or over 1 - X, with c > 0: nothing
+    # cancels, so the count only grows and its final value is its peak
+    packing, limit, rows, g, key, c = case
+    if divide:
+        c = -1
+    start = [dict(row) for row in rows]
+    total = _binomial(start, g, key, c, limit, len(flat(rows)), divide=divide)
+    copy = [dict(row) for row in rows]
+    assert _binomial(copy, g, key, c, limit, len(flat(rows)), total, divide) == total
+    if total > len(flat(rows)):
+        with pytest.raises(ResourceLimit, match=f"the {total - 1}-coefficient budget"):
+            _binomial(rows, g, key, c, limit, len(flat(rows)), total - 1, divide)
+
+
+def test_binomial_refuses_a_quotient_before_walking_past_its_rows():
+    # each row the quotient appends repeats the size of a row below it, so
+    # the terms it would reach are counted before the first one is built
+    packing = _Packing(1, 4)
+    rows = [{packing.pack(0, (1,)): 1, packing.pack(0, (-1,)): 1}]
+    x = packing.pack(1, (0,))
+    with pytest.raises(ResourceLimit, match="the 10-coefficient budget"):
+        _binomial(rows, 1, x, -1, 10 ** 30, 2, 10, divide=True)
+    assert len(rows) == 1
+    # five rows of two terms fit the budget of ten
+    assert _binomial(rows, 1, x, -1, 5, 2, 10, divide=True) == 10
+    assert [len(row) for row in rows] == [2] * 5

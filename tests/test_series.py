@@ -293,7 +293,7 @@ def test_phi_n_budget_applies_inside_phi04():
     # phi04 builds it
     with pytest.raises(ResourceLimit) as excinfo:
         phi_n(1, 50, budget=10)
-    assert [entry.name for entry in excinfo.traceback[-2:]] == ["phi04", "_mul_into"]
+    assert [entry.name for entry in excinfo.traceback[-2:]] == ["phi04", "_binomial"]
 
 
 # -- coset theta series -----------------------------------------------------------
@@ -401,6 +401,20 @@ def test_recompose_zero_form():
     assert zero.component((F(9, 8),)) == {}
     assert zero.precision((F(9, 8),)) == 10 - F(1, 16)
     assert recompose(zero, 5).is_zero()
+
+
+def test_component_reads_one_coset_without_the_fraction_view():
+    form, view = theta_decompose(phi_n(2, 3)), theta_decompose(phi_n(2, 3)).components
+    reps = form.lattice.discriminant_group().representatives
+    assert len(view) < len(reps)  # some cosets have f_gamma = 0
+    for gamma in reps:
+        for v in (gamma, tuple(x - 2 for x in gamma)):
+            assert form.component(v) == view.get(gamma, {})
+    # outside the dual lattice, as precision
+    for read in (form.component, form.precision):
+        with pytest.raises(NotInDualLattice, match=r"\(1/16, 0\) does not pair integrally"):
+            read((F(1, 16), F(0)))
+    assert "components" not in vars(form)
 
 
 def test_recompose_window_capped_by_components():
