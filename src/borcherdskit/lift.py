@@ -26,12 +26,12 @@ before anything else relies on it.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, itemgetter, mod
-from types import MappingProxyType
 
 from .errors import (
     CongruenceFailed,
@@ -54,6 +54,7 @@ from .series import (
     _exponent_den,
     _Packing,
     _scaled,
+    _View,
 )
 
 
@@ -72,7 +73,11 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms ede
     The constructor reads the Fraction map {(gamma, e): c}, as the parser
     reads a file: ValueError for e >= 0 or for two keys on one coset and
     exponent, NotInDualLattice for a gamma outside the dual lattice. coeffs
-    gives that map back, with gammas reduced mod 1.
+    gives that map back, with gammas reduced mod 1, as a read-only view over
+    terms: its len is the number of terms, and == between the coeffs of two
+    parts over one det compares their integer terms. Every other read of
+    coeffs decodes the terms to Fractions, once per view: each access of
+    coeffs makes a new view.
     """
 
     __slots__ = ()
@@ -113,11 +118,23 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms ede
         return PrincipalPart._of, tuple(self)
 
     @property
-    def coeffs(self) -> MappingProxyType:
+    def coeffs(self) -> Mapping:
         """The terms as a read-only {(gamma, e): c} map with Fraction keys."""
+        return _View(self, len(self.terms))
+
+    def _fractions(self) -> dict:
         coords, exps = _Fractions(self.lattice.det).__getitem__, _Fractions(self.eden)
-        return MappingProxyType({(tuple(map(coords, key)), exps[e]): c
-                                 for (key, e), c in self.terms.items()})
+        return {(tuple(map(coords, key)), exps[e]): c for (key, e), c in self.terms.items()}
+
+    def _common(self, other: "PrincipalPart") -> tuple[dict, dict] | None:
+        """The terms of both parts over the lcm of their edens; None when
+        their gammas lie over different dets."""
+        if self.lattice.det != other.lattice.det:
+            return None
+        eden = lcm(self.eden, other.eden)
+        return tuple(pp.terms if pp.eden == eden else
+                     {(key, e * (eden // pp.eden)): c for (key, e), c in pp.terms.items()}
+                     for pp in (self, other))
 
 
 def principal_part(form: VectorValuedForm) -> PrincipalPart:
@@ -250,8 +267,11 @@ class OrthogonalExpansion:
     terms maps keys (n, m, l * den), in file order, to the integer
     coefficient of q^n r^l s^m in the product itself: n, m >= 0 are integers
     and den is a common denominator of the labels, not always the least one.
-    coeffs is the read-only {(n, l, m): c} view with Fraction labels, built
-    on first access; the constructor reads such a map. The Weyl prefactor
+    coeffs is the read-only {(n, l, m): c} view with Fraction labels over
+    terms; the constructor reads such a map. Its len is the number of terms,
+    and == between the coeffs of two expansions compares their integer
+    terms over a common den; every other read of coeffs decodes the labels
+    to Fractions. The Weyl prefactor
     q^A r^B s^C is carried separately in weyl. Holomorphy of the underlying
     lift is not decided by this package.
     """
@@ -282,19 +302,29 @@ class OrthogonalExpansion:
         return self
 
     @cached_property
-    def coeffs(self) -> MappingProxyType:
-        """The terms as a read-only {(n, l, m): c} map with Fraction labels."""
+    def coeffs(self) -> Mapping:
+        """The terms as a read-only {(n, l, m): c} map with Fraction labels.
+        The view holds a second expansion on the same terms, which holds no
+        view, so that the two make no reference cycle."""
+        return _View(OrthogonalExpansion._of(self.lattice, self.weyl, self.weight, self.terms,
+                                             self.den, self.total_prec, self.holomorphic),
+                     len(self.terms))
+
+    def _fractions(self) -> dict:
         labels = _Fractions(self.den).__getitem__
-        return MappingProxyType({(n, tuple(map(labels, l)), m): c
-                                 for (n, m, l), c in self.terms.items()})
+        return {(n, tuple(map(labels, l)), m): c for (n, m, l), c in self.terms.items()}
+
+    def _common(self, other: "OrthogonalExpansion") -> tuple[dict, dict]:
+        """The terms of both expansions over the lcm of their dens."""
+        den = lcm(self.den, other.den)
+        return tuple(e.terms if e.den == den else
+                     {(n, m, tuple([den // e.den * x for x in l])): c
+                      for (n, m, l), c in e.terms.items()} for e in (self, other))
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalExpansion):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        mine, theirs = (e.terms if e.den == den else
-                        {(n, m, tuple([den // e.den * x for x in l])): c
-                         for (n, m, l), c in e.terms.items()} for e in (self, other))
+        mine, theirs = self._common(other)
         return ((self.lattice, self.weyl, self.weight, self.total_prec, self.holomorphic)
                 == (other.lattice, other.weyl, other.weight, other.total_prec,
                     other.holomorphic) and mine == theirs)

@@ -21,8 +21,10 @@ A series stores its terms on integer keys: q-exponent n as the grade n * q_den
 and label l as the tuple l * den, den being a label denominator of the series.
 A VectorValuedForm stores {det * gamma: {eden * e: c}}, keyed as the
 coset-minima table keys its cosets. Fraction keys appear only at the
-boundary: the constructors read them, and coeffs and components, read-only
-views, give them back. A constructor interns its Fraction map into columns,
+boundary: the constructors read them, and coeffs and components give them
+back through read-only views (_View), which answer len, and == between two
+views, on the integer terms and decode the Fraction map only for a read
+that needs its keys. A constructor interns its Fraction map into columns,
 the distinct Fractions and the terms keyed by their indices, and hands them
 to _build, which the io parser of the record calls too: each record's
 denominator rule lives there. Products of terms run on keys packed into one
@@ -36,12 +38,12 @@ rows of one grade each.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, and_, itemgetter, lshift, mul, rshift, sub
-from types import MappingProxyType
 
 from .errors import (
     DimensionMismatch,
@@ -214,6 +216,73 @@ def _scaled(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
+class _View(Mapping):
+    """The read-only Fraction-keyed map of a record's integer terms: the
+    coeffs of a series, an expansion or a principal part, the components of
+    a form.
+
+    len is size, the number of the record's terms. == against a view of a
+    record of the same type compares the integer terms of both records put
+    on one scale by record._common(other). Every other read, and == where
+    _common finds no common scale, decodes record._fractions() once and
+    answers from that map, which the view keeps but leaves out of a pickle
+    or a copy. Assignment raises TypeError.
+    """
+
+    __slots__ = ("_record", "_size", "_map")
+
+    def __init__(self, record, size: int):
+        self._record, self._size, self._map = record, size, None
+
+    def __reduce__(self):
+        return _View, (self._record, self._size)
+
+    def _fractions(self) -> dict:
+        if self._map is None:
+            self._map = self._record._fractions()
+        return self._map
+
+    def __len__(self):
+        return self._size
+
+    def __eq__(self, other):
+        if isinstance(other, _View) and type(other._record) is type(self._record):
+            pair = self._record._common(other._record)
+            if pair is not None:
+                return pair[0] == pair[1]
+            other = other._fractions()
+        return self._fractions() == other
+
+    __hash__ = None
+
+    def __getitem__(self, key):
+        return self._fractions()[key]
+
+    def __iter__(self):
+        return iter(self._fractions())
+
+    def __contains__(self, key):
+        return key in self._fractions()
+
+    def get(self, key, default=None):
+        return self._fractions().get(key, default)
+
+    def keys(self):
+        return self._fractions().keys()
+
+    def values(self):
+        return self._fractions().values()
+
+    def items(self):
+        return self._fractions().items()
+
+    def copy(self) -> dict:
+        return self._fractions().copy()
+
+    def __repr__(self):
+        return f"_View({self._fractions()!r})"
+
+
 def _product_prec(prec_a, a, prec_b, b, q_den: int) -> Fraction:
     """Window of a product: a factor with terms below q^0 lowers the window
     of the other one. a and b are the factors' kernel terms, sorted by
@@ -233,12 +302,16 @@ class JacobiSeries:
     instead, and terms decodes it on first access; term_count, is_zero,
     repr and the next direct product read the packed keys, and so does
     emit_series until terms is read.
-    coeffs is the read-only {(n, l): c} view with Fraction keys, built on
-    first access over terms.
+    coeffs is the read-only {(n, l): c} view with Fraction keys over terms.
+    Its len is term_count, and == between the coeffs of two series compares
+    their integer terms over common denominators; coefficient reads one
+    integer key. Every other read of coeffs decodes the terms to Fractions,
+    once per view: each access of coeffs makes a new view, so keep it for
+    repeated reads.
     """
 
     __slots__ = ("lattice", "weight", "prec", "q_den", "den", "form_class", "_terms",
-                 "_packing", "_packed", "_coeffs")
+                 "_packing", "_packed")
 
     def __init__(self, lattice, weight, prec, coeffs, q_den=None, form_class=RAW):
         if form_class not in (RAW, WEAK_JACOBI):
@@ -294,7 +367,6 @@ class JacobiSeries:
         self.q_den, self.den, self.form_class = q_den, den, form_class
         self._terms, self._packing, self._packed = ((terms, None, None) if packing is None
                                                     else (None, packing, terms))
-        self._coeffs = None
         return self
 
     @classmethod
@@ -313,6 +385,11 @@ class JacobiSeries:
             return self.terms
         a, b = q_den // self.q_den, den // self.den
         return {(t * a, tuple([b * x for x in vec])): c for (t, vec), c in self.terms.items()}
+
+    def _common(self, other: "JacobiSeries") -> tuple[dict, dict]:
+        """The terms of both series over the lcm of their denominators."""
+        q_den, den = lcm(self.q_den, other.q_den), lcm(self.den, other.den)
+        return self._over(q_den, den), other._over(q_den, den)
 
     def _reach(self, den: int) -> int:
         """A bound on |component| of the label vectors over den: the largest
@@ -369,13 +446,13 @@ class JacobiSeries:
         return len(self._terms if self._packed is None else self._packed)
 
     @property
-    def coeffs(self) -> MappingProxyType:
+    def coeffs(self) -> Mapping:
         """The terms as a read-only {(n, l): c} map with Fraction keys."""
-        if self._coeffs is None:
-            exps, labels = _Fractions(self.q_den), _Fractions(self.den).__getitem__
-            self._coeffs = {(exps[t], tuple(map(labels, vec))): c
-                            for (t, vec), c in self.terms.items()}
-        return MappingProxyType(self._coeffs)
+        return _View(self, self.term_count())
+
+    def _fractions(self) -> dict:
+        exps, labels = _Fractions(self.q_den), _Fractions(self.den).__getitem__
+        return {(exps[t], tuple(map(labels, vec))): c for (t, vec), c in self.terms.items()}
 
     @property
     def min_exp(self) -> Fraction:
@@ -386,8 +463,14 @@ class JacobiSeries:
         return not self.term_count()
 
     def coefficient(self, n, l) -> int:
-        """Stored coefficient; exponents below prec that are absent are 0."""
-        return self.coeffs.get((Fraction(n), to_vector(l)), 0)
+        """Stored coefficient; exponents below prec that are absent are 0.
+        It is read at the integer key (n * q_den, l * den), and is 0 where
+        that key is not integral."""
+        t = Fraction(n) * self.q_den
+        vec = [x * self.den for x in to_vector(l)]
+        if t.denominator != 1 or any(x.denominator != 1 for x in vec):
+            return 0
+        return self.terms.get((t.numerator, tuple([x.numerator for x in vec])), 0)
 
     def q_row(self, n) -> dict[Vector, int]:
         """All labels at the given q-exponent. Raises if n is outside the
@@ -671,7 +754,10 @@ class VectorValuedForm:
     gamma mod 1, drops zero coefficients, then empty components, and raises
     NotInDualLattice for a gamma outside the dual lattice and ValueError for
     two gammas of one coset; components is that map, with gammas reduced, a
-    read-only view with Fraction keys built on first access over terms.
+    read-only view with Fraction keys over terms. Its len is the number of
+    nonzero components, and == between the components of two forms over
+    one det compares their integer terms; component decodes one coset.
+    Every other read of components decodes the terms to Fractions.
     """
 
     def __init__(self, lattice, weight, components, prec):
@@ -720,13 +806,27 @@ class VectorValuedForm:
         b = eden // self.eden
         return {g: {b * e: c for e, c in fg.items()} for g, fg in self.terms.items()}
 
+    def _common(self, other: "VectorValuedForm") -> tuple[dict, dict] | None:
+        """The terms of both forms over the lcm of their edens; None when
+        their gammas lie over different dets."""
+        if self.lattice.det != other.lattice.det:
+            return None
+        eden = lcm(self.eden, other.eden)
+        return self._over(eden), other._over(eden)
+
     @cached_property
-    def components(self) -> MappingProxyType:
-        """The terms as a read-only {gamma: {e: c}} map with Fraction keys."""
+    def components(self) -> Mapping:
+        """The terms as a read-only {gamma: {e: c}} map with Fraction keys.
+        The view holds a second form on the same terms, which holds no view,
+        so that the two make no reference cycle."""
+        return _View(VectorValuedForm._of(self.lattice, self.weight, self.prec, self.terms,
+                                          self.eden), len(self.terms))
+
+    def _fractions(self) -> dict:
         coords = _Fractions(self.lattice.det).__getitem__
         exps = _Fractions(self.eden).__getitem__
-        return MappingProxyType({tuple(map(coords, g)): dict(zip(map(exps, fg), fg.values()))
-                                 for g, fg in self.terms.items()})
+        return {tuple(map(coords, g)): dict(zip(map(exps, fg), fg.values()))
+                for g, fg in self.terms.items()}
 
     def component(self, gamma) -> dict[Fraction, int]:
         """f_gamma as {e: c} with Fraction exponents, built for this coset
@@ -746,8 +846,8 @@ class VectorValuedForm:
             return NotImplemented
         if (self.lattice, self.weight, self.prec) != (other.lattice, other.weight, other.prec):
             return False
-        eden = lcm(self.eden, other.eden)
-        return self._over(eden) == other._over(eden)
+        mine, theirs = self._common(other)
+        return mine == theirs
 
     __hash__ = None
 
