@@ -11,6 +11,12 @@ followed by a newline: one item per line, indented by two spaces per level,
 ": " after keys, [] and {} for empty containers, non-ASCII escaped as
 \\uXXXX. canonical_dumps writes those bytes itself, because json.dumps with
 an indent runs the pure-Python encoder; the test suite compares the two.
+The emitters hand it the rows of a table as a Rows of columns, and it
+interleaves them with the text that is the same in every row. Rows sorted
+by (n, lex l) share their leading cells: emit_series gives each row a
+head id, for n and the label entries before the last two, and a tail id,
+for those two, and the text of each distinct head and tail is written
+once; a row joins its head, its tail and its coefficient.
 
 Both directions run on integer keys: each q-exponent, label, gamma or
 exponent is scaled by a positive common denominator, which keeps the order
@@ -48,10 +54,10 @@ import json
 import re
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import ceil, lcm
-from operator import eq, is_, itemgetter, mul, sub
+from operator import add, and_, eq, is_, itemgetter, mul, rshift, sub
 
 from .errors import NotInDualLattice, ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Memo, frac_str
@@ -267,12 +273,21 @@ class Rows(Sequence):
     a Rows column lists one Rows per row, whose value in the row is the list
     of its rows. len, indexing, iteration and == work on rows built as fresh
     dicts, so changing one changes nothing stored. canonical_dumps writes
-    the columns themselves (_text)."""
+    the columns themselves (_text).
 
-    __slots__ = ("size", "fields")
+    Rows sorted by a vector share their leading cells. A table with one
+    vector column may carry heads, (head ids, tail ids), one of each per
+    row. Its rows split at the vector's last two coordinates: the head is
+    every cell before them, the tail is those two, and a vector of one or
+    two coordinates is all tail. A head or tail column is then a map from
+    the id to the str cell, the same for every row with that id, and the
+    cells after the vector are listed by row. _text writes the text of each
+    distinct head and tail once."""
 
-    def __init__(self, size: int, *fields):
-        self.size, self.fields = size, fields
+    __slots__ = ("size", "fields", "heads")
+
+    def __init__(self, size: int, *fields, heads=None):
+        self.size, self.fields, self.heads = size, fields, heads
 
     def __len__(self) -> int:
         return self.size
@@ -290,23 +305,36 @@ class Rows(Sequence):
         return self.size == len(other) and all(map(eq, self, other))
 
     def _row(self, i: int) -> dict:
-        # a vector is built from a tuple, so list() sizes it by its length
-        return {key: list(tuple([x[i] for x in column])) if kind is list
-                else list(column[i]) if kind is Rows else column[i]
-                for key, kind, column in self.fields}
+        heads = self.heads
+        h, t = (i, i) if heads is None else (heads[0][i], heads[1][i])
+        row, at = {}, h
+        for key, kind, column in self.fields:
+            if kind is list:
+                # a vector is built from a tuple, so list() sizes it by its length
+                row[key] = list(tuple([x[h] for x in column[:-2]] + [x[t] for x in column[-2:]]))
+                at = i
+            elif kind is Rows:
+                row[key] = list(column[at])
+            else:
+                row[key] = column[at]
+        return row
 
     def _text(self, indent: str) -> str:
         """The rows as _dumps writes their dicts in a list at indent. The
-        text between two cells is the same in every row, so the whole list
-        is one join of those constant pieces interleaved with the columns,
-        and no row is built. The cells of str and vector columns are written
-        as they are: the emitters build them with frac_str and str, which
-        give ASCII text that the string escaper leaves alone."""
+        text before each cell is the same in every row, so a row is those
+        constant pieces interleaved with its cells, and the whole list is one
+        join, built column by column without building a row. With heads, the
+        text of a row up to its tail is written once per head id and that of
+        its tail once per tail id, and a row joins the two with its later
+        cells. The cells of str and vector columns are written as they are:
+        the emitters build them with frac_str and str, which give ASCII text
+        that the string escaper leaves alone."""
         if not self.size:
             return "[]"
         inner, field = indent + "  ", indent + "    "
-        # pieces[j] comes before the j-th column in a row, pieces[-1] ends it
+        # pieces[j] comes before the j-th cell of a row, pieces[-1] ends it
         pieces, columns, text = [], [], f",{inner}{{"
+        tail = end = 0  # with heads, columns[:tail] make the head, columns[tail:end] the tail
         for n, (key, kind, column) in enumerate(self.fields):
             text += f"{',' if n else ''}{field}{_quote(key)}: "
             if kind is str:
@@ -320,17 +348,40 @@ class Rows(Sequence):
                     columns.append(coordinate)
                     text = '",'
                 text = f'"{field}]'
+                if self.heads is not None:
+                    end = len(columns)
+                    tail = end - min(len(column), 2)
             else:
                 pieces.append(text)
                 columns.append(map(int.__repr__, column) if kind is int
                                else map(Rows._text, column, repeat(field)))
                 text = ""
         pieces.append(f"{text}{inner}}}")
-        # every row opens with a separator, the first with the bracket instead
-        streams = [chain([f"[{pieces[0][1:]}"], repeat(pieces[0], self.size - 1))]
-        for column, piece in zip(columns, pieces[1:]):
-            streams += [column, repeat(piece)]
-        return "".join(chain(chain.from_iterable(zip(*streams)), [f"{indent}]"]))
+        # a row's slots: the piece before each cell, then the cell; the
+        # first piece also ends the row above
+        slots = list(chain.from_iterable(zip([pieces[-1] + pieces[0], *pieces[1:]], columns)))
+        if self.heads is not None:
+            parts = ((0, tail, self.heads[0]), (tail, end, self.heads[1]))
+            slots[:2 * end] = [_shared(slots[2 * a:2 * b], ids) for a, b, ids in parts if a < b]
+        width = len(slots)
+        out = [slot if type(slot) is str else None for slot in slots] * self.size
+        for j, slot in enumerate(slots):
+            if type(slot) is not str:
+                out[j::width] = slot
+        # the first row opens with the bracket instead of a row end and a comma
+        out[0] = f"[{out[0][len(pieces[-1]) + 1:]}"
+        out.append(f"{pieces[-1]}{indent}]")
+        return "".join(out)
+
+
+def _shared(slots: list, ids) -> map:
+    """The text of slots for each of ids. The slots alternate pieces and
+    maps from id to cell, the first of which has every id as a key, and
+    the text of an id, which joins its slots, is built once."""
+    keys = list(slots[1])
+    texts = map("".join, zip(*[map(slot.__getitem__, keys) if j % 2 else repeat(slot)
+                               for j, slot in enumerate(slots)]))
+    return map(dict(zip(keys, texts)).__getitem__, ids)
 
 
 def _of_type(kind: type, values) -> bool:
@@ -439,22 +490,39 @@ def _series_terms(entries: list, path, rank: int):
 
 
 def emit_series(series: JacobiSeries) -> dict:
-    """The document of a series. Its columns come from the tuple keys of its
-    terms, or from the digits of the sorted packed keys of a series whose
-    terms were never decoded."""
-    terms, low = series._terms, 0
+    """The document of a series. Its rows, sorted by (n, lex l), carry head
+    and tail ids (Rows): a row's head is its grade and label entries before
+    the last two, its tail is those two, and its ids are the indices of the
+    first rows with its head and its tail. Heads and tails are the tuples
+    of those entries, or for a series whose terms were never decoded the
+    high and low bits of its packed keys; the cells are written from the
+    distinct ones only."""
+    rank, terms = series.lattice.rank, series._terms
+    split = max(rank - 2, 0)  # the label entries in the head
+    firsts, lasts = {}, {}  # head or tail -> the index of its first row
     if terms is not None:
         keys = sorted(terms)  # linear in the kernel's order
-        grades = map(itemgetter(0), keys)
-        coords = _coordinates(list(map(itemgetter(1), keys)), series.lattice.rank)
+        columns = [map(itemgetter(0), keys), *_coordinates(list(map(itemgetter(1), keys)), rank)]
+        heads = list(map(firsts.setdefault, zip(*columns[:1 + split]), count()))
+        tails = list(map(lasts.setdefault, zip(*columns[1 + split:]), count()))
+        cells = _coordinates(list(firsts), 1 + split) + _coordinates(list(lasts), rank - split)
+        low = 0
     else:
-        terms = series._packed
+        terms, packing = series._packed, series._packing
         keys = sorted(terms)
-        # unsigned digits are vec_i + low
-        grades, *coords = series._packing.digits(keys, signed=False)
-        low = series._packing.half
-    ns = list(map(_Strings(series.q_den).__getitem__, grades))
-    ls = _string_columns(_Strings(series.den, low), coords)
+        # the unsigned digits vec_i + M/2 of the last two entries are the low bits
+        lifted = list(map(add, keys, repeat(packing.offset)))
+        bits = packing.width * (rank - split)
+        heads = list(map(firsts.setdefault, map(rshift, lifted, repeat(bits)), count()))
+        tails = list(map(lasts.setdefault, map(and_, lifted, repeat((1 << bits) - 1)), count()))
+        digits = [packing.digits(list(map(keys.__getitem__, rows.values())), signed=False)
+                  for rows in (firsts, lasts)]
+        cells = digits[0][:1 + split] + digits[1][1 + split:]
+        low = packing.half
+    ids = [firsts.values()] * (1 + split) + [lasts.values()] * (rank - split)
+    strings = [_Strings(series.q_den)] + [_Strings(series.den, low)] * rank
+    ns, *ls = [dict(zip(rows, map(text.__getitem__, column)))
+               for rows, text, column in zip(ids, strings, cells)]
     cs = list(map(_Memo(str).__getitem__, map(terms.__getitem__, keys)))
     return {
         **emit_lattice(series.lattice),
@@ -462,7 +530,8 @@ def emit_series(series: JacobiSeries) -> dict:
         "q_den": series.q_den,
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
-        "terms": Rows(len(keys), ("n", str, ns), ("l", list, ls), ("c", str, cs)),
+        "terms": Rows(len(keys), ("n", str, ns), ("l", list, ls), ("c", str, cs),
+                      heads=(heads, tails)),
     }
 
 

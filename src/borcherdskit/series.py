@@ -465,12 +465,22 @@ class JacobiSeries:
     def coefficient(self, n, l) -> int:
         """Stored coefficient; exponents below prec that are absent are 0.
         It is read at the integer key (n * q_den, l * den), and is 0 where
-        that key is not integral."""
+        that key is not integral or l has the wrong length. A packed series
+        looks the key up packed, without decoding its terms; a label outside
+        the packing's box is 0 there, since its key would stand for another
+        monomial."""
         t = Fraction(n) * self.q_den
         vec = [x * self.den for x in to_vector(l)]
-        if t.denominator != 1 or any(x.denominator != 1 for x in vec):
+        if (t.denominator != 1 or any(x.denominator != 1 for x in vec)
+                or len(vec) != self.lattice.rank):
             return 0
-        return self.terms.get((t.numerator, tuple([x.numerator for x in vec])), 0)
+        t, vec = t.numerator, [x.numerator for x in vec]
+        if self._packed is None:
+            return self._terms.get((t, tuple(vec)), 0)
+        packing = self._packing
+        if max(map(abs, vec), default=0) > packing.bound:
+            return 0
+        return self._packed.get(packing.pack(t, vec), 0)
 
     def q_row(self, n) -> dict[Vector, int]:
         """All labels at the given q-exponent. Raises if n is outside the

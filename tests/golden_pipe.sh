@@ -15,6 +15,7 @@ roundtrip() {  # roundtrip KIND FILE [CANONICAL]: io.emit_KIND(io.parse_KIND(FIL
 borcherds-kit phi --n 1 --prec 16 | cmp - tests/golden/phi_n1_prec16.json
 borcherds-kit phi --n 2 --prec 4 | cmp - tests/golden/phi_n2_prec4.json
 borcherds-kit phi --n 3 --prec 3 | cmp - tests/golden/phi_n3_prec3.json
+borcherds-kit phi --n 4 --prec 2 | cmp - tests/golden/phi_n4_prec2.json
 borcherds-kit phi --n 2 --prec 4 | borcherds-kit weyl | cmp - tests/golden/weyl_phi_n2_prec4.json
 borcherds-kit phi --n 2 --prec 4 | borcherds-kit weyl --w0 1,-1/3 | cmp - tests/golden/weyl_phi_n2_prec4_w0skew.json
 borcherds-kit validate-pp fixtures/example1.json --format json | cmp - tests/golden/validate_pp_example1.json
@@ -36,7 +37,8 @@ roundtrip vvform "$tmp/decompose_phi_n4_prec1.json"
 python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["components"].reverse(); json.dump(doc, sys.stdout)' "$tmp/decompose_phi_n4_prec1.json" > "$tmp/reversed.json"
 roundtrip vvform "$tmp/reversed.json" "$tmp/decompose_phi_n4_prec1.json"
 # series files and a rank-3 expansion file read and written back
-for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/golden/phi_n3_prec3.json; do
+for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/golden/phi_n3_prec3.json \
+         tests/golden/phi_n4_prec2.json; do
   roundtrip series "$f"
 done
 roundtrip expansion tests/golden/lift_phi_n3_prec3_deg2.json

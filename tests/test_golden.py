@@ -8,7 +8,9 @@ digits, before the product kernel packed its keys into ints, and the rank-3
 principal part before parse_series read its terms on integer keys; the
 rank-2 weyl and lift files with the chamber vector (1, -1/3) were recorded
 before the Weyl data and the chamber test moved onto integers, and before
-the lift applied the factors of one high degree in one pass.
+the lift applied the factors of one high degree in one pass; the rank-4
+series file, the first whose rows share label entries before the last two,
+before emit_series wrote the text of each shared head once.
 The commands run in-process through cli.main; a command that
 reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
@@ -47,6 +49,7 @@ CORPUS = [
     ("phi_n1_prec16.json", ["phi", "--n", "1", "--prec", "16"], None),
     ("phi_n2_prec4.json", ["phi", "--n", "2", "--prec", "4"], None),
     ("phi_n3_prec3.json", ["phi", "--n", "3", "--prec", "3"], None),
+    ("phi_n4_prec2.json", ["phi", "--n", "4", "--prec", "2"], None),
     ("decompose_phi_n2_prec4.json", ["decompose"], "phi_n2_prec4.json"),
     ("decompose_phi_n3_prec3.json", ["decompose"], "phi_n3_prec3.json"),
     ("principal_part_phi_n2_prec4.json", ["principal-part"], "phi_n2_prec4.json"),

@@ -71,6 +71,7 @@ from borcherdskit.series import (
     WEAK_JACOBI,
     JacobiSeries,
     VectorValuedForm,
+    _Packing,
     direct_product,
     phi04,
     phi_n,
@@ -895,6 +896,120 @@ def test_rows_are_a_sequence_of_fresh_rows(doc, key):
                 value.append("x")
         row.clear()
     assert canonical_dumps(doc) == text and rows == rows_list
+
+
+# -- rows that share their heads ---------------------------------------------------------
+
+
+DIAGONAL = [EvenLattice([[8 * (i == j) for j in range(rank)] for i in range(rank)])
+            for rank in range(1, 5)]
+ENTRIES = st.builds(F, st.integers(-20, 20), st.sampled_from((1, 2, 8)))
+SHAPES = ("one row", "one head", "distinct heads", "free")
+
+
+@st.composite
+def shared_head_series(draw):
+    """A tuple-keyed series of rank 1 to 4 whose rows, keyed by their heads
+    (n, l[:-2]) and tails l[-2:], come in one of the shapes: a single row,
+    every row under one head, every head distinct, or drawn freely."""
+    lattice = draw(st.sampled_from(DIAGONAL))
+    rank, q_den = lattice.rank, draw(st.sampled_from((1, 8)))
+    head = st.tuples(st.integers(-3 * q_den, 6 * q_den).map(lambda k: F(k, q_den)),
+                     st.tuples(*[ENTRIES] * max(rank - 2, 0)))
+    tail = st.tuples(*[ENTRIES] * min(rank, 2))
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "one row":
+        rows = [(draw(head), draw(tail))]
+    elif shape == "one head":
+        h = draw(head)
+        rows = [(h, t) for t in draw(st.lists(tail, min_size=2, max_size=12, unique=True))]
+    elif shape == "distinct heads":
+        rows = [(h, draw(tail)) for h in draw(st.lists(head, min_size=2, max_size=12, unique=True))]
+    else:
+        rows = draw(st.lists(st.tuples(head, tail), max_size=20, unique=True))
+    nonzero = coefficients.filter(bool)
+    coeffs = {(n, lead + rest): draw(nonzero) for (n, lead), rest in rows}
+    return JacobiSeries(lattice, 0, 7, coeffs, q_den=q_den, form_class=RAW)
+
+
+def _one_term(label):
+    return JacobiSeries(EvenLattice([[8]]), 0, 3, {(F(0), (F(label, 8),)): 1})
+
+
+# a factor of rank 1: phi04 rescaled, or one term, whose labels then are the
+# same in every row of the product
+FACTORS = st.one_of(
+    st.builds(rescale_elliptic, st.integers(1, 2).map(phi04), st.sampled_from((1, 2, 3, 8))),
+    st.integers(-3, 3).map(_one_term))
+
+
+def _product(factors):
+    product = factors[0]
+    for factor in factors[1:]:
+        product = direct_product(product, factor)
+    assert product._terms is None
+    return product
+
+
+PACKED_FOUR = st.lists(FACTORS, min_size=4, max_size=4).map(_product)
+# four factors of one term make one row; two of them first and two of
+# grade 0 put every row under one head; two of them last leave every
+# (n, l_0, l_1), and so every head, distinct
+PACKED_SHAPES = {
+    "one row": [_one_term(1), _one_term(-2), _one_term(3), _one_term(0)],
+    "one head": [_one_term(1), _one_term(-1), phi04(1), rescale_elliptic(phi04(1), 3)],
+    "distinct heads": [phi04(2), rescale_elliptic(phi04(2), 3), _one_term(1), _one_term(-1)],
+}
+
+
+def check_shared_heads(series):
+    """The text and the rows of the emitted series against json.dumps of
+    its rows, the rows of the parsed text and the Fraction-sorting oracle,
+    which decodes the terms of a packed series, so it runs last."""
+    doc = emit_series(series)
+    rows = doc["terms"]
+    assert type(rows) is Rows
+    text = canonical_dumps(doc)
+    assert text == oracle_dumps(listed(doc))
+    assert list(rows) == json.loads(text)["terms"]
+    assert text == canonical_dumps(oracle_emit_series(series))
+
+
+# no shrinking, as in test_rows_write_what_json_dumps_writes_of_their_rows
+@settings(max_examples=200, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(st.one_of(shared_head_series(), PACKED_FOUR))
+@example(_product(PACKED_SHAPES["one row"]))
+@example(_product(PACKED_SHAPES["one head"]))
+@example(_product(PACKED_SHAPES["distinct heads"]))
+def test_rows_write_each_shared_head_once(series):
+    check_shared_heads(series)
+
+
+def test_packed_examples_have_their_shapes():
+    sizes = {}
+    for shape, factors in PACKED_SHAPES.items():
+        heads, tails = emit_series(_product(factors))["terms"].heads
+        sizes[shape] = len(heads), len(set(heads)), len(set(tails))
+    assert sizes["one row"] == (1, 1, 1)
+    rows, heads, tails = sizes["one head"]
+    assert heads == 1 and tails == rows > 1
+    rows, heads, tails = sizes["distinct heads"]
+    assert heads == rows > 1 and tails == 1
+
+
+def test_emitting_a_packed_series_decodes_no_key(monkeypatch):
+    phi = phi_n(4, 2)
+
+    def refuse(packing, packed):
+        raise AssertionError("the packed terms were decoded")
+
+    monkeypatch.setattr(_Packing, "unpack", refuse)
+    doc = emit_series(phi)
+    text = canonical_dumps(doc)
+    assert text == (Path(__file__).resolve().parent / "golden" / "phi_n4_prec2.json").read_text()
+    assert list(doc["terms"]) == json.loads(text)["terms"]
+    assert phi._terms is None
 
 
 # -- duplicates spelled differently, and parse_frac's messages ---------------------------

@@ -37,6 +37,7 @@ from borcherdskit.series import (
     RAW,
     JacobiSeries,
     VectorValuedForm,
+    _Packing,
     direct_product,
     phi_n,
     rescale_elliptic,
@@ -372,6 +373,49 @@ def test_coefficient_reads_the_integer_key(pair, data):
         patch.setattr(JacobiSeries, "coeffs", property(refuse))
         assert [phi.coefficient(n, l) for n, l in keys] == expected
         assert [phi.coefficient(n, list(l)) for n, l in keys] == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(LATTICES), st.data())
+def test_packed_coefficient_decodes_no_key(lattices, data):
+    lattice = lattices[0]
+    label = st.tuples(*[rationals] * lattice.rank)
+    coeffs = data.draw(st.dictionaries(st.tuples(st.integers(-3, 6).map(F), label),
+                                       coefficients.filter(bool), min_size=1, max_size=20))
+    one = JacobiSeries(EvenLattice([[8]]), 0, 10, {(F(0), (F(0),)): 1, (F(1), (F(1, 8),)): 2},
+                       q_den=1)
+    phi = JacobiSeries(lattice, 0, 7, coeffs, q_den=1, form_class=RAW)
+    packed, decoded = direct_product(phi, one), direct_product(phi, one)
+    terms, packing = decoded.terms, packed._packing
+    assert packed._terms is None and terms
+    bound, carry = packing.bound, 1 << packing.width
+    stored = data.draw(st.lists(st.sampled_from(sorted(terms)), min_size=1, max_size=5))
+    keys = list(stored)
+    for t, vec in stored:
+        keys += [(t, vec[:-1]), (t, vec + (0,))]  # the wrong length
+        for i in range(len(vec)):
+            # one step outside the box, and a carry away from the stored key:
+            # (t - 1, vec + M e_0) and (t, vec - e_i + M e_(i+1)) pack to its key
+            keys += [(t, vec[:i] + (s * (bound + 1),) + vec[i + 1:]) for s in (1, -1)]
+            keys.append((t - 1, (vec[0] + carry,) + vec[1:]) if i == 0 else
+                        (t, vec[:i - 1] + (vec[i - 1] - 1, vec[i] + carry) + vec[i + 1:]))
+    grid = st.integers(-bound - 2, bound + 2)
+    keys += data.draw(st.lists(st.tuples(st.integers(-3, 10), st.tuples(*[grid] * len(vec))),
+                               max_size=10))
+    q_den, den = decoded.q_den, decoded.den
+    points = [(F(t, q_den), tuple([F(x, den) for x in vec])) for t, vec in keys]
+    # half a step off the grid in the exponent or in a label entry
+    points += [(n + F(1, 2 * q_den), l) for n, l in points[:3]]
+    points += [(n, (l[0] + F(1, 2 * den),) + l[1:]) for n, l in points[:3]]
+    expected = [decoded.coeffs.get((n, l), 0) for n, l in points]
+
+    def refuse(packing, packed):
+        raise AssertionError("coefficient decoded the packed keys")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Packing, "unpack", refuse)
+        assert [packed.coefficient(n, l) for n, l in points] == expected
+    assert packed._terms is None
 
 
 # -- pickling, copying and reference cycles ------------------------------------------------
