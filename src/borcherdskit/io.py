@@ -56,7 +56,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from operator import add, and_, eq, is_, itemgetter, mul, rshift, sub
 
 from .errors import NotInDualLattice, ResourceLimit, SchemaViolation
@@ -192,8 +192,14 @@ def emit_vector(vec) -> list[str]:
 
 
 def _Strings(den: int, low: int = 0) -> _Memo:
-    """frac_str(Fraction(k - low, den)) for integers k, each built once."""
-    return _Memo(lambda k: frac_str(Fraction(k - low, den)))
+    """frac_str(Fraction(k - low, den)) for integers k and den > 0, each
+    built once from integers."""
+    def text(k):
+        k -= low
+        g = gcd(k, den)
+        return str(k // g) if g == den else f"{k // g}/{den // g}"
+
+    return _Memo(text)
 
 
 def _coordinates(vectors, rank: int) -> list:
@@ -573,7 +579,9 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
     components, or None for any other list, whose message _entries gives.
     It never raises: each check is a C-level pass over one column, each
     distinct gamma entry is parsed once, and only the entries with terms are
-    read one by one, a SchemaViolation of _terms meaning None. It reads every
+    read one by one, a SchemaViolation of _terms meaning None. The gamma
+    columns are compared with the coset table's, or, in another order, found
+    in it block by block (_BlockTable.positions). It reads every
     list of JSON values that _entries accepts, so that for a document read
     from a file the loop runs only to report an error."""
     det, rank = lattice.det, lattice.rank
@@ -597,14 +605,17 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
         # det * x reduced mod det, or None when det does not clear x
         scaled = {x: None if det % y.denominator else y.numerator * (det // y.denominator) % det
                   for x in values for y in [parse_frac(x, "")]}
-        keys = list(zip(*[map(scaled.__getitem__, chain.from_iterable(gammas))] * rank))
+        flat = list(map(scaled.__getitem__, chain.from_iterable(gammas)))
+        columns = [flat[i::rank] for i in range(rank)]
         minima = lattice.coset_minima()
-        if keys == list(minima.table):  # the canonical order: no key is hashed
-            qs = list(minima.table.values())
-        else:  # one lookup tests a key and gives its minimum
-            qs = list(map(minima.table.get, keys))
-            if None in qs or len(set(keys)) != det:
+        table = minima.table
+        qs = table.values()
+        if not all(map(eq, columns, table.columns())):  # not the canonical order
+            # each key found block by block; a missing one raises KeyError
+            places = list(table.positions(columns))
+            if len(set(places)) != det:
                 return None
+            qs = list(map(qs.__getitem__, places))
         # each distinct prec is parsed once, and P * den is one integer;
         # a prec spelled alike on cosets of two minima is refused
         minimum = dict(zip(raws, qs))
@@ -617,8 +628,9 @@ def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
         if len(tops) != 1:
             return None
         # the path names no entry: a message built here is never shown
-        components = {key: _terms(fg, "", ids) for key, fg in compress(zip(keys, terms), terms)}
-    except (ValueError, ZeroDivisionError, SchemaViolation):
+        components = {key: _terms(fg, "", ids)
+                      for key, fg in compress(zip(zip(*columns), terms), terms)}
+    except (ValueError, ZeroDivisionError, KeyError, SchemaViolation):
         return None
     return components, Fraction(tops.pop(), den)
 
@@ -682,28 +694,30 @@ def _terms(terms, path, ids: _Interned) -> dict:
 
 
 def emit_vvform(form: VectorValuedForm) -> dict:
-    """The document of a form: the coset table in order, each key of the
-    form looked up in it, and the exponents rescaled by one integer factor."""
+    """The document of a form: the columns of the coset table in order, each
+    component of the form at its key's position in the table, and the
+    exponents rescaled by one integer factor."""
     if form.lattice.det > DEFAULT_BUDGET:
         raise ResourceLimit(
             f"determinant {form.lattice.det} exceeds the {DEFAULT_BUDGET}-coset budget")
     minima = form.lattice.coset_minima()  # keys in canonical order
-    gden, table = minima.gden, minima.table
-    if not all(map(table.__contains__, form.terms)):
-        raise ValueError("a component key is not a reduced coset representative")
+    table = minima.table
+    try:
+        places = list(map(table.position, form.terms))
+    except KeyError:
+        raise ValueError("a component key is not a reduced coset representative") from None
     eden = lcm(form.prec.denominator, minima.qden, form.eden)
     exps, es = _Strings(eden), eden // form.eden
     top, qs = _scaled(form.prec, eden), eden // minima.qden
-    gammas = _string_columns(_Strings(gden), _coordinates(table, form.lattice.rank))
+    gammas = list(table.columns(_Strings(minima.gden).__getitem__))
     precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
     decimal = _Memo(str).__getitem__
-    rows = {}
-    for key, fg in form.terms.items():
+    terms = [Rows(0)] * len(table)  # each component at its place in the table
+    for place, fg in zip(places, form.terms.values()):
         keys = sorted(fg)
-        rows[key] = Rows(len(keys),
-                         ("e", str, list(map(exps.__getitem__, map(mul, keys, repeat(es))))),
-                         ("c", str, list(map(decimal, map(fg.__getitem__, keys)))))
-    terms = list(map(rows.get, table, repeat(Rows(0))))
+        terms[place] = Rows(len(keys),
+                            ("e", str, list(map(exps.__getitem__, map(mul, keys, repeat(es))))),
+                            ("c", str, list(map(decimal, map(fg.__getitem__, keys)))))
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),

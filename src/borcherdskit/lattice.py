@@ -9,21 +9,24 @@ a coset come from the branch and bound of Fincke and Pohst on integers: the
 LDL decomposition of the Gram matrix is scaled once per lattice to integer
 weights, each coset to its common denominator, and every vector found carries
 its norm as an exact integer. Coset minima are searched once per orthogonal
-block of the Gram matrix and added across blocks as integers into one table
-on integer keys, (gden, qden, {gden * gamma: qden * min Q}); gden is the
-determinant, a common denominator of every dual vector. coset_minima()
-returns that record and builds no Fraction; coset_minimum() gives one
-coset's minimum as a Fraction.
+block of the Gram matrix, on integer keys, into the record (gden, qden,
+{gden * gamma: qden * min Q}); gden is the determinant, a common
+denominator of every dual vector. The table is a read-only sorted map held
+as the tables of its blocks, a minimum being the sum of its blocks' minima,
+so it takes memory in proportion to the blocks' cosets; listing every key
+still costs det. coset_minima() returns that record and builds no
+Fraction; coset_minimum() gives one coset's minimum as a Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
-from math import floor, gcd, inf, isqrt, lcm
-from operator import mul
-from types import MappingProxyType
+from itertools import accumulate, chain, product, repeat
+from math import floor, gcd, inf, isqrt, lcm, prod
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -262,11 +265,74 @@ def _Fractions(den: int) -> _Memo:
     return _Memo(lambda k: Fraction(k, den))
 
 
+class _BlockTable(Mapping):
+    """A read-only map on integer tuples, keys sorted, held as the product of
+    the tables of consecutive blocks of coordinates. parts[b] is the table
+    of block b, (keys, values, index): its sorted sub-keys, their values
+    and {sub-key: position}; equal blocks share one part. The key at
+    position sum_b i_b * strides[b] joins the sub-keys keys[i_b] of the
+    blocks, and its value is the sum of their values[i_b]. The map holds
+    the parts only: listing every key still costs one item per key."""
+
+    __slots__ = ("parts", "strides", "cuts", "size")
+
+    def __init__(self, parts):
+        sizes = [len(keys) for keys, _, _ in parts]
+        self.parts, self.size = parts, prod(sizes)
+        self.strides = [prod(sizes[b + 1:]) for b in range(len(parts))]
+        # the slice of a key that each block reads; the last one is open, so
+        # that a key of another length misses some block's index
+        starts = list(accumulate([len(keys[0]) for keys, _, _ in parts], initial=0))
+        self.cuts = list(zip(starts, [*starts[1:-1], None]))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return map(tuple, map(chain.from_iterable, product(*[keys for keys, _, _ in self.parts])))
+
+    def __getitem__(self, key) -> int:
+        return sum([values[index[key[a:b]]] for (_, values, index), (a, b)
+                    in zip(self.parts, self.cuts)])
+
+    def values(self) -> list:
+        """The values in key order."""
+        return list(map(sum, product(*[values for _, values, _ in self.parts])))
+
+    def position(self, key) -> int:
+        """The index of key in key order; KeyError when it is not a key."""
+        return sum([index[key[a:b]] * stride for (_, _, index), (a, b), stride
+                    in zip(self.parts, self.cuts, self.strides)])
+
+    def positions(self, columns) -> map:
+        """position() of each key given as the coordinate columns of the
+        keys, read block by block; KeyError when one is not a key."""
+        at = repeat(0)
+        for (_, _, index), (a, b), stride in zip(self.parts, self.cuts, self.strides):
+            offset = {key: i * stride for key, i in index.items()}
+            at = map(add, at, map(offset.__getitem__, zip(*columns[a:b])))
+        return at
+
+    def columns(self, cell=None):
+        """Each coordinate column of the keys in key order, its entries
+        passed through cell first when it is given: a block's column, each
+        entry repeated by the block's stride, the whole repeated for the
+        blocks before it."""
+        for (keys, _, _), stride in zip(self.parts, self.strides):
+            for column in zip(*keys):
+                run = list(chain.from_iterable(map(repeat, map(cell, column) if cell else column,
+                                                   repeat(stride))))
+                yield run * (self.size // len(run))
+
+
 class CosetMinima(namedtuple("CosetMinima", "gden qden table")):
     """Minimal Q on every coset of L'/L, on integers: table is a read-only
     map from gden * gamma to qden * min Q for each reduced representative
     gamma, keys sorted; gden is the determinant and qden a common
-    denominator of the minima.
+    denominator of the minima. table is a _BlockTable over the orthogonal
+    blocks of the Gram matrix, so it holds memory in proportion to the
+    blocks' cosets, not to det; reading a whole column of it, or listing its
+    keys, still costs det.
     """
 
     __slots__ = ()
@@ -479,42 +545,55 @@ class EvenLattice:
         L'/L is the product of the groups of the orthogonal blocks of the
         Gram matrix, and Q adds across blocks, so each distinct block Gram is
         searched once and a coset's minimum is the sum of its blocks' minima,
-        added as integers over one common denominator.
+        added as integers over one common denominator. The table is kept as
+        the product of the tables of runs of consecutive coordinates
+        (_BlockTable): a run is one block, or blocks whose indices
+        interleave, multiplied out and sorted.
         """
         if self._minima is None:
-            blocks = _blocks(self.gram)
             searched: dict[tuple, dict] = {}
-            grams = []
-            for block in blocks:
+            runs = []  # the (block, gram) of each run of consecutive coordinates
+            end = -1
+            for block in _blocks(self.gram):
                 gram = tuple(tuple(self.gram[i][j] for j in block) for i in block)
                 if gram not in searched:
                     lat = self if len(block) == self.rank else EvenLattice(gram)
                     searched[gram] = {gamma: lat.coset_minimum(gamma)
                                       for gamma in lat.discriminant_group().representatives}
-                grams.append(gram)
+                if block[0] > end:
+                    runs.append([])
+                runs[-1].append((block, gram))
+                end = max(end, block[-1])
             gden = self.det
             qden = lcm(*(q.denominator for part in searched.values() for q in part.values()))
             scaled = {gram: [(tuple([c.numerator * (gden // c.denominator) for c in gamma]),
                               q.numerator * (qden // q.denominator))
                              for gamma, q in part.items()]
                       for gram, part in searched.items()}
-            # positions[k] is the coordinate that the k-th entry of a key
-            # concatenated block by block belongs at
-            positions = [i for block in blocks for i in block]
-            interleaved = positions != list(range(self.rank))
-            where = sorted(range(self.rank), key=positions.__getitem__)
-            # block by block, each key extended in sorted order
-            table: dict[tuple[int, ...], int] = {(): 0}
-            for gram in grams:
-                table = {key + gamma: q + p for key, q in table.items()
-                         for gamma, p in scaled[gram]}
-            if interleaved:
-                table = dict(sorted((tuple([key[k] for k in where]), q)
-                                    for key, q in table.items()))
+            parts = {}  # the Gram of a run -> its table
+            tables = []
+            for run in runs:
+                # positions[k] is the coordinate that the k-th entry of a key
+                # concatenated block by block belongs at
+                positions = [i for block, _ in run for i in block]
+                where = sorted(range(len(positions)), key=positions.__getitem__)
+                start, stop = positions[0], positions[0] + len(positions)
+                gram = tuple(row[start:stop] for row in self.gram[start:stop])
+                if gram not in parts:
+                    # block by block, each key extended
+                    table: dict[tuple[int, ...], int] = {(): 0}
+                    for _, block_gram in run:
+                        table = {key + gamma: q + p for key, q in table.items()
+                                 for gamma, p in scaled[block_gram]}
+                    keys, qs = zip(*sorted((tuple([key[k] for k in where]), q)
+                                           for key, q in table.items()))
+                    parts[gram] = (keys, qs, dict(zip(keys, range(len(keys)))))
+                tables.append(parts[gram])
+            table = _BlockTable(tables)
             if len(table) != self.det:
                 raise SelfCheckFailed("coset count",
                                       f"{len(table)} coset minima, expected {self.det}")
-            self._minima = CosetMinima(gden, qden, MappingProxyType(table))
+            self._minima = CosetMinima(gden, qden, table)
         return self._minima
 
     # -- discriminant group ------------------------------------------------

@@ -5,8 +5,18 @@
 #
 #     bash tests/golden_pipe.sh
 #
-# Every line must pass with cmp; the first difference stops the script.
+# Every line must pass with cmp; the first difference stops the script. It
+# exits 2 before the first line when python cannot import borcherdskit or
+# borcherds-kit is not on PATH.
 set -euo pipefail
+if ! python -c 'import borcherdskit' 2> /dev/null; then
+  echo "golden_pipe.sh: python cannot import borcherdskit; run 'pip install -e .' or set PYTHONPATH=src" >&2
+  exit 2
+fi
+if ! command -v borcherds-kit > /dev/null; then
+  echo "golden_pipe.sh: borcherds-kit is not on PATH; run 'pip install -e .'" >&2
+  exit 2
+fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 roundtrip() {  # roundtrip KIND FILE [CANONICAL]: io.emit_KIND(io.parse_KIND(FILE)) must be CANONICAL, by default FILE
@@ -36,6 +46,10 @@ roundtrip vvform "$tmp/decompose_phi_n4_prec1.json"
 # the same file with its components in reverse order is written back canonical
 python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["components"].reverse(); json.dump(doc, sys.stdout)' "$tmp/decompose_phi_n4_prec1.json" > "$tmp/reversed.json"
 roundtrip vvform "$tmp/reversed.json" "$tmp/decompose_phi_n4_prec1.json"
+# a 32768-coset vvform, with its components reversed, is written back canonical
+borcherds-kit phi --n 5 --prec 1 | borcherds-kit decompose > "$tmp/decompose_phi_n5_prec1.json"
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["components"].reverse(); json.dump(doc, sys.stdout)' "$tmp/decompose_phi_n5_prec1.json" > "$tmp/reversed.json"
+roundtrip vvform "$tmp/reversed.json" "$tmp/decompose_phi_n5_prec1.json"
 # series files and a rank-3 expansion file read and written back
 for f in tests/golden/phi_n1_prec16.json tests/golden/phi_n2_prec4.json tests/golden/phi_n3_prec3.json \
          tests/golden/phi_n4_prec2.json; do

@@ -16,6 +16,7 @@ reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -221,6 +222,25 @@ def test_cli_writes_rows_without_building_them(name, argv, stdin, capsys, monkey
             io.BytesIO((GOLDEN / stdin).read_bytes()), encoding="utf-8"))
     assert main(argv) == 0
     assert capsys.readouterr().out == read(name)
+
+
+def test_rank_5_decomposition_is_byte_identical(capsys, monkeypatch):
+    # 32 768 cosets, too large a file for the corpus: its digest is pinned,
+    # and the file parsed, with its components in order and reversed, is
+    # written back the same
+    assert main(["phi", "--n", "5", "--prec", "1"]) == 0
+    series = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(series.encode()), encoding="utf-8"))
+    assert main(["decompose"]) == 0
+    text = capsys.readouterr().out
+    assert len(text) == 5_008_852
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a93648f2a6c137da98be8c3649808da6b4283b1877b5c2f0452dae2a41856c9c")
+    doc = json.loads(text)
+    assert canonical_dumps(emit_vvform(parse_vvform(doc))) == text
+    doc["components"].reverse()
+    assert canonical_dumps(emit_vvform(parse_vvform(doc))) == text
 
 
 def test_corpus_lists_every_file():

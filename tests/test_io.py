@@ -39,6 +39,7 @@ from borcherdskit.io import (
     _Interned,
     _series_columns,
     _series_terms,
+    _Strings,
     Rows,
     canonical_dumps,
     emit_expansion,
@@ -95,6 +96,17 @@ def test_frac_str_lowest_terms():
     assert frac_str(F(-3, 9)) == "-1/3"
     assert frac_str(F(5)) == "5"
     assert frac_str(0) == "0"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.one_of(st.just(1), st.integers(1, 10 ** 4)))
+@example(0, 0, 1)
+@example(-6, 0, 4)
+@example(7, -5, 12)
+def test_strings_write_what_frac_str_writes(k, low, den):
+    assert _Strings(den, low)[k] == frac_str(F(k - low, den))
+    assert _Strings(den)[k] == frac_str(F(k, den))
 
 
 def test_parse_frac_lenient_and_strict():

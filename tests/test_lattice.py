@@ -9,6 +9,7 @@ Fraction loops for the integer inner products.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import ceil, floor, gcd, inf, isqrt
 
@@ -551,6 +552,44 @@ def test_coset_minima_block_diagonal_matches_box_scan(gram, data):
     for gamma in data.draw(st.lists(st.sampled_from(sorted(oracle)), max_size=6)):
         shifted = tuple(c + data.draw(st.integers(-2, 2)) for c in gamma)
         assert k.coset_minimum(shifted) == oracle[gamma]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(block_diagonal_grams())
+def test_coset_table_reads_agree_with_its_keys(gram):
+    # the column, value and position reads of the table, built from its
+    # blocks, against the keys it lists and one lookup per key
+    table = EvenLattice(gram).coset_minima().table
+    keys = list(table)
+    assert [list(column) for column in zip(*keys)] == list(table.columns())
+    assert [[str(x) for x in column] for column in zip(*keys)] == list(table.columns(str))
+    assert list(table.values()) == [table[key] for key in keys]
+    assert list(map(table.position, keys)) == list(range(len(keys)))
+    assert list(table.positions([list(c) for c in zip(*reversed(keys))])) == list(
+        reversed(range(len(keys))))
+    for key in (keys[-1] + (0,), keys[-1][:-1], tuple(x + table.size for x in keys[0])):
+        assert key not in table
+        with pytest.raises(KeyError):
+            table.position(key)
+
+
+def test_coset_minima_of_diag8_rank7_are_held_as_blocks():
+    # 8^7 cosets from the 8 of [[8]], with no table of 8^7 entries built
+    block = EvenLattice([[8]]).coset_minima()
+    tracemalloc.start()
+    try:
+        minima = EvenLattice([[8 * (i == j) for j in range(7)] for i in range(7)]).coset_minima()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    table, gden = minima.table, minima.gden
+    assert len(table) == gden == 8 ** 7 and minima.qden == block.qden
+    first = list(itertools.islice(table, 20))
+    assert first == sorted(first) and first[:2] == [(0,) * 7, (0,) * 6 + (8 ** 6,)]
+    scale = gden // 8  # a key of [[8]] over det 8, over det 8^7
+    for key in [(0,) * 7, (1, 2, 3, 4, 5, 6, 7), (7,) * 7, (4, 0, 4, 1, 0, 7, 3)]:
+        assert table[tuple(scale * x for x in key)] == sum(block.table[(x,)] for x in key)
 
 
 def test_coset_minimum_rejects_non_dual():
