@@ -191,11 +191,10 @@ def emit_vector(vec) -> list[str]:
     return [frac_str(x) for x in vec]
 
 
-def _Strings(den: int, low: int = 0) -> _Memo:
-    """frac_str(Fraction(k - low, den)) for integers k and den > 0, each
-    built once from integers."""
+def _Strings(den: int) -> _Memo:
+    """frac_str(Fraction(k, den)) for integers k and den > 0, each built
+    once from integers."""
     def text(k):
-        k -= low
         g = gcd(k, den)
         return str(k // g) if g == den else f"{k // g}/{den // g}"
 
@@ -512,7 +511,6 @@ def emit_series(series: JacobiSeries) -> dict:
         heads = list(map(firsts.setdefault, zip(*columns[:1 + split]), count()))
         tails = list(map(lasts.setdefault, zip(*columns[1 + split:]), count()))
         cells = _coordinates(list(firsts), 1 + split) + _coordinates(list(lasts), rank - split)
-        low = 0
     else:
         terms, packing = series._packed, series._packing
         keys = sorted(terms)
@@ -521,12 +519,11 @@ def emit_series(series: JacobiSeries) -> dict:
         bits = packing.width * (rank - split)
         heads = list(map(firsts.setdefault, map(rshift, lifted, repeat(bits)), count()))
         tails = list(map(lasts.setdefault, map(and_, lifted, repeat((1 << bits) - 1)), count()))
-        digits = [packing.digits(list(map(keys.__getitem__, rows.values())), signed=False)
+        digits = [packing.digits(list(map(keys.__getitem__, rows.values())))
                   for rows in (firsts, lasts)]
         cells = digits[0][:1 + split] + digits[1][1 + split:]
-        low = packing.half
     ids = [firsts.values()] * (1 + split) + [lasts.values()] * (rank - split)
-    strings = [_Strings(series.q_den)] + [_Strings(series.den, low)] * rank
+    strings = [_Strings(series.q_den)] + [_Strings(series.den)] * rank
     ns, *ls = [dict(zip(rows, map(text.__getitem__, column)))
                for rows, text, column in zip(ids, strings, cells)]
     cs = list(map(_Memo(str).__getitem__, map(terms.__getitem__, keys)))

@@ -4,18 +4,20 @@ Everything here runs over Python integers and fractions.Fraction; no floating
 point is used anywhere. Vectors are tuples of Fractions holding coordinates
 with respect to the lattice basis, so the Gram matrix is the single source of
 truth for all inner products. Inner products scale both vectors to integers
-over a common denominator and build one Fraction at the end. Short vectors of
-a coset come from the branch and bound of Fincke and Pohst on integers: the
-LDL decomposition of the Gram matrix is scaled once per lattice to integer
-weights, each coset to its common denominator, and every vector found carries
-its norm as an exact integer. Coset minima are searched once per orthogonal
-block of the Gram matrix, on integer keys, into the record (gden, qden,
-{gden * gamma: qden * min Q}); gden is the determinant, a common
-denominator of every dual vector. The table is a read-only sorted map held
-as the tables of its blocks, a minimum being the sum of its blocks' minima,
-so it takes memory in proportion to the blocks' cosets; listing every key
-still costs det. coset_minima() returns that record and builds no
-Fraction; coset_minimum() gives one coset's minimum as a Fraction.
+over a common denominator and build one Fraction at the end. A lattice is set
+up by one fraction-free (Bareiss) elimination of its Gram matrix on integers:
+its pivots are the leading principal minors, so it checks positive
+definiteness, its last pivot is the determinant, and its rows, each divided by
+its gcd, are the integer levels of the Fincke and Pohst branch and bound that
+finds the short vectors of a coset. Each coset is scaled to its common
+denominator, and every vector found carries its norm as an exact integer.
+Coset minima are searched once per orthogonal block of the Gram matrix, on
+integer keys, into the record (gden, qden, {gden * gamma: qden * min Q}); gden
+is the determinant, a common denominator of every dual vector. The table is a
+read-only sorted map held as the tables of its blocks, a minimum being the sum
+of its blocks' minima, so it takes memory in proportion to the blocks' cosets;
+listing every key still costs det. coset_minima() returns that record and
+builds no Fraction; coset_minimum() gives one coset's minimum as a Fraction.
 """
 
 from __future__ import annotations
@@ -175,28 +177,39 @@ def smith_normal_form(matrix):
     return diag, u, v
 
 
-def _ldl(matrix):
-    """Decompose a symmetric matrix as R^T D R with R unit upper triangular.
+def _eliminate(gram) -> tuple[int, int, list]:
+    """(det, k, levels) of a symmetric integer matrix by one fraction-free
+    elimination (Bareiss): levels[i] = (w, m, row), row listing the pairs
+    (j, a) for j > i with a != 0, such that for every vector y
+    k * y^T gram y = sum_i w_i * (m_i * y_i + sum_j a_ij * y_j)^2.
 
-    Returns (d, r) such that x^T A x = sum_i d[i] * (x_i + sum_{j>i} r[i][j] x_j)^2.
-    Raises NotPositiveDefinite at the first nonpositive pivot.
+    At step i the pivot is the leading principal minor D_(i+1), and the
+    entries after it over D_(i+1) are row i of the unit upper triangular R in
+    gram = R^T diag(D_(i+1) / D_i) R. With g the gcd of the pivot's row,
+    m_i = D_(i+1) / g, a_ij is the entry over g, and w_i / k is
+    g^2 / (D_i D_(i+1)), k being the least common denominator of those
+    weights. det is the last pivot. Raises NotPositiveDefinite at the first
+    pivot that is not positive.
     """
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
+    a = [list(row) for row in gram]
+    prev, weights, rows = 1, [], []
+    for i, row in enumerate(a):
+        pivot = row[i]
+        if pivot <= 0:
             raise NotPositiveDefinite(f"leading principal minor {i + 1} is not positive")
-        r[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            r[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= d[i] * r[i][k] * r[i][l]
-                a[l][k] = a[k][l]
-    return d, r
+        g = gcd(*row[i:])
+        rows.append((pivot // g, [(j, x // g) for j, x in enumerate(row[i + 1:], i + 1) if x]))
+        num, den = g * g, prev * pivot
+        h = gcd(num, den)
+        weights.append((num // h, den // h))
+        # Sylvester's identity: each new entry is a minor, so prev divides it;
+        # only the upper triangle is updated and read
+        for j in range(i + 1, len(a)):
+            rj, c = a[j], row[j]
+            rj[j:] = [(pivot * x - c * y) // prev for x, y in zip(rj[j:], row[j:])]
+        prev = pivot
+    k = lcm(*[den for _, den in weights])
+    return prev, k, [(num * (k // den), m, row) for (num, den), (m, row) in zip(weights, rows)]
 
 
 class _Full(Exception):
@@ -207,7 +220,7 @@ def _enumerate_affine(levels, offset, den, budget, limit=inf):
     """All integer vectors y = offset + den * x, x integral, whose norm
     sum_i w_i * (m_i * y_i + sum_j a_ij * y_j)^2 is at most budget, as pairs
     (y, norm) in search order, or the first limit + 1 of them found when there
-    are more than limit. levels are as EvenLattice._levels returns them and
+    are more than limit. levels are as _eliminate returns them and
     den is positive.
 
     Branch and bound over integers (Fincke and Pohst): with the coordinates
@@ -393,11 +406,7 @@ class EvenLattice:
                 raise NotEven(f"diagonal Gram entry ({i}, {i}) = {rows[i][i]} is odd")
         self.gram: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in rows)
         self.rank: int = n
-        self._gram_ldl = _ldl(self.gram)
-        det = Fraction(1)
-        for piv in self._gram_ldl[0]:
-            det *= piv
-        self.det: int = int(det)
+        self.det, self._k, self._levels = _eliminate(self.gram)
         self._disc = None
         self._minima = None
 
@@ -479,39 +488,15 @@ class EvenLattice:
 
     # -- enumeration ------------------------------------------------------
 
-    @cached_property
-    def _levels(self) -> tuple[int, list]:
-        """The LDL decomposition (d, r) of the Gram matrix scaled to integers.
-
-        Returns (k, levels) with levels[i] = (w, m, row), row listing the
-        pairs (j, a) for j > i with a != 0, such that for every vector y
-        k * y^T gram y = sum_i w_i * (m_i * y_i + sum_j a_ij * y_j)^2.
-        m_i is the least common denominator of row i of r, a_ij = m_i * r[i][j],
-        and k is the least positive integer making every w_i = k * d[i] / m_i^2
-        an integer.
-        """
-        d, r = self._gram_ldl
-        n = self.rank
-        rows, weights = [], []
-        for i in range(n):
-            m = lcm(*(r[i][j].denominator for j in range(i + 1, n)))
-            rows.append((m, [(j, r[i][j].numerator * (m // r[i][j].denominator))
-                             for j in range(i + 1, n) if r[i][j]]))
-            weights.append(d[i] / (m * m))
-        k = lcm(*(w.denominator for w in weights))
-        return k, [(w.numerator * (k // w.denominator), m, row)
-                   for w, (m, row) in zip(weights, rows)]
-
     def _points(self, offset, den: int, top: int, over: int, limit=inf) -> tuple[int, list]:
         """(scale, points) for the vectors v = y / den, y = offset + den * x
         with x integral, whose Q(v) is at most top / over (over > 0): points
         lists the integer pairs (y, scale * Q(v)) in search order, scale being
         2 k den^2. When there are more than limit vectors, the search stops
         after limit + 1. The one entry point of the enumeration."""
-        k, levels = self._levels
         # k * y^T gram y = 2 k den^2 Q(v)
-        scale = 2 * k * den * den
-        return scale, _enumerate_affine(levels, offset, den, scale * top // over, limit)
+        scale = 2 * self._k * den * den
+        return scale, _enumerate_affine(self._levels, offset, den, scale * top // over, limit)
 
     def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted

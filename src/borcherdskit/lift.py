@@ -126,15 +126,13 @@ class PrincipalPart(namedtuple("PrincipalPart", "lattice constant_term terms ede
         coords, exps = _Fractions(self.lattice.det).__getitem__, _Fractions(self.eden)
         return {(tuple(map(coords, key)), exps[e]): c for (key, e), c in self.terms.items()}
 
-    def _common(self, other: "PrincipalPart") -> tuple[dict, dict] | None:
-        """The terms of both parts over the lcm of their edens; None when
-        their gammas lie over different dets."""
+    def _common(self, other: "PrincipalPart") -> tuple[tuple, tuple] | None:
+        """The (eden, terms) of both parts; None when their gammas lie over
+        different dets. eden is a function of the Fraction map, so over one
+        det two parts with different edens are different maps."""
         if self.lattice.det != other.lattice.det:
             return None
-        eden = lcm(self.eden, other.eden)
-        return tuple(pp.terms if pp.eden == eden else
-                     {(key, e * (eden // pp.eden)): c for (key, e), c in pp.terms.items()}
-                     for pp in (self, other))
+        return (self.eden, self.terms), (other.eden, other.terms)
 
 
 def principal_part(form: VectorValuedForm) -> PrincipalPart:

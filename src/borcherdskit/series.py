@@ -104,16 +104,14 @@ class _Packing:
     def pack(self, t: int, vec) -> int:
         return t * self.unit + sum(map(mul, vec, self.weights))
 
-    def digits(self, keys, signed: bool = True) -> list:
-        """The grades of the keys, then each digit of their vectors, as one
-        iterator over the keys each. A digit is vec_i, or vec_i + M/2 in
-        [0, M) when not signed."""
+    def digits(self, keys) -> list:
+        """The grades of the keys, then each digit vec_i of their vectors, as
+        one iterator over the keys each."""
         lifted = list(map(add, keys, repeat(self.offset)))
-        digits = [map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask))
-                  for s in self.shifts]
-        if signed:
-            digits = [map(sub, d, repeat(self.half)) for d in digits]
-        return [map(rshift, lifted, repeat(self.shift))] + digits
+        unsigned = [map(and_, map(rshift, lifted, repeat(s)), repeat(self.mask))
+                    for s in self.shifts]
+        return [map(rshift, lifted, repeat(self.shift))] + [
+            map(sub, d, repeat(self.half)) for d in unsigned]
 
     def unpack(self, packed: dict) -> dict:
         """The map {k: c} as {(t, vec): c} in (t, lex vec) order, which is the
@@ -222,11 +220,12 @@ class _View(Mapping):
     a form.
 
     len is size, the number of the record's terms. == against a view of a
-    record of the same type compares the integer terms of both records put
-    on one scale by record._common(other). Every other read, and == where
-    _common finds no common scale, decodes record._fractions() once and
-    answers from that map, which the view keeps but leaves out of a pickle
-    or a copy. Assignment raises TypeError.
+    record of the same type compares the integers that record._common(other)
+    gives for both records: their terms on one scale, or for principal parts
+    their (eden, terms). Every other read, and == where _common returns
+    None, decodes record._fractions() once and answers from that map, which
+    the view keeps but leaves out of a pickle or a copy. Assignment raises
+    TypeError.
     """
 
     __slots__ = ("_record", "_size", "_map")

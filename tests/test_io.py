@@ -99,13 +99,11 @@ def test_frac_str_lowest_terms():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
-       st.one_of(st.just(1), st.integers(1, 10 ** 4)))
-@example(0, 0, 1)
-@example(-6, 0, 4)
-@example(7, -5, 12)
-def test_strings_write_what_frac_str_writes(k, low, den):
-    assert _Strings(den, low)[k] == frac_str(F(k - low, den))
+@given(st.integers(-10 ** 6, 10 ** 6), st.one_of(st.just(1), st.integers(1, 10 ** 4)))
+@example(0, 1)
+@example(-6, 4)
+@example(12, 12)
+def test_strings_write_what_frac_str_writes(k, den):
     assert _Strings(den)[k] == frac_str(F(k, den))
 
 

@@ -11,10 +11,10 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
-from math import ceil, floor, gcd, inf, isqrt
+from math import ceil, floor, gcd, inf, isqrt, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -54,6 +54,22 @@ def integer_determinant(matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def fraction_ldl(gram):
+    """Oracle: (d, r) with x^T gram x = sum_i d[i] * (x_i + sum_{j>i} r[i][j] x_j)^2
+    for a positive-definite gram, r unit upper triangular, by symmetric
+    Gaussian elimination over Fractions."""
+    n = len(gram)
+    a = [[F(x) for x in row] for row in gram]
+    d, r = [], []
+    for i in range(n):
+        d.append(a[i][i])
+        r.append([F(0)] * i + [a[i][j] / a[i][i] for j in range(i, n)])
+        for k in range(i + 1, n):
+            for l in range(i + 1, n):
+                a[k][l] -= d[i] * r[i][k] * r[i][l]
+    return d, r
 
 
 def fraction_enumerate_affine(d, r, offset, bound, limit=inf):
@@ -200,6 +216,47 @@ def test_validate_gram_rejects_nonpositive():
         EvenLattice([[0]])
     with pytest.raises(NotPositiveDefinite, match="minor 2"):
         EvenLattice([[2, 4], [4, 2]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-2, 6), min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))))
+# leading principal minors 2, 3, -2 and 8, 64, 512, -2048
+@example(([1, 1, 1], [0, 1, 2, 0, 0, 2, 0, 0, 0]))
+@example(([4, 4, 4, 1], [0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 0]))
+def test_validate_gram_names_the_first_nonpositive_minor(case):
+    halves, upper = case
+    n = len(halves)
+    gram = [[2 * halves[i] if i == j else upper[min(i, j) * n + max(i, j)] for j in range(n)]
+            for i in range(n)]
+    minors = [Matrix([row[:k] for row in gram[:k]]).det() for k in range(1, n + 1)]
+    bad = next((k for k, minor in enumerate(minors, 1) if minor <= 0), None)
+    if bad is None:
+        assert EvenLattice(gram).det == minors[-1]
+    else:
+        with pytest.raises(NotPositiveDefinite) as info:
+            EvenLattice(gram)
+        assert str(info.value) == f"leading principal minor {bad} is not positive"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(small_even_grams(max_rank=5), block_diagonal_grams()))
+def test_levels_match_the_fraction_ldl(gram):
+    # m_i is the least common denominator of row i of r, a_ij = m_i r[i][j],
+    # and k the least positive integer making every k d[i] / m_i^2 integral
+    d, r = fraction_ldl(gram)
+    n = len(gram)
+    expected = []
+    for i in range(n):
+        m = lcm(*[x.denominator for x in r[i][i + 1:]])
+        row = [(j, m * r[i][j]) for j in range(i + 1, n) if r[i][j]]
+        expected.append((d[i] / (m * m), m, row))
+    k = lcm(*[w.denominator for w, _, _ in expected])
+    lat = EvenLattice(gram)
+    assert lat.det == Matrix(gram).det()
+    assert lat._k == k
+    assert lat._levels == [(k * w, m, row) for w, m, row in expected]
 
 
 def test_validate_gram_rejects_nonsquare():
@@ -448,7 +505,7 @@ def test_integer_enumeration_matches_fraction_oracle(gram, data):
     bound = k.quadratic_value(tuple(c - round(c) + x for c, x in zip(offset, shift)))
     bound += data.draw(st.sampled_from((0, 0, F(-1, 10**9), F(1, 10**9))))
     limit = data.draw(st.sampled_from((0, 1, 2, 5, inf)))
-    d, r = k._gram_ldl
+    d, r = fraction_ldl(gram)
 
     def oracle(limit):
         return sorted(tuple(c + xi for c, xi in zip(offset, x))

@@ -54,6 +54,7 @@ from borcherdskit.series import (
     phi04,
     phi_n,
     theta_decompose,
+    theta_sum,
 )
 
 E8_GRAM = [
@@ -461,6 +462,70 @@ def test_routes_agree_at_odd_truncations(factors, prec, degree):
     phi = cached_phi_n(factors, prec)
     direct = lift_expansion(phi, degree)
     assert direct.coeffs and direct.coeffs == lift_expansion_log_exp(phi, degree).coeffs
+
+
+def truncated_product(a, b, below):
+    """Oracle: the product of two {(q-exponent, label): c} maps, keeping the
+    exponents below below."""
+    out = {}
+    for (e, l), c in a.items():
+        for (f, k), d in b.items():
+            if e + f < below:
+                key = (e + f, tuple(x + y for x, y in zip(l, k)))
+                out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def eta_power(k, rank, below):
+    """eta^k = q^(k/24) prod_(n>0) (1 - q^n)^k below q^below, from Euler's
+    pentagonal series sum_j (-1)^j q^(j(3j-1)/2): nothing is divided."""
+    zero = (F(0),) * rank
+    top = int(below) + 1  # j(3j-1)/2 >= j^2, so |j| <= top covers the window
+    pentagonal = {(F(j * (3 * j - 1) // 2), zero): (-1) ** j for j in range(-top, top + 1)}
+    out = {(F(k, 24), zero): 1}
+    for _ in range(k):
+        out = truncated_product(out, pentagonal, below)
+    return out
+
+
+@pytest.mark.parametrize("factors, prec, degree, w0, size", [
+    (1, 16, 8, (1,), 8),
+    (1, 16, 8, (-1,), 8),
+    (2, 4, 4, (1, F(1, 10)), 80),
+    (2, 4, 4, (1, F(-1, 10)), 80),
+    (2, 4, 4, (F(-1, 10), 1), 80),
+], ids=["phi_1-plus", "phi_1-minus", "phi_2-a", "phi_2-b", "phi_2-c"])
+def test_weyl_vector_through_the_theta_block(factors, prec, degree, w0, size):
+    # The m = 0 slice of the product is
+    #   prod_(<l, w0> < 0) (1 - r^l)^c(0, l) prod_(n > 0, l) (1 - q^n r^l)^c(0, l),
+    # and by the triple product, theta(<l, z>) is
+    #   q^(1/8) r^(l/2) (1 - r^-l) prod_(n > 0) (1 - q^n)(1 - q^n r^l)(1 - q^n r^-l).
+    # So q^A r^B eta^(S - c(0, 0)) times the slice is the product of the
+    # theta(<l, z>)^c(0, l) over the labels with <l, w0> > 0, S the sum of
+    # their c(0, l): A and B are read off the theta block, a second route
+    # that neither lift route takes. The slice is known below degree, so
+    # both sides are compared below q^(degree + A).
+    phi = cached_phi_n(factors, prec)
+    lat, rank = phi.lattice, phi.lattice.rank
+    weyl = weyl_vector(phi, w0)
+    row = {l: c for (n, l), c in phi.coeffs.items() if n == 0}
+    positive = {l: c for l, c in row.items() if lat.bilinear_value(l, w0) > 0}
+    assert all(c > 0 for c in positive.values())  # a product of thetas, nothing divided
+    excess = sum(positive.values()) - row.get((F(0),) * rank, 0)
+    below = degree + weyl.a
+    left = {(n + weyl.a, tuple(x + y for x, y in zip(l, weyl.b))): c
+            for (n, l, m), c in lift_expansion(phi, degree, w0).coeffs.items() if m == 0}
+    left = truncated_product(left, eta_power(max(excess, 0), rank, below), below)
+    # theta_sum's label x on its lattice [[g]] stands for zeta^(g x)
+    theta = theta_sum(below)
+    g = theta.lattice.gram[0][0]
+    right = eta_power(max(-excess, 0), rank, below)
+    for l, c in positive.items():
+        theta_l = {(e, tuple(g * x * y for y in l)): d for (e, (x,)), d in theta.coeffs.items()}
+        for _ in range(c):
+            right = truncated_product(right, theta_l, below)
+    assert left == right
+    assert len(left) == size
 
 
 def test_high_degrees_take_one_kernel_pass(monkeypatch):

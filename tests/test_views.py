@@ -346,6 +346,18 @@ def test_form_and_part_len_and_equality_decode_no_key(no_decoding):
     assert len(pp.coeffs) == len(pp.terms) == 56 and pp.coeffs == principal_part(again).coeffs
 
 
+def test_parts_with_one_integer_terms_over_two_edens_differ_undecoded(no_decoding):
+    # eden is a function of the Fraction map, so over one det two parts with
+    # different edens are different maps, whatever their integer terms
+    lattice = EvenLattice([[8]])
+    a, b = (PrincipalPart(lattice, 1, {((F(1, 8),), F(-1, e)): 1}) for e in (16, 48))
+    assert a.terms == b.terms and a.eden != b.eden
+    assert a.coeffs != b.coeffs and not a.coeffs == b.coeffs
+    # the map of b, given over three times its eden
+    again = PrincipalPart._of(lattice, 1, {((1,), -24): 1}, 3 * b.eden)
+    assert again.coeffs == b.coeffs and not again.coeffs != b.coeffs
+
+
 # -- one coefficient, read on the integer keys ---------------------------------------------
 
 
