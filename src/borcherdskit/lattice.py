@@ -68,30 +68,16 @@ def _as_integers(v: Vector) -> tuple[int, list[int]]:
 
 
 def _blocks(gram) -> list[list[int]]:
-    """Index lists of the orthogonal blocks of a Gram matrix: the connected
-    components of its nonzero off-diagonal entries, ordered by smallest
-    index."""
-    n = len(gram)
-    seen = [False] * n
+    """Index lists of the orthogonal blocks of a symmetric Gram matrix: the
+    connected components of its nonzero off-diagonal entries, ordered by
+    smallest index. Index i, taken in order, merges the blocks found so far
+    that its row touches into one sorted block with i."""
     blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in range(n):
-                if gram[i][j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(sorted(block))
-    return blocks
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(gram):
+        touched = [block for block in blocks if any(row[j] for j in block)]
+        blocks = [block for block in blocks if block not in touched]
+        blocks.append(sorted([i, *chain.from_iterable(touched)]))
+    return sorted(blocks)
 
 
 def smith_normal_form(matrix):
@@ -99,82 +85,49 @@ def smith_normal_form(matrix):
 
     Returns (diag, u, v) where u * matrix * v is diagonal with nonnegative
     entries diag[0] | diag[1] | ... and u, v are unimodular.
+
+    Each operation runs once on the block matrix [[A, I_n], [I_m, 0]], A the
+    n x m matrix: a row operation on the first n rows acts on A and u
+    together, a column operation on the first m columns on A and v, so u is
+    the top right block at the end and v the bottom left one. At step t the
+    pivot is the entry of least absolute value in A from row and column t on,
+    the first in row-major order; it is moved to (t, t) and made positive,
+    and row t and column t are reduced modulo it until both are clear. A row
+    below holding an entry the pivot does not divide is then added to row t,
+    and the step starts over.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
     m = len(a[0]) if n else 0
-    u = _identity(n)
-    v = _identity(m)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    rows = [[*row, *(int(i == k) for k in range(n))] for i, row in enumerate(a)]
+    rows += [[*(int(i == k) for k in range(m)), *[0] * n] for i in range(m)]
     for t in range(min(n, m)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-            if a[t][t] < 0:
-                negate_row(t)
-            cleared = True
+        while pivot := min(((abs(x), i, j) for i in range(t, n)
+                            for j, x in enumerate(rows[i][t:m], t) if x), default=None):
+            _, i, j = pivot
+            rows[t], rows[i] = rows[i], rows[t]
+            for row in rows:
+                row[t], row[j] = row[j], row[t]
+            if rows[t][t] < 0:
+                rows[t] = [-x for x in rows[t]]
+            top = rows[t]
+            p = top[t]
             for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                if q:
-                    add_row(i, t, -q)
-                if a[i][t]:
-                    cleared = False
+                if q := rows[i][t] // p:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
             for j in range(t + 1, m):
-                q = a[t][j] // a[t][t]
-                if q:
-                    add_col(j, t, -q)
-                if a[t][j]:
-                    cleared = False
-            if not cleared:
+                if q := top[j] // p:
+                    for row in rows:
+                        row[j] -= q * row[t]
+            if any(rows[i][t] for i in range(t + 1, n)) or any(top[t + 1:m]):
                 continue  # remainders are strictly smaller pivot candidates
-            offender = None
-            for i in range(t + 1, n):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, m)):
-                    offender = i
-                    break
+            offender = next((row for row in rows[t + 1:n] if any(x % p for x in row[t + 1:m])),
+                            None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
-    diag = [a[i][i] for i in range(min(n, m))]
-    return diag, u, v
+            rows[t] = [x + y for x, y in zip(top, offender)]
+    diag = [rows[i][i] for i in range(min(n, m))]
+    return diag, [row[m:] for row in rows[:n]], [row[:m] for row in rows[n:]]
 
 
 def _eliminate(gram) -> tuple[int, int, list]:
@@ -480,11 +433,7 @@ class EvenLattice:
         """gcd of all inner products of lattice vectors (= gcd of the Gram
         entries, since every inner product is an integer combination of them
         and each entry is attained)."""
-        g = 0
-        for row in self.gram:
-            for x in row:
-                g = gcd(g, x)
-        return g
+        return gcd(*chain.from_iterable(self.gram))
 
     # -- enumeration ------------------------------------------------------
 
@@ -586,9 +535,7 @@ class EvenLattice:
     def discriminant_group(self) -> DiscriminantGroup:
         if self._disc is None:
             diag, _, v = smith_normal_form(self.gram)
-            order = 1
-            for x in diag:
-                order *= x
+            order = prod(diag)
             if order != self.det:
                 raise SelfCheckFailed(
                     "Smith product", f"Smith form multiplies to {order}, det is {self.det}")
@@ -605,12 +552,5 @@ class EvenLattice:
 
 def direct_sum(k1: EvenLattice, k2: EvenLattice) -> EvenLattice:
     """Orthogonal direct sum: block-diagonal Gram matrix."""
-    n1, n2 = k1.rank, k2.rank
-    gram = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            gram[i][j] = k1.gram[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            gram[n1 + i][n1 + j] = k2.gram[i][j]
-    return EvenLattice(gram)
+    return EvenLattice([*([*row, *[0] * k2.rank] for row in k1.gram),
+                        *([*[0] * k1.rank, *row] for row in k2.gram)])

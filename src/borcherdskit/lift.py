@@ -343,14 +343,9 @@ def _factor_powers(c: int, grade: int, top: int, size: int):
         if size * (c + 1) * (1 + c // 64) > DEFAULT_BUDGET:
             raise ResourceLimit(f"degree-zero factor with exponent {c}: {c + 1} binomials "
                                 f"on {size} terms exceed the {DEFAULT_BUDGET}-term budget")
-        return [(k, (-1) ** k * comb(c, k)) for k in range(c + 1)]
-    terms = []
-    k = 0
+    terms, k = [], 0
     while k * grade < top and (c < 0 or k <= c):
-        if c >= 0:
-            terms.append((k, (-1) ** k * comb(c, k)))
-        else:
-            terms.append((k, comb(k - c - 1, k)))
+        terms.append((k, (-1) ** k * comb(c, k) if c >= 0 else comb(k - c - 1, k)))
         k += 1
     return terms
 

@@ -224,7 +224,8 @@ class _View(Mapping):
     gives for both records: their terms on one scale, or for principal parts
     their (eden, terms). Every other read, and == where _common returns
     None, decodes record._fractions() once and answers from that map, which
-    the view keeps but leaves out of a pickle or a copy. Assignment raises
+    the view keeps but leaves out of a pickle or a copy; in, get and keys
+    are Mapping's, read through __getitem__ and __iter__. Assignment raises
     TypeError.
     """
 
@@ -260,15 +261,9 @@ class _View(Mapping):
     def __iter__(self):
         return iter(self._fractions())
 
-    def __contains__(self, key):
-        return key in self._fractions()
-
-    def get(self, key, default=None):
-        return self._fractions().get(key, default)
-
-    def keys(self):
-        return self._fractions().keys()
-
+    # Mapping's values and items would look each key up again, and hashing a
+    # tuple of Fractions makes that some 30 times slower than reading the
+    # decoded map (the items of phi_n(4, 5), CPython 3.11)
     def values(self):
         return self._fractions().values()
 

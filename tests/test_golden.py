@@ -90,16 +90,27 @@ def test_cli_runs_on_the_standard_library_alone():
 
     def cli(argv, stdin=None):
         result = subprocess.run([sys.executable, "-S", "-m", "borcherdskit", *argv],
-                                input=stdin, capture_output=True, env=env)
+                                input=stdin, capture_output=True, env=env, cwd=ROOT)
         assert result.returncode == 0, result.stderr
         return result.stdout
 
-    series = cli(["phi", "--n", "2", "--prec", "4"])
-    assert series == (GOLDEN / "phi_n2_prec4.json").read_bytes()
-    for name, argv in [("decompose_phi_n2_prec4.json", ["decompose"]),
-                       ("principal_part_phi_n2_prec4.json", ["principal-part"]),
-                       ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"])]:
-        assert cli(argv, series) == (GOLDEN / name).read_bytes()
+    def golden(name):
+        return (GOLDEN / name).read_bytes()
+
+    # each phi output is checked first, so the golden file stands in for it
+    # on the stdin of the command after it
+    for n, prec in [(1, 16), (2, 4), (3, 3), (4, 2)]:
+        assert cli(["phi", "--n", str(n), "--prec", str(prec)]) == golden(
+            f"phi_n{n}_prec{prec}.json")
+    for name, argv, stdin in [
+        ("decompose_phi_n2_prec4.json", ["decompose"], "phi_n2_prec4.json"),
+        ("principal_part_phi_n2_prec4.json", ["principal-part"], "phi_n2_prec4.json"),
+        ("lift_phi_n2_prec4_deg4.json", ["lift", "--prec", "4"], "phi_n2_prec4.json"),
+        ("lift_phi_n1_prec16_deg8.json", ["lift", "--prec", "8"], "phi_n1_prec16.json"),
+        ("validate_pp_example1.json",
+         ["validate-pp", "fixtures/example1.json", "--format", "json"], None),
+    ]:
+        assert cli(argv, stdin and golden(stdin)) == golden(name)
 
 
 def test_lift_writes_integer_terms(capsys, monkeypatch):

@@ -10,6 +10,7 @@ Fraction loops for the integer inner products.
 import itertools
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction as F
 from math import ceil, floor, gcd, inf, isqrt, lcm
 
@@ -25,7 +26,13 @@ from borcherdskit.errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from borcherdskit.lattice import EvenLattice, _as_integers, direct_sum, smith_normal_form
+from borcherdskit.lattice import (
+    EvenLattice,
+    _as_integers,
+    _blocks,
+    direct_sum,
+    smith_normal_form,
+)
 
 GRAM_A = [[16, 8], [8, 16]]
 GRAM_B = [[8, 0], [0, 8]]
@@ -374,20 +381,70 @@ def test_discriminant_order_equals_det_random():
 
 
 def test_smith_normal_form_properties():
+    # n x m draws, 1 <= n, m <= 5; a third are made singular by a row that is
+    # a combination of two others, or by a zero row or column
     rng = random.Random(3)
-    for _ in range(15):
-        n = rng.randint(1, 4)
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 1 and n >= 3:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+        elif kind == 2:
+            mat[rng.randrange(n)] = [0] * m
+            j = rng.randrange(m)
+            for row in mat:
+                row[j] = 0
         diag, u, v = smith_normal_form(mat)
+        assert len(diag) == min(n, m) and len(u) == n and len(v) == m
         assert abs(integer_determinant(u)) == 1
         assert abs(integer_determinant(v)) == 1
-        prod = [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(n) for l in range(n))
-                 for j in range(n)] for i in range(n)]
+        prod = [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(n) for l in range(m))
+                 for j in range(m)] for i in range(n)]
         for i in range(n):
-            for j in range(n):
+            for j in range(m):
                 assert prod[i][j] == (diag[i] if i == j else 0)
         for a, b in zip(diag, diag[1:]):
-            assert a >= 0 and (a == 0 or b % a == 0)
+            assert a >= 0 and (b % a == 0 if a else b == 0)
+        # oracle: sympy's Smith normal form, up to the signs of its diagonal
+        assert diag == [abs(int(x)) for x in sympy_snf(Matrix(mat)).diagonal()]
+
+
+def bfs_blocks(gram):
+    """Oracle: the connected components of the nonzero off-diagonal entries,
+    each found by a breadth-first search from its smallest index."""
+    left = set(range(len(gram)))
+    blocks = []
+    while left:
+        start = min(left)
+        left.discard(start)
+        block, queue = [start], deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in sorted(left):
+                if gram[i][j]:
+                    left.discard(j)
+                    block.append(j)
+                    queue.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def test_blocks_match_breadth_first_search():
+    # symmetric patterns up to rank 8, from empty to dense, so that blocks
+    # interleave and some index joins two blocks found before it
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        density = rng.choice([0.0, 0.1, 0.2, 0.35, 0.6])
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(1, 4)
+            for j in range(i):
+                if rng.random() < density:
+                    gram[i][j] = gram[j][i] = rng.choice([-3, -1, 1, 2])
+        assert _blocks(gram) == bfs_blocks(gram)
 
 
 # -- Q mod 1 ---------------------------------------------------------------
