@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, repeat
 from math import comb, gcd, lcm
-from operator import add, floordiv, itemgetter, mod
+from operator import add, floordiv, itemgetter, mod, mul
 
 from .errors import (
     CongruenceFailed,
@@ -367,43 +367,63 @@ def _expansion_preamble(phi: JacobiSeries, total_prec, w0):
     return total_prec, weyl
 
 
-def _factors(phi: JacobiSeries, weyl: WeylData, top: int):
+def _factor_table(phi: JacobiSeries, weyl: WeylData, top: int):
     """Every factor (1 - q^n r^l s^m)^c that can touch total degrees below
-    top, as (n, l * phi.den, m, c): the degree-zero factors on the negative
-    side of the chamber, then (n, m) != (0, 0) with n, m >= 0, n + m < top
-    and c = c(nm, l)."""
-    pair = phi.lattice._pair
-    # the rows at integer exponents; the preamble puts n * m below phi.prec
-    rows: dict[int, list] = {}
+    top, as (packing, [(g, keys, cs)]): one group for each degree g = n + m
+    that has factors, keys[i] the packed monomial (n, (m, *l * phi.den)) of
+    a factor and cs[i] its exponent c.
+
+    The groups come in the order the direct route applies them: g from
+    top - 1 down to 1, within g m ascending, then the input's term order of
+    its row at q^(nm), with c = c(nm, l); then the degree-zero factors, the
+    q^0 labels on the negative side of the chamber in lex order, with
+    c = c(0, l). The table is built by columns: one pass over phi.terms
+    collects the rows at integer exponents e = n * m, each row's labels are
+    packed once, and the keys of one (n, m) are those plus a constant.
+
+    The packing holds every monomial that a product of the factors forms
+    below top, so that keys in numeric order are monomials in file order
+    (n, m, lex l). Its bound is top plus the sum over the factors of
+    power * max |l|: m < top, and a monomial takes a factor of degree g > 0
+    to a power below top / g, one of degree zero to a power of at most |c|.
+    Over the factors of positive degree that sum is, row by row,
+    sum_(n,m) ((top - 1) // (n + m)) * S_(nm), S_e the sum of max |l| over
+    the row at q^e. The total degree n + m is no digit of the key, so the
+    routes pass it to the kernel as the grade of each term."""
+    q_den, pair = phi.q_den, phi.lattice._pair
+    # the rows at integer exponents up to the largest n * m with n + m < top,
+    # as columns (vecs, cs)
+    deepest = (top - 1) ** 2 // 4 * q_den
+    rows: dict[int, tuple[list, list]] = {}
     for (t, vec), c in phi.terms.items():
-        if t % phi.q_den == 0:
-            rows.setdefault(t // phi.q_den, []).append((vec, c))
+        if t % q_den == 0 and t <= deepest:
+            vecs, cs = rows.setdefault(t // q_den, ([], []))
+            vecs.append(vec)
+            cs.append(c)
     # the scaled label and chamber vector pair with the sign of <l, w0>
     w = _as_integers(weyl.chamber_vector)[1]
-    for vec, c in sorted(rows.get(0, ())):
-        if pair(vec, w) < 0:
-            yield 0, vec, 0, c
-    for m in range(top):
-        for n in range(top - m):
-            if n or m:
-                for vec, c in rows.get(n * m, ()):
-                    yield n, vec, m, c
-
-
-def _packing(rank: int, factors, top: int) -> _Packing:
-    """The packing of every monomial (n, (m, *l)) that a product of the
-    factors forms below total degree top, so that keys in numeric order are
-    monomials in file order (n, m, lex l). Its bound is top plus the sum over
-    the factors of power * max |l|: m < top, and a monomial takes a factor
-    of degree g > 0 to a power below top / g, one of degree zero to a power
-    of at most |c|. The total degree n + m is no digit of the key, so the
-    routes pass it to the kernel as the grade of each term."""
-    reach = top
-    for n, l, m, c in factors:
-        g = n + m
-        power = abs(c) if g == 0 else (top - 1) // g
-        reach += power * max(map(abs, l), default=0)
-    return _Packing(rank + 1, reach)
+    zero = sorted((vec, c) for vec, c in zip(*rows.get(0, ((), ()))) if pair(vec, w) < 0)
+    cells = [(g, m, (g - m) * m) for g in reversed(range(1, top)) for m in range(g + 1)
+             if (g - m) * m in rows]
+    read = {e for _, _, e in cells}
+    widest = {e: sum(max(map(abs, vec)) for vec in rows[e][0]) for e in read}
+    packing = _Packing(phi.lattice.rank + 1, top
+                       + sum(abs(c) * max(map(abs, vec)) for vec, c in zero)
+                       + sum((top - 1) // g * widest[e] for g, _, e in cells))
+    # (n, (m, *l)) packs to n * unit + m * step + the packed label
+    step, *weights = packing.weights
+    labels = {e: [sum(map(mul, vec, weights)) for vec in rows[e][0]] for e in read}
+    table = []
+    for g, group in groupby(cells, itemgetter(0)):
+        keys, cs = [], []
+        for _, m, e in group:
+            keys += map(add, labels[e], repeat((g - m) * packing.unit + m * step))
+            cs += rows[e][1]
+        table.append((g, keys, cs))
+    if zero:
+        table.append((0, [sum(map(mul, vec, weights)) for vec, _ in zero],
+                      list(map(itemgetter(1), zero))))
+    return packing, table
 
 
 def _graded(t: int, layer: dict) -> list:
@@ -425,13 +445,14 @@ def _apply_factor(layers, g, rest):
     least g.
 
     layers[t] maps the packed monomials (n, (m, *l)) of total degree
-    t = n + m, up to the truncation len(layers), to their coefficients; the
-    packing is the one _packing gives for every factor applied. Layer t + s
-    gains layer t times the terms of R of degree s, in one kernel call for
-    each nonempty layer t and each s, and only the layers below
-    len(layers) - g are read. Layers are visited from the top down, so every
-    layer is read before it gains anything; it is copied first because a
-    degree-zero factor writes back into it.
+    t = n + m, up to the truncation len(layers), to their coefficients, under
+    the packing of _factor_table, whose bound holds for every product of the
+    table's factors below len(layers). Layer t + s gains layer t times the
+    terms of R of degree s, in one kernel call for each nonempty layer t and
+    each s, and only the layers below len(layers) - g are read. Layers are
+    visited from the top down, so every layer is read before it gains
+    anything; it is copied first because a degree-zero factor writes back
+    into it.
 
     rest is one factor (1 - X)^c less 1 (_factor_terms), or, for the factors
     of one degree g with 2g >= len(layers), the sum of -c X over all of them:
@@ -470,28 +491,27 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
 
     Negative exponents are expanded through geometric series; every factor
     with n + m > 0 is 1 + higher order, so the truncation by total degree is
-    exact and all output coefficients are integers by construction. The
-    factors of one high degree g, 2g >= top, go in one kernel pass
-    (_apply_factor).
+    exact and all output coefficients are integers by construction.
+
+    The factors come from _factor_table: one group of packed keys and
+    exponents for each degree g, in descending degree with the degree-zero
+    binomials last, under one packing for the whole product. The factors of
+    one high degree g, 2g >= top, go in one kernel pass (_apply_factor).
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
-    factors = list(_factors(phi, weyl, top))
-    packing = _packing(phi.lattice.rank, factors, top)
+    packing, table = _factor_table(phi, weyl, top)
     # the monomial 1 packs to the key 0
     layers = [{0: 1}] + [{} for _ in range(1, top)]
     # Descending degree: while every factor applied so far has degree at
     # least g, the layers strictly between 0 and g are empty, so a factor of
-    # degree g > top/2 reads only layer 0. The factors of one degree g with
-    # 2g >= top go in one pass. The degree-zero factors keep every grade and
-    # widen each layer they touch, so they come last.
-    ordered = sorted(factors, key=lambda f: (f[0] + f[2] == 0, -f[0] - f[2]))
-    for g, group in groupby(ordered, key=lambda f: f[0] + f[2]):
-        packed = [(packing.pack(n, (m, *l)), c) for n, l, m, c in group]
+    # degree g > top/2 reads only layer 0. The degree-zero factors keep every
+    # grade and widen each layer they touch, so they come last.
+    for g, keys, cs in table:
         if 2 * g >= top:
-            _apply_factor(layers, g, [(g, key, -c) for key, c in packed])
+            _apply_factor(layers, g, [(g, key, -c) for key, c in zip(keys, cs)])
         else:
-            for key, c in packed:
+            for key, c in zip(keys, cs):
                 _apply_factor(layers, g, _factor_terms(layers, g, key, c))
     if layers[0].get(0) != 1:
         raise SelfCheckFailed("lift constant term",
@@ -509,26 +529,29 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
     the product of the factors (1 - X)^c of positive degree, each with
     integer coefficients, so E_g is integral and g divides every g E_g the
     recurrence forms. The division is exact, and a remainder raises
-    SelfCheckFailed at the grade where it appears."""
+    SelfCheckFailed at the grade where it appears.
+
+    It reads the factor table of the direct route (_factor_table): a group
+    of degree g > 0 adds -c * g at k * key to h L_h, h = k * g, for each
+    multiple k with h < top; the degree-zero group goes in last, as there."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
-    factors = list(_factors(phi, weyl, top))
-    packing = _packing(phi.lattice.rank, factors, top)
+    packing, table = _factor_table(phi, weyl, top)
 
     # h * L_h: the log terms of total degree h, times h. The factor
     # (n, l, m) contributes -c/k at k(n, l, m), so the weighted term is
     # -c * (n + m), an integer.
     weighted_log: dict[int, dict] = {}
     zero_grade = []
-    for n, l, m, c in factors:
-        g = n + m
-        key = packing.pack(n, (m, *l))
+    for g, keys, cs in table:
         if g == 0:
-            zero_grade.append((key, c))
+            zero_grade += zip(keys, cs)
             continue
+        weights = [-c * g for c in cs]
         for k in range(1, -(-top // g)):
             bucket = weighted_log.setdefault(k * g, {})
-            bucket[k * key] = bucket.get(k * key, 0) - c * g
+            for key, w in zip(map(mul, keys, repeat(k)), weights):
+                bucket[key] = bucket.get(key, 0) + w
     weighted_log = {h: _graded(h, bucket) for h, bucket in weighted_log.items()}
 
     # layers[g] is E_g as a map of packed monomials, terms[g] as kernel terms

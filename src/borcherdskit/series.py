@@ -489,8 +489,12 @@ class JacobiSeries:
                                 for (t, vec), c in self.terms.items() if t == grade}
 
     def support(self):
-        """Stored terms in canonical (n, lex l) order."""
-        return sorted(self.coeffs.items())
+        """Stored terms in canonical (n, lex l) order. The integer keys
+        (t, vec) sort in that order, as both are scaled by positive
+        denominators, so only the sorted keys are decoded."""
+        exps, labels = _Fractions(self.q_den), _Fractions(self.den).__getitem__
+        return [((exps[t], tuple(map(labels, vec))), c)
+                for (t, vec), c in sorted(self.terms.items())]
 
     def __repr__(self):
         return (f"JacobiSeries(weight={self.weight}, rank={self.lattice.rank}, "

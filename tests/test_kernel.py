@@ -337,6 +337,19 @@ def test_integer_keys_match_the_fraction_normalisation(case):
     assert phi.truncate(half).coeffs == {k: c for k, c in expected.items() if k[0] < half}
 
 
+
+def test_support_decodes_sorted_integer_keys(monkeypatch):
+    # the support of a packed direct product, in (n, lex l) order, without
+    # one comparison of two Fractions
+    expected = sorted(phi_n(2, 4).coeffs.items())
+    phi = phi_n(2, 4)
+
+    def refuse(self, other):
+        raise AssertionError("support() compared two Fractions")
+
+    monkeypatch.setattr(F, "__lt__", refuse)
+    assert phi.support() == expected
+
 def test_equality_across_representations():
     lat = LATTICES[0]
     coeffs = {(F(0), (F(1, 8),)): 1, (F(1), (F(-1, 16),)): 2, (F(2), (F(0),)): -1}

@@ -368,7 +368,72 @@ def test_weyl_vector_matches_the_fraction_formula(drawn):
     negative = sorted((tuple(int(x * phi.den) for x in l), c)
                       for l, c in phi.q_row(0).items()
                       if phi.lattice.bilinear_value(l, w0) < 0)
-    assert list(lift._factors(phi, weyl, 1)) == [(0, l, 0, c) for l, c in negative]
+    packing, table = lift._factor_table(phi, weyl, 1)
+    assert [g for g, _, _ in table] == ([0] if negative else [])
+    keys, cs = table[0][1:] if table else ([], [])
+    ns, ms, *labels = packing.digits(keys)
+    assert set(ns) | set(ms) <= {0}
+    assert list(zip(zip(*labels), cs)) == negative
+
+
+# The chamber vectors of the benchmark's lift workload at ranks 1 and 2; it
+# has none at rank 3, where these four are generic for the q^0 labels of phi_3.
+TABLE_CHAMBERS = {
+    1: [(F(1),), (F(-1),), (F(1, 3),), (F(-2),)],
+    2: [(F(1), F(1, 10)), (F(-1), F(-1, 10)), (F(1, 7), F(1)), (F(1), F(-1, 3))],
+    3: [(F(1), F(1, 10), F(1, 100)), (F(-1), F(-1, 10), F(-1, 100)),
+        (F(1, 7), F(1), F(1, 3)), (F(1), F(-1, 3), F(1, 5))],
+}
+
+
+def oracle_factor_list(phi, w0, top):
+    """Every factor (n, l, m, c(nm, l)) with 0 < n + m < top, in the order the
+    direct route applies them (n + m descending, then m ascending, then the
+    input's term order), then (0, l, 0, c(0, l)) for the q^0 labels on the
+    negative side of the chamber in lex order; read from phi.coeffs."""
+    rows = {}
+    for (e, l), c in phi.coeffs.items():
+        rows.setdefault(e, []).append((l, c))
+    listed = [(g - m, l, m, c) for g in reversed(range(1, top)) for m in range(g + 1)
+              for l, c in rows.get((g - m) * m, ())]
+    return listed + [(0, l, 0, c) for l, c in sorted(rows.get(0, ()))
+                     if phi.lattice.bilinear_value(l, w0) < 0]
+
+
+def check_factor_table(phi, w0, top):
+    """The factor table decodes, group by group and in order, to the oracle's
+    list, and its packing bound is top plus, over the listed factors, the
+    largest power a monomial below top takes of the factor times the largest
+    |entry| of l * den: (top - 1) // g for degree g > 0, |c| for degree 0."""
+    packing, table = lift._factor_table(phi, weyl_vector(phi, w0), top)
+    listed = oracle_factor_list(phi, w0, top)
+    assert packing.bound == top + sum(
+        (abs(c) if n + m == 0 else (top - 1) // (n + m)) * max(abs(x * phi.den) for x in l)
+        for n, l, m, c in listed)
+    decoded = []
+    for g, keys, cs in table:
+        ns, ms, *labels = packing.digits(keys)
+        for n, m, l, c in zip(ns, ms, zip(*labels), cs, strict=True):
+            assert n + m == g
+            decoded.append((n, tuple(F(x, phi.den) for x in l), m, c))
+    assert decoded == listed
+
+
+@pytest.mark.parametrize("factors, prec, top", [(1, 16, 8), (2, 4, 4), (3, 3, 2)])
+@pytest.mark.parametrize("chamber", range(4))
+def test_factor_table_matches_the_factor_list(factors, prec, top, chamber):
+    check_factor_table(cached_phi_n(factors, prec), TABLE_CHAMBERS[factors][chamber], top)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(q0_rows(), st.integers(1, 3))
+def test_factor_table_of_random_q0_rows(drawn, top):
+    # top 3 also reads the q^1 term, as the factor with n = m = 1
+    phi, w0 = drawn
+    try:
+        check_factor_table(phi, w0, top)
+    except NonGenericChamber:
+        pass
 
 
 def test_weyl_message_names_the_first_label_in_term_order():
@@ -545,13 +610,13 @@ def test_high_degrees_take_one_kernel_pass(monkeypatch):
 
 def test_log_exp_route_checks_integrality(monkeypatch):
     # an exponent of 1/2 on a factor of degree 1 makes E_1 non-integral
-    factors = lift._factors
+    factor_table = lift._factor_table
 
     def with_half_power(phi, weyl, top):
-        yield from factors(phi, weyl, top)
-        yield 1, (0,), 0, F(1, 2)
+        packing, table = factor_table(phi, weyl, top)
+        return packing, table + [(1, [packing.pack(1, (0, 0))], [F(1, 2)])]
 
-    monkeypatch.setattr(lift, "_factors", with_half_power)
+    monkeypatch.setattr(lift, "_factor_table", with_half_power)
     with pytest.raises(SelfCheckFailed) as info:
         lift_expansion_log_exp(phi04(4), 4, (1,))
     assert info.value.check == "lift integrality"
