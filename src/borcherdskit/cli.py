@@ -12,6 +12,12 @@ Exit codes: 0 success, 1 domain error or failed validation, 2 I/O or parse
 error, 3 failed internal self-check (a defect in the package, reported as one
 line naming the check). Nothing is randomized and no floating point is used,
 so identical invocations produce byte-identical output.
+
+The nine commands are declared in one table, _COMMANDS. Each handler takes
+the parsed arguments and the input document and returns (document, lines):
+the JSON document and the text report, whose first line is the summary;
+validate-pp also returns its exit code. main reads the input, writes the
+result and maps exceptions to exit codes, once for every command.
 """
 
 from __future__ import annotations
@@ -54,12 +60,6 @@ def _parse_w0(text, rank):
     return w0
 
 
-def _read_input_doc(path):
-    if path in (None, "-"):
-        return kit_io.read_json(sys.stdin.buffer, "stdin")
-    return kit_io.load_json(path)
-
-
 def _write(args, doc, text_lines):
     """Emit the result in the requested format and channel."""
     payload = kit_io.canonical_dumps(doc) if args.format == "json" \
@@ -78,8 +78,8 @@ def _write(args, doc, text_lines):
 # -- command handlers ------------------------------------------------------------
 
 
-def _cmd_lattice_info(args):
-    lattice = kit_io.parse_lattice(_read_input_doc(args.input))
+def _cmd_lattice_info(args, data):
+    lattice = kit_io.parse_lattice(data)
     disc = lattice.discriminant_group()
     criterion = admits_half_integral_weight(lattice)
     doc = {
@@ -91,7 +91,7 @@ def _cmd_lattice_info(args):
         "singular_weight": kit_io.frac_str(singular_weight(lattice)),
         "divisible_by_8": criterion,
     }
-    lines = [
+    return doc, [
         f"rank {lattice.rank}, det {lattice.det}",
         "elementary divisors: " + " ".join(str(d) for d in disc.elementary_divisors),
         f"discriminant order: {disc.order}",
@@ -99,90 +99,72 @@ def _cmd_lattice_info(args):
         f"singular weight: {kit_io.frac_str(singular_weight(lattice))}",
         f"8 | gcd: {str(criterion).lower()}",
     ]
-    _write(args, doc, lines)
-    return 0
 
 
-def _cmd_phi(args):
+def _cmd_phi(args, _):
     if args.n < 1:
         raise SchemaViolation(f"--n: {args.n} is not a positive integer")
     if args.budget < 1:
         raise SchemaViolation(f"--budget: {args.budget} is not a positive integer")
     series = phi_n(args.n, _parse_prec(args.prec), budget=args.budget)
-    lines = [f"phi_{args.n} to precision {args.prec}: {series.term_count()} terms"]
-    _write(args, kit_io.emit_series(series), lines)
-    return 0
+    return kit_io.emit_series(series), [
+        f"phi_{args.n} to precision {args.prec}: {series.term_count()} terms"]
 
 
-def _cmd_decompose(args):
-    series = kit_io.parse_series(_read_input_doc(args.input))
-    form = theta_decompose(series)
-    lines = [f"theta decomposition: {form.lattice.det} components, {len(form.terms)} nonzero"]
-    _write(args, kit_io.emit_vvform(form), lines)
-    return 0
+def _cmd_decompose(args, data):
+    form = theta_decompose(kit_io.parse_series(data))
+    return kit_io.emit_vvform(form), [
+        f"theta decomposition: {form.lattice.det} components, {len(form.terms)} nonzero"]
 
 
-def _cmd_principal_part(args):
-    series = kit_io.parse_series(_read_input_doc(args.input))
-    pp = principal_part(theta_decompose(series))
-    lines = [f"constant term {pp.constant_term}, {len(pp.terms)} negative terms, "
-             f"lift weight {kit_io.frac_str(lift_weight(pp))}"]
-    _write(args, kit_io.emit_principal_part(pp), lines)
-    return 0
+def _cmd_principal_part(args, data):
+    pp = principal_part(theta_decompose(kit_io.parse_series(data)))
+    return kit_io.emit_principal_part(pp), [
+        f"constant term {pp.constant_term}, {len(pp.terms)} negative terms, "
+        f"lift weight {kit_io.frac_str(lift_weight(pp))}"]
 
 
-def _cmd_congruence(args):
-    series = kit_io.parse_series(_read_input_doc(args.input))
-    report = congruence_check(series)
-    doc = {
-        "N": report.gcd_inner_products,
-        "sum": report.q0_sum,
-        "residue": report.residue,
-        "passes": report.passes,
-    }
-    lines = [f"N={report.gcd_inner_products}, sum={report.q0_sum}, "
-             f"residue {report.residue}, passes: {str(report.passes).lower()}"]
-    _write(args, doc, lines)
-    return 0
+def _cmd_congruence(args, data):
+    report = congruence_check(kit_io.parse_series(data))
+    doc = {"N": report.gcd_inner_products, "sum": report.q0_sum,
+           "residue": report.residue, "passes": report.passes}
+    return doc, [f"N={report.gcd_inner_products}, sum={report.q0_sum}, "
+                 f"residue {report.residue}, passes: {str(report.passes).lower()}"]
 
 
-def _cmd_criterion(args):
-    lattice = kit_io.parse_lattice(_read_input_doc(args.input))
+def _cmd_criterion(args, data):
+    lattice = kit_io.parse_lattice(data)
     result = admits_half_integral_weight(lattice)
-    doc = {
-        "gcd_inner_products": lattice.gcd_inner_products(),
-        "divisible_by_8": result,
-    }
-    _write(args, doc, [f"8 | gcd: {str(result).lower()}"])
-    return 0
+    doc = {"gcd_inner_products": lattice.gcd_inner_products(), "divisible_by_8": result}
+    return doc, [f"8 | gcd: {str(result).lower()}"]
 
 
-def _cmd_weyl(args):
-    series = kit_io.parse_series(_read_input_doc(args.input))
+def _cmd_weyl(args, data):
+    series = kit_io.parse_series(data)
     weyl = weyl_vector(series, _parse_w0(args.w0, series.lattice.rank))
-    doc = kit_io.emit_weyl(weyl)
-    lines = [f"A = {kit_io.frac_str(weyl.a)}, B = {vector_str(weyl.b)}, "
-             f"C = {kit_io.frac_str(weyl.c)}"]
-    _write(args, doc, lines)
-    return 0
+    return kit_io.emit_weyl(weyl), [
+        f"A = {kit_io.frac_str(weyl.a)}, B = {vector_str(weyl.b)}, "
+        f"C = {kit_io.frac_str(weyl.c)}"]
 
 
-def _cmd_lift(args):
-    series = kit_io.parse_series(_read_input_doc(args.input))
+def _cmd_lift(args, data):
+    series = kit_io.parse_series(data)
     expansion = lift_expansion(series, _parse_prec(args.prec),
                                _parse_w0(args.w0, series.lattice.rank))
-    lines = [f"product expansion to total degree {args.prec}: "
-             f"{len(expansion.terms)} monomials, weight "
-             f"{kit_io.frac_str(expansion.weight)}, holomorphic: {expansion.holomorphic}"]
-    _write(args, kit_io.emit_expansion(expansion), lines)
-    return 0
+    return kit_io.emit_expansion(expansion), [
+        f"product expansion to total degree {args.prec}: "
+        f"{len(expansion.terms)} monomials, weight "
+        f"{kit_io.frac_str(expansion.weight)}, holomorphic: {expansion.holomorphic}"]
 
 
-def _cmd_validate_pp(args):
-    pp = kit_io.parse_principal_part(_read_input_doc(args.input))
-    if args.weight is None:
-        claimed = None
-    else:
+def _offenders(pairs):
+    return [{"gamma": kit_io.emit_vector(g), "exp": kit_io.frac_str(e)} for g, e in pairs]
+
+
+def _cmd_validate_pp(args, data):
+    pp = kit_io.parse_principal_part(data)
+    claimed = None
+    if args.weight is not None:
         try:
             claimed = kit_io.parse_frac(args.weight, "--weight")
         except SchemaViolation:
@@ -190,13 +172,9 @@ def _cmd_validate_pp(args):
     report = validate_principal_part(pp, claimed_weight=claimed)
     doc = {
         "exponent_classes_ok": report.exponent_class_ok,
-        "exponent_class_offenders": [
-            {"gamma": kit_io.emit_vector(g), "exp": kit_io.frac_str(e)}
-            for g, e in report.exponent_class_offenders],
+        "exponent_class_offenders": _offenders(report.exponent_class_offenders),
         "symmetry_ok": report.symmetry_ok,
-        "symmetry_offenders": [
-            {"gamma": kit_io.emit_vector(g), "exp": kit_io.frac_str(e)}
-            for g, e in report.symmetry_offenders],
+        "symmetry_offenders": _offenders(report.symmetry_offenders),
         "weight_ok": report.weight_ok,
         "weight": kit_io.frac_str(report.weight),
         "half_integral": report.half_integral,
@@ -204,12 +182,9 @@ def _cmd_validate_pp(args):
         "is_singular": report.is_singular,
         "passed": report.passed,
     }
-    lines = []
-    if report.passed:
-        lines.append(f"all checks pass, weight {kit_io.frac_str(report.weight)}")
-    else:
-        lines.append("validation FAILED")
-    lines.append(f"exponent classes: {'ok' if report.exponent_class_ok else 'FAILED'}")
+    lines = [f"all checks pass, weight {kit_io.frac_str(report.weight)}" if report.passed
+             else "validation FAILED",
+             f"exponent classes: {'ok' if report.exponent_class_ok else 'FAILED'}"]
     for gamma, e in report.exponent_class_offenders:
         lines.append(f"  exponent {kit_io.frac_str(e)} at gamma={vector_str(gamma)} "
                      "is not in the -Q(gamma) + Z class")
@@ -223,22 +198,35 @@ def _cmd_validate_pp(args):
                  f"is singular: {str(report.is_singular).lower()}")
     if claimed is not None and not report.weight_ok:
         lines.append(f"  claimed weight {kit_io.frac_str(claimed)} does not match")
-    _write(args, doc, lines)
-    return 0 if report.passed else 1
+    return doc, lines, 0 if report.passed else 1
 
 
 # -- parser ------------------------------------------------------------------------
 
+_W0 = ("--w0", {"default": None, "help": "chamber vector, e.g. 1,1/10"})
 
-def _add_common(parser, default_format, with_input=True, input_required=False):
-    if with_input:
-        if input_required:
-            parser.add_argument("input", help="path to the input JSON file")
-        else:
-            parser.add_argument("input", nargs="?", default=None,
-                                help="input JSON file (default: stdin)")
-    parser.add_argument("--format", choices=("json", "text"), default=default_format)
-    parser.add_argument("--out", default=None, help="write the result to this path")
+# name, help, handler, default format, input (None: none, "stdin": a file that
+# defaults to stdin, "file": a required file; "-" reads stdin in both), then
+# the command's own flags, which precede --format and --out in --help
+_COMMANDS = (
+    ("lattice-info", "rank, determinant, discriminant group and divisibility data",
+     _cmd_lattice_info, "text", "file"),
+    ("phi", "weight-0 input form on diag(8, ..., 8)", _cmd_phi, "json", None,
+     ("--n", {"type": int, "required": True, "help": "number of factors"}),
+     ("--prec", {"required": True, "help": "q-precision (rational)"}),
+     ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                   "help": "coefficient-count budget"})),
+    ("decompose", "theta decomposition of a series", _cmd_decompose, "json", "stdin"),
+    ("principal-part", "negative tail and constant term", _cmd_principal_part, "json",
+     "stdin"),
+    ("congruence", "mod-24 congruence on the q^0 row", _cmd_congruence, "text", "stdin"),
+    ("criterion", "are all inner products divisible by 8", _cmd_criterion, "text", "file"),
+    ("weyl", "Weyl vector (A, B, C) of a series", _cmd_weyl, "json", "stdin", _W0),
+    ("lift", "truncated product expansion", _cmd_lift, "json", "stdin",
+     ("--prec", {"required": True, "help": "total degree bound (rational)"}), _W0),
+    ("validate-pp", "diagnostics for a principal part file", _cmd_validate_pp, "text",
+     "file", ("--weight", {"default": None, "help": "claimed weight, e.g. 9/2"})),
+)
 
 
 def build_parser():
@@ -247,69 +235,39 @@ def build_parser():
         description="Exact-arithmetic toolkit for Borcherds products built "
                     "from Jacobi forms of lattice index.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lattice-info", help="rank, determinant, discriminant "
-                                            "group and divisibility data")
-    _add_common(p, "text", input_required=True)
-    p.set_defaults(handler=_cmd_lattice_info)
-
-    p = sub.add_parser("phi", help="weight-0 input form on diag(8, ..., 8)")
-    p.add_argument("--n", type=int, required=True, help="number of factors")
-    p.add_argument("--prec", required=True, help="q-precision (rational)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="coefficient-count budget")
-    _add_common(p, "json", with_input=False)
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("decompose", help="theta decomposition of a series")
-    _add_common(p, "json")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("principal-part", help="negative tail and constant term")
-    _add_common(p, "json")
-    p.set_defaults(handler=_cmd_principal_part)
-
-    p = sub.add_parser("congruence", help="mod-24 congruence on the q^0 row")
-    _add_common(p, "text")
-    p.set_defaults(handler=_cmd_congruence)
-
-    p = sub.add_parser("criterion", help="are all inner products divisible by 8")
-    _add_common(p, "text", input_required=True)
-    p.set_defaults(handler=_cmd_criterion)
-
-    p = sub.add_parser("weyl", help="Weyl vector (A, B, C) of a series")
-    p.add_argument("--w0", default=None, help="chamber vector, e.g. 1,1/10")
-    _add_common(p, "json")
-    p.set_defaults(handler=_cmd_weyl)
-
-    p = sub.add_parser("lift", help="truncated product expansion")
-    p.add_argument("--prec", required=True, help="total degree bound (rational)")
-    p.add_argument("--w0", default=None, help="chamber vector, e.g. 1,1/10")
-    _add_common(p, "json")
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("validate-pp", help="diagnostics for a principal part file")
-    p.add_argument("--weight", default=None, help="claimed weight, e.g. 9/2")
-    _add_common(p, "text", input_required=True)
-    p.set_defaults(handler=_cmd_validate_pp)
-
+    for name, help_text, handler, default_format, source, *flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        if source == "file":
+            p.add_argument("input", help="path to the input JSON file")
+        elif source == "stdin":
+            p.add_argument("input", nargs="?", default=None,
+                           help="input JSON file (default: stdin)")
+        p.add_argument("--format", choices=("json", "text"), default=default_format)
+        p.add_argument("--out", default=None, help="write the result to this path")
+        p.set_defaults(handler=handler, source=source)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (SchemaViolation, OSError) as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return 2
-    except SelfCheckFailed as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return 3
-    except BorcherdsKitError as exc:
-        print(f"error ({args.command}): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        if args.source is None:
+            data = None
+        elif args.input in (None, "-"):
+            data = kit_io.read_json(sys.stdin.buffer, "stdin")
+        else:
+            data = kit_io.load_json(args.input)
+        doc, lines, *status = args.handler(args, data)
+        _write(args, doc, lines)
+        return status[0] if status else 0
+    except (BorcherdsKitError, OSError) as exc:
+        code = 2 if isinstance(exc, (SchemaViolation, OSError)) \
+            else 3 if isinstance(exc, SelfCheckFailed) else 1
+        named = f"{type(exc).__name__}: " if code == 1 else ""
+        print(f"error ({args.command}): {named}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

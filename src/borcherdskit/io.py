@@ -109,14 +109,14 @@ def parse_int(value, path) -> int:
     raise SchemaViolation(f"{path}: expected an integer, got {type(value).__name__}")
 
 
-def _expect_object(value, path, required, optional=()):
+def _expect_object(value, path, required):
     if not isinstance(value, dict):
         raise SchemaViolation(f"{path}: expected an object, got {type(value).__name__}")
     for key in required:
         if key not in value:
             raise SchemaViolation(f"{path}.{key}: missing required field")
     for key in value:
-        if key not in required and key not in optional:
+        if key not in required:
             raise SchemaViolation(f"{path}.{key}: unknown field")
     return value
 

