@@ -37,7 +37,10 @@ Formats:
                {"gamma": [...], "prec": "p/q",
                 "terms": [{"e": "a/b", "c": "int"}, ...]}, ...]}
               every coset once, sorted by lex gamma, terms by e; prec is
-              P - min Q(gamma) for one P, and other documents are rejected
+              P - min Q(gamma) for one P, and other documents are rejected.
+              The text emit_vvform writes is read by columns, each gamma
+              and prec compared as a string with _layout's; any other
+              order or spelling is read entry by entry
   principal   {"gram": ..., "constant_term": int, "terms": [
                {"gamma": [...], "exp": "-a/b", "c": int}, ...]}
               terms sorted by (exp, lex gamma)
@@ -96,16 +99,23 @@ def parse_frac(value, path) -> Fraction:
     raise SchemaViolation(f"{path}: expected a rational string, got {type(value).__name__}")
 
 
+_INTEGER_TEXT = re.compile("-?[0-9]+")
+
+
 def parse_int(value, path) -> int:
+    """A JSON integer, or a string of ASCII digits with an optional minus
+    sign: the grammar of parse_frac without the denominator."""
     if isinstance(value, bool):
         raise SchemaViolation(f"{path}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            raise SchemaViolation(f"{path}: {value!r} is not an integer") from None
+        if _INTEGER_TEXT.fullmatch(value):
+            try:  # more digits than int() reads
+                return int(value)
+            except ValueError:
+                pass
+        raise SchemaViolation(f"{path}: {value!r} is not an integer")
     raise SchemaViolation(f"{path}: expected an integer, got {type(value).__name__}")
 
 
@@ -463,6 +473,10 @@ def _series_columns(entries: list, rank: int):
     coords = list(chain.from_iterable(ls))
     if not set(map(type, chain(ns, coords, cs))) <= _RATIONAL:
         return None
+    distinct = list(set(cs))  # each string among them in parse_int's grammar
+    texts = compress(distinct, map(is_, map(type, distinct), repeat(str)))
+    if not all(map(_INTEGER_TEXT.fullmatch, texts)):
+        return None
     ids = _Interned()
     try:
         index = {x: ids.of(x, "") for x in {*ns, *coords}}
@@ -554,13 +568,13 @@ _COMPONENT = {"gamma", "prec", "terms"}
 
 
 def parse_vvform(doc, path="$") -> VectorValuedForm:
-    """The form of a document. A well-formed component list is read by
-    columns (_columns); any other goes through the entry loop (_entries),
-    which is the one source of every message and of which error comes
-    first. Both return {det * gamma reduced: its terms} for the entries with
-    terms, and P; the terms are keyed by the interned indices of their
-    exponents, and VectorValuedForm._build, the constructor's builder,
-    drops zeros and scales the exponents."""
+    """The form of a document. The component list emit_vvform writes is
+    read by columns (_columns); any other goes through the entry loop
+    (_entries), which is the one source of every message and of which error
+    comes first. Both return {det * gamma reduced: its terms} for the
+    entries with terms, and P; the terms are keyed by the interned indices
+    of their exponents, and VectorValuedForm._build, the constructor's
+    builder, drops zeros and scales the exponents."""
     _expect_object(doc, path, required=("gram", "weight", "components"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
     ids = _Interned()
@@ -572,72 +586,44 @@ def parse_vvform(doc, path="$") -> VectorValuedForm:
 
 
 def _columns(entries: list, lattice: EvenLattice, ids: _Interned):
-    """What _entries returns for a well-formed list of exactly det
-    components, or None for any other list, whose message _entries gives.
-    It never raises: each check is a C-level pass over one column, each
-    distinct gamma entry is parsed once, and only the entries with terms are
-    read one by one, a SchemaViolation of _terms meaning None. The gamma
-    columns are compared with the coset table's, or, in another order, found
-    in it block by block (_BlockTable.positions). It reads every
-    list of JSON values that _entries accepts, so that for a document read
-    from a file the loop runs only to report an error."""
-    det, rank = lattice.det, lattice.rank
-    if len(entries) != det or not _of_type(dict, entries) or set(map(len, entries)) != {3}:
+    """What _entries returns for a component list that is exactly the text
+    emit_vvform writes, or None for any other list, which _entries reads or
+    refuses. It never raises: P is read from the first prec, the zero
+    coset's, whose minimum is 0; the gamma and prec columns are then
+    compared as strings with those of _layout; and only the entries with
+    terms are read one by one, a SchemaViolation of _terms meaning None. A
+    valid document in another order or spelling (an int-spelled or
+    unreduced gamma, a prec spelled "2/4") is left to the entry loop."""
+    if (len(entries) != lattice.det or not _of_type(dict, entries)
+            or set(map(len, entries)) != {3}):
         return None
     try:
         gammas, raws, terms = [list(map(itemgetter(key), entries))
                                for key in ("gamma", "prec", "terms")]
-    except KeyError:
+        prec = parse_frac(raws[0], "")
+    except (KeyError, SchemaViolation):
         return None
-    if not (_of_type(list, gammas) and set(map(len, gammas)) == {rank}
-            and set(map(type, raws)) <= _RATIONAL and _of_type(list, terms)):
+    minima = lattice.coset_minima()
+    columns, precs = _layout(minima, prec)
+    if (raws != precs or not _of_type(list, terms)
+            or not all(map(eq, gammas, map(list, zip(*columns))))):
         return None
-    try:
-        values = set(chain.from_iterable(gammas))
-    except TypeError:  # an entry of a gamma is not hashable
+    keys = zip(*minima.table.columns())  # built at C speed, unlike iter(table)
+    try:  # the path names no entry: a message built here is never shown
+        components = {key: _terms(fg, "", ids) for key, fg in compress(zip(keys, terms), terms)}
+    except SchemaViolation:
         return None
-    if not set(map(type, values)) <= _RATIONAL:
-        return None
-    try:  # parse_frac and _terms raise on a bad rational or term
-        # det * x reduced mod det, or None when det does not clear x
-        scaled = {x: None if det % y.denominator else y.numerator * (det // y.denominator) % det
-                  for x in values for y in [parse_frac(x, "")]}
-        flat = list(map(scaled.__getitem__, chain.from_iterable(gammas)))
-        columns = [flat[i::rank] for i in range(rank)]
-        minima = lattice.coset_minima()
-        table = minima.table
-        qs = table.values()
-        if not all(map(eq, columns, table.columns())):  # not the canonical order
-            # each key found block by block; a missing one raises KeyError
-            places = list(table.positions(columns))
-            if len(set(places)) != det:
-                return None
-            qs = list(map(qs.__getitem__, places))
-        # each distinct prec is parsed once, and P * den is one integer;
-        # a prec spelled alike on cosets of two minima is refused
-        minimum = dict(zip(raws, qs))
-        if list(map(minimum.__getitem__, raws)) != qs:
-            return None
-        precs = {raw: parse_frac(raw, "") for raw in minimum}
-        den = lcm(minima.qden, *{x.denominator for x in precs.values()})
-        tops = {x.numerator * (den // x.denominator) + minimum[raw] * (den // minima.qden)
-                for raw, x in precs.items()}
-        if len(tops) != 1:
-            return None
-        # the path names no entry: a message built here is never shown
-        components = {key: _terms(fg, "", ids)
-                      for key, fg in compress(zip(zip(*columns), terms), terms)}
-    except (ValueError, ZeroDivisionError, KeyError, SchemaViolation):
-        return None
-    return components, Fraction(tops.pop(), den)
+    return components, prec
 
 
 def _entries(entries: list, path, lattice: EvenLattice, ids: _Interned):
     """The components with terms, and P, of a component list read one entry
-    at a time; the first error in document order raises its SchemaViolation.
-    The coset table is listed only for a list of det distinct cosets, which a
-    short list cannot be. The gammas and precisions are interned apart from
-    the exponents in ids, whose values set the exponent denominator."""
+    at a time: every list that _columns leaves, a valid one in another order
+    or spelling included. The first error in document order raises its
+    SchemaViolation. The coset table is listed only for a list of det
+    distinct cosets, which a short list cannot be. The gammas and precisions
+    are interned apart from the exponents in ids, whose values set the
+    exponent denominator."""
     det, rank, fracs = lattice.det, lattice.rank, _Interned()
     seen = set()
     components = {}  # det * gamma reduced -> its terms, for the entries with terms
@@ -690,35 +676,41 @@ def _terms(terms, path, ids: _Interned) -> dict:
     return fg
 
 
+def _layout(minima, prec: Fraction) -> tuple[list, list]:
+    """The gamma columns and the prec strings of a vvform with precision
+    prec, in the order of the coset table: gamma = key / gden and prec -
+    min Q(gamma), as frac_str writes them."""
+    table = minima.table
+    den = lcm(prec.denominator, minima.qden)
+    top, qs = _scaled(prec, den), den // minima.qden
+    return (list(table.columns(_Strings(minima.gden).__getitem__)),
+            list(map(_Strings(den).__getitem__, map(sub, repeat(top),
+                                                     map(mul, table.values(), repeat(qs))))))
+
+
 def emit_vvform(form: VectorValuedForm) -> dict:
-    """The document of a form: the columns of the coset table in order, each
-    component of the form at its key's position in the table, and the
-    exponents rescaled by one integer factor."""
+    """The document of a form: the columns of the coset table in order
+    (_layout), and each component of the form at its key's position in the
+    table."""
     if form.lattice.det > DEFAULT_BUDGET:
         raise ResourceLimit(
             f"determinant {form.lattice.det} exceeds the {DEFAULT_BUDGET}-coset budget")
     minima = form.lattice.coset_minima()  # keys in canonical order
-    table = minima.table
     try:
-        places = list(map(table.position, form.terms))
+        places = list(map(minima.table.position, form.terms))
     except KeyError:
         raise ValueError("a component key is not a reduced coset representative") from None
-    eden = lcm(form.prec.denominator, minima.qden, form.eden)
-    exps, es = _Strings(eden), eden // form.eden
-    top, qs = _scaled(form.prec, eden), eden // minima.qden
-    gammas = list(table.columns(_Strings(minima.gden).__getitem__))
-    precs = map(exps.__getitem__, map(sub, repeat(top), map(mul, table.values(), repeat(qs))))
-    decimal = _Memo(str).__getitem__
-    terms = [Rows(0)] * len(table)  # each component at its place in the table
+    gammas, precs = _layout(minima, form.prec)
+    exps, decimal = _Strings(form.eden).__getitem__, _Memo(str).__getitem__
+    terms = [Rows(0)] * len(precs)  # each component at its place in the table
     for place, fg in zip(places, form.terms.values()):
         keys = sorted(fg)
-        terms[place] = Rows(len(keys),
-                            ("e", str, list(map(exps.__getitem__, map(mul, keys, repeat(es))))),
+        terms[place] = Rows(len(keys), ("e", str, list(map(exps, keys))),
                             ("c", str, list(map(decimal, map(fg.__getitem__, keys)))))
     return {
         **emit_lattice(form.lattice),
         "weight": frac_str(form.weight),
-        "components": Rows(len(table), ("gamma", list, gammas), ("prec", str, list(precs)),
+        "components": Rows(len(precs), ("gamma", list, gammas), ("prec", str, precs),
                            ("terms", Rows, terms)),
     }
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, product, repeat
 from math import floor, gcd, inf, isqrt, lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -269,15 +269,6 @@ class _BlockTable(Mapping):
         """The index of key in key order; KeyError when it is not a key."""
         return sum([index[key[a:b]] * stride for (_, _, index), (a, b), stride
                     in zip(self.parts, self.cuts, self.strides)])
-
-    def positions(self, columns) -> map:
-        """position() of each key given as the coordinate columns of the
-        keys, read block by block; KeyError when one is not a key."""
-        at = repeat(0)
-        for (_, _, index), (a, b), stride in zip(self.parts, self.cuts, self.strides):
-            offset = {key: i * stride for key, i in index.items()}
-            at = map(add, at, map(offset.__getitem__, zip(*columns[a:b])))
-        return at
 
     def columns(self, cell=None):
         """Each coordinate column of the keys in key order, its entries

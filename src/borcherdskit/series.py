@@ -28,11 +28,12 @@ that needs its keys. A constructor interns its Fraction map into columns,
 the distinct Fractions and the terms keyed by their indices, and hands them
 to _build, which the io parser of the record calls too: each record's
 denominator rule lives there. Products of terms run on keys packed into one
-int each (_Packing). A product of two term lists (*, direct_product,
-recompose and both lift expansions) runs through one kernel, _mul_into. A
-product or quotient by one binomial 1 + c X, the factors of phi04 and of
-the triple product, runs through _binomial, in place on the accumulator's
-rows of one grade each.
+int each (_Packing). A product of two term lists (*, direct_product and
+both lift expansions) runs through one kernel, _mul_into; recompose needs
+none, as no two of its terms fall on one monomial. A product or quotient
+by one binomial 1 + c X, the factors of phi04 and of the triple product,
+runs through _binomial, in place on the accumulator's rows of one grade
+each.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .errors import (
 )
 from .lattice import (
     EvenLattice,
-    Vector,
     _as_integers,
     _Fractions,
     direct_sum,
@@ -933,7 +933,9 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
     """Expand sum f_gamma * Theta_gamma back into a Jacobi series.
 
     The output window is capped at form.prec: f_gamma * Theta_gamma is known
-    below precision(gamma) + min Q on the coset, which is form.prec.
+    below precision(gamma) + min Q on the coset, which is form.prec. Each
+    term below the window goes straight into the output map, which is
+    sorted once into file order.
     """
     lat = form.lattice
     out_prec = min(Fraction(prec), form.prec)
@@ -951,22 +953,19 @@ def recompose(form: VectorValuedForm, prec) -> JacobiSeries:
         blocks.append((fg, d, scale, points))
     q_den = lcm(eden, *{scale for _, _, scale, _ in blocks})
     den = lcm(*{d for _, d, _, points in blocks if points})
-    limit = _grade_limit(out_prec, q_den)
-    # f_gamma has only the zero label, so the sum of the two reaches is the
-    # largest |component| of a theta label over den
-    packing = _Packing(lat.rank, max(
-        (den // d * max(map(abs, chain.from_iterable(map(itemgetter(0), points))))
-         for _, d, _, points in blocks if points), default=0))
-    unit, es = packing.unit, q_den // eden
+    limit, es = _grade_limit(out_prec, q_den), q_den // eden
+    # no two terms fall on one monomial: the labels of two cosets differ, and
+    # a label l takes the exponent e + Q(l) once for each e of f_gamma
     out = {}
     for fg, d, scale, points in blocks:
-        a = [(t, t * unit, c) for e, c in fg.items() for t in [e * es]]
         qs, ls = q_den // scale, den // d
-        weights = [ls * w for w in packing.weights]
-        b = sorted([(t, t * unit + sum(map(mul, l, weights)), 1)
-                    for l, q in points for t in [q * qs]])
-        _mul_into(out, a, b, limit)
-    out = packing.unpack(out)
+        exps = [(e * es, c) for e, c in fg.items()]
+        for y, q in points:
+            vec, t = tuple([ls * x for x in y]), q * qs
+            for e, c in exps:
+                if e + t < limit:
+                    out[e + t, vec] = c
+    out = dict(sorted(out.items()))  # file order
     # the least q denominator of the result, as the public constructor infers it
     g = gcd(q_den, *(t for t, _ in out))
     weight = form.weight + Fraction(lat.rank, 2)

@@ -7,9 +7,11 @@ expansions on [[8]], [[16, 8], [8, 16]] and diag(8, 8), with negative labels
 and mixed label denominators, must emit byte for byte as the oracles do.
 parse_vvform and parse_series read on integers; the Fraction parsers they
 replaced are kept as oracles, and mutated documents must give the same
-result or the same message under both. parse_vvform reads a well-formed
-component list by columns: that reader must read what its entry loop
-reads, raise nothing, and not give up on an emitted document. canonical_dumps must write what
+result or the same message under both. parse_vvform reads the component
+list that emit_vvform writes by columns: that reader must read what its
+entry loop reads, raise nothing, not give up on an emitted document, and
+leave any other order or spelling to the loop. The integer fields of every
+format read one grammar on every route. canonical_dumps must write what
 json.dumps(indent=2, ensure_ascii=True) writes, on random documents and on
 every golden file, and write each Rows of an emitted document as json.dumps
 writes the list of its rows. The parsers read plain trees: tree() turns an
@@ -1200,7 +1202,8 @@ def _malformed(draw, comp, kind):
     elif kind == "bad_e":
         comp["terms"] = comp["terms"] + [{"e": draw(odd), "c": "1"}]
     elif kind == "bad_c":
-        comp["terms"] = comp["terms"] + [{"e": "7", "c": draw(odd | st.just("1/2"))}]
+        c = draw(odd | st.sampled_from(("1/2", "1_0")))
+        comp["terms"] = comp["terms"] + [{"e": "7", "c": c}]
     else:  # the exponent of a term, spelled another way
         terms = comp["terms"] or [{"e": "1", "c": "2"}]
         e = terms[draw(st.integers(0, len(terms) - 1))]["e"]
@@ -1407,14 +1410,48 @@ def test_column_reader_agrees_with_the_entry_loop(doc):
 @settings(max_examples=100, deadline=None)
 @given(vvforms(), st.booleans(), st.booleans(), st.data())
 def test_column_reader_reads_emitted_documents(form, shuffle, ints, data):
-    # a reader that always gave up would pass every other test
-    doc = json.loads(canonical_dumps(emit_vvform(form)))
+    # the columns read the emitted text, which a reader that always gave up
+    # would not; another order or an int-spelled value is left to the loop
+    canonical = tree(emit_vvform(form))
+    read = _columns_of(canonical)
+    assert read is not None and read == _entries_of(canonical)
+    doc = tree(emit_vvform(form))
     if shuffle:
         doc = shuffled(data, doc, "components")
     if ints:
         doc = _as_ints(doc)
-    read = _columns_of(doc)
-    assert read is not None and read == _entries_of(doc)
+    if doc != canonical:
+        assert _columns_of(doc) is None
+    assert parse_vvform(doc) == form
+
+
+def _respelled(form, gamma, prec):
+    """The document of form with the gamma of its entry at index gamma and
+    the prec of its entry at index prec written unreduced, each numerator
+    and denominator doubled."""
+    def doubled(x):
+        return f"{2 * F(x).numerator}/{2 * F(x).denominator}"
+
+    doc = tree(emit_vvform(form))
+    comps = doc["components"]
+    comps[gamma]["gamma"] = list(map(doubled, comps[gamma]["gamma"]))
+    comps[prec]["prec"] = doubled(comps[prec]["prec"])
+    return doc
+
+
+# on [[8]] with P = 3/2, the coset 1/2 has the precision 3/2 - 1 = 1/2,
+# written "2/4", and the coset 1/4 is written "2/8"
+UNREDUCED = [(_respelled(form, 2, 4), form) for form in [
+    VectorValuedForm(LATTICES[0], F(-1, 2), {(F(1, 4),): {F(-1, 4): 3}, (F(1, 2),): {F(0): 1}},
+                     F(3, 2)),
+    theta_decompose(phi_n(2, 4))]]
+
+
+@pytest.mark.parametrize("doc, form", UNREDUCED, ids=["diag8-rank1", "phi_2"])
+def test_column_reader_leaves_unreduced_spellings_to_the_loop(doc, form):
+    assert doc["components"][4]["prec"] != frac_str(F(doc["components"][4]["prec"]))
+    assert _columns_of(doc) is None
+    assert parse_vvform(doc) == form == oracle_parse_vvform(doc)
 
 
 PHI_2_VVFORM = canonical_dumps(emit_vvform(theta_decompose(phi_n(2, 4))))
@@ -1434,10 +1471,11 @@ def test_column_reader_leaves_malformed_components_to_the_loop(kind, data):
 
 def test_column_reader_reads_4096_cosets():
     form = theta_decompose(phi_n(4, 1))
-    doc = json.loads(canonical_dumps(emit_vvform(form)))
-    doc["components"].reverse()
+    doc = tree(emit_vvform(form))
     read = _columns_of(doc)
     assert read is not None and read == _entries_of(doc)
+    doc["components"].reverse()
+    assert _columns_of(doc) is None
     assert parse_vvform(doc) == form
 
 
@@ -1476,7 +1514,7 @@ def _series_outcome(parse, doc):
 
 
 BAD_RATIONALS = ("1/0", "x", True, 0.5, [1], None, "0.5", "1e3", " 1/2 ", "+1/2")
-BAD_COEFFICIENTS = ("x", "1/2", True, 1.5, None, [])
+BAD_COEFFICIENTS = ("x", "1/2", True, 1.5, None, [], "1_0", "+3", " 7")
 
 
 @st.composite
@@ -1614,6 +1652,46 @@ def test_every_reader_refuses_what_parse_frac_refuses(text):
         comp[field] = [text] + comp["gamma"][1:] if field == "gamma" else text
         assert _columns_of(doc) is None
         assert _outcome(parse_vvform, doc) == f"{path}: {text!r} is not a rational p/q"
+
+
+# spellings that int() reads, and some that it does not, none of them an
+# optional minus sign and ASCII digits
+NOT_AN_INTEGER = ("1_0", " 7", "+3", "\u0669", "7\n", "1.0", "1e3", "0x10", "")
+
+# (golden file, parser, the keys down to one integer field of the document)
+INTEGER_FIELDS = [
+    ("phi_n2_prec4.json", parse_series, ("gram", 1, 1)),
+    ("phi_n2_prec4.json", parse_series, ("q_den",)),
+    ("phi_n2_prec4.json", parse_series, ("terms", 1, "c")),
+    ("decompose_phi_n2_prec4.json", parse_vvform, ("components", 0, "terms", 1, "c")),
+    ("principal_part_phi_n2_prec4.json", parse_principal_part, ("constant_term",)),
+    ("principal_part_phi_n2_prec4.json", parse_principal_part, ("terms", 1, "c")),
+    ("lift_phi_n1_prec16_deg8.json", parse_expansion, ("terms", 1, "n")),
+    ("lift_phi_n1_prec16_deg8.json", parse_expansion, ("terms", 1, "m")),
+    ("lift_phi_n1_prec16_deg8.json", parse_expansion, ("terms", 1, "c")),
+]
+
+
+@pytest.mark.parametrize("name, parse, keys", INTEGER_FIELDS,
+                         ids=[f"{name}:{'.'.join(map(str, keys))}"
+                              for name, _, keys in INTEGER_FIELDS])
+def test_every_integer_field_refuses_what_parse_int_refuses(name, parse, keys):
+    # parse_int's message on every route: the column readers of parse_series
+    # and parse_vvform leave the document to the loops
+    path = "$" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
+    for text in NOT_AN_INTEGER:
+        doc = load_json(GOLDEN_FILES[0].parent / name)
+        field = doc
+        for key in keys[:-1]:
+            field = field[key]
+        field[keys[-1]] = text
+        if parse is parse_series and keys[0] == "terms":
+            assert _series_columns(doc["terms"], len(doc["gram"])) is None
+        if parse is parse_vvform:
+            assert _columns_of(doc) is None
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == f"{path}: {text!r} is not an integer"
 
 
 def _series_read(read, terms, rank):

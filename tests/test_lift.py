@@ -4,7 +4,8 @@ divisibility criterion, Weyl data and the truncated product expansion.
 The Weyl vector formula is gated by the classical rank-1 sanity value
 (A = C = 1/2, B pairing 1/2 on the input with q^0 part 10 + zeta + zeta^-1)
 before anything else is allowed to rely on it. The product expansion is
-cross-checked against the exp-log pipeline and, for the weight-1/2 lift,
+cross-checked against the exp-log pipeline, its Fourier-Jacobi slices
+against the elliptic law of a Jacobi form and, for the weight-1/2 lift,
 against the norm-zero support forced at singular weight.
 """
 
@@ -13,6 +14,9 @@ import json
 import pickle
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import product
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -592,6 +596,72 @@ def test_weyl_vector_through_the_theta_block(factors, prec, degree, w0, size):
             right = truncated_product(right, theta_l, below)
     assert left == right
     assert len(left) == size
+
+
+def elliptic_law(expansion):
+    """(broken, pairs): the monomials (n, m, l * den) of the expansion that
+    break the elliptic law of its Fourier-Jacobi slices, and the number of
+    pairs of monomials it compared.
+
+    Write the product as sum_m psi_m(tau, z) s^(m + C). When the input's
+    q^0 row is nonnegative, psi_m is a Jacobi form of index t = m + C times
+    the lattice, with a character (Gritsenko and Nikulin 1998; Eichler and
+    Zagier, section 1). So with r = l + B and lambda in Z^rank the monomial
+    (n, l, m) and its image (n + <r, lambda> + t Q(lambda), l + t lambda, m)
+    have coefficients equal up to a sign that depends on (m, lambda) only.
+    Each stored monomial is compared with its images under the nonzero
+    lambda in {-1, 0, 1}^rank that fall inside the window n + m <
+    total_prec, on integers scaled by one common denominator of l, B and C.
+    An image whose n is not an integer or whose label is off the grid holds
+    no coefficient, so a stored monomial that maps there breaks the law."""
+    lat, weyl, terms = expansion.lattice, expansion.weyl, expansion.terms
+    scale = lcm(expansion.den, *(x.denominator for x in weyl.b), weyl.c.denominator)
+    grid = scale // expansion.den
+    b = [x.numerator * (scale // x.denominator) for x in weyl.b]
+    c = weyl.c.numerator * (scale // weyl.c.denominator)
+    top = -(-expansion.total_prec.numerator // expansion.total_prec.denominator)
+    shifts = []  # (lambda, gram * lambda, Q(lambda))
+    for lam in product((-1, 0, 1), repeat=lat.rank):
+        if any(lam):
+            pairing = [sum(map(mul, row, lam)) for row in lat.gram]
+            shifts.append((lam, pairing, sum(map(mul, lam, pairing)) // 2))
+    signs, broken, pairs = {}, [], 0
+    for (n, m, l), coefficient in terms.items():
+        r = [grid * x + y for x, y in zip(l, b)]  # scale * (l + B)
+        t = scale * m + c  # scale * (m + C)
+        for lam, pairing, q in shifts:
+            step, moved = divmod(sum(map(mul, r, pairing)) + t * q, scale)
+            label = [grid * x + t * y for x, y in zip(l, lam)]
+            if moved or any(x % grid for x in label):
+                broken.append((n, m, l))
+            elif 0 <= n + step and n + step + m < top:
+                pairs += 1
+                image = terms.get((n + step, m, tuple([x // grid for x in label])), 0)
+                if image not in (coefficient, -coefficient) or signs.setdefault(
+                        (m, lam), image // coefficient) != image // coefficient:
+                    broken.append((n, m, l))
+    return broken, pairs
+
+
+@pytest.mark.parametrize("factors, prec, degree, w0, pairs", [
+    (1, 16, 8, None, 26),
+    (2, 4, 4, None, 352),
+    (2, 9, 6, None, 1576),
+    (3, 3, 2, None, 528),
+    (2, 4, 4, (1, F(-1, 10)), 352),
+    (2, 4, 4, (F(-1, 10), 1), 352),
+    (2, 4, 4, (-1, F(1, 3)), 352),
+    (1, 16, 8, (-1,), 26),
+], ids=["phi_1-degree-8", "phi_2-degree-4", "phi_2-degree-6", "phi_3-degree-2",
+        "phi_2-(1,-1/10)", "phi_2-(-1/10,1)", "phi_2-(-1,1/3)", "phi_1-(-1)"])
+def test_fourier_jacobi_slices_obey_the_elliptic_law(factors, prec, degree, w0, pairs):
+    # B, C and every factor of the product enter the law, which neither the
+    # second route nor the theta block (the m = 0 slice) checks for m > 0
+    phi = cached_phi_n(factors, prec)
+    # a negative c(0, l) would put a theta in a denominator, and psi_m could
+    # have poles in z
+    assert all(c >= 0 for (n, _), c in phi.coeffs.items() if n == 0)
+    assert elliptic_law(lift_expansion(phi, degree, w0)) == ([], pairs)
 
 
 def test_high_degrees_take_one_kernel_pass(monkeypatch):
