@@ -153,7 +153,7 @@ def _cmd_lift(args, data):
                                _parse_w0(args.w0, series.lattice.rank))
     return kit_io.emit_expansion(expansion), [
         f"product expansion to total degree {args.prec}: "
-        f"{len(expansion.terms)} monomials, weight "
+        f"{expansion.term_count()} monomials, weight "
         f"{kit_io.frac_str(expansion.weight)}, holomorphic: {expansion.holomorphic}"]
 
 

@@ -21,11 +21,15 @@ once; a row joins its head, its tail and its coefficient.
 Both directions run on integer keys: each q-exponent, label, gamma or
 exponent is scaled by a positive common denominator, which keeps the order
 of the Fractions, so emission sorts ints, and parsing reads each distinct
-rational string of a document once. A vvform or principal part gamma is
-keyed by det * gamma reduced mod det, as EvenLattice.coset_minima() keys
-its table. A parser checks the schema and interns the rationals; the
+rational string of a document once. An expansion, and a direct product
+until its terms are read, hold the product kernel's packed int keys,
+which sort in file order; emit_expansion and emit_series write from those
+keys and their digits without building a tuple per term. A vvform or
+principal part gamma is keyed by det * gamma reduced mod det, as
+EvenLattice.coset_minima() keys its table. A parser checks the schema and interns the rationals; the
 record's _build method, which its public constructor calls too, filters
-the terms, picks the denominators and scales the keys.
+the terms, picks the denominators and scales the keys; an expansion's
+_build packs them too.
 
 Formats:
   lattice     {"gram": [[int, ...], ...]}
@@ -781,7 +785,7 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
     """The expansion of a document, read on integers: each monomial is keyed
     by (n, m, the value-interned indices of l), and
     OrthogonalExpansion._build, the constructor's builder, scales the
-    labels."""
+    labels and packs the keys."""
     _expect_object(doc, path, required=("gram", "weight", "holomorphic",
                                         "total_prec", "weyl", "terms"))
     lattice = parse_lattice({"gram": doc["gram"]}, path)
@@ -808,9 +812,12 @@ def parse_expansion(doc, path="$") -> OrthogonalExpansion:
 
 
 def emit_expansion(exp: OrthogonalExpansion) -> dict:
-    terms = exp.terms
-    keys = sorted(terms)  # linear in the order the lift leaves them
-    labels = _coordinates(list(map(itemgetter(2), keys)), exp.lattice.rank)
+    """The document of an expansion, written from its packed keys: sorted,
+    they are the monomials in file order, and _Packing.digits gives the
+    columns n, m and l * den."""
+    packed = exp._packed
+    keys = sorted(packed)
+    ns, ms, *labels = exp._packing.digits(keys)
     decimal = _Memo(str).__getitem__
     return {
         **emit_lattice(exp.lattice),
@@ -818,10 +825,10 @@ def emit_expansion(exp: OrthogonalExpansion) -> dict:
         "holomorphic": exp.holomorphic,
         "total_prec": frac_str(exp.total_prec),
         "weyl": emit_weyl(exp.weyl),
-        "terms": Rows(len(keys), ("n", str, list(map(decimal, map(itemgetter(0), keys)))),
+        "terms": Rows(len(keys), ("n", str, list(map(decimal, ns))),
                       ("l", list, _string_columns(_Strings(exp.den), labels)),
-                      ("m", str, list(map(decimal, map(itemgetter(1), keys)))),
-                      ("c", str, list(map(decimal, map(terms.__getitem__, keys))))),
+                      ("m", str, list(map(decimal, ms))),
+                      ("c", str, list(map(decimal, map(packed.__getitem__, keys))))),
     }
 
 

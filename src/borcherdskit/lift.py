@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
+from copy import copy
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, repeat
@@ -50,6 +51,7 @@ from .series import (
     JacobiSeries,
     VectorValuedForm,
     _grade_limit,
+    _joined,
     _mul_into,
     _exponent_den,
     _Packing,
@@ -262,16 +264,23 @@ class OrthogonalExpansion:
     lattice: EvenLattice; weyl: WeylData; weight: Fraction; total_prec:
     Fraction; holomorphic: str, "unknown" by default.
 
-    terms maps keys (n, m, l * den), in file order, to the integer
-    coefficient of q^n r^l s^m in the product itself: n, m >= 0 are integers
-    and den is a common denominator of the labels, not always the least one.
+    The coefficient of q^n r^l s^m in the product itself is stored in the
+    kernel's map {key: c} on the keys of a _Packing of rank + 1 digits,
+    under which the monomial packs as (n, (m, *l * den)): n, m >= 0 are
+    integers and den is a common denominator of the labels, not always the
+    least one. Keys in numeric order are monomials in file order
+    (n, m, lex l). The lift routes hand over the packing of their factor
+    table; the constructor and the parser pack their integer keys.
+    term_count, repr and emit_expansion read the packed keys, and so does
+    == between two expansions, or their coeffs, over one den and one digit
+    width. terms decodes the keys once, on first read, into the map
+    {(n, m, l * den): c} in file order.
     coeffs is the read-only {(n, l, m): c} view with Fraction labels over
-    terms; the constructor reads such a map. Its len is the number of terms,
-    and == between the coeffs of two expansions compares their integer
-    terms over a common den; every other read of coeffs decodes the labels
-    to Fractions. The Weyl prefactor
-    q^A r^B s^C is carried separately in weyl. Holomorphy of the underlying
-    lift is not decided by this package.
+    terms; the constructor reads such a map. Its len is term_count, and ==
+    between the coeffs of two expansions compares their integer terms over
+    a common den; every other read of coeffs decodes the labels to
+    Fractions. The Weyl prefactor q^A r^B s^C is carried separately in weyl.
+    Holomorphy of the underlying lift is not decided by this package.
     """
 
     def __init__(self, lattice, weyl, weight, coeffs, total_prec, holomorphic="unknown"):
@@ -284,36 +293,66 @@ class OrthogonalExpansion:
         """The expansion of interned columns: terms maps (n, m, l) to c, l
         the indices of the label's entries in values; the labels are stored
         over the lcm of the denominators of values."""
-        self.lattice, self.weyl, self.weight = lattice, weyl, weight
-        self.total_prec, self.holomorphic = total_prec, holomorphic
-        self.den = den = lcm(*{x.denominator for x in values})
+        den = lcm(*{x.denominator for x in values})
         coord = [_scaled(x, den) for x in values]
-        self.terms = {(n, m, tuple(map(coord.__getitem__, l))): c
-                      for (n, m, l), c in terms.items()}
-        return self
+        terms = {(n, m, tuple(map(coord.__getitem__, l))): c for (n, m, l), c in terms.items()}
+        return self._pack(lattice, weyl, weight, terms, den, total_prec, holomorphic)
 
     @classmethod
     def _of(cls, lattice, weyl, weight, terms, den, total_prec, holomorphic="unknown"):
-        """The expansion of integer terms over den; it keeps the dict."""
-        self = cls.__new__(cls)._build(lattice, weyl, weight, [], {}, total_prec, holomorphic)
-        self.terms, self.den = terms, den
+        """The expansion of integer terms {(n, m, l * den): c}."""
+        return cls.__new__(cls)._pack(lattice, weyl, weight, terms, den, total_prec,
+                                      holomorphic)
+
+    def _pack(self, lattice, weyl, weight, terms, den, total_prec, holomorphic):
+        """Store integer terms on the keys of the least packing that holds
+        them."""
+        packing = _Packing(lattice.rank + 1, max(map(abs, chain.from_iterable(
+            (m, *l) for _, m, l in terms)), default=0))
+        packed = {packing.pack(n, (m, *l)): c for (n, m, l), c in terms.items()}
+        return self._store(lattice, weyl, weight, packed, packing, den, total_prec,
+                           holomorphic)
+
+    def _store(self, lattice, weyl, weight, packed, packing, den, total_prec, holomorphic):
+        """Set every attribute: packed is a map {key: c} on the keys of
+        packing, left undecoded."""
+        self.lattice, self.weyl, self.weight = lattice, weyl, weight
+        self.total_prec, self.holomorphic, self.den = total_prec, holomorphic, den
+        self._packed, self._packing, self._terms = packed, packing, None
         return self
+
+    @property
+    def terms(self) -> dict:
+        """The {(n, m, l * den): c} map in file order, decoded from the
+        packed keys on first read."""
+        if self._terms is None:
+            keys = sorted(self._packed)
+            ns, ms, *labels = self._packing.digits(keys)
+            self._terms = dict(zip(zip(ns, ms, zip(*labels)),
+                                   map(self._packed.__getitem__, keys)))
+        return self._terms
+
+    def term_count(self) -> int:
+        """The number of stored terms, counted without decoding a key."""
+        return len(self._packed)
 
     @cached_property
     def coeffs(self) -> Mapping:
         """The terms as a read-only {(n, l, m): c} map with Fraction labels.
         The view holds a second expansion on the same terms, which holds no
         view, so that the two make no reference cycle."""
-        return _View(OrthogonalExpansion._of(self.lattice, self.weyl, self.weight, self.terms,
-                                             self.den, self.total_prec, self.holomorphic),
-                     len(self.terms))
+        return _View(copy(self), self.term_count())
 
     def _fractions(self) -> dict:
         labels = _Fractions(self.den).__getitem__
         return {(n, tuple(map(labels, l)), m): c for (n, m, l), c in self.terms.items()}
 
     def _common(self, other: "OrthogonalExpansion") -> tuple[dict, dict]:
-        """The terms of both expansions over the lcm of their dens."""
+        """The packed maps of both expansions when they share den and the
+        layout of their keys; else their terms over the lcm of their dens."""
+        mine, theirs = self._packing, other._packing
+        if (self.den, mine.width, mine.shift) == (other.den, theirs.width, theirs.shift):
+            return self._packed, other._packed
         den = lcm(self.den, other.den)
         return tuple(e.terms if e.den == den else
                      {(n, m, tuple([den // e.den * x for x in l])): c
@@ -329,7 +368,7 @@ class OrthogonalExpansion:
 
     def __repr__(self):
         return (f"OrthogonalExpansion(weight={self.weight}, rank={self.lattice.rank}, "
-                f"terms={len(self.terms)}, total_prec={self.total_prec})")
+                f"terms={self.term_count()}, total_prec={self.total_prec})")
 
 
 def _factor_powers(c: int, grade: int, top: int, size: int):
@@ -473,16 +512,11 @@ def _apply_factor(layers, g, rest):
 
 def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
     """The OrthogonalExpansion of maps of packed monomials (n, (m, *l)) to
-    integer coefficients, with labels l scaled by phi.den. The keys of all
-    layers are unpacked at once, in numeric order, which is file order; the
-    coefficient of (n, m, l) is in layer n + m."""
-    keys = sorted(chain.from_iterable(layers))
-    ns, ms, *labels = packing.digits(keys)
-    ns, ms = list(ns), list(ms)
-    coeffs = map(dict.__getitem__, map(layers.__getitem__, map(add, ns, ms)), keys)
-    terms = dict(zip(zip(ns, ms, zip(*labels)), coeffs))
+    integer coefficients, with labels l scaled by phi.den. The layers hold
+    disjoint keys and are merged as they are, without decoding a key."""
     weight = Fraction(phi.terms.get((0, (0,) * phi.lattice.rank), 0), 2)
-    return OrthogonalExpansion._of(phi.lattice, weyl, weight, terms, phi.den, total_prec)
+    return OrthogonalExpansion.__new__(OrthogonalExpansion)._store(
+        phi.lattice, weyl, weight, _joined(layers), packing, phi.den, total_prec, "unknown")
 
 
 def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansion:

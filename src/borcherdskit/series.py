@@ -221,8 +221,9 @@ class _View(Mapping):
 
     len is size, the number of the record's terms. == against a view of a
     record of the same type compares the integers that record._common(other)
-    gives for both records: their terms on one scale, or for principal parts
-    their (eden, terms). Every other read, and == where _common returns
+    gives for both records: their terms on one scale, for expansions whose
+    packed keys share one layout those keys, or for principal parts their
+    (eden, terms). Every other read, and == where _common returns
     None, decodes record._fractions() once and answers from that map, which
     the view keeps but leaves out of a pickle or a copy; in, get and keys
     are Mapping's, read through __getitem__ and __iter__. Assignment raises

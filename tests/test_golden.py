@@ -117,14 +117,30 @@ def test_cli_runs_on_the_standard_library_alone():
 
 
 def test_lift_writes_integer_terms(capsys, monkeypatch):
-    def refuse(expansion):
-        raise AssertionError("the Fraction view of the expansion was built")
+    # the writer and the summary line read the packed keys: neither the
+    # Fraction view nor the decoded terms of the expansion is built
+    def refuse(name):
+        def refused(expansion):
+            raise AssertionError(f"the {name} of the expansion was built")
+        return property(refused)
 
-    monkeypatch.setattr(OrthogonalExpansion, "coeffs", property(refuse))
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
-        io.BytesIO((GOLDEN / "phi_n2_prec4.json").read_bytes()), encoding="utf-8"))
-    assert main(["lift", "--prec", "4"]) == 0
-    assert capsys.readouterr().out == read("lift_phi_n2_prec4_deg4.json")
+    monkeypatch.setattr(OrthogonalExpansion, "coeffs", refuse("Fraction view"))
+    monkeypatch.setattr(OrthogonalExpansion, "terms", refuse("decoded terms"), raising=False)
+    for name, source, argv in [
+        ("lift_phi_n1_prec16_deg8.json", "phi_n1_prec16.json", ["--prec", "8"]),
+        ("lift_phi_n2_prec4_deg4.json", "phi_n2_prec4.json", ["--prec", "4"]),
+        ("lift_phi_n2_prec4_deg4_w0skew.json", "phi_n2_prec4.json",
+         ["--prec", "4", "--w0", "1,-1/3"]),
+        ("lift_phi_n3_prec3_deg2.json", "phi_n3_prec3.json", ["--prec", "2"]),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO((GOLDEN / source).read_bytes()), encoding="utf-8"))
+        assert main(["lift", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert out == read(name)
+        doc = json.loads(out)
+        assert err == (f"product expansion to total degree {argv[1]}: {len(doc['terms'])} "
+                       f"monomials, weight {doc['weight']}, holomorphic: unknown\n")
 
 
 @pytest.mark.parametrize("name, command", [

@@ -331,11 +331,23 @@ def test_series_len_and_equality_decode_no_key(no_decoding):
     assert phi.coeffs != rescale_elliptic(again, 3).coeffs
 
 
-def test_expansion_len_and_equality_decode_no_key(no_decoding):
+def test_expansion_len_and_equality_decode_no_key(no_decoding, monkeypatch):
+    # the routes hand over their packed map, and len, repr and == read it:
+    # no packed key is decoded after the input's terms are
     phi = phi_n(2, 4)
+    assert phi.terms
+
+    def refuse(*args):
+        raise AssertionError("a packed key was decoded")
+
+    monkeypatch.setattr(_Packing, "digits", refuse)
+    monkeypatch.setattr(OrthogonalExpansion, "terms", property(refuse), raising=False)
     direct, log_exp = lift_expansion(phi, 4), lift_expansion_log_exp(phi, 4)
-    assert len(direct.coeffs) == len(log_exp.coeffs) == 480
+    assert len(direct.coeffs) == len(log_exp.coeffs) == direct.term_count() == 480
+    assert repr(log_exp) == ("OrthogonalExpansion(weight=1/2, rank=2, terms=480, "
+                             "total_prec=4)")
     assert direct.coeffs == log_exp.coeffs and not direct.coeffs != log_exp.coeffs
+    assert direct == log_exp
 
 
 def test_form_and_part_len_and_equality_decode_no_key(no_decoding):
