@@ -29,10 +29,10 @@ from collections import namedtuple
 from collections.abc import Mapping
 from copy import copy
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import chain, groupby, repeat
 from math import comb, gcd, lcm
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, floordiv, itemgetter, mod, mul, neg
 
 from .errors import (
     CongruenceFailed,
@@ -52,7 +52,7 @@ from .series import (
     VectorValuedForm,
     _grade_limit,
     _joined,
-    _mul_into,
+    _mul_rows,
     _exponent_den,
     _Packing,
     _scaled,
@@ -417,8 +417,9 @@ def _factor_table(phi: JacobiSeries, weyl: WeylData, top: int):
     its row at q^(nm), with c = c(nm, l); then the degree-zero factors, the
     q^0 labels on the negative side of the chamber in lex order, with
     c = c(0, l). The table is built by columns: one pass over phi.terms
-    collects the rows at integer exponents e = n * m, each row's labels are
-    packed once, and the keys of one (n, m) are those plus a constant.
+    collects the rows at integer exponents e = n * m, the max |l| and the
+    packed labels of a row are taken column by column over its labels, and
+    the keys of one (n, m) are those plus a constant.
 
     The packing holds every monomial that a product of the factors forms
     below top, so that keys in numeric order are monomials in file order
@@ -428,7 +429,9 @@ def _factor_table(phi: JacobiSeries, weyl: WeylData, top: int):
     Over the factors of positive degree that sum is, row by row,
     sum_(n,m) ((top - 1) // (n + m)) * S_(nm), S_e the sum of max |l| over
     the row at q^e. The total degree n + m is no digit of the key, so the
-    routes pass it to the kernel as the grade of each term."""
+    routes keep the monomials of each degree in a map of their own, and
+    hand _mul_rows only pairs of terms whose degrees add up to less than
+    top."""
     q_den, pair = phi.q_den, phi.lattice._pair
     # the rows at integer exponents up to the largest n * m with n + m < top,
     # as columns (vecs, cs)
@@ -444,14 +447,20 @@ def _factor_table(phi: JacobiSeries, weyl: WeylData, top: int):
     zero = sorted((vec, c) for vec, c in zip(*rows.get(0, ((), ()))) if pair(vec, w) < 0)
     cells = [(g, m, (g - m) * m) for g in reversed(range(1, top)) for m in range(g + 1)
              if (g - m) * m in rows]
-    read = {e for _, _, e in cells}
-    widest = {e: sum(max(map(abs, vec)) for vec in rows[e][0]) for e in read}
+    # each row read as the columns of its labels: max |l| of a label is the
+    # max over the columns (the 0 lets max take a single column)
+    columns = {e: list(zip(*rows[e][0])) for _, _, e in cells}
+    widest = {e: sum(map(max, repeat(0), *[map(abs, x) for x in cols]))
+              for e, cols in columns.items()}
     packing = _Packing(phi.lattice.rank + 1, top
                        + sum(abs(c) * max(map(abs, vec)) for vec, c in zero)
                        + sum((top - 1) // g * widest[e] for g, _, e in cells))
     # (n, (m, *l)) packs to n * unit + m * step + the packed label
     step, *weights = packing.weights
-    labels = {e: [sum(map(mul, vec, weights)) for vec in rows[e][0]] for e in read}
+    # and the packed label is the sum of the columns times their weights
+    labels = {e: list(reduce(partial(map, add),
+                             [map(mul, x, repeat(w)) for x, w in zip(cols, weights)]))
+              for e, cols in columns.items()}
     table = []
     for g, group in groupby(cells, itemgetter(0)):
         keys, cs = [], []
@@ -465,49 +474,43 @@ def _factor_table(phi: JacobiSeries, weyl: WeylData, top: int):
     return packing, table
 
 
-def _graded(t: int, layer: dict) -> list:
-    """The kernel terms of a map of packed monomials of total degree t: the
-    grade of a term is its total degree, which its key does not carry."""
-    return list(zip(repeat(t), layer, layer.values()))
-
-
-def _factor_terms(layers, g, key, c) -> list:
-    """(1 - X)^c - 1 below the truncation len(layers) as kernel terms
-    (k * g, k * key, w_k), X the monomial of degree g that packs to key."""
-    return [(k * g, k * key, w) for k, w in
-            _factor_powers(c, g, len(layers), sum(map(len, layers))) if k and w]
+def _factor_rows(layers, g, key, c) -> list:
+    """(1 - X)^c - 1 below the truncation len(layers) as rows (s, [(k, w)])
+    of one term each, the power X^j as (j * g, [(j * key, w_j)]) in
+    ascending j, X the monomial of degree g that packs to key."""
+    return [(j * g, [(j * key, w)]) for j, w in
+            _factor_powers(c, g, len(layers), sum(map(len, layers))) if j and w]
 
 
 def _apply_factor(layers, g, rest):
-    """Multiply in place by 1 + R, R the sum of the kernel terms
-    (grade, key, w) of rest, sorted by grade, each a monomial of degree at
-    least g.
+    """Multiply in place by 1 + R, R given by rest as rows (s, [(key, w)])
+    of the monomials of degree s >= g, in ascending s.
 
     layers[t] maps the packed monomials (n, (m, *l)) of total degree
     t = n + m, up to the truncation len(layers), to their coefficients, under
     the packing of _factor_table, whose bound holds for every product of the
-    table's factors below len(layers). Layer t + s gains layer t times the
-    terms of R of degree s, in one kernel call for each nonempty layer t and
-    each s, and only the layers below len(layers) - g are read. Layers are
-    visited from the top down, so every layer is read before it gains
-    anything; it is copied first because a degree-zero factor writes back
-    into it.
+    table's factors below len(layers). Layer t + s gains layer t times each
+    row of degree s, in one _mul_rows pass for each nonempty layer t and
+    each row with t + s below len(layers), and only the layers below
+    len(layers) - g are read. Layers are visited from the top down, so every
+    layer is read, as its own items, before it gains anything; only a
+    factor of degree zero, which writes back into the layer it reads, reads
+    a copy of it.
 
-    rest is one factor (1 - X)^c less 1 (_factor_terms), or, for the factors
-    of one degree g with 2g >= len(layers), the sum of -c X over all of them:
-    a product of two of those has degree at least len(layers), so below it
-    their product is 1 - sum c X.
+    rest is one factor (1 - X)^c less 1 (_factor_rows), or, for the factors
+    of one degree g with 2g >= len(layers), the one row of the -c X of all
+    of them: a product of two of those has degree at least len(layers), so
+    below it their product is 1 - sum c X.
     """
     top = len(layers)
-    by_degree = [(s, list(terms)) for s, terms in groupby(rest, itemgetter(0))]
     for t in reversed(range(top - g)):
         if not layers[t]:
             continue
-        source = _graded(t, layers[t])
-        for s, terms in by_degree:
+        source = layers[t].items() if g else list(layers[t].items())
+        for s, row in rest:
             if t + s >= top:
                 break
-            _mul_into(layers[t + s], terms, source, top)
+            _mul_rows(layers[t + s], source, row)
 
 
 def _expansion(phi, weyl, packing, layers, total_prec) -> OrthogonalExpansion:
@@ -529,8 +532,9 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
 
     The factors come from _factor_table: one group of packed keys and
     exponents for each degree g, in descending degree with the degree-zero
-    binomials last, under one packing for the whole product. The factors of
-    one high degree g, 2g >= top, go in one kernel pass (_apply_factor).
+    binomials last, under one packing for the whole product. Each factor
+    multiplies the layers of one degree each in place (_apply_factor), the
+    factors of one high degree g, 2g >= top, all in one pass.
     """
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
@@ -543,10 +547,10 @@ def lift_expansion(phi: JacobiSeries, total_prec, w0=None) -> OrthogonalExpansio
     # grade and widen each layer they touch, so they come last.
     for g, keys, cs in table:
         if 2 * g >= top:
-            _apply_factor(layers, g, [(g, key, -c) for key, c in zip(keys, cs)])
+            _apply_factor(layers, g, [(g, list(zip(keys, map(neg, cs))))])
         else:
             for key, c in zip(keys, cs):
-                _apply_factor(layers, g, _factor_terms(layers, g, key, c))
+                _apply_factor(layers, g, _factor_rows(layers, g, key, c))
     if layers[0].get(0) != 1:
         raise SelfCheckFailed("lift constant term",
                               "constant coefficient of the product is not 1")
@@ -567,7 +571,9 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
 
     It reads the factor table of the direct route (_factor_table): a group
     of degree g > 0 adds -c * g at k * key to h L_h, h = k * g, for each
-    multiple k with h < top; the degree-zero group goes in last, as there."""
+    multiple k with h < top; the degree-zero group goes in last, as there.
+    The maps of h L_h and of E_(g-h) go to _mul_rows as they are, as their
+    items, without a copy."""
     total_prec, weyl = _expansion_preamble(phi, total_prec, w0)
     top = _grade_limit(total_prec, 1)
     packing, table = _factor_table(phi, weyl, top)
@@ -586,24 +592,22 @@ def lift_expansion_log_exp(phi: JacobiSeries, total_prec, w0=None) -> Orthogonal
             bucket = weighted_log.setdefault(k * g, {})
             for key, w in zip(map(mul, keys, repeat(k)), weights):
                 bucket[key] = bucket.get(key, 0) + w
-    weighted_log = {h: _graded(h, bucket) for h, bucket in weighted_log.items()}
 
-    # layers[g] is E_g as a map of packed monomials, terms[g] as kernel terms
-    layers, terms = [{0: 1}], [[(0, 0, 1)]]
+    # layers[g] is E_g as a map of packed monomials; every product formed
+    # has degree h + (g - h) = g below top
+    layers = [{0: 1}]
     for g in range(1, top):
         bucket = {}
         for h in range(1, g + 1):
             if h in weighted_log:
-                _mul_into(bucket, weighted_log[h], terms[g - h], top)
+                _mul_rows(bucket, weighted_log[h].items(), layers[g - h].items())
         if any(map(mod, bucket.values(), repeat(g))):
             (n, vec), v = next((mono, v) for mono, v in packing.unpack(bucket).items() if v % g)
             raise SelfCheckFailed("lift integrality", f"non-integral coefficient "
                                   f"{Fraction(v, g)} at n={n}, m={vec[0]}")
-        layer = dict(zip(bucket, map(floordiv, bucket.values(), repeat(g))))
-        layers.append(layer)
-        terms.append(_graded(g, layer))
+        layers.append(dict(zip(bucket, map(floordiv, bucket.values(), repeat(g)))))
     for key, c in zero_grade:
-        _apply_factor(layers, 0, _factor_terms(layers, 0, key, c))
+        _apply_factor(layers, 0, _factor_rows(layers, 0, key, c))
     return _expansion(phi, weyl, packing, layers, total_prec)
 
 

@@ -28,8 +28,10 @@ that needs its keys. A constructor interns its Fraction map into columns,
 the distinct Fractions and the terms keyed by their indices, and hands them
 to _build, which the io parser of the record calls too: each record's
 denominator rule lives there. Products of terms run on keys packed into one
-int each (_Packing). A product of two term lists (*, direct_product and
-both lift expansions) runs through one kernel, _mul_into; recompose needs
+int each (_Packing). A product of two rows of terms of one grade each runs
+through one kernel, _mul_rows, in place on its destination: * and
+direct_product group their factors into rows (_mul_into), and both lift
+expansions hand it the maps of their layers as they are. recompose needs
 none, as no two of its terms fall on one monomial. A product or quotient
 by one binomial 1 + c X, the factors of phi04 and of the triple product,
 runs through _binomial, in place on the accumulator's rows of one grade
@@ -121,6 +123,39 @@ class _Packing:
         return dict(zip(zip(grades, zip(*digits)), map(packed.__getitem__, keys)))
 
 
+def _mul_rows(dst, a, b):
+    """dst += a * b in place for two sized iterables a and b of terms
+    (k, c), the packed keys and coefficients of the terms of one grade each.
+
+    Two terms multiply to key k_a + k_b and coefficient c_a * c_b; the caller
+    sees to it that the product's grade is one it keeps and that its vector
+    stays inside the packing's box. The outer loop runs over the shorter of
+    a and b. Coefficients that cancel to zero leave dst. Neither a nor b may
+    be a view of dst: a caller that multiplies a row into itself hands over
+    a copy. This and _binomial are the only places where products of terms
+    are formed.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = dst.get
+    for ka, ca in a:
+        for kb, cb in b:
+            key = ka + kb
+            c = get(key, 0) + ca * cb
+            if c:
+                dst[key] = c
+            else:
+                dst.pop(key, None)
+
+
+def _grade_rows(terms) -> dict:
+    """Kernel terms (t, k, c), in any order, as rows {t: [(k, c)]}."""
+    rows = {}
+    for t, k, c in terms:
+        rows.setdefault(t, []).append((k, c))
+    return rows
+
+
 def _mul_into(dst, a, b, limit, max_terms=None):
     """dst += a * b over packed terms, keeping grades below limit.
 
@@ -129,25 +164,20 @@ def _mul_into(dst, a, b, limit, max_terms=None):
     to coefficients. Two terms multiply to grade t_a + t_b, key k_a + k_b and
     coefficient c_a * c_b, which is the product monomial as long as its vector
     stays inside the packing's box: every caller chooses a bound that holds
-    for all grades below limit. b must be sorted by grade, so the inner loop
-    stops at the first term whose product would reach limit. Coefficients
-    that cancel to zero leave dst, and ResourceLimit is raised as soon as dst
-    holds more than max_terms terms.
+    for all grades below limit. Each factor is grouped into rows of one grade,
+    in any order, and every pair of rows whose grades add up to less than
+    limit goes through _mul_rows once. ResourceLimit is raised as soon as a
+    row pass leaves dst with more than max_terms terms, so dst may pass the
+    budget by the pairs of one row pass before it is refused.
     """
-    for ta, ka, ca in a:
-        stop = limit - ta
-        for tb, kb, cb in b:
-            if tb >= stop:
-                break
-            key = ka + kb
-            c = dst.get(key, 0) + ca * cb
-            if c:
-                dst[key] = c
+    rows_b = _grade_rows(b).items()
+    for ta, row_a in _grade_rows(a).items():
+        for tb, row_b in rows_b:
+            if ta + tb < limit:
+                _mul_rows(dst, row_a, row_b)
                 if max_terms is not None and len(dst) > max_terms:
                     raise ResourceLimit(
                         f"product exceeded the {max_terms}-coefficient budget")
-            else:
-                dst.pop(key, None)
 
 
 def _binomial(rows, g, key, c, limit, count=0, max_terms=None, divide=False):
@@ -163,8 +193,10 @@ def _binomial(rows, g, key, c, limit, count=0, max_terms=None, divide=False):
     walk reaches them. count is the number of terms in rows before the call;
     ResourceLimit is raised as soon as a row leaves more than max_terms terms
     in all, and a quotient that will pass max_terms once it walks past the
-    rows it was given is refused before that walk starts. This and _mul_into
-    are the only places where products of terms are formed.
+    rows it was given is refused before that walk starts. It keeps its own
+    loop over a row rather than calling _mul_rows with the one term c X,
+    which costs phi04 and the triple product more. This and _mul_rows are
+    the only places where products of terms are formed.
     """
     if divide:
         c, walk, new = -c, range(g, limit), max(g, len(rows))

@@ -5,7 +5,10 @@ and the triple product, and of the packing of their keys.
 oracle_mul_into is the kernel as it was on tuple keys ((t, vec), c), before
 every key was packed into one int; the packed kernel must agree with it
 wherever the packing's bound holds, including monomials on the edge of the
-box |vec_i| <= bound.
+box |vec_i| <= bound. _mul_rows, the row kernel that _mul_into and the
+lift call, must equal a dict double loop on overlapping keys, with zero and
+cancelling coefficients, and _mul_into checks its budget after each row
+pass, not at each new term.
 
 oracle_product is the plain double loop over Fraction-keyed terms that
 both products used before they moved onto integer keys. Random sparse series
@@ -45,6 +48,7 @@ from borcherdskit.series import (
     _binomial,
     _grade_limit,
     _mul_into,
+    _mul_rows,
     _Packing,
     direct_product,
     phi04,
@@ -168,6 +172,46 @@ def test_kernel_matches_double_loop(start, a, b, limit, max_terms):
         assert len(dst) > max_terms
     else:
         assert packing.unpack(dst) == expected and len(dst) <= max(max_terms, len(start))
+
+
+# few keys, so that products overlap, and coefficients that cancel or are zero
+row_terms = st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-8, 8), st.integers(-3, 3).filter(bool), max_size=6),
+       row_terms, row_terms, st.booleans())
+def test_row_kernel_matches_double_loop(start, a, b, as_items):
+    if as_items:
+        # the lift hands over the items of its maps: distinct keys, as views
+        a, b = dict(a).items(), dict(b).items()
+    expected = dict(start)
+    for ka, ca in a:
+        for kb, cb in b:
+            expected[ka + kb] = expected.get(ka + kb, 0) + ca * cb
+    dst = dict(start)
+    _mul_rows(dst, a, b)
+    # no zero kept, also where a zero product lands on a key dst lacks
+    assert dst == {k: c for k, c in expected.items() if c}
+
+
+def test_mul_into_checks_the_budget_after_each_row_pass():
+    packing = _Packing(1, 8)
+    # two rows of a, one of b: each pass adds two new terms
+    a = [(0, packing.pack(0, (0,)), 1), (1, packing.pack(1, (0,)), 1)]
+    b = [(0, packing.pack(0, (1,)), 1), (0, packing.pack(0, (-1,)), 1)]
+    dst = {}
+    with pytest.raises(ResourceLimit, match="product exceeded the 2-coefficient budget"):
+        _mul_into(dst, a, b, 5, 2)
+    # refused after the second pass, not at its first new term: every
+    # product of both passes is in dst
+    assert len(dst) == 4
+    # a pass that passes the budget on the way and ends inside it is kept
+    start = {packing.pack(0, (-1,)): 1}
+    dst = dict(start)
+    _mul_into(dst, [(0, 0, 1)], [(0, packing.pack(0, (1,)), 1), (0, packing.pack(0, (-1,)), -1)],
+              5, 1)
+    assert dst == {packing.pack(0, (1,)): 1}
 
 
 # bounds around powers of two, where the width of a digit changes

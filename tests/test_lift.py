@@ -8,7 +8,8 @@ cross-checked against the exp-log pipeline, its Fourier-Jacobi slices
 against the elliptic law of a Jacobi form, its labels against the signed
 permutations that fix diag(8)^n and phi_n and, for the weight-1/2 lift,
 against the norm-zero support forced at singular weight. A tracemalloc
-test bounds the memory the lift keeps and peaks at per monomial.
+test bounds the memory each route of the lift keeps and peaks at per
+monomial.
 """
 
 import copy
@@ -720,38 +721,43 @@ def test_signed_permutations_fix_the_product_up_to_sign(factors, prec, degree, s
 
 def test_lift_memory_per_monomial():
     # the expansion keeps the routes' packed map, an int key and a
-    # coefficient per monomial: about 63 B retained and 250 B at the peak of
-    # the lift (CPython 3.11), against 176 B and 362 B while the lift
-    # decoded every key into an (n, m, l) tuple
+    # coefficient per monomial: about 63 B retained by both routes, and
+    # 237 B (direct) or 245 B (exp-log) at the peak of the lift (CPython
+    # 3.11), against 176 B and 362 B (direct) while the lift decoded every
+    # key into an (n, m, l) tuple, and 250 B and 262 B while the routes
+    # copied each layer into a list of (grade, key, c) tuples
     phi = cached_phi_n(3, 3)
-    lift_expansion(phi, 2)  # the input's terms and the lattice's caches
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        expansion = lift_expansion(phi, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-        gc.collect()  # and the interpreter's free lists
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    size = len(expansion.coeffs)
-    assert size == 1248
-    assert (retained - before) / size < 120
-    assert (peak - before) / size < 300
+    for route in (lift_expansion, lift_expansion_log_exp):
+        route(phi, 2)  # the input's terms and the lattice's caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            expansion = route(phi, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()  # and the interpreter's free lists
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        size = len(expansion.coeffs)
+        assert size == 1248, route.__name__
+        assert (retained - before) / size < 120, route.__name__
+        assert (peak - before) / size < 300, route.__name__
+        del expansion
 
 
 def test_high_degrees_take_one_kernel_pass(monkeypatch):
     # phi_1 at degree 8: the factors of degrees 4 to 7 go in one pass per
-    # degree, and every call multiplies the same pairs as one call per factor
-    calls, pairs, kernel = [], [], lift._mul_into
+    # degree, and every row pass multiplies the same pairs as one pass per
+    # factor
+    calls, pairs, kernel = [], [], lift._mul_rows
 
-    def counted(dst, a, b, limit, max_terms=None):
+    def counted(dst, a, b):
         calls.append(1)
         pairs.append(len(a) * len(b))
-        return kernel(dst, a, b, limit, max_terms)
+        return kernel(dst, a, b)
 
-    monkeypatch.setattr(lift, "_mul_into", counted)
+    monkeypatch.setattr(lift, "_mul_rows", counted)
     lift_expansion(cached_phi_n(1, 16), 8)
     assert len(calls) <= 250 and sum(pairs) == 4766
 
