@@ -11,12 +11,15 @@ followed by a newline: one item per line, indented by two spaces per level,
 ": " after keys, [] and {} for empty containers, non-ASCII escaped as
 \\uXXXX. canonical_dumps writes those bytes itself, because json.dumps with
 an indent runs the pure-Python encoder; the test suite compares the two.
-The emitters hand it the rows of a table as a Rows of columns, and it
-interleaves them with the text that is the same in every row. Rows sorted
-by (n, lex l) share their leading cells: emit_series gives each row a
-head id, for n and the label entries before the last two, and a tail id,
-for those two, and the text of each distinct head and tail is written
-once; a row joins its head, its tail and its coefficient.
+It collects the pieces of the whole document in one list and joins them
+once. The emitters hand it the rows of a table as a Rows of columns, and
+it interleaves them with the text that is the same in every row. Rows
+sorted by (n, lex l) share their leading cells: emit_series splits the
+sorted keys into runs of one head (n and the label entries before the last
+two), with one search per run, and gives each row the id of its tail
+(those two entries). The text of each head is written once and repeated
+over its run, that of each distinct tail once, and a row joins its head,
+its tail and its coefficient.
 
 Both directions run on integer keys: each q-exponent, label, gamma or
 exponent is scaled by a positive common denominator, which keeps the order
@@ -59,12 +62,13 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import ceil, gcd, lcm
-from operator import add, and_, eq, is_, itemgetter, mul, rshift, sub
+from operator import eq, is_, itemgetter, mul, sub
 
 from .errors import NotInDualLattice, ResourceLimit, SchemaViolation
 from .lattice import EvenLattice, Vector, _Memo, frac_str
@@ -236,48 +240,50 @@ def canonical_dumps(doc) -> str:
     json module's string escaper. json.dumps does not write a Rows, and the
     parse_* functions read plain JSON trees only: pass them
     json.loads(canonical_dumps(doc))."""
-    return _dumps(doc, "\n") + "\n"
+    out = []
+    _dumps(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _dumps(value, indent: str) -> str:
-    """value as JSON text; indent is the newline and indent of its line.
+def _dumps(value, indent: str, out: list) -> None:
+    """Append the pieces of value's JSON text to out; indent is the newline
+    and indent of its line. The whole document is one join of out.
 
     The str values of a dict, and a list of str, skip the recursive call:
-    they make up most of every plain document. Each list of items is a
-    temporary of its join, so the text of a large container is held at most
-    twice."""
+    they make up most of every plain document."""
     kind = type(value)
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = ("," + inner).join([
-            f"{_quote(k)}: {_quote(x) if type(x) is str else _dumps(x, inner)}"
-            for k, x in value.items()])
-        return f"{{{inner}{body}{indent}}}"
+        inner, lead = indent + "  ", "{"
+        for k, x in value.items():
+            out.append(f"{lead}{inner}{_quote(k)}: ")
+            if type(x) is str:
+                out.append(_quote(x))
+            else:
+                _dumps(x, inner, out)
+            lead = ","
+        return out.append(f"{indent}}}" if value else "{}")
     if kind is list:
-        if not value:
-            return "[]"
         inner = indent + "  "
         sep = "," + inner
         try:
-            return f"[{inner}{sep.join(map(_quote, value))}{indent}]"
+            return out.append(f"[{inner}{sep.join(map(_quote, value))}{indent}]" if value else "[]")
         except TypeError:  # an item is not a str
             pass
-        body = sep.join([_dumps(x, inner) for x in value])
-        return f"[{inner}{body}{indent}]"
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
+        lead = "[" + inner
+        for x in value:
+            out.append(lead)
+            _dumps(x, inner, out)
+            lead = sep
+        return out.append(indent + "]")
     if kind is Rows:
-        return value._text(indent)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
+        return out.extend(value._text(indent))
+    if kind is str:
+        return out.append(_quote(value))
+    if kind is int:
+        return out.append(int.__repr__(value))
+    if value is True or value is False or value is None:
+        return out.append(json.dumps(value))
     raise TypeError(f"canonical_dumps: cannot encode {kind.__name__}")
 
 
@@ -295,13 +301,13 @@ class Rows(Sequence):
     the columns themselves (_text).
 
     Rows sorted by a vector share their leading cells. A table with one
-    vector column may carry heads, (head ids, tail ids), one of each per
-    row. Its rows split at the vector's last two coordinates: the head is
-    every cell before them, the tail is those two, and a vector of one or
-    two coordinates is all tail. A head or tail column is then a map from
-    the id to the str cell, the same for every row with that id, and the
-    cells after the vector are listed by row. _text writes the text of each
-    distinct head and tail once."""
+    vector column may carry heads, (runs, tail ids): the length of each run
+    of rows with one head, in order, and one tail id per row. Its rows split
+    at the vector's last two coordinates: the head is every cell before
+    them, the tail is those two, and a vector of one or two coordinates is
+    all tail. A head column then lists one str cell per run, a tail column
+    one per tail id, and the cells after the vector are listed by row.
+    _text writes the text of each distinct head and tail once."""
 
     __slots__ = ("size", "fields", "heads")
 
@@ -313,19 +319,24 @@ class Rows(Sequence):
 
     def __getitem__(self, i):
         index = range(self.size)[i]
-        return list(map(self._row, index)) if type(index) is range else self._row(index)
+        if type(index) is range:
+            return list(map(list(self).__getitem__, index))
+        runs, tails = self.heads or ([1] * self.size, range(self.size))
+        return self._row(index, bisect_right(list(accumulate(runs)), index), tails[index])
 
     def __iter__(self):
-        return map(self._row, range(self.size))
+        # a table without heads is read as runs of one row, each its own tail
+        runs, tails = self.heads or (repeat(1, self.size), range(self.size))
+        return map(self._row, range(self.size), chain.from_iterable(map(repeat, count(), runs)),
+                   tails)
 
     def __eq__(self, other):
         if not isinstance(other, (Rows, list)):
             return NotImplemented
         return self.size == len(other) and all(map(eq, self, other))
 
-    def _row(self, i: int) -> dict:
-        heads = self.heads
-        h, t = (i, i) if heads is None else (heads[0][i], heads[1][i])
+    def _row(self, i: int, h: int, t: int) -> dict:
+        """Row i, whose head and tail are the h-th and the t-th."""
         row, at = {}, h
         for key, kind, column in self.fields:
             if kind is list:
@@ -338,18 +349,19 @@ class Rows(Sequence):
                 row[key] = column[at]
         return row
 
-    def _text(self, indent: str) -> str:
-        """The rows as _dumps writes their dicts in a list at indent. The
-        text before each cell is the same in every row, so a row is those
-        constant pieces interleaved with its cells, and the whole list is one
-        join, built column by column without building a row. With heads, the
-        text of a row up to its tail is written once per head id and that of
-        its tail once per tail id, and a row joins the two with its later
-        cells. The cells of str and vector columns are written as they are:
-        the emitters build them with frac_str and str, which give ASCII text
-        that the string escaper leaves alone."""
+    def _text(self, indent: str) -> list:
+        """The pieces of the text _dumps writes of the rows' dicts in a list
+        at indent, which joined make that text. The text before each cell is
+        the same in every row, so a row is those constant pieces interleaved
+        with its cells, and the pieces are laid out column by column without
+        building a row. With heads, the text of a row up to its tail is
+        built once per run and repeated over it, and that of its tail, with
+        the piece after it, once per tail id; a row joins the two with its
+        later cells. The cells of str and vector columns are written as they
+        are: the emitters build them with frac_str and str, which give ASCII
+        text that the string escaper leaves alone."""
         if not self.size:
-            return "[]"
+            return ["[]"]
         inner, field = indent + "  ", indent + "    "
         # pieces[j] comes before the j-th cell of a row, pieces[-1] ends it
         pieces, columns, text = [], [], f",{inner}{{"
@@ -373,15 +385,16 @@ class Rows(Sequence):
             else:
                 pieces.append(text)
                 columns.append(map(int.__repr__, column) if kind is int
-                               else map(Rows._text, column, repeat(field)))
+                               else map("".join, map(Rows._text, column, repeat(field))))
                 text = ""
         pieces.append(f"{text}{inner}}}")
         # a row's slots: the piece before each cell, then the cell; the
         # first piece also ends the row above
         slots = list(chain.from_iterable(zip([pieces[-1] + pieces[0], *pieces[1:]], columns)))
         if self.heads is not None:
-            parts = ((0, tail, self.heads[0]), (tail, end, self.heads[1]))
-            slots[:2 * end] = [_shared(slots[2 * a:2 * b], ids) for a, b, ids in parts if a < b]
+            runs, ids = self.heads
+            heads = chain.from_iterable(map(repeat, _joined(slots[:2 * tail]), runs))
+            slots[:2 * end + 1] = heads, map(_joined(slots[2 * tail:2 * end + 1]).__getitem__, ids)
         width = len(slots)
         out = [slot if type(slot) is str else None for slot in slots] * self.size
         for j, slot in enumerate(slots):
@@ -390,17 +403,14 @@ class Rows(Sequence):
         # the first row opens with the bracket instead of a row end and a comma
         out[0] = f"[{out[0][len(pieces[-1]) + 1:]}"
         out.append(f"{pieces[-1]}{indent}]")
-        return "".join(out)
+        return out
 
 
-def _shared(slots: list, ids) -> map:
-    """The text of slots for each of ids. The slots alternate pieces and
-    maps from id to cell, the first of which has every id as a key, and
-    the text of an id, which joins its slots, is built once."""
-    keys = list(slots[1])
-    texts = map("".join, zip(*[map(slot.__getitem__, keys) if j % 2 else repeat(slot)
-                               for j, slot in enumerate(slots)]))
-    return map(dict(zip(keys, texts)).__getitem__, ids)
+def _joined(slots: list) -> list:
+    """The text of each index of the columns in slots, which alternate
+    pieces and columns of one length, starting with a piece."""
+    return list(map("".join, zip(*[slot if j % 2 else repeat(slot)
+                                   for j, slot in enumerate(slots)])))
 
 
 def _of_type(kind: type, values) -> bool:
@@ -513,37 +523,35 @@ def _series_terms(entries: list, path, rank: int):
 
 
 def emit_series(series: JacobiSeries) -> dict:
-    """The document of a series. Its rows, sorted by (n, lex l), carry head
-    and tail ids (Rows): a row's head is its grade and label entries before
-    the last two, its tail is those two, and its ids are the indices of the
-    first rows with its head and its tail. Heads and tails are the tuples
-    of those entries, or for a series whose terms were never decoded the
-    high and low bits of its packed keys; the cells are written from the
-    distinct ones only."""
-    rank, terms = series.lattice.rank, series._terms
+    """The document of a series. Its rows, sorted by (n, lex l), come in
+    runs of one head (Rows): a row's head is its grade and label entries
+    before the last two, its tail is those two. One search finds the end of
+    each run (_runs), and the cells are written from the first key of each
+    run and from the distinct tails only. The keys are the tuples (n, l),
+    or for a series whose terms were never decoded its packed keys: the
+    base of a run is its key whose last two digits vec_i + M/2 are 0, and
+    a row's tail is its key less that base."""
+    rank, packing = series.lattice.rank, series._packing
     split = max(rank - 2, 0)  # the label entries in the head
-    firsts, lasts = {}, {}  # head or tail -> the index of its first row
-    if terms is not None:
-        keys = sorted(terms)  # linear in the kernel's order
-        columns = [map(itemgetter(0), keys), *_coordinates(list(map(itemgetter(1), keys)), rank)]
-        heads = list(map(firsts.setdefault, zip(*columns[:1 + split]), count()))
-        tails = list(map(lasts.setdefault, zip(*columns[1 + split:]), count()))
-        cells = _coordinates(list(firsts), 1 + split) + _coordinates(list(lasts), rank - split)
+    terms = series._packed if series._terms is None else series._terms
+    keys = sorted(terms)  # linear in the kernel's order
+    if terms is series._packed:
+        offset, span = packing.offset, 1 << packing.width * (rank - split)
+        base = lambda k: (k + offset) // span * span - offset
+        firsts, runs = _runs(keys, lambda k: base(k) + span)
+        values = list(map(sub, keys, chain.from_iterable(map(repeat, map(base, firsts), runs))))
+        tails = list(dict.fromkeys(values))
+        cells = (packing.digits(firsts)[:1 + split]
+                 + packing.digits(list(map(sub, tails, repeat(offset))))[1 + split:])
     else:
-        terms, packing = series._packed, series._packing
-        keys = sorted(terms)
-        # the unsigned digits vec_i + M/2 of the last two entries are the low bits
-        lifted = list(map(add, keys, repeat(packing.offset)))
-        bits = packing.width * (rank - split)
-        heads = list(map(firsts.setdefault, map(rshift, lifted, repeat(bits)), count()))
-        tails = list(map(lasts.setdefault, map(and_, lifted, repeat((1 << bits) - 1)), count()))
-        digits = [packing.digits(list(map(keys.__getitem__, rows.values())))
-                  for rows in (firsts, lasts)]
-        cells = digits[0][:1 + split] + digits[1][1 + split:]
-    ids = [firsts.values()] * (1 + split) + [lasts.values()] * (rank - split)
+        firsts, runs = _runs(keys, (lambda k: (k[0], (*k[1][:split - 1], k[1][split - 1] + 1)))
+                             if split else (lambda k: (k[0] + 1,)))
+        values = list(map(itemgetter(slice(split, None)), map(itemgetter(1), keys)))
+        tails = list(dict.fromkeys(values))
+        cells = [map(itemgetter(0), firsts), *_coordinates(list(map(itemgetter(1), firsts)), split),
+                 *_coordinates(tails, rank - split)]
     strings = [_Strings(series.q_den)] + [_Strings(series.den)] * rank
-    ns, *ls = [dict(zip(rows, map(text.__getitem__, column)))
-               for rows, text, column in zip(ids, strings, cells)]
+    ns, *ls = [list(map(text.__getitem__, column)) for text, column in zip(strings, cells)]
     cs = list(map(_Memo(str).__getitem__, map(terms.__getitem__, keys)))
     return {
         **emit_lattice(series.lattice),
@@ -552,8 +560,19 @@ def emit_series(series: JacobiSeries) -> dict:
         "prec": frac_str(series.prec),
         "form_class": series.form_class,
         "terms": Rows(len(keys), ("n", str, ns), ("l", list, ls), ("c", str, cs),
-                      heads=(heads, tails)),
+                      heads=(runs, list(map(dict(zip(tails, count())).__getitem__, values)))),
     }
+
+
+def _runs(keys: list, end) -> tuple[list, list]:
+    """The first key and the length of each run of one head in the sorted
+    list keys, where end(k) is the least key above every key with the head
+    of k: one search per run."""
+    starts, i = [], 0
+    while i < len(keys):
+        starts.append(i)
+        i = bisect_left(keys, end(keys[i]), i + 1)
+    return list(map(keys.__getitem__, starts)), list(map(sub, [*starts[1:], len(keys)], starts))
 
 
 # -- vector-valued forms --------------------------------------------------------------

@@ -975,16 +975,46 @@ PACKED_SHAPES = {
 }
 
 
+def _decoded(series):
+    """series with its terms decoded, so that emit_series reads its tuple
+    keys."""
+    assert series.terms is series._terms
+    return series
+
+
+def _tuple_series(rank, rows):
+    """A tuple-keyed series on diag(8)^rank with a term at each (n, 8 * l)
+    of rows."""
+    coeffs = {(F(n), tuple(F(x, 8) for x in l)): i + 1 for i, (n, l) in enumerate(rows)}
+    return JacobiSeries(DIAGONAL[rank - 1], 0, 7, coeffs, form_class=RAW)
+
+
+# the edges of runs on tuple keys: every row under one head, every row its
+# own run, and no row at all, at ranks where the head holds label entries
+# or is the grade alone
+DECODED_SHAPES = {
+    "one head": _tuple_series(3, [(1, (2, a, b)) for a in (-1, 0, 1) for b in (-2, 3)]),
+    "distinct heads": _tuple_series(3, [(1, (h, 0, 0)) for h in range(-3, 4)]),
+    "distinct grades": _tuple_series(1, [(n, (n,)) for n in range(-2, 5)]),
+    "empty": _tuple_series(3, []),
+}
+
+
 def check_shared_heads(series):
     """The text and the rows of the emitted series against json.dumps of
     its rows, the rows of the parsed text and the Fraction-sorting oracle,
-    which decodes the terms of a packed series, so it runs last."""
+    which decodes the terms of a packed series, so it runs last. Each row
+    is read by index, by slice and by iteration."""
     doc = emit_series(series)
     rows = doc["terms"]
     assert type(rows) is Rows
     text = canonical_dumps(doc)
     assert text == oracle_dumps(listed(doc))
-    assert list(rows) == json.loads(text)["terms"]
+    terms = json.loads(text)["terms"]
+    assert list(rows) == terms and rows == terms
+    assert [rows[i] for i in range(len(rows))] == terms
+    assert rows[1::2] == terms[1::2] and rows[-1:] == terms[-1:]
+    assert not terms or rows[-1] == terms[-1]
     assert text == canonical_dumps(oracle_emit_series(series))
 
 
@@ -995,6 +1025,16 @@ def check_shared_heads(series):
 @example(_product(PACKED_SHAPES["one row"]))
 @example(_product(PACKED_SHAPES["one head"]))
 @example(_product(PACKED_SHAPES["distinct heads"]))
+@example(_product([_tuple_series(1, []), _one_term(1), _one_term(2), _one_term(-1)]))
+@example(_decoded(theta_sum(8)))
+@example(_decoded(phi04(6)))
+@example(_decoded(phi_n(2, 3)))
+@example(_decoded(phi_n(3, 2)))
+@example(_decoded(phi_n(5, 1)))
+@example(DECODED_SHAPES["one head"])
+@example(DECODED_SHAPES["distinct heads"])
+@example(DECODED_SHAPES["distinct grades"])
+@example(DECODED_SHAPES["empty"])
 def test_rows_write_each_shared_head_once(series):
     check_shared_heads(series)
 
@@ -1002,13 +1042,65 @@ def test_rows_write_each_shared_head_once(series):
 def test_packed_examples_have_their_shapes():
     sizes = {}
     for shape, factors in PACKED_SHAPES.items():
-        heads, tails = emit_series(_product(factors))["terms"].heads
-        sizes[shape] = len(heads), len(set(heads)), len(set(tails))
+        rows = emit_series(_product(factors))["terms"]
+        runs, tails = rows.heads  # a length per run, a tail id per row
+        assert sum(runs) == len(tails) == len(rows) and min(runs) > 0
+        sizes[shape] = len(rows), len(runs), len(set(tails))
     assert sizes["one row"] == (1, 1, 1)
-    rows, heads, tails = sizes["one head"]
-    assert heads == 1 and tails == rows > 1
-    rows, heads, tails = sizes["distinct heads"]
-    assert heads == rows > 1 and tails == 1
+    rows, runs, tails = sizes["one head"]
+    assert runs == 1 and tails == rows > 1
+    rows, runs, tails = sizes["distinct heads"]
+    assert runs == rows > 1 and tails == 1
+
+
+def test_decoded_examples_have_their_shapes():
+    sizes = {}
+    for shape, series in DECODED_SHAPES.items():
+        rows = emit_series(series)["terms"]
+        runs, tails = rows.heads
+        assert sum(runs) == len(tails) == len(rows) and min(runs, default=1) > 0
+        sizes[shape] = len(rows), len(runs), len(set(tails))
+    assert sizes["one head"] == (6, 1, 6) and sizes["empty"] == (0, 0, 0)
+    assert sizes["distinct heads"] == (7, 7, 1) and sizes["distinct grades"] == (7, 7, 7)
+    assert all(series._terms is not None for series in DECODED_SHAPES.values())
+
+
+def test_emission_works_once_per_head(monkeypatch):
+    # phi_n(4, 5): 11 773 rows under 313 heads, with 121 distinct tails;
+    # the packed keys are decoded once per head and once per tail, and each
+    # route searches once for the end of each run
+    decoded, searches = [], []
+    digits, bisect_left = _Packing.digits, kit_io.bisect_left
+
+    def count_digits(packing, keys):
+        decoded.append(len(keys))
+        return digits(packing, keys)
+
+    def count_searches(*args):
+        searches.append(args)
+        return bisect_left(*args)
+
+    def refuse(*args):
+        raise AssertionError("a row was searched for")
+
+    phi = phi_n(4, 5)
+    monkeypatch.setattr(_Packing, "digits", count_digits)
+    monkeypatch.setattr(kit_io, "bisect_left", count_searches)
+    doc = emit_series(phi)
+    runs, tails = doc["terms"].heads
+    assert (len(doc["terms"]), len(runs), len(set(tails))) == (11_773, 313, 121)
+    assert sum(decoded) == 313 + 121 and len(searches) == 313
+    text = canonical_dumps(doc)
+    parsed = parse_series(json.loads(text))
+    decoded.clear()
+    searches.clear()
+    again = emit_series(parsed)
+    assert len(searches) == len(again["terms"].heads[0]) == 313 and decoded == []
+    assert canonical_dumps(again) == text
+    # reading the rows in order is linear: no search per row
+    monkeypatch.setattr(kit_io, "bisect_right", refuse)
+    monkeypatch.setattr(kit_io, "bisect_left", refuse)
+    assert list(again["terms"]) == list(doc["terms"]) == json.loads(text)["terms"]
 
 
 def test_emitting_a_packed_series_decodes_no_key(monkeypatch):
